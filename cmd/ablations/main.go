@@ -37,19 +37,14 @@ func main() {
 	topology := flag.String("topology", "", "fabric topology for every study except -study topology (which sweeps them all)")
 	bench := flag.String("bench", "SC", "benchmark for single-benchmark studies")
 	jobs := flag.Int("jobs", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-	simCores := flag.Int("sim-cores", 1, "engine workers per simulation (results are byte-identical for any value)")
 	seed := flag.Int64("seed", 0, "pin every job's input seed (0 = per-job fingerprint seeds)")
 	metricsOut := flag.String("metrics-out", "", "write every job's metric snapshot as JSON to this file")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON timeline of all jobs to this file")
 	server := flag.String("server", "", "sweepd base URL (e.g. http://127.0.0.1:8372): execute jobs on a resident daemon instead of simulating locally")
 	flag.Parse()
 
-	if *simCores < 1 {
-		log.Fatalf("-sim-cores must be at least 1 (got %d)", *simCores)
-	}
-
 	o := runner.ExpOptions{Scale: workloads.Scale(*scale), CUsPerGPU: *cus, Seed: *seed,
-		SimCores: *simCores, Topology: fabric.Topology(*topology), NumGPUs: *gpus}
+		Topology: fabric.Topology(*topology), NumGPUs: *gpus}
 	// One shared sweep across studies: -study all re-uses baseline and
 	// adaptive runs that several studies have in common.
 	cfg := runner.SweepConfig{Jobs: *jobs, Trace: *traceOut != ""}

@@ -1,32 +1,23 @@
 // Command benchreport measures the hot paths and writes a machine-readable
-// benchmark report (BENCH_PR10.json): the zero-allocation
-// codec/bitstream/event-queue microbenchmarks, a workload × policy macro
-// table (simulated cycles, wall time, allocations per full run), the
-// -sim-cores scaling table of the conservative parallel engine, the
-// window-scheduling table comparing the adaptive window scheduler against
-// the classic fixed-lookahead schedule (windows per run, events per window,
-// with exec-cycles equality checked on every row), and the topology table
-// running the adaptive controller with per-link codec selection against a
-// single global controller on every switched interconnect at 8, 16 and 64
-// GPUs (with the parallel engine's metric snapshots byte-compared against
-// the serial run on every row).
+// report: the zero-allocation codec/bitstream/event-queue microbenchmarks, a
+// workload × policy macro table (simulated cycles, wall time, allocations
+// per full run), and the topology table running the adaptive controller
+// with per-link codec selection against a single global controller on every
+// interconnect shape at 4, 8, 16 and 64 GPUs.
 //
-// The JSON also embeds the pre-optimization baseline numbers (measured on the
-// commit before PR 4, same machine class) and the resulting speedups, so
-// claimed performance numbers are committed, reviewable artifacts rather than
-// PR-description footnotes. The sim-cores table records host_cpus alongside
-// the speedups: wall-clock gains require real host cores, while the
-// exec_cycles column proves the runs stayed byte-identical.
+// The JSON also embeds the pre-optimization baseline encode numbers and the
+// resulting speedups. Every number is a single sample; performance claims
+// rest on the repository benchmark (bench/ and BENCHMARK.json), and the
+// committed BENCH_PR*.json files are historical records of earlier reports.
 //
 // Usage:
 //
-//	go run ./cmd/benchreport [-out BENCH_PR10.json] [-short]
+//	go run ./cmd/benchreport [-out benchreport.json] [-short]
 //
 // BENCH_SCALE (default 1) selects the macro workload scale.
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -43,7 +34,6 @@ import (
 	"mgpucompress/internal/fabric"
 	"mgpucompress/internal/runner"
 	"mgpucompress/internal/sim"
-	"mgpucompress/internal/sim/schedbench"
 	"mgpucompress/internal/workloads"
 )
 
@@ -76,74 +66,35 @@ type Baseline struct {
 	SamplingTrioNs    float64            `json:"sampling_trio_ns_per_line"`
 }
 
-// CoresResult is one -sim-cores point of the parallel-engine scaling table:
-// the macro workload set run end to end with the given engine worker count.
-type CoresResult struct {
-	Cores  int     `json:"cores"`
-	WallMs float64 `json:"wall_ms"`
-	// Speedup is wall(serial) / wall(cores) over the whole table.
-	Speedup float64 `json:"speedup_vs_serial"`
-	// ExecCycles sums simulated cycles over the table; identical in every
-	// row by the engine's determinism contract (checked here).
-	ExecCycles uint64 `json:"exec_cycles"`
-}
-
-// WindowResult is one row of the window-scheduling table: the same workload
-// run under the default adaptive window scheduler and under the classic
-// fixed-lookahead schedule (the PR 8 engine's only mode). Both runs must
-// simulate the identical execution — exec_cycles_equal records the check —
-// so the window counts compare synchronization cost, never behaviour.
-// Workloads prefixed "sched/" are the synthetic engine schedules of
-// internal/sim/schedbench; the rest are the macro workload set, whose
-// fine-grained per-cycle fabric traffic bounds any conservative schedule.
-type WindowResult struct {
-	Workload        string  `json:"workload"`
-	ExecCycles      uint64  `json:"exec_cycles"`
-	ExecCyclesEqual bool    `json:"exec_cycles_equal"`
-	Windows         uint64  `json:"windows"`
-	FixedWindows    uint64  `json:"fixed_lookahead_windows"`
-	Reduction       float64 `json:"window_reduction"`
-	EventsPerWindow float64 `json:"events_per_window"`
-	SerialWindows   uint64  `json:"serial_fallback_windows"`
-	BarrierWindows  uint64  `json:"barrier_windows"`
-}
-
 // TopoResult is one row of the topology table: a single workload on one
 // interconnect shape, run uncompressed, under the paper's per-link adaptive
 // controller, and under one shared global controller. The global controller
 // sees every endpoint's traffic but can only pick one codec for the whole
 // fabric — the counterpoint the paper's Sec. V design argues against — so
 // per_link_fabric_bytes <= global_fabric_bytes measures exactly what
-// per-link selection buys. ParallelSnapshotEqual records that the adaptive
-// row's full metric snapshot is byte-identical when re-run on 8 engine
-// cores (the global controller is inherently serial and is not re-run).
+// per-link selection buys.
 type TopoResult struct {
-	Topology              string  `json:"topology"`
-	GPUs                  int     `json:"gpus"`
-	Workload              string  `json:"workload"`
-	BaseExecCycles        uint64  `json:"base_exec_cycles"`
-	BaseFabricBytes       uint64  `json:"base_fabric_bytes"`
-	PerLinkExecCycles     uint64  `json:"per_link_exec_cycles"`
-	PerLinkFabricBytes    uint64  `json:"per_link_fabric_bytes"`
-	GlobalExecCycles      uint64  `json:"global_exec_cycles"`
-	GlobalFabricBytes     uint64  `json:"global_fabric_bytes"`
-	PerLinkSpeedup        float64 `json:"per_link_speedup"`
-	GlobalSpeedup         float64 `json:"global_speedup"`
-	PerLinkTraffic        float64 `json:"per_link_traffic_vs_base"`
-	GlobalTraffic         float64 `json:"global_traffic_vs_base"`
-	WallMs                float64 `json:"wall_ms"`
-	ParallelSnapshotEqual bool    `json:"parallel_snapshot_equal"`
+	Topology           string  `json:"topology"`
+	GPUs               int     `json:"gpus"`
+	Workload           string  `json:"workload"`
+	BaseExecCycles     uint64  `json:"base_exec_cycles"`
+	BaseFabricBytes    uint64  `json:"base_fabric_bytes"`
+	PerLinkExecCycles  uint64  `json:"per_link_exec_cycles"`
+	PerLinkFabricBytes uint64  `json:"per_link_fabric_bytes"`
+	GlobalExecCycles   uint64  `json:"global_exec_cycles"`
+	GlobalFabricBytes  uint64  `json:"global_fabric_bytes"`
+	PerLinkSpeedup     float64 `json:"per_link_speedup"`
+	GlobalSpeedup      float64 `json:"global_speedup"`
+	PerLinkTraffic     float64 `json:"per_link_traffic_vs_base"`
+	GlobalTraffic      float64 `json:"global_traffic_vs_base"`
+	WallMs             float64 `json:"wall_ms"`
 }
 
 // Report is the benchmark-report JSON schema.
 type Report struct {
-	Generated string `json:"generated"`
-	GoVersion string `json:"go_version"`
-	GOARCH    string `json:"goarch"`
-	// HostCPUs bounds any achievable sim-cores wall-clock speedup: on a
-	// single-CPU host the scaling table can only demonstrate that parallel
-	// mode costs nothing, not that it gains.
-	HostCPUs      int                `json:"host_cpus"`
+	Generated     string             `json:"generated"`
+	GoVersion     string             `json:"go_version"`
+	GOARCH        string             `json:"goarch"`
 	Scale         int                `json:"macro_scale"`
 	Micro         []MicroResult      `json:"micro"`
 	Baseline      Baseline           `json:"baseline_pre_pr"`
@@ -155,10 +106,8 @@ type Report struct {
 		NsPerLine float64 `json:"ns_per_line"`
 		Speedup   float64 `json:"speedup_vs_baseline"`
 	} `json:"sampling_trio"`
-	Macro      []MacroResult  `json:"macro"`
-	SimCores   []CoresResult  `json:"sim_cores"`
-	Windows    []WindowResult `json:"window_scheduling"`
-	Topologies []TopoResult   `json:"topologies"`
+	Macro      []MacroResult `json:"macro"`
+	Topologies []TopoResult  `json:"topologies"`
 }
 
 // preBaseline is the recorded state of the encode hot path on the parent
@@ -350,150 +299,9 @@ func macroSuite(scale int, short bool) ([]MacroResult, error) {
 	return out, nil
 }
 
-// coresSuite reruns the macro workload table under the adaptive policy for
-// each engine worker count and reports aggregate wall time and speedup
-// against the serial row. The summed simulated cycles must not move — the
-// engine's byte-identity contract — and the suite fails loudly if they do.
-func coresSuite(scale int, short bool) ([]CoresResult, error) {
-	abbrevs := []string{"AES", "BS", "FIR", "GD", "KM", "MT", "SC"}
-	if short {
-		abbrevs = []string{"SC", "MT"}
-	}
-	var out []CoresResult
-	// The first pass (cores = 0, unrecorded) warms the heap and page cache so
-	// the serial row is not penalized for running first.
-	for _, cores := range []int{0, 1, 2, 4, 8} {
-		var wall time.Duration
-		var cycles uint64
-		for _, ab := range abbrevs {
-			opts := runner.Options{
-				Scale:    workloads.Scale(scale),
-				Policy:   core.PolicyAdaptive,
-				Lambda:   core.DefaultLambda,
-				SimCores: max(cores, 1),
-			}
-			runtime.GC()
-			start := time.Now()
-			res, err := runner.Run(ab, opts)
-			wall += time.Since(start)
-			if err != nil {
-				return nil, fmt.Errorf("%s/cores=%d: %w", ab, cores, err)
-			}
-			cycles += res.ExecCycles
-		}
-		if cores == 0 {
-			continue
-		}
-		r := CoresResult{
-			Cores:      cores,
-			WallMs:     float64(wall.Nanoseconds()) / 1e6,
-			ExecCycles: cycles,
-		}
-		if len(out) > 0 {
-			if cycles != out[0].ExecCycles {
-				return nil, fmt.Errorf("cores=%d simulated %d cycles, serial simulated %d: parallel run diverged",
-					cores, cycles, out[0].ExecCycles)
-			}
-			r.Speedup = round2(out[0].WallMs / r.WallMs)
-		} else {
-			r.Speedup = 1
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// windowSuite builds the window-scheduling table: every workload twice, once
-// under adaptive windows and once pinned to the fixed lookahead, asserting
-// the simulated execution did not move. The synthetic schedules run first —
-// they are where traffic has locality and the barrier-count reduction is
-// large; the macro rows document honestly that a near-saturated shared bus
-// leaves a conservative scheduler little room (cross messages arrive faster
-// than one per link-latency, so windows already batch several of them).
-func windowSuite(scale int, short bool) ([]WindowResult, error) {
-	var out []WindowResult
-	for _, shape := range schedbench.Shapes {
-		adaptive, err := schedbench.Run(shape, 7, 1, 0)
-		if err != nil {
-			return nil, fmt.Errorf("sched/%s: %w", shape, err)
-		}
-		fixed, err := schedbench.Run(shape, 7, 1, schedbench.LinkLatency)
-		if err != nil {
-			return nil, fmt.Errorf("sched/%s fixed: %w", shape, err)
-		}
-		equal := adaptive.Digest == fixed.Digest && adaptive.Cycles == fixed.Cycles
-		if !equal {
-			return nil, fmt.Errorf("sched/%s: adaptive and fixed runs diverged", shape)
-		}
-		out = append(out, WindowResult{
-			Workload:        "sched/" + string(shape),
-			ExecCycles:      uint64(adaptive.Cycles),
-			ExecCyclesEqual: equal,
-			Windows:         adaptive.Windows,
-			FixedWindows:    fixed.Windows,
-			Reduction:       round2(float64(fixed.Windows) / float64(adaptive.Windows)),
-			EventsPerWindow: round2(adaptive.EventsPerWindow),
-			SerialWindows:   adaptive.SerialWindows,
-			BarrierWindows:  adaptive.BarrierWindows,
-		})
-	}
-
-	abbrevs := []string{"AES", "BS", "FIR", "GD", "KM", "MT", "SC"}
-	if short {
-		abbrevs = []string{"SC", "MT"}
-	}
-	for _, ab := range abbrevs {
-		row := WindowResult{Workload: ab}
-		var fixedCycles uint64
-		for _, la := range []int{0, 2} {
-			opts := runner.Options{
-				Scale:          workloads.Scale(scale),
-				Policy:         core.PolicyAdaptive,
-				Lambda:         core.DefaultLambda,
-				FixedLookahead: la,
-			}
-			res, err := runner.Run(ab, opts)
-			if err != nil {
-				return nil, fmt.Errorf("%s/la=%d: %w", ab, la, err)
-			}
-			windows := uint64(res.Snapshot.Value("sim/windows"))
-			if la == 0 {
-				row.ExecCycles = res.ExecCycles
-				row.Windows = windows
-				row.SerialWindows = uint64(res.Snapshot.Value("sim/serial_fallback_windows"))
-				row.BarrierWindows = uint64(res.Snapshot.Value("sim/barrier_spins"))
-				if ev, ok := res.Snapshot.Get("sim/events_per_window"); ok && ev.Dist != nil {
-					row.EventsPerWindow = round2(ev.Dist.Mean())
-				}
-			} else {
-				row.FixedWindows = windows
-				fixedCycles = res.ExecCycles
-			}
-		}
-		row.ExecCyclesEqual = row.ExecCycles == fixedCycles
-		if !row.ExecCyclesEqual {
-			return nil, fmt.Errorf("%s: adaptive simulated %d cycles, fixed lookahead %d: window policy changed behaviour",
-				ab, row.ExecCycles, fixedCycles)
-		}
-		row.Reduction = round2(float64(row.FixedWindows) / float64(row.Windows))
-		out = append(out, row)
-	}
-	return out, nil
-}
-
-// snapshotJSON serializes a run's metric snapshot for byte comparison.
-func snapshotJSON(res *runner.Result) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := res.Snapshot.WriteJSON(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 // topoSuite builds the topology table: one workload on every interconnect
 // shape, comparing the paper's per-link adaptive controller against one
-// global controller shared by all endpoints, and byte-comparing the
-// adaptive run's metric snapshot between 1 and 8 engine cores.
+// global controller shared by all endpoints.
 func topoSuite(scale int, short bool) ([]TopoResult, error) {
 	type shape struct {
 		topo fabric.Topology
@@ -513,13 +321,12 @@ func topoSuite(scale int, short bool) ([]TopoResult, error) {
 	const workload = "SC"
 	var out []TopoResult
 	for _, sh := range shapes {
-		run := func(pol core.PolicyID, cores int) (*runner.Result, error) {
+		run := func(pol core.PolicyID) (*runner.Result, error) {
 			opts := runner.Options{
 				Scale:    workloads.Scale(scale),
 				Policy:   pol,
 				NumGPUs:  sh.gpus,
 				Topology: sh.topo,
-				SimCores: cores,
 			}
 			if pol != core.PolicyNone {
 				opts.Lambda = core.DefaultLambda
@@ -527,59 +334,41 @@ func topoSuite(scale int, short bool) ([]TopoResult, error) {
 			return runner.Run(workload, opts)
 		}
 		start := time.Now()
-		base, err := run(core.PolicyNone, 1)
+		base, err := run(core.PolicyNone)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%d/none: %w", sh.topo, sh.gpus, err)
 		}
-		perLink, err := run(core.PolicyAdaptive, 1)
+		perLink, err := run(core.PolicyAdaptive)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%d/adaptive: %w", sh.topo, sh.gpus, err)
 		}
-		perLink8, err := run(core.PolicyAdaptive, 8)
-		if err != nil {
-			return nil, fmt.Errorf("%s/%d/adaptive cores=8: %w", sh.topo, sh.gpus, err)
-		}
-		global, err := run(core.PolicyAdaptiveGlobal, 1)
+		global, err := run(core.PolicyAdaptiveGlobal)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%d/adaptive-global: %w", sh.topo, sh.gpus, err)
 		}
 		wall := time.Since(start)
-		snap1, err := snapshotJSON(perLink)
-		if err != nil {
-			return nil, err
-		}
-		snap8, err := snapshotJSON(perLink8)
-		if err != nil {
-			return nil, err
-		}
-		equal := bytes.Equal(snap1, snap8)
-		if !equal {
-			return nil, fmt.Errorf("%s/%d: 8-core metric snapshot diverged from serial run",
-				sh.topo, sh.gpus)
-		}
 		out = append(out, TopoResult{
-			Topology:              string(sh.topo),
-			GPUs:                  sh.gpus,
-			Workload:              workload,
-			BaseExecCycles:        base.ExecCycles,
-			BaseFabricBytes:       base.FabricBytes,
-			PerLinkExecCycles:     perLink.ExecCycles,
-			PerLinkFabricBytes:    perLink.FabricBytes,
-			GlobalExecCycles:      global.ExecCycles,
-			GlobalFabricBytes:     global.FabricBytes,
-			PerLinkSpeedup:        round2(float64(base.ExecCycles) / float64(perLink.ExecCycles)),
-			GlobalSpeedup:         round2(float64(base.ExecCycles) / float64(global.ExecCycles)),
-			PerLinkTraffic:        round2(float64(perLink.FabricBytes) / float64(base.FabricBytes)),
-			GlobalTraffic:         round2(float64(global.FabricBytes) / float64(base.FabricBytes)),
-			WallMs:                float64(wall.Nanoseconds()) / 1e6,
-			ParallelSnapshotEqual: equal,
+			Topology:           string(sh.topo),
+			GPUs:               sh.gpus,
+			Workload:           workload,
+			BaseExecCycles:     base.ExecCycles,
+			BaseFabricBytes:    base.FabricBytes,
+			PerLinkExecCycles:  perLink.ExecCycles,
+			PerLinkFabricBytes: perLink.FabricBytes,
+			GlobalExecCycles:   global.ExecCycles,
+			GlobalFabricBytes:  global.FabricBytes,
+			PerLinkSpeedup:     round2(float64(base.ExecCycles) / float64(perLink.ExecCycles)),
+			GlobalSpeedup:      round2(float64(base.ExecCycles) / float64(global.ExecCycles)),
+			PerLinkTraffic:     round2(float64(perLink.FabricBytes) / float64(base.FabricBytes)),
+			GlobalTraffic:      round2(float64(global.FabricBytes) / float64(base.FabricBytes)),
+			WallMs:             float64(wall.Nanoseconds()) / 1e6,
 		})
 	}
 	return out, nil
 }
 
 func main() {
-	outPath := flag.String("out", "BENCH_PR10.json", "output JSON path")
+	outPath := flag.String("out", "benchreport.json", "output JSON path")
 	short := flag.Bool("short", false, "smoke mode: 2 workloads × 2 policies, skip nothing else")
 	flag.Parse()
 
@@ -594,7 +383,6 @@ func main() {
 		Generated: time.Now().UTC().Format(time.RFC3339),
 		GoVersion: runtime.Version(),
 		GOARCH:    runtime.GOARCH,
-		HostCPUs:  runtime.NumCPU(),
 		Scale:     scale,
 		Baseline:  preBaseline,
 	}
@@ -626,22 +414,6 @@ func main() {
 		os.Exit(1)
 	}
 	rep.Macro = macro
-
-	fmt.Fprintln(os.Stderr, "benchreport: running -sim-cores scaling table...")
-	simCores, err := coresSuite(scale, *short)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchreport:", err)
-		os.Exit(1)
-	}
-	rep.SimCores = simCores
-
-	fmt.Fprintln(os.Stderr, "benchreport: running window-scheduling table...")
-	windows, err := windowSuite(scale, *short)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchreport:", err)
-		os.Exit(1)
-	}
-	rep.Windows = windows
 
 	fmt.Fprintln(os.Stderr, "benchreport: running topology × codec-selection table...")
 	topos, err := topoSuite(scale, *short)

@@ -31,17 +31,12 @@ func main() {
 	gpus := flag.Int("gpus", 0, "GPU count (0 = the paper's 4)")
 	topology := flag.String("topology", "", "fabric topology: bus (paper), crossbar, ring, mesh or tree")
 	jobs := flag.Int("jobs", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-	simCores := flag.Int("sim-cores", 1, "engine workers per simulation (results are byte-identical for any value)")
 	csv := flag.Bool("csv", false, "emit machine-readable CSV instead of tables")
 	metricsOut := flag.String("metrics-out", "", "write every job's metric snapshot as JSON to this file")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON timeline of all jobs to this file")
 	flag.Parse()
 
-	if *simCores < 1 {
-		log.Fatalf("-sim-cores must be at least 1 (got %d)", *simCores)
-	}
-
-	opts := runner.ExpOptions{Scale: workloads.Scale(*scale), CUsPerGPU: *cus, SimCores: *simCores,
+	opts := runner.ExpOptions{Scale: workloads.Scale(*scale), CUsPerGPU: *cus,
 		Topology: fabric.Topology(*topology), NumGPUs: *gpus}
 	sw := runner.NewSweep(runner.SweepConfig{Jobs: *jobs, Trace: *traceOut != ""})
 	defer func() {

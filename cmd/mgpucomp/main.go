@@ -41,15 +41,10 @@ func main() {
 	traceFlag := flag.Bool("trace", false, "print a fabric transfer timeline summary")
 	statsFlag := flag.Bool("stats", false, "print the hardware counter report")
 	seed := flag.Int64("seed", 0, "workload input-generation seed (0 = the workload's fixed default)")
-	simCores := flag.Int("sim-cores", 1, "engine workers advancing partitions in parallel (results are byte-identical for any value)")
 	faultProfile := flag.String("fault-profile", "off", "fault-injection profile: off|light|aggressive or k=v list (corrupt=,drop=,delay=,delaycycles=,timeout=,attempts=,degradek=)")
 	metricsOut := flag.String("metrics-out", "", "write the full metric snapshot as JSON to this file")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON timeline to this file")
 	flag.Parse()
-
-	if *simCores < 1 {
-		log.Fatalf("-sim-cores must be at least 1 (got %d)", *simCores)
-	}
 
 	pol, err := core.ParsePolicy(strings.ToLower(*policy))
 	if err != nil {
@@ -71,7 +66,6 @@ func main() {
 		Trace:        *traceFlag || *traceOut != "",
 		Seed:         *seed,
 		Fault:        prof,
-		SimCores:     *simCores,
 	}
 	if err := opts.Validate(); err != nil {
 		log.Fatal(err)

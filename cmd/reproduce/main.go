@@ -54,13 +54,8 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write every job's metric snapshot as JSON to this file")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON timeline of all jobs to this file")
 	faultProfile := flag.String("fault-profile", "off", "fault-injection profile: off|light|aggressive or k=v list")
-	simCores := flag.Int("sim-cores", 1, "engine workers per simulation (results are byte-identical for any value)")
 	server := flag.String("server", "", "sweepd base URL (e.g. http://127.0.0.1:8372): run the plan on a resident daemon instead of simulating locally")
 	flag.Parse()
-
-	if *simCores < 1 {
-		log.Fatalf("-sim-cores must be at least 1 (got %d)", *simCores)
-	}
 
 	prof, err := fault.Parse(*faultProfile)
 	if err != nil {
@@ -70,7 +65,7 @@ func main() {
 		log.Fatal("-trace-out requires local execution: results fetched from a daemon carry no span timeline")
 	}
 	o := runner.ExpOptions{Scale: workloads.Scale(*scale), CUsPerGPU: *cus, Seed: *seed, Fault: prof,
-		SimCores: *simCores, Topology: fabric.Topology(*topology), NumGPUs: *gpus}
+		Topology: fabric.Topology(*topology), NumGPUs: *gpus}
 	if err := run(*out, *jobs, o, *resume, *quiet, *metricsOut, *traceOut, *server); err != nil {
 		log.Fatal(err)
 	}

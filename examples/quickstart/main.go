@@ -21,12 +21,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	metricsOut := flag.String("metrics-out", "", "write the adaptive run's metric snapshot as JSON to this file")
-	simCores := flag.Int("sim-cores", 1, "engine workers advancing partitions in parallel (results are byte-identical for any value)")
 	flag.Parse()
-
-	if *simCores < 1 {
-		log.Fatalf("-sim-cores must be at least 1 (got %d)", *simCores)
-	}
 
 	// --- 1. Compress single cache lines -----------------------------------
 	lines := map[string][]byte{
@@ -71,10 +66,9 @@ func main() {
 	fmt.Println("\nmatrix transpose on the simulated 4-GPU system:")
 	for _, policy := range []core.PolicyID{core.PolicyNone, core.PolicyAdaptive} {
 		m, err := runner.Run("MT", runner.Options{
-			Scale:    workloads.ScaleTiny,
-			Policy:   policy,
-			Lambda:   6,
-			SimCores: *simCores,
+			Scale:  workloads.ScaleTiny,
+			Policy: policy,
+			Lambda: 6,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -46,7 +46,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name:      "lockorder",
 	ID:        "MGL008",
-	Doc:       "lock pairs must be acquired in one consistent order across internal/sweep, internal/serve and internal/sim",
+	Doc:       "lock pairs must be acquired in one consistent order across internal/sweep and internal/serve",
 	FactTypes: []analysis.Fact{(*Acquires)(nil), (*Pairs)(nil)},
 	Run:       run,
 	Finish:    finish,
@@ -81,14 +81,12 @@ type Pairs struct {
 func (*Pairs) AFact() {}
 
 // scoped reports whether pairs are recorded and reported for the package:
-// the concurrent service layer, plus the parallel simulation kernel since
-// its windowed run loop holds engine-level state while calling into
-// partition code.
+// the concurrent service layer. The simulation kernel runs on one goroutine
+// and takes no locks.
 func scoped(path string) bool {
 	return analysis.PathHasSegment(path, "internal") &&
 		(analysis.PathHasSegment(path, "sweep") ||
-			analysis.PathHasSegment(path, "serve") ||
-			analysis.PathHasSegment(path, "sim"))
+			analysis.PathHasSegment(path, "serve"))
 }
 
 // lockCall classifies a call as Lock/RLock (acquire) or Unlock/RUnlock

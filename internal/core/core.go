@@ -455,8 +455,8 @@ func PolicyFactory(id PolicyID, lambda float64) (func() Policy, error) {
 	case PolicyAdaptiveGlobal:
 		// Global codec selection: the factory closure captures one shared
 		// controller, so every endpoint it is handed to observes and obeys
-		// the same selection state. Callers must serialize the simulation
-		// (the runner forces SimCores=1 for this policy).
+		// the same selection state, in the order the engine executes the
+		// endpoints' partitions.
 		shared := NewAdaptive(Config{Lambda: lambda})
 		return func() Policy { return shared }, nil
 	default:

@@ -8,8 +8,8 @@
 // The fabric is the seam between simulation partitions: arbitration runs as
 // a component of the hub partition, every attached endpoint keeps a small
 // link shim in its own partition, and the LinkLatency separating the two is
-// the explicit minimum latency that floors the parallel engine's adaptive
-// window scheduler. While a transfer occupies the bus, the arbiter also
+// the explicit minimum latency that floors the engine's adaptive window
+// scheduler. While a transfer occupies the bus, the arbiter also
 // publishes next-send bounds on its hub-to-owner links (see arbitrate),
 // letting the engine widen windows past the busy stretch.
 package fabric
@@ -34,7 +34,7 @@ type Config struct {
 	// LinkLatency is the one-way wire latency, in cycles, between an
 	// endpoint and the fabric arbiter (and, for switched topologies,
 	// between adjacent switches). It is declared at construction and is the
-	// latency floor under the parallel engine's adaptive windows, so it
+	// latency floor under the engine's adaptive windows, so it
 	// must be at least 1 (Validate rejects smaller values).
 	LinkLatency sim.Time
 	// Topology selects the implementation: TopologyBus (paper, default),
@@ -72,7 +72,7 @@ func DefaultConfig() Config {
 
 // Validate reports the first configuration error. It replaces the silent
 // normalization the constructors used to apply (LinkLatency below the
-// parallel engine's one-cycle latency floor, unknown topologies falling back
+// engine's one-cycle latency floor, unknown topologies falling back
 // to the bus at higher layers): platform.Build calls it after per-field
 // defaulting, so a partially-set Config is rejected loudly instead of being
 // quietly replaced.
@@ -206,7 +206,7 @@ func (b *Bus) arbitrate(now sim.Time) {
 		// a transfer is in flight, so after this claim's own credit (just
 		// emitted, entry now+latency) nothing leaves the hub before the
 		// transfer completes. Publish that horizon as the next-send bound of
-		// every egress link — the parallel engine widens its window past the
+		// every egress link — the engine widens its window past the
 		// hub's head events up to it. The completing transfer's delivery and
 		// the next claim's credit both land at exactly busyUntil+latency, so
 		// the bound is tight. Suppressed while a fault-delayed delivery is

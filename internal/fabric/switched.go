@@ -33,7 +33,7 @@ import (
 //     serializing link too. While a transmission occupies it, the fabric
 //     publishes a next-send promise (done + LinkLatency) on that endpoint's
 //     delivery link — the PR 9 promise plumbing extended to switch egress —
-//     letting the parallel engine widen windows past the busy stretch.
+//     letting the engine widen windows past the busy stretch.
 //     Promises are suppressed while fault-delayed deliveries are
 //     outstanding, exactly like the bus.
 //   - Energy: each hop charges bits moved times the pJ/bit of the link's

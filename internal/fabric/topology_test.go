@@ -9,9 +9,9 @@ import (
 
 // buildSwitched constructs a switched fabric with one endpoint per GPU node,
 // returning the fabric and the endpoint ports in node order.
-func buildSwitched(t *testing.T, topo Topology, nodes, cores int) (*sim.Engine, *SwitchFabric, []*talker) {
+func buildSwitched(t *testing.T, topo Topology, nodes int) (*sim.Engine, *SwitchFabric, []*talker) {
 	t.Helper()
-	engine := sim.NewEngine(sim.WithPartitions(nodes+1), sim.WithCores(cores))
+	engine := sim.NewEngine(sim.WithPartitions(nodes + 1))
 	hub := engine.Partition(nodes)
 	cfg := DefaultConfig()
 	cfg.Topology = topo
@@ -95,7 +95,7 @@ func worstHops(topo Topology, n int) int {
 func TestTopologyHops(t *testing.T) {
 	for _, tc := range switchedTopologies {
 		for _, n := range tc.nodes {
-			_, f, _ := buildSwitched(t, tc.topo, n, 1)
+			_, f, _ := buildSwitched(t, tc.topo, n)
 			worst := 0
 			for a := 0; a < n; a++ {
 				for b := 0; b < n; b++ {
@@ -174,7 +174,7 @@ func TestTopologyRandomTrafficNoLoss(t *testing.T) {
 	const msgsPerNode = 40
 	for _, tc := range switchedTopologies {
 		for _, n := range tc.nodes {
-			engine, f, ends := buildSwitched(t, tc.topo, n, 1)
+			engine, f, ends := buildSwitched(t, tc.topo, n)
 			rng := rand.New(rand.NewSource(int64(n)*1000 + int64(len(tc.topo))))
 			wantRecv := make([]int, n)
 			var wantBytes uint64
@@ -215,26 +215,6 @@ func TestTopologyRandomTrafficNoLoss(t *testing.T) {
 			}
 			if f.EnergyPJ() <= 0 {
 				t.Errorf("%s/%d: no transfer energy accumulated", tc.topo, n)
-			}
-		}
-	}
-}
-
-// TestTopologyMatrixParallelDigest runs the receive-log/metrics digest
-// comparison of TestParallelMatchesSerial over the full topology x GPU-count
-// matrix: serial and parallel engines must agree byte for byte.
-func TestTopologyMatrixParallelDigest(t *testing.T) {
-	const rounds = 10
-	for _, tc := range switchedTopologies {
-		for _, n := range tc.nodes {
-			if testing.Short() && n > 8 {
-				continue
-			}
-			want := runParallelDigest(t, tc.topo, n, 1, rounds)
-			for _, cores := range []int{2, 8} {
-				if got := runParallelDigest(t, tc.topo, n, cores, rounds); got != want {
-					t.Errorf("%s/%d: cores=%d diverged from serial run", tc.topo, n, cores)
-				}
 			}
 		}
 	}

@@ -41,20 +41,10 @@ type Config struct {
 	NewPolicy func(unit int) core.Policy
 	// NewRecorder builds the RDMA traffic observer for each compressing
 	// endpoint (same unit numbering as NewPolicy). Each unit's recorder is
-	// only ever invoked from that unit's partition, so per-unit recorders
-	// need no locking even under SimCores > 1; merge them in unit order
-	// after the run for a deterministic total. Nil means no recording.
+	// only ever invoked from that unit's partition and sees that unit's
+	// transfers in simulated order; merge them in unit order after the run
+	// for a deterministic total. Nil means no recording.
 	NewRecorder func(unit int) rdma.Recorder
-	// SimCores is the number of OS threads the simulation engine may use
-	// to advance partitions concurrently (0 or 1 = serial). Results are
-	// byte-identical across any SimCores value.
-	SimCores int
-	// FixedLookahead, when nonzero, pins the engine's window width to this
-	// many cycles instead of the default adaptive widening. Results are
-	// byte-identical either way; the knob exists to benchmark the window
-	// scheduler (see cmd/benchreport) and must not exceed the minimum
-	// cross-partition link latency (the fabric's LinkLatency).
-	FixedLookahead sim.Time
 	// ArgBufferBytes sizes the per-GPU kernel-argument buffer.
 	ArgBufferBytes uint64
 	// RemoteCache, when non-nil, inserts a per-GPU cache for REMOTE data
@@ -134,9 +124,9 @@ type Device struct {
 }
 
 // Partitions is the typed partition map of a built platform: one partition
-// per GPU plus the hub. The engine's conservative parallel scheduler
-// advances these concurrently under SimCores > 1; all cross-partition
-// traffic rides the fabric links, whose latency is the lookahead window.
+// per GPU plus the hub. The engine advances them window by window; all
+// cross-partition traffic rides the fabric links, whose latency bounds each
+// window.
 type Partitions struct {
 	// GPUs[g] hosts GPU g's CUs, caches, DRAM channels, RDMA engine and
 	// command processor.
@@ -266,9 +256,7 @@ func (p *Platform) instrumentPolicy(unit int, pol core.Policy) {
 
 // Build constructs and wires the platform, returning it together with its
 // typed partition map. Each GPU's components live on their own partition;
-// the fabric, driver and host RDMA share the hub partition. With
-// cfg.SimCores > 1 the engine advances the partitions concurrently, and
-// the run is byte-identical to a serial one.
+// the fabric, driver and host RDMA share the hub partition.
 func Build(cfg Config) (*Platform, Partitions) {
 	base := DefaultConfig()
 	if cfg.NumGPUs == 0 {
@@ -319,9 +307,6 @@ func Build(cfg Config) (*Platform, Partitions) {
 	if cfg.NewRecorder == nil {
 		cfg.NewRecorder = func(int) rdma.Recorder { return rdma.NopRecorder{} }
 	}
-	if cfg.SimCores < 1 {
-		cfg.SimCores = 1
-	}
 	// The switched topologies size their switch graph from the GPU count;
 	// the fabric maps owner-partition indices 0..NumGPUs-1 to GPU nodes and
 	// the hub partition to the host switch, so Nodes always mirrors NumGPUs.
@@ -347,15 +332,8 @@ func Build(cfg Config) (*Platform, Partitions) {
 		cfg.Fabric.Fault = injector
 	}
 
-	engOpts := []sim.Option{
-		sim.WithPartitions(cfg.NumGPUs + 1),
-		sim.WithCores(cfg.SimCores),
-	}
-	if cfg.FixedLookahead > 0 {
-		engOpts = append(engOpts, sim.WithLookahead(cfg.FixedLookahead))
-	}
 	p := &Platform{
-		Engine:  sim.NewEngine(engOpts...),
+		Engine:  sim.NewEngine(sim.WithPartitions(cfg.NumGPUs + 1)),
 		Metrics: cfg.Metrics,
 		Spans:   cfg.Spans,
 		cfg:     cfg,
@@ -412,8 +390,8 @@ func Build(cfg Config) (*Platform, Partitions) {
 	}
 
 	// Bus endpoints: per paper, the CPU and GPUs arbitrate round-robin.
-	// Attach order fixes the fabric's round-robin and outbox-drain order,
-	// so it is part of the deterministic schedule.
+	// Attach order fixes the fabric's round-robin order, so it is part of
+	// the deterministic schedule.
 	p.Bus.Attach(p.HostRDMA.ToFabric, p.Parts.Hub)
 	p.Bus.Attach(p.Driver.Ctrl, p.Parts.Hub)
 	for _, dev := range p.GPUs {

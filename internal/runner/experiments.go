@@ -25,10 +25,6 @@ type ExpOptions struct {
 	// Fault applies a fault-injection profile to every job (zero = off;
 	// like Seed, it changes the job fingerprints when set).
 	Fault fault.Profile
-	// SimCores sets every job's engine worker count (0/1 = serial). Unlike
-	// Seed and Fault it never reaches the fingerprints: results are
-	// byte-identical for any value.
-	SimCores int
 	// Topology selects the interconnect for every job ("" = shared bus);
 	// NumGPUs the endpoint count (0 = the paper's 4). Both reach the job
 	// fingerprints, so experiments on different fabrics never share runs.
@@ -38,7 +34,7 @@ type ExpOptions struct {
 
 func (o ExpOptions) base() Options {
 	return Options{Scale: o.Scale, CUsPerGPU: o.CUsPerGPU, Seed: o.Seed, Fault: o.Fault,
-		SimCores: o.SimCores, Topology: o.Topology, NumGPUs: o.NumGPUs}
+		Topology: o.Topology, NumGPUs: o.NumGPUs}
 }
 
 // ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ import (
 	"mgpucompress/internal/metrics"
 	"mgpucompress/internal/platform"
 	"mgpucompress/internal/rdma"
-	"mgpucompress/internal/sim"
 	"mgpucompress/internal/stats"
 	"mgpucompress/internal/trace"
 	"mgpucompress/internal/workloads"
@@ -70,17 +69,6 @@ type Options struct {
 	// reliability guard (CRC trailers, NACK/retry/timeout) and the
 	// controller's degradation rule.
 	Fault fault.Profile
-	// SimCores is the number of OS threads the simulation engine may use
-	// to advance platform partitions concurrently (0 or 1 = serial).
-	// Results are byte-identical across any SimCores value. Runs that
-	// capture ordered streams (Trace, SeriesLimit) are forced serial.
-	SimCores int
-	// FixedLookahead, when positive, pins the engine's window width to this
-	// many cycles instead of the default adaptive widening — the PR 8
-	// scheduling baseline. Results are byte-identical either way; only
-	// windows-per-run changes. Used by cmd/benchreport's window-scheduling
-	// table. Must not exceed the fabric link latency.
-	FixedLookahead int
 }
 
 // Validate reports the first configuration error, consolidating the checks
@@ -108,12 +96,6 @@ func (o Options) Validate() error {
 	if o.FabricBytesPerCycle < 0 {
 		return fmt.Errorf("negative fabric bytes/cycle %d", o.FabricBytesPerCycle)
 	}
-	if o.SimCores < 0 {
-		return fmt.Errorf("negative sim cores %d", o.SimCores)
-	}
-	if o.FixedLookahead < 0 {
-		return fmt.Errorf("negative fixed lookahead %d", o.FixedLookahead)
-	}
 	switch o.Topology {
 	case "", fabric.TopologyBus, fabric.TopologyCrossbar, fabric.TopologyRing, fabric.TopologyTree:
 	case fabric.TopologyMesh:
@@ -126,13 +108,6 @@ func (o Options) Validate() error {
 		}
 	default:
 		return fmt.Errorf("unknown topology %q", o.Topology)
-	}
-	if o.Policy == core.PolicyAdaptiveGlobal && o.FixedLookahead > 0 {
-		// The shared controller observes transfers from every partition, so
-		// the window placement becomes part of the observation order; pinning
-		// it would make FixedLookahead result-bearing instead of a pure
-		// scheduling knob.
-		return fmt.Errorf("policy adaptive-global does not support FixedLookahead")
 	}
 	if o.Link < energy.OnChip || o.Link > energy.Node {
 		return fmt.Errorf("invalid link class %d", o.Link)
@@ -211,9 +186,7 @@ func (m *Result) CodecRatio(alg comp.Algorithm) float64 {
 }
 
 // recorder implements rdma.Recorder for one compressing endpoint. Each
-// unit gets its own shard, touched only from that unit's partition, so
-// recording needs no locking even when the engine runs partitions on
-// several cores.
+// unit gets its own shard, touched only from that unit's partition.
 type recorder struct {
 	codecs  []comp.Compressor
 	traffic stats.Traffic
@@ -226,16 +199,15 @@ type recorder struct {
 // recorderSet is the per-unit sharding of the run's traffic accounting.
 // Totals are folded in unit order, which makes the float sums (energy,
 // entropy) a pure function of each unit's deterministic local stream —
-// i.e. identical for any SimCores value.
+// independent of how the engine interleaves partitions.
 type recorderSet struct {
 	shards []*recorder
 }
 
 func newRecorderSet(opts Options, units int) *recorderSet {
 	s := &recorderSet{}
-	// SeriesLimit captures a globally ordered transfer stream, so those
-	// runs are forced serial (SimCores=1) and the shards may share one
-	// series sink.
+	// SeriesLimit captures the run's transfer stream in execution order, so
+	// every shard feeds one shared series sink.
 	var series *stats.Series
 	if opts.SeriesLimit > 0 {
 		series = stats.NewSeries(opts.SeriesLimit)
@@ -347,15 +319,6 @@ func Run(abbrev string, opts Options) (*Result, error) {
 		}
 	}
 
-	// Ordered-stream captures are serial by construction: a transfer time
-	// series and a trace file reflect one global interleaving, so those
-	// runs pin the engine to one core. The adaptive-global policy shares
-	// one controller across every partition and is serialized for the same
-	// reason. Everything else may parallelize.
-	if opts.Trace || opts.SeriesLimit > 0 || opts.Policy == core.PolicyAdaptiveGlobal {
-		opts.SimCores = 1
-	}
-
 	reg := metrics.NewRegistry()
 	spans := &trace.Recorder{}
 
@@ -393,8 +356,6 @@ func Run(abbrev string, opts Options) (*Result, error) {
 		traceLog = &trace.Log{Cap: 1 << 20}
 		cfg.Fabric.Trace = traceLog
 	}
-	cfg.SimCores = opts.SimCores
-	cfg.FixedLookahead = sim.Time(opts.FixedLookahead)
 	recs := newRecorderSet(opts, cfg.NumGPUs+1)
 	recs.registerMetrics(reg)
 	cfg.NewRecorder = func(unit int) rdma.Recorder { return recs.forUnit(unit) }

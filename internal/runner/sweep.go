@@ -102,7 +102,6 @@ func Key(bench string, opts Options) sweep.JobKey {
 		SeriesLimit:         opts.SeriesLimit,
 		SeedOverride:        opts.Seed,
 		FaultProfile:        opts.Fault.Canonical(),
-		SimCores:            opts.SimCores,
 	}
 	if opts.Adaptive != nil {
 		k.Policy = core.PolicyAdaptive.String()
@@ -156,9 +155,6 @@ func (s *Sweep) executeJob(k sweep.JobKey) (*Result, error) {
 		// Tracing is a sweep-level switch, applied after normalization so
 		// it never reaches the fingerprint.
 		Trace: s.trace,
-		// SimCores likewise rides outside the fingerprint: it changes how
-		// fast a job runs, never what it computes.
-		SimCores: k.SimCores,
 	}
 	if k.FaultProfile != "" {
 		prof, err := fault.Parse(k.FaultProfile)

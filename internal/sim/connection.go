@@ -7,9 +7,9 @@ import "fmt"
 // this interface with shared-bus arbitration; DirectConnection below models
 // the wide on-die links inside a GPU. A connection's latency is a property
 // of its construction, and every connection lives in exactly one partition —
-// the one all of its ports' components belong to. That locality is what lets
-// the window scheduler run partitions concurrently: a connection's deliveries
-// never leave its partition, so only Remote links carry cross-window traffic.
+// the one all of its ports' components belong to. A connection's deliveries
+// never leave its partition, so only Remote links carry cross-partition
+// traffic and bound the window scheduler.
 type Connection interface {
 	// Send starts transmitting m from m.Meta().Src toward m.Meta().Dst.
 	// It reports false if the connection cannot take the message now.

@@ -7,15 +7,16 @@
 // this package runs everything in a single 1 GHz clock domain, matching the
 // configuration in the paper (Table VII), so one cycle corresponds to 1 ns.
 //
-// # Conservative parallel execution
+// # Windowed execution
 //
 // The engine is split into partitions (one per GPU plus a hub for the shared
 // fabric in the platform's use). Each partition owns a private event queue
 // and clock; components belong to exactly one partition and schedule only on
 // it. Cross-partition traffic travels over Remote links that declare a
-// minimum latency at construction. Run advances all partitions window by
-// window; cross traffic parks in per-link outboxes until the window barrier
-// merges it into the destination queues.
+// minimum latency at construction. Run advances the partitions window by
+// window on the calling goroutine, in partition-index order inside each
+// window; cross traffic lands directly in the destination queue, always at
+// or past the current window's limit.
 //
 // Window widths adapt to traffic rather than tracking simulated time: a
 // partition whose next event is at time h cannot emit anything that lands
@@ -23,24 +24,21 @@
 // minimum of those bounds over every partition with pending work — idle and
 // locally-busy stretches execute in one window instead of one window per
 // minimum link latency. When a single partition has work under the limit the
-// engine elides the barrier entirely and runs it inline, widening the window
-// dynamically as far as the other partitions' queued events (and the lone
-// partition's own emissions, reflected through the link graph) allow.
+// engine widens its window dynamically as far as the other partitions'
+// queued events (and the lone partition's own emissions, reflected through
+// the link graph) allow.
 //
 // Event order inside a partition is the (time, seq) total order. Sequence
 // numbers are partition-striped and assigned by the emitting partition — for
 // cross-partition events, stamped by the source at emission time — so the
-// order is a pure function of simulation content, never of window placement,
-// goroutine scheduling, or the core count: a run's observable behaviour is
-// byte-identical for any WithCores value and either window policy.
+// order is a pure function of simulation content, never of window placement:
+// a run's observable behaviour is byte-identical under adaptive and fixed
+// windows.
 package sim
 
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"mgpucompress/internal/metrics"
 )
@@ -174,23 +172,14 @@ func WithPartitions(n int) Option {
 	return func(e *Engine) { e.npart = n }
 }
 
-// WithCores sets how many OS-level workers advance partitions concurrently
-// inside each lookahead window (default 1, i.e. fully serial execution).
-// Results are byte-identical for any value.
-func WithCores(n int) Option {
-	if n < 1 {
-		panic("sim: WithCores needs at least 1 core")
-	}
-	return func(e *Engine) { e.cores = n }
-}
-
 // WithLookahead pins every window to a fixed width instead of the default
 // adaptive widening, reproducing the classic conservative schedule whose
-// barrier count tracks simulated time. A value larger than the minimum
+// window count tracks simulated time. A value larger than the minimum
 // cross-partition link latency would break conservative safety, so Run
-// panics on it; smaller values are safe (they only add barriers). Results
+// panics on it; smaller values are safe (they only add windows). Results
 // are byte-identical between fixed and adaptive windows — this option only
-// exists as a baseline for benchmarking the window scheduler.
+// exists as the reference schedule the window property tests compare
+// against.
 func WithLookahead(t Time) Option {
 	if t == 0 {
 		panic("sim: WithLookahead needs a nonzero window")
@@ -207,7 +196,6 @@ type Engine struct {
 	remotes []*Remote
 
 	npart      int
-	cores      int
 	explicitLA Time
 	maxTime    Time
 	running    bool
@@ -218,46 +206,22 @@ type Engine struct {
 	cross   []*Remote // cross-partition links only (src != dst)
 	dist    [][]Time  // all-pairs min cross-partition path latency (closure)
 
-	// Window-scheduling telemetry. All counts derive from the deterministic
-	// job list — never from worker scheduling — so snapshots stay
-	// byte-identical across core counts.
+	// Window-scheduling telemetry, derived from each window's job list (the
+	// partitions with work under its limit).
 	windows     uint64
 	barrierWins uint64
 	serialWins  uint64
 	crossMsgs   uint64
 	evw         metrics.Distribution
 
-	// Window-barrier state for the spinning worker pool. A macro run still
-	// crosses many window barriers, so workers spin on the epoch counter
-	// between windows instead of parking on a channel: a futex wake/sleep
-	// round trip per window would cost more than the window's own work. jobs
-	// and limit are plain fields published by the epoch increment and fenced
-	// off by the per-worker acks, which the coordinator waits on before
-	// touching them again. The pool starts lazily at the first multi-partition
-	// window and parks again (stopWorkers) after a sustained single-partition
-	// phase, so serial stretches burn no cores spinning.
-	jobs         []*Partition
-	limit        Time
-	epoch        atomic.Int64
-	ticket       atomic.Int64
-	stop         atomic.Bool
-	acks         []atomic.Int64
-	workers      sync.WaitGroup
-	workersUp    bool
-	consecSerial int
+	jobs []*Partition // scratch: the current window's active partitions
 }
 
-// parkAfter is how many consecutive single-partition windows the engine
-// tolerates before stopping the spinning workers. Low enough that a long
-// serial phase (kernel launch, drained tail) frees the cores quickly, high
-// enough that alternating phases do not thrash goroutine creation.
-const parkAfter = 128
-
 // NewEngine creates an engine at time 0. With no options it has a single
-// partition and runs serially, which reproduces the classic single-queue
-// discrete-event kernel exactly.
+// partition, which reproduces the classic single-queue discrete-event kernel
+// exactly.
 func NewEngine(opts ...Option) *Engine {
-	e := &Engine{npart: 1, cores: 1, maxTime: TimeInf}
+	e := &Engine{npart: 1, maxTime: TimeInf}
 	for _, opt := range opts {
 		opt(e)
 	}
@@ -382,7 +346,6 @@ func (e *Engine) prepare() {
 		}
 		e.fixedLA = e.explicitLA
 	}
-	e.consecSerial = 0
 }
 
 // Run processes events in time order until every queue drains, a partition
@@ -400,16 +363,13 @@ func (e *Engine) Run() error {
 	e.running = true
 	defer func() { e.running = false }()
 	e.prepare()
-	defer e.stopWorkers()
 
 	for {
-		e.drainRemotes()
 		limit, ok := e.nextWindow()
 		if !ok {
 			return nil
 		}
 		e.runWindow(limit)
-		e.drainRemotes()
 		if err := e.windowError(); err != nil {
 			return err
 		}
@@ -477,63 +437,14 @@ func (e *Engine) nextWindow() (Time, bool) {
 	return limit, true
 }
 
-// extraWorkers returns how many worker goroutines the pool holds when
-// running, on top of the coordinator itself (0 = run windows inline on the
-// caller). The coordinator always participates in window work, so cores=2
-// means one extra worker.
-func (e *Engine) extraWorkers() int {
-	if e.cores <= 1 || len(e.parts) == 1 {
-		return 0
-	}
-	n := e.cores
-	if n > len(e.parts) {
-		n = len(e.parts)
-	}
-	return n - 1
-}
-
-// startWorkers spins up the worker pool. Called lazily at the first window
-// that actually has concurrent work, and again after stopWorkers parked the
-// pool through a serial phase.
-func (e *Engine) startWorkers() {
-	n := e.extraWorkers()
-	if n <= 0 || e.workersUp {
-		return
-	}
-	e.stop.Store(false)
-	e.acks = make([]atomic.Int64, n)
-	base := e.epoch.Load()
-	for i := 0; i < n; i++ {
-		e.acks[i].Store(base)
-		e.workers.Add(1)
-		go e.worker(i, base)
-	}
-	e.workersUp = true
-}
-
-// stopWorkers parks the pool: workers observe the stop flag on the next
-// epoch bump and exit. Only called between windows (and at Run exit), when
-// every worker has already acked and quiesced.
-func (e *Engine) stopWorkers() {
-	if !e.workersUp {
-		return
-	}
-	e.stop.Store(true)
-	e.epoch.Add(1) // release spinners so they observe stop
-	e.workers.Wait()
-	e.acks = nil
-	e.workersUp = false
-}
-
-// runWindow advances every partition with work under the limit. Partitions
-// never touch each other's state inside a window (cross traffic sits in
-// Remote outboxes until the barrier), so dispatch order — and the worker
-// count — cannot influence results.
+// runWindow advances every partition with work under the limit, in
+// partition-index order. Events emitted inside the window land at or past
+// its limit, so no partition can disturb another's window and the (time,
+// seq) order fixes the result.
 //
-// Windows with a single active partition elide the barrier entirely: the
-// lone partition runs inline on the coordinator under a dynamically widened
-// limit (see wideLimit), and a sustained single-partition phase parks the
-// worker pool so serial stretches burn no cores spinning.
+// Windows with a single active partition run it under a dynamically widened
+// limit (see wideLimit) and count as serial; windows with several count as
+// barriers.
 func (e *Engine) runWindow(limit Time) {
 	e.jobs = e.jobs[:0]
 	for _, p := range e.parts {
@@ -545,7 +456,6 @@ func (e *Engine) runWindow(limit Time) {
 	before := e.EventCount()
 	if len(e.jobs) == 1 {
 		e.serialWins++
-		e.consecSerial++
 		p := e.jobs[0]
 		if e.fixedLA == 0 {
 			limit = e.wideLimit(p, limit)
@@ -553,44 +463,13 @@ func (e *Engine) runWindow(limit Time) {
 		}
 		p.window(limit)
 		p.dynamic = false
-		if e.consecSerial >= parkAfter {
-			e.stopWorkers()
-		}
 	} else {
 		e.barrierWins++
-		e.consecSerial = 0
-		e.runJobs(limit)
-	}
-	e.evw.Observe(float64(e.EventCount() - before))
-}
-
-// runJobs executes a multi-partition window, starting the worker pool on
-// demand and falling back to inline execution when there is none (cores=1,
-// or a single partition).
-func (e *Engine) runJobs(limit Time) {
-	if !e.workersUp {
-		e.startWorkers()
-	}
-	if !e.workersUp {
 		for _, p := range e.jobs {
 			p.window(limit)
 		}
-		return
 	}
-	e.limit = limit
-	e.ticket.Store(0)
-	ep := e.epoch.Add(1) // publishes jobs/limit to the spinning workers
-	e.windowWork()
-	// Wait until every worker has quiesced for this epoch. A worker acks only
-	// after its last ticket claim, so all jobs are both claimed and finished
-	// once the coordinator's own windowWork returns and all acks match.
-	for i := range e.acks {
-		for spins := 0; e.acks[i].Load() != ep; spins++ {
-			if spins > spinBudget {
-				runtime.Gosched()
-			}
-		}
-	}
+	e.evw.Observe(float64(e.EventCount() - before))
 }
 
 // wideLimit returns the dynamic window bound for a lone active partition p:
@@ -624,75 +503,6 @@ func (e *Engine) wideLimit(p *Partition, limit Time) Time {
 	return w
 }
 
-// spinBudget is how many times a barrier loop polls before yielding the OS
-// thread. Windows are microseconds apart, so a short busy wait almost always
-// wins; the Gosched fallback keeps GOMAXPROCS=1 runs live.
-const spinBudget = 256
-
-// windowWork claims partitions off the shared ticket until the window's job
-// list is exhausted. Claim order is irrelevant to results: partitions only
-// touch their own state inside a window.
-func (e *Engine) windowWork() {
-	for {
-		i := e.ticket.Add(1) - 1
-		if i >= int64(len(e.jobs)) {
-			return
-		}
-		e.jobs[i].window(e.limit)
-	}
-}
-
-// worker spins between window barriers: it waits for the coordinator to bump
-// the epoch, grabs partitions off the ticket, then acks the epoch to signal
-// it will no longer touch the job list.
-func (e *Engine) worker(idx int, last int64) {
-	defer e.workers.Done()
-	for {
-		ep := e.epoch.Load()
-		if ep == last {
-			for spins := 0; e.epoch.Load() == last; spins++ {
-				if spins > spinBudget {
-					runtime.Gosched()
-				}
-			}
-			continue
-		}
-		if e.stop.Load() {
-			return
-		}
-		last = ep
-		e.windowWork()
-		e.acks[idx].Store(ep)
-	}
-}
-
-// drainRemotes merges the window's cross-partition batches into the
-// destination queues. Only links that actually carried traffic are visited
-// (each source partition keeps a dirty-link list), entries arrive already
-// stamped with source-assigned sequence numbers, and the emptied buffers
-// return to the source partition's pool for the next window. Merge order is
-// irrelevant to results — the (time, seq) order was fixed at emission — but
-// stays deterministic anyway (partition then dirty order).
-func (e *Engine) drainRemotes() {
-	for _, p := range e.parts {
-		if len(p.dirty) == 0 {
-			continue
-		}
-		for di, r := range p.dirty {
-			buf := r.buf
-			r.buf = nil
-			e.crossMsgs += uint64(len(buf))
-			for i := range buf {
-				r.dst.enqueueStamped(buf[i].time, buf[i].seq, buf[i].evt)
-				buf[i] = remoteEntry{} // release the Event reference
-			}
-			p.pool = append(p.pool, buf[:0])
-			p.dirty[di] = nil
-		}
-		p.dirty = p.dirty[:0]
-	}
-}
-
 // windowError picks the earliest failure of the last window in the global
 // (time, seq) order, matching what a fully serial run would have hit first.
 func (e *Engine) windowError() error {
@@ -715,9 +525,10 @@ func (e *Engine) windowError() error {
 // RegisterMetrics exposes the engine's event-loop and window-scheduler
 // counters under prefix (conventionally "sim"). The closures aggregate over
 // partitions at snapshot time, so a snapshot always reflects the state at
-// snapshot time. Every value is a pure function of simulation content — the
-// window counts derive from the deterministic job lists, never from worker
-// scheduling — so snapshots are byte-identical across core counts.
+// snapshot time. Every value is a pure function of simulation content:
+// barrier_spins counts windows with more than one active partition,
+// serial_fallback_windows those with exactly one, and remote_msgs the events
+// scheduled across partitions while the engine ran.
 func (e *Engine) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.CounterFunc(prefix+"/cycles", func() uint64 { return uint64(e.Now()) })
 	reg.CounterFunc(prefix+"/events_handled", func() uint64 { return e.EventCount() })

@@ -5,15 +5,14 @@ import "fmt"
 // Partition is one independently clocked slice of the simulation: a private
 // event queue, clock, and sequence counters. Components are constructed
 // against a Partition and schedule exclusively on it; the Engine advances
-// all partitions together under the conservative windowing protocol.
+// all partitions together, window by window.
 //
 // All sequence numbers are pure functions of the partition index and the
 // partition-local operation count: partition i's n-th schedule gets global
 // seq n*K+i (K = partition count). Interleaved streams from different
-// partitions therefore never collide, and — because no goroutine identity
-// or scheduling order enters the formula — the numbering is byte-identical
-// for any core count. With K=1 the formula degenerates to the classic
-// single-queue counter.
+// partitions therefore never collide, and — because no execution order
+// enters the formula — the numbering is independent of window placement.
+// With K=1 the formula degenerates to the classic single-queue counter.
 type Partition struct {
 	eng *Engine
 	idx int
@@ -37,15 +36,9 @@ type Partition struct {
 	// Window-scheduling state. curLimit is the exclusive bound the current
 	// window dispatches under; in a lone-partition dynamic window (dynamic
 	// set by the engine) the partition's own Remote emissions collapse it,
-	// so the dispatch loop re-reads it every iteration. dirty lists the
-	// outgoing links that buffered traffic this window, and pool recycles
-	// their outbox buffers across windows. All four fields are only touched
-	// by whoever owns the partition at the time: its worker inside a window,
-	// the coordinator at the barrier.
+	// so the dispatch loop re-reads it every iteration.
 	curLimit Time
 	dynamic  bool
-	dirty    []*Remote
-	pool     [][]remoteEntry
 }
 
 // Engine returns the engine this partition belongs to.
@@ -76,29 +69,17 @@ func (p *Partition) enqueue(t Time, evt Event, h Handler) {
 	p.queue.push(queuedEvent{time: t, seq: p.nextSeq(), evt: evt, h: h})
 }
 
-// enqueueStamped merges a cross-partition entry whose sequence number was
-// already assigned by the emitting partition. Striped numbering keeps
-// foreign stamps disjoint from local ones, and because the stamp was fixed
-// at emission time, the (time, seq) order — and therefore every run's
-// behaviour — is independent of window placement and merge timing.
+// enqueueStamped queues a cross-partition event whose sequence number was
+// assigned by the emitting partition. Striped numbering keeps foreign stamps
+// disjoint from local ones, and because the stamp is fixed at emission time,
+// the (time, seq) order — and therefore every run's behaviour — is
+// independent of window placement.
 func (p *Partition) enqueueStamped(t Time, seq uint64, evt Event) {
 	if t < p.now {
 		panic(fmt.Sprintf("sim: merging remote event at %d before now %d", t, p.now))
 	}
 	p.scheduled++
 	p.queue.push(queuedEvent{time: t, seq: seq, evt: evt})
-}
-
-// takeBuf hands out a pooled outbox buffer (or a fresh one) for a link that
-// starts buffering this window. Buffers come back via the barrier drain.
-func (p *Partition) takeBuf() []remoteEntry {
-	if n := len(p.pool); n > 0 {
-		b := p.pool[n-1]
-		p.pool[n-1] = nil
-		p.pool = p.pool[:n-1]
-		return b
-	}
-	return make([]remoteEntry, 0, 16)
 }
 
 // Schedule adds an event to this partition's queue. It panics if the event
@@ -119,26 +100,27 @@ func (p *Partition) ScheduleTick(t Time, h Handler) {
 // AssignMsgID gives the message an ID unique within this engine's run.
 // IDs are striped by partition exactly like event sequence numbers (n-th
 // message of partition i gets n*K+i, guaranteed nonzero), so the full
-// message stream is a pure function of the simulation's inputs,
-// byte-identical for any core count. With one partition the numbering is
-// the classic per-engine counter.
+// message stream is a pure function of the simulation's inputs. With one
+// partition the numbering is the classic per-engine counter.
 func (p *Partition) AssignMsgID(m Msg) {
 	p.msgSeq++
 	m.Meta().ID = p.msgSeq*uint64(len(p.eng.parts)) + uint64(p.idx)
 }
 
-// Pause stops the engine's current Run at the next window barrier; this
-// partition stops dispatching immediately. Queued events remain, so a later
-// Run resumes where the simulation left off.
+// Pause stops the engine's current Run at the end of the current window;
+// this partition stops dispatching immediately. Queued events remain, so a
+// later Run resumes where the simulation left off.
 func (p *Partition) Pause() { p.stopped = true }
 
 // window dispatches this partition's events with time < the window limit,
-// in (time, seq) order. It touches only partition-local state (plus whatever
-// the handlers own within this partition), so windows of different
-// partitions are safe to run concurrently. The limit lives in curLimit and
-// is re-read every iteration: in a dynamic lone-partition window the
-// partition's own Remote emissions collapse it mid-window, which is what
-// keeps running far ahead of the other partitions conservative.
+// in (time, seq) order. Handlers touch only partition-local state and push
+// cross traffic past the window limit, so partitions sharing a window cannot
+// disturb each other's events; state deliberately shared across partitions
+// (one controller serving every endpoint) observes them in the engine's
+// partition-index order. The limit lives in curLimit and is re-read every
+// iteration: in a dynamic lone-partition window the partition's own Remote
+// emissions collapse it mid-window, which is what keeps running far ahead
+// of the other partitions conservative.
 func (p *Partition) window(limit Time) {
 	p.curLimit = limit
 	for len(p.queue) > 0 && !p.stopped {

@@ -1,29 +1,15 @@
 package sim
 
-// remoteEntry is one event parked in a link's outbox until the next window
-// barrier, carrying the sequence number its source partition stamped at
-// emission time.
-type remoteEntry struct {
-	time Time
-	seq  uint64
-	evt  Event
-}
-
 // Remote is a scheduling channel between two partitions, created with
-// Engine.Link. During a window the source side appends events to a private
-// outbox (the source partition's worker is the only writer); at the barrier
-// the engine merges every dirty outbox into the destination queue and
-// recycles the buffer through the source partition's pool. Entries carry
-// sequence numbers stamped by the source at emission time, so the
-// destination's (time, seq) dispatch order is a pure function of simulation
-// content — independent of window placement, merge order, and core count.
+// Engine.Link. Events cross it stamped with a sequence number from the
+// source partition, so the destination's (time, seq) dispatch order is a
+// pure function of simulation content, independent of window placement.
 // Because the declared latency keeps emissions at or past the window limit,
-// merged events never land in a partition's past.
+// they never land inside a window the destination is running or has run.
 type Remote struct {
 	src     *Partition
 	dst     *Partition
 	latency Time
-	buf     []remoteEntry
 
 	// nextSend is the link's next-send bound: a promise by the owning
 	// component that no event with a time below it will be scheduled on this
@@ -55,8 +41,8 @@ func (r *Remote) SetNextSend(t Time) {
 // Schedule sends evt across the link. The event's time must be at least the
 // source partition's current time plus the link latency — that floor is what
 // makes the conservative window safe, so violating it panics. Local links
-// (src == dst) and calls from host code between runs bypass the outbox and
-// enqueue directly on the destination.
+// (src == dst) and calls from host code between runs schedule on the
+// destination like any local event.
 //
 // When the source is running alone in a dynamic window, each emission
 // collapses the source's window limit to the earliest time the recipient's
@@ -75,11 +61,8 @@ func (r *Remote) Schedule(evt Event) {
 	if t < r.nextSend {
 		panic("sim: remote event scheduled under the link's next-send bound")
 	}
-	if r.buf == nil {
-		r.buf = src.takeBuf()
-		src.dirty = append(src.dirty, r)
-	}
-	r.buf = append(r.buf, remoteEntry{time: t, seq: src.nextSeq(), evt: evt})
+	r.dst.enqueueStamped(t, src.nextSeq(), evt)
+	src.eng.crossMsgs++
 	if src.dynamic {
 		if back := satAdd(t, src.eng.dist[r.dst.idx][src.idx]); back < src.curLimit {
 			src.curLimit = back

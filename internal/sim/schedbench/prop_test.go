@@ -1,7 +1,6 @@
 package schedbench
 
 import (
-	"runtime"
 	"testing"
 
 	"mgpucompress/internal/sim"
@@ -10,11 +9,9 @@ import (
 // TestWindowPolicyEquivalence is the window scheduler's property test: for
 // every schedule shape and seed, runs under adaptive windows (la=0), a
 // narrower-than-necessary fixed window (la=1), and the classic fixed
-// lookahead (la=LinkLatency) must all reproduce the serial fixed-lookahead
-// reference bit for bit — same digest, same final cycle, same event count —
-// across worker counts and GOMAXPROCS settings. Adaptive runs must also
-// never use more windows than the fixed baseline. Run under -race this
-// doubles as the data-race gate for the elision and worker-parking paths.
+// lookahead (la=LinkLatency) must all reproduce the fixed-lookahead
+// reference bit for bit — same digest, same final cycle, same event count.
+// Adaptive runs must also never use more windows than the fixed baseline.
 func TestWindowPolicyEquivalence(t *testing.T) {
 	seeds := []int64{1, 42, 987654321}
 	if testing.Short() {
@@ -22,7 +19,7 @@ func TestWindowPolicyEquivalence(t *testing.T) {
 	}
 	for _, shape := range Shapes {
 		for _, seed := range seeds {
-			ref, err := Run(shape, seed, 1, LinkLatency)
+			ref, err := Run(shape, seed, LinkLatency)
 			if err != nil {
 				t.Fatalf("%s/seed=%d: reference run: %v", shape, seed, err)
 			}
@@ -30,28 +27,20 @@ func TestWindowPolicyEquivalence(t *testing.T) {
 				t.Fatalf("%s/seed=%d: degenerate reference (events=%d remote=%d)",
 					shape, seed, ref.Events, ref.RemoteMsgs)
 			}
-			for _, gmp := range []int{1, runtime.NumCPU()} {
-				prev := runtime.GOMAXPROCS(gmp)
-				for _, cores := range []int{1, 2, 8} {
-					for _, la := range []sim.Time{0, 1, LinkLatency} {
-						got, err := Run(shape, seed, cores, la)
-						if err != nil {
-							t.Fatalf("%s/seed=%d/gmp=%d/cores=%d/la=%d: %v",
-								shape, seed, gmp, cores, la, err)
-						}
-						if got.Digest != ref.Digest || got.Cycles != ref.Cycles || got.Events != ref.Events {
-							t.Errorf("%s/seed=%d/gmp=%d/cores=%d/la=%d: diverged: "+
-								"digest %x/%x cycles %d/%d events %d/%d",
-								shape, seed, gmp, cores, la,
-								got.Digest, ref.Digest, got.Cycles, ref.Cycles, got.Events, ref.Events)
-						}
-						if la == 0 && got.Windows > ref.Windows {
-							t.Errorf("%s/seed=%d/gmp=%d/cores=%d: adaptive used %d windows, fixed %d",
-								shape, seed, gmp, cores, got.Windows, ref.Windows)
-						}
-					}
+			for _, la := range []sim.Time{0, 1, LinkLatency} {
+				got, err := Run(shape, seed, la)
+				if err != nil {
+					t.Fatalf("%s/seed=%d/la=%d: %v", shape, seed, la, err)
 				}
-				runtime.GOMAXPROCS(prev)
+				if got.Digest != ref.Digest || got.Cycles != ref.Cycles || got.Events != ref.Events {
+					t.Errorf("%s/seed=%d/la=%d: diverged: digest %x/%x cycles %d/%d events %d/%d",
+						shape, seed, la,
+						got.Digest, ref.Digest, got.Cycles, ref.Cycles, got.Events, ref.Events)
+				}
+				if la == 0 && got.Windows > ref.Windows {
+					t.Errorf("%s/seed=%d: adaptive used %d windows, fixed %d",
+						shape, seed, got.Windows, ref.Windows)
+				}
 			}
 		}
 	}
@@ -64,11 +53,11 @@ func TestWindowPolicyEquivalence(t *testing.T) {
 // a regression to per-latency windowing fails loudly.
 func TestShapeReductions(t *testing.T) {
 	for _, shape := range Shapes {
-		adaptive, err := Run(shape, 7, 1, 0)
+		adaptive, err := Run(shape, 7, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fixed, err := Run(shape, 7, 1, LinkLatency)
+		fixed, err := Run(shape, 7, LinkLatency)
 		if err != nil {
 			t.Fatal(err)
 		}

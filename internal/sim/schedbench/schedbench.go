@@ -14,7 +14,7 @@
 // each dispatched event into a per-partition digest. Two runs agree on the
 // combined digest if and only if they dispatched the same events at the same
 // times in the same per-partition order — which is exactly the engine's
-// byte-identity contract across core counts and window policies.
+// byte-identity contract across window policies.
 package schedbench
 
 import (
@@ -234,11 +234,11 @@ func program(shape Shape, idx int, rng *rand.Rand) []segment {
 
 // Run executes one synthetic schedule to completion: numNodes partitions on
 // a bidirectional ring of LinkLatency links, the shape's program on each
-// node, and the engine configured with the given worker count. fixedLA 0
-// selects the default adaptive windows; a nonzero value (at most LinkLatency)
-// pins the classic fixed-lookahead schedule for baseline comparison.
-func Run(shape Shape, seed int64, cores int, fixedLA sim.Time) (Result, error) {
-	opts := []sim.Option{sim.WithPartitions(numNodes), sim.WithCores(cores)}
+// node. fixedLA 0 selects the default adaptive windows; a nonzero value (at
+// most LinkLatency) pins the classic fixed-lookahead schedule for baseline
+// comparison.
+func Run(shape Shape, seed int64, fixedLA sim.Time) (Result, error) {
+	opts := []sim.Option{sim.WithPartitions(numNodes)}
 	if fixedLA != 0 {
 		opts = append(opts, sim.WithLookahead(fixedLA))
 	}

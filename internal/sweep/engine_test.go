@@ -173,6 +173,33 @@ func TestJournalRoundTrip(t *testing.T) {
 	if st.Resumed != 3 || st.Simulated != 0 {
 		t.Fatalf("stats = %+v, want 3 resumed / 0 simulated", st)
 	}
+
+	// Journals from builds whose JobKey still carried the "sim_cores"
+	// execution knob resume under the same fingerprints: the field decodes
+	// as ignored and never reached Canonical.
+	legacy := bytes.ReplaceAll(journal.Bytes(), []byte(`"key":{`), []byte(`"key":{"sim_cores":8,`))
+	if bytes.Count(legacy, []byte(`"sim_cores":8`)) != 3 {
+		t.Fatalf("legacy journal fixture did not tag every record:\n%s", legacy)
+	}
+	third := New(Config[string]{Workers: 2, Run: func(JobKey) (string, error) {
+		t.Error("a legacy journal record must resume, not re-run")
+		return "", errors.New("unreachable")
+	}})
+	if loaded, err := third.Resume(bytes.NewReader(legacy)); err != nil || loaded != 3 {
+		t.Fatalf("Resume(legacy) = %d, %v; want 3 loaded", loaded, err)
+	}
+	got, err = third.GetAll(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("legacy-resumed res[%d] = %q, want %q", i, got[i], want[i])
+		}
+	}
+	if st := third.Stats(); st.Resumed != 3 || st.Simulated != 0 {
+		t.Fatalf("legacy stats = %+v, want 3 resumed / 0 simulated", st)
+	}
 }
 
 func TestResumeSkipsTruncatedTailAndBadFingerprints(t *testing.T) {

@@ -71,14 +71,6 @@ type JobKey struct {
 	// joins the canonical form only when set, preserving pre-existing
 	// fingerprints for fault-free jobs.
 	FaultProfile string `json:"fault_profile,omitempty"`
-
-	// SimCores is the engine worker count for the conservative parallel
-	// simulation core (0/1 = serial). It is an execution knob, not part of
-	// the job's identity: results are byte-identical for any value, so it is
-	// deliberately EXCLUDED from Canonical and Fingerprint — a serial journal
-	// resumes a parallel sweep and vice versa. The JSON tag still carries it
-	// to a sweepd daemon so remote execution honors the caller's setting.
-	SimCores int `json:"sim_cores,omitempty"`
 }
 
 // Canonical returns the canonical textual form of the key: every field in a

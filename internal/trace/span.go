@@ -33,10 +33,9 @@ type Span struct {
 
 // Recorder accumulates spans in record order. A zero Recorder is ready to
 // use; Cap bounds memory for long runs (0 = unbounded), and the Dropped
-// count survives JSON round trips just like Log's. Record is safe for
-// concurrent use: span sources live on different simulation partitions
-// (controller phases, RDMA guards), which the engine may advance on
-// several cores.
+// count survives JSON round trips just like Log's. Span sources on every
+// simulation partition (controller phases, RDMA guards) share one Recorder
+// per run. Record is safe for concurrent use.
 type Recorder struct {
 	Cap     int
 	mu      sync.Mutex
