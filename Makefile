@@ -9,17 +9,19 @@ HOT_PKGS := internal/bitstream internal/comp internal/sim
 
 all: vet lint test
 
-# Everything a pre-merge check needs: formatting, vet, the project's own
-# determinism linter, the short test suite under the race detector (the
-# sweep engine is concurrent by design), and two determinism gates: the
-# quickstart's -metrics-out snapshot and the files of a `reproduce -only`
-# run must be byte-identical across runs.
+# Everything a pre-merge check needs: formatting, vet (including the
+# separate bench/ module, which root `go vet ./...` never compiles), the
+# project's own determinism linter, the short test suite under the race
+# detector (the sweep engine is concurrent by design), and two determinism
+# gates: the quickstart's -metrics-out snapshot and the files of a
+# `reproduce -only` run must be byte-identical across runs.
 ci:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 	go vet ./...
+	cd bench && go vet .
 	@mkdir -p bin
 	go build -o bin/mgpulint ./cmd/mgpulint
 	./bin/mgpulint -sarif bin/mgpulint.sarif -baseline lint-baseline.json ./...
@@ -84,22 +86,18 @@ fuzz-smoke:
 	go test ./internal/bitstream -run='^$$' -fuzz='^FuzzWriteBitsDifferential$$' -fuzztime=10s
 	go test ./internal/bitstream -run='^$$' -fuzz='^FuzzReadBitsDifferential$$' -fuzztime=10s
 
-# Full benchmark pass: every Go benchmark with allocation reporting, then
-# the single-sample hot-path report (micro numbers, baseline speedups, the
-# workload × policy macro table and the topology × codec-selection table)
-# written to bin/benchreport.json. Performance claims use the repository
-# benchmark instead (bash bench/run.sh, see bench/README.md); the committed
-# BENCH_PR*.json files are historical records.
+# Every per-package Go benchmark with allocation reporting. Performance
+# claims use the repository benchmark instead (bash bench/run.sh, see
+# bench/README.md); the committed BENCH_PR*.json files are historical
+# records.
 bench:
 	go test -bench=. -benchmem ./...
-	@mkdir -p bin
-	go run ./cmd/benchreport -out bin/benchreport.json
 
 # Cheap pre-merge benchmark smoke: one iteration of the hot-path
-# microbenchmarks at the smallest scale, purely to catch benchmarks that no
-# longer compile or crash — timings are meaningless at -benchtime=1x.
+# microbenchmarks, purely to catch benchmarks that no longer compile or
+# crash — timings are meaningless at -benchtime=1x.
 bench-smoke:
-	BENCH_SCALE=1 go test -run='^$$' -bench=. -benchtime=1x -benchmem \
+	go test -run='^$$' -bench=. -benchtime=1x -benchmem \
 		./internal/bitstream ./internal/comp ./internal/sim
 
 # End-to-end gate for the sweep service: build the real sweepd binary, SIGKILL

@@ -5,7 +5,8 @@
 //	ablations -study onoff      single-codec on/off mode (Sec. V)
 //	ablations -study link       fabric energy classes (Sec. II)
 //	ablations -study extensions BPC candidate set + dynamic λ
-//	ablations -study topology   every fabric topology (ignores -topology)
+//	ablations -study topology   every fabric topology, per-link vs global
+//	                            codec selection (ignores -topology)
 //	ablations -study l15        remote cache (Arunkumar et al.) × compression
 //	ablations -study scale      GPU-count sweep
 //	ablations -study bandwidth  link-width sweep

@@ -90,7 +90,8 @@ type Crossbar struct {
 	busyCycles   uint64 // summed over output links
 }
 
-// NewCrossbar creates the switch on the hub partition part.
+// NewCrossbar creates the switch on the hub partition part. The
+// configuration must pass Validate; violations are wiring bugs and panic.
 func NewCrossbar(name string, part *sim.Partition, cfg Config) *Crossbar {
 	c := &Crossbar{
 		hub:     newHub(name, part, cfg),

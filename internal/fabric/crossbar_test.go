@@ -22,7 +22,7 @@ func setupXbar(t *testing.T, nNodes int, cfg Config, drain bool) (*sim.Engine, *
 func TestCrossbarDisjointPairsTransferConcurrently(t *testing.T) {
 	cfg := DefaultConfig()
 	engine, _, nodes := setupXbar(t, 4, cfg, true)
-	L := lat(cfg)
+	L := cfg.LinkLatency
 	// 0→1 and 2→3 are disjoint: both 100-byte (5-cycle) messages must
 	// finish together after the two wire hops, which a shared bus cannot do.
 	nodes[0].port.Send(0, pkt(nodes[1].port, 100, 1))
@@ -121,7 +121,7 @@ func TestCrossbarBeatsBusUnderAllToAllLoad(t *testing.T) {
 }
 
 func TestCrossbarBackpressure(t *testing.T) {
-	cfg := Config{BytesPerCycle: 20, OutBufferBytes: 100, Topology: TopologyCrossbar}
+	cfg := Config{BytesPerCycle: 20, OutBufferBytes: 100, LinkLatency: 1, Topology: TopologyCrossbar}
 	engine, xbar, nodes := setupXbar(t, 2, cfg, true)
 	ok1 := nodes[0].port.Send(0, pkt(nodes[1].port, 90, 1))
 	ok2 := nodes[0].port.Send(0, pkt(nodes[1].port, 20, 2))
@@ -149,7 +149,7 @@ func TestCrossbarBackpressure(t *testing.T) {
 }
 
 func TestCrossbarUtilization(t *testing.T) {
-	engine, xbar, nodes := setupXbar(t, 2, Config{BytesPerCycle: 20, OutBufferBytes: 4096, Topology: TopologyCrossbar}, true)
+	engine, xbar, nodes := setupXbar(t, 2, Config{BytesPerCycle: 20, OutBufferBytes: 4096, LinkLatency: 1, Topology: TopologyCrossbar}, true)
 	nodes[0].port.Send(0, pkt(nodes[1].port, 200, 1)) // 10 cycles on 1 of 2 links
 	if err := engine.Run(); err != nil {
 		t.Fatal(err)

@@ -75,7 +75,7 @@ func DefaultConfig() Config {
 // engine's one-cycle latency floor, unknown topologies falling back
 // to the bus at higher layers): platform.Build calls it after per-field
 // defaulting, so a partially-set Config is rejected loudly instead of being
-// quietly replaced.
+// quietly replaced, and every fabric constructor panics on its error.
 func (c Config) Validate() error {
 	switch c.Topology {
 	case "", TopologyBus, TopologyCrossbar:
@@ -135,7 +135,8 @@ type Bus struct {
 	BusyCycles   uint64
 }
 
-// NewBus creates the fabric on the hub partition part.
+// NewBus creates the fabric on the hub partition part. The configuration
+// must pass Validate; violations are wiring bugs and panic.
 func NewBus(name string, part *sim.Partition, cfg Config) *Bus {
 	b := &Bus{hub: newHub(name, part, cfg)}
 	b.arb = b

@@ -77,19 +77,10 @@ func setup(t *testing.T, nNodes int, cfg Config, drain bool) (*sim.Engine, *Bus,
 	return engine, bus, nodes
 }
 
-// lat returns the wire latency the tests must account for on each hop
-// (endpoint→arbiter and arbiter→endpoint).
-func lat(cfg Config) sim.Time {
-	if cfg.LinkLatency <= 0 {
-		return 1
-	}
-	return cfg.LinkLatency
-}
-
 func TestBusTransfersTakeIntegralCycles(t *testing.T) {
 	cfg := DefaultConfig()
 	engine, bus, nodes := setup(t, 2, cfg, true)
-	L := lat(cfg)
+	L := cfg.LinkLatency
 	// Paper's example: a 62-byte message on a 20 B/cycle bus takes 4
 	// cycles; the next message starts at cycle 5. Each message additionally
 	// crosses the ingress and egress wire, one LinkLatency each way.
@@ -156,7 +147,7 @@ func TestBusRoundRobinFairness(t *testing.T) {
 }
 
 func TestBusOutputBufferBackpressure(t *testing.T) {
-	cfg := Config{BytesPerCycle: 20, OutBufferBytes: 100}
+	cfg := Config{BytesPerCycle: 20, OutBufferBytes: 100, LinkLatency: 1}
 	engine, _, nodes := setup(t, 2, cfg, true)
 	ok1 := nodes[0].port.Send(0, pkt(nodes[1].port, 60, 1))
 	ok2 := nodes[0].port.Send(0, pkt(nodes[1].port, 40, 2))
@@ -266,7 +257,7 @@ func TestBusAccessors(t *testing.T) {
 	}
 	nodes[0].port.Send(0, pkt(nodes[1].port, 40, 1))
 	// The message reaches the arbiter once it crosses the ingress wire.
-	if err := engine.RunUntil(lat(cfg)); err != nil {
+	if err := engine.RunUntil(cfg.LinkLatency); err != nil {
 		t.Fatal(err)
 	}
 	if bus.QueuedMessages() != 1 {

@@ -68,12 +68,11 @@ type endpoint struct {
 	egrQueue    []sim.Msg
 }
 
+// newHub builds the shared half of every fabric. The configuration must
+// pass Validate; violations are wiring bugs and panic.
 func newHub(name string, part *sim.Partition, cfg Config) hub {
-	if cfg.BytesPerCycle <= 0 {
-		panic("fabric: BytesPerCycle must be positive")
-	}
-	if cfg.LinkLatency <= 0 {
-		cfg.LinkLatency = 1
+	if err := cfg.Validate(); err != nil {
+		panic(fmt.Sprintf("%v", err))
 	}
 	return hub{
 		ComponentBase: sim.NewComponentBase(name),

@@ -84,9 +84,6 @@ func NewSwitchFabric(name string, part *sim.Partition, cfg Config) *SwitchFabric
 	if !cfg.Topology.Switched() {
 		panic(fmt.Sprintf("fabric: NewSwitchFabric called with topology %q", cfg.Topology))
 	}
-	if err := cfg.Validate(); err != nil {
-		panic(fmt.Sprintf("fabric: %v", err))
-	}
 	s := &SwitchFabric{
 		hub:      newHub(name, part, cfg),
 		topo:     cfg.Topology,

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mgpucompress/internal/energy"
+	"mgpucompress/internal/sim"
 )
 
 // TestConfigValidate is the satellite-task rejection table: every invalid
@@ -76,15 +77,30 @@ func TestMeshDims(t *testing.T) {
 	}
 }
 
-// TestNewSwitchFabricRejectsInvalidConfig: construction enforces Validate.
-func TestNewSwitchFabricRejectsInvalidConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewSwitchFabric accepted a non-power-of-two mesh")
-		}
-	}()
-	cfg := DefaultConfig()
-	cfg.Topology = TopologyMesh
-	cfg.Nodes = 6
-	NewSwitchFabric("bad", nil, cfg)
+// TestNewFabricRejectsInvalidConfig: every constructor enforces Validate
+// instead of normalizing the configuration.
+func TestNewFabricRejectsInvalidConfig(t *testing.T) {
+	zeroLatency := DefaultConfig()
+	zeroLatency.LinkLatency = 0
+	badMesh := DefaultConfig()
+	badMesh.Topology = TopologyMesh
+	badMesh.Nodes = 6
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		ctor func(string, *sim.Partition, Config)
+	}{
+		{"bus", zeroLatency, func(n string, p *sim.Partition, c Config) { NewBus(n, p, c) }},
+		{"crossbar", zeroLatency, func(n string, p *sim.Partition, c Config) { NewCrossbar(n, p, c) }},
+		{"switched", badMesh, func(n string, p *sim.Partition, c Config) { NewSwitchFabric(n, p, c) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("constructor accepted an invalid config: %v", tc.cfg.Validate())
+				}
+			}()
+			tc.ctor("bad", nil, tc.cfg)
+		})
+	}
 }

@@ -84,11 +84,6 @@ func (s *Sweep) SamplingAblation(bench string, o ExpOptions) ([]SamplingAblation
 	return rows, nil
 }
 
-// SamplingAblation sweeps the geometry on a fresh single-use sweep.
-func SamplingAblation(bench string, o ExpOptions) ([]SamplingAblationRow, error) {
-	return NewSweep(SweepConfig{}).SamplingAblation(bench, o)
-}
-
 // FormatSamplingAblation renders the sweep.
 func FormatSamplingAblation(bench string, rows []SamplingAblationRow) string {
 	var sb strings.Builder
@@ -161,11 +156,6 @@ func (s *Sweep) OnOffAblation(benches []string, o ExpOptions) ([]OnOffAblationRo
 	return rows, nil
 }
 
-// OnOffAblation runs the comparison on a fresh single-use sweep.
-func OnOffAblation(benches []string, o ExpOptions) ([]OnOffAblationRow, error) {
-	return NewSweep(SweepConfig{}).OnOffAblation(benches, o)
-}
-
 // FormatOnOffAblation renders the on/off comparison.
 func FormatOnOffAblation(rows []OnOffAblationRow) string {
 	var sb strings.Builder
@@ -216,11 +206,6 @@ func (s *Sweep) LinkClassAblation(bench string, o ExpOptions) ([]LinkClassRow, e
 		})
 	}
 	return rows, nil
-}
-
-// LinkClassAblation runs the sweep on a fresh single-use sweep.
-func LinkClassAblation(bench string, o ExpOptions) ([]LinkClassRow, error) {
-	return NewSweep(SweepConfig{}).LinkClassAblation(bench, o)
 }
 
 // FormatLinkClassAblation renders the link-class sweep.
@@ -285,11 +270,6 @@ func (s *Sweep) ExtensionAblation(benches []string, o ExpOptions) ([]ExtensionRo
 	return rows, nil
 }
 
-// ExtensionAblation runs the comparison on a fresh single-use sweep.
-func ExtensionAblation(benches []string, o ExpOptions) ([]ExtensionRow, error) {
-	return NewSweep(SweepConfig{}).ExtensionAblation(benches, o)
-}
-
 // FormatExtensionAblation renders the extension comparison.
 func FormatExtensionAblation(rows []ExtensionRow) string {
 	var sb strings.Builder
@@ -305,68 +285,83 @@ func FormatExtensionAblation(rows []ExtensionRow) string {
 }
 
 // TopologyRow compares one interconnect (bus, crossbar, ring, mesh or
-// tree) with and without adaptive compression.
+// tree) uncompressed, under the paper's per-link adaptive controller
+// (every link's compressor picks its own codec, Sec. V), and under
+// adaptive-global, one controller shared by every endpoint that picks a
+// single codec for the whole fabric. Both controllers run at λ=6.
 type TopologyRow struct {
 	Benchmark string
 	Topology  fabric.Topology
-	// Cycles without / with adaptive λ=6 compression.
+	// Cycles without compression, with per-link and with global selection.
 	BaseCycles     uint64
 	AdaptiveCycles uint64
-	// Speedup from compression on this topology.
+	GlobalCycles   uint64
+	// Speedups over the uncompressed run on this topology.
 	CompressionSpeedup float64
+	GlobalSpeedup      float64
+	// Fabric bytes of the per-link and global runs, normalized to the
+	// uncompressed run's.
+	AdaptiveTraffic float64
+	GlobalTraffic   float64
 }
 
 // TopologyAblation quantifies how much of compression's win comes from
 // relieving fabric contention: on the richer crossbar, the same traffic
 // reduction buys less time, while the switched topologies (ring, mesh,
 // tree) add multi-hop serialization that compression relieves at every hop.
+// Each topology also runs the shared global controller next to the per-link
+// one, so the rows compare the two codec-selection scopes.
 func (s *Sweep) TopologyAblation(benches []string, o ExpOptions) ([]TopologyRow, error) {
 	topos := fabric.Topologies()
 	var keys []sweep.JobKey
 	for _, b := range benches {
 		for _, topo := range topos {
-			baseOpts := o.Options()
-			baseOpts.Topology = topo
-			keys = append(keys, Key(b, baseOpts))
 			opts := o.Options()
 			opts.Topology = topo
-			keys = append(keys, adaptiveKey(b, opts))
+			global := opts
+			global.Policy = core.PolicyAdaptiveGlobal
+			global.Lambda = core.DefaultLambda
+			keys = append(keys, Key(b, opts), adaptiveKey(b, opts), Key(b, global))
 		}
 	}
 	ms, err := s.All(keys)
 	if err != nil {
 		return nil, err
 	}
+	const stride = 3
 	var rows []TopologyRow
 	for i, b := range benches {
 		for j, topo := range topos {
-			base, m := ms[(i*len(topos)+j)*2], ms[(i*len(topos)+j)*2+1]
+			group := ms[(i*len(topos)+j)*stride:]
+			base, m, g := group[0], group[1], group[2]
 			rows = append(rows, TopologyRow{
 				Benchmark:          b,
 				Topology:           topo,
 				BaseCycles:         base.ExecCycles,
 				AdaptiveCycles:     m.ExecCycles,
+				GlobalCycles:       g.ExecCycles,
 				CompressionSpeedup: float64(base.ExecCycles) / float64(m.ExecCycles),
+				GlobalSpeedup:      float64(base.ExecCycles) / float64(g.ExecCycles),
+				AdaptiveTraffic:    float64(m.FabricBytes) / float64(base.FabricBytes),
+				GlobalTraffic:      float64(g.FabricBytes) / float64(base.FabricBytes),
 			})
 		}
 	}
 	return rows, nil
 }
 
-// TopologyAblation runs the comparison on a fresh single-use sweep.
-func TopologyAblation(benches []string, o ExpOptions) ([]TopologyRow, error) {
-	return NewSweep(SweepConfig{}).TopologyAblation(benches, o)
-}
-
 // FormatTopologyAblation renders the topology comparison.
 func FormatTopologyAblation(rows []TopologyRow) string {
 	var sb strings.Builder
-	sb.WriteString("Topology ablation: compression speedup per interconnect\n")
-	fmt.Fprintf(&sb, "%-6s %-10s %14s %14s %10s\n",
-		"Bench", "topology", "base cycles", "adaptive cyc", "speedup")
+	sb.WriteString("Topology ablation: per-link vs global adaptive λ=6 per interconnect " +
+		"(traffic normalized to no compression)\n")
+	fmt.Fprintf(&sb, "%-6s %-10s %12s %12s %12s | %8s %8s | %8s %8s\n",
+		"Bench", "topology", "base cyc", "per-link cyc", "global cyc",
+		"per-link", "global", "pl trf", "gl trf")
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-6s %-10s %14d %14d %9.2fx\n",
-			r.Benchmark, r.Topology, r.BaseCycles, r.AdaptiveCycles, r.CompressionSpeedup)
+		fmt.Fprintf(&sb, "%-6s %-10s %12d %12d %12d | %7.2fx %7.2fx | %8.3f %8.3f\n",
+			r.Benchmark, r.Topology, r.BaseCycles, r.AdaptiveCycles, r.GlobalCycles,
+			r.CompressionSpeedup, r.GlobalSpeedup, r.AdaptiveTraffic, r.GlobalTraffic)
 	}
 	return sb.String()
 }
@@ -426,12 +421,6 @@ func (s *Sweep) RemoteCacheAblation(benches []string, o ExpOptions) ([]RemoteCac
 	return rows, nil
 }
 
-// RemoteCacheAblation runs the composition study on a fresh single-use
-// sweep.
-func RemoteCacheAblation(benches []string, o ExpOptions) ([]RemoteCacheRow, error) {
-	return NewSweep(SweepConfig{}).RemoteCacheAblation(benches, o)
-}
-
 // FormatRemoteCacheAblation renders the composition study.
 func FormatRemoteCacheAblation(rows []RemoteCacheRow) string {
 	var sb strings.Builder
@@ -484,11 +473,6 @@ func (s *Sweep) ScalabilityAblation(bench string, o ExpOptions, gpuCounts []int)
 		})
 	}
 	return rows, nil
-}
-
-// ScalabilityAblation runs the GPU-count sweep on a fresh single-use sweep.
-func ScalabilityAblation(bench string, o ExpOptions, gpuCounts []int) ([]ScalabilityRow, error) {
-	return NewSweep(SweepConfig{}).ScalabilityAblation(bench, o, gpuCounts)
 }
 
 // FormatScalabilityAblation renders the GPU-count sweep.
@@ -544,11 +528,6 @@ func (s *Sweep) BandwidthAblation(bench string, o ExpOptions, widths []int) ([]B
 		})
 	}
 	return rows, nil
-}
-
-// BandwidthAblation runs the link-width sweep on a fresh single-use sweep.
-func BandwidthAblation(bench string, o ExpOptions, widths []int) ([]BandwidthRow, error) {
-	return NewSweep(SweepConfig{}).BandwidthAblation(bench, o, widths)
 }
 
 // FormatBandwidthAblation renders the link-width sweep.

@@ -12,7 +12,7 @@ import (
 )
 
 func TestSamplingAblation(t *testing.T) {
-	rows, err := SamplingAblation("MT", tinyOpts())
+	rows, err := NewSweep(SweepConfig{}).SamplingAblation("MT", tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestSamplingAblation(t *testing.T) {
 }
 
 func TestOnOffAblation(t *testing.T) {
-	rows, err := OnOffAblation([]string{"AES"}, tinyOpts())
+	rows, err := NewSweep(SweepConfig{}).OnOffAblation([]string{"AES"}, tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestOnOffAblation(t *testing.T) {
 }
 
 func TestLinkClassAblation(t *testing.T) {
-	rows, err := LinkClassAblation("MT", tinyOpts())
+	rows, err := NewSweep(SweepConfig{}).LinkClassAblation("MT", tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestLinkClassAblation(t *testing.T) {
 }
 
 func TestExtensionAblation(t *testing.T) {
-	rows, err := ExtensionAblation([]string{"MT", "AES"}, tinyOpts())
+	rows, err := NewSweep(SweepConfig{}).ExtensionAblation([]string{"MT", "AES"}, tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestDynamicPolicyEndToEnd(t *testing.T) {
 }
 
 func TestTopologyAblation(t *testing.T) {
-	rows, err := TopologyAblation([]string{"MT"}, tinyOpts())
+	rows, err := NewSweep(SweepConfig{}).TopologyAblation([]string{"MT"}, tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,6 +177,29 @@ func TestTopologyAblation(t *testing.T) {
 		if r.BaseCycles == 0 {
 			t.Errorf("%s: empty base run", r.Topology)
 		}
+		if r.GlobalCycles == 0 || r.GlobalTraffic == 0 {
+			t.Errorf("%s: empty global run (cycles %d, traffic %.3f)", r.Topology, r.GlobalCycles, r.GlobalTraffic)
+		}
+	}
+	// The global columns come from the shared adaptive-global controller,
+	// not from a reused per-link run.
+	opts := tinyOpts().Options()
+	opts.Topology = fabric.TopologyBus
+	base, err := Run("MT", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Policy = core.PolicyAdaptiveGlobal
+	opts.Lambda = core.DefaultLambda
+	global, err := Run("MT", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bus.GlobalCycles != global.ExecCycles {
+		t.Errorf("bus global cycles %d, direct adaptive-global run %d", bus.GlobalCycles, global.ExecCycles)
+	}
+	if want := float64(global.FabricBytes) / float64(base.FabricBytes); bus.GlobalTraffic != want {
+		t.Errorf("bus global traffic %.4f, direct adaptive-global run %.4f", bus.GlobalTraffic, want)
 	}
 	// The crossbar itself must be faster than the bus.
 	if xbar.BaseCycles >= bus.BaseCycles {
@@ -198,7 +221,7 @@ func TestTopologyAblation(t *testing.T) {
 }
 
 func TestRemoteCacheAblation(t *testing.T) {
-	rows, err := RemoteCacheAblation([]string{"SC"}, tinyOpts())
+	rows, err := NewSweep(SweepConfig{}).RemoteCacheAblation([]string{"SC"}, tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +252,7 @@ func TestRemoteCacheAblation(t *testing.T) {
 }
 
 func TestScalabilityAblation(t *testing.T) {
-	rows, err := ScalabilityAblation("MT", tinyOpts(), []int{2, 4, 8})
+	rows, err := NewSweep(SweepConfig{}).ScalabilityAblation("MT", tinyOpts(), []int{2, 4, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +274,7 @@ func TestScalabilityAblation(t *testing.T) {
 }
 
 func TestBandwidthAblation(t *testing.T) {
-	rows, err := BandwidthAblation("MT", tinyOpts(), []int{5, 20, 160})
+	rows, err := NewSweep(SweepConfig{}).BandwidthAblation("MT", tinyOpts(), []int{5, 20, 160})
 	if err != nil {
 		t.Fatal(err)
 	}
