@@ -3,9 +3,10 @@
 .PHONY: all ci lint lint-baseline test short race cover fuzz-smoke bench bench-smoke serve-smoke serve-load reproduce ablations examples fmt vet
 
 # Packages whose hot paths must stay clean of lint suppressions: the
-# zero-allocation fast paths are exactly where a silenced analyzer would
-# hide a determinism bug.
-HOT_PKGS := internal/bitstream internal/comp internal/sim
+# zero-allocation fast paths (codecs, the event engine and the message path
+# through the fabric and the RDMA engines) are exactly where a silenced
+# analyzer would hide a determinism bug.
+HOT_PKGS := internal/bitstream internal/comp internal/sim internal/fabric internal/rdma
 
 all: vet lint test
 
@@ -98,7 +99,7 @@ bench:
 # crash — timings are meaningless at -benchtime=1x.
 bench-smoke:
 	go test -run='^$$' -bench=. -benchtime=1x -benchmem \
-		./internal/bitstream ./internal/comp ./internal/sim
+		./internal/bitstream ./internal/comp ./internal/sim ./internal/fabric
 
 # End-to-end gate for the sweep service: build the real sweepd binary, SIGKILL
 # it mid-batch, restart it on the same data directory, and require the resumed

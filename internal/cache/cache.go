@@ -210,26 +210,21 @@ func (c *Cache) NotifyRecv(now sim.Time, _ *sim.Port) { c.ticker.TickNow(now) }
 // NotifyPortFree implements sim.Component.
 func (c *Cache) NotifyPortFree(now sim.Time, _ *sim.Port) { c.ticker.TickNow(now) }
 
-// hitRspEvent delivers a hit response after the hit latency.
-type hitRspEvent struct {
-	sim.EventBase
-	rsp sim.Msg
+// Handle implements sim.Handler: ticks process the ports.
+func (c *Cache) Handle(e *sim.Event) error {
+	c.tick(e.Time())
+	return nil
 }
 
-// Handle implements sim.Handler.
-func (c *Cache) Handle(e sim.Event) error {
-	switch evt := e.(type) {
-	case *sim.TickEvent:
-		c.tick(e.Time())
-		return nil
-	case hitRspEvent:
-		if !c.Top.Send(e.Time(), evt.rsp) {
-			return fmt.Errorf("%s: hit response rejected", c.Name())
-		}
-		return nil
-	default:
-		return fmt.Errorf("%s: unexpected event %T", c.Name(), e)
+// hitResponse sends the record's hit response once the hit latency has
+// elapsed.
+type hitResponse struct{ c *Cache }
+
+func (r hitResponse) Handle(e *sim.Event) error {
+	if !r.c.Top.Send(e.Time(), e.Msg()) {
+		return fmt.Errorf("%s: hit response rejected", r.c.Name())
 	}
+	return nil
 }
 
 func (c *Cache) tick(now sim.Time) {
@@ -289,10 +284,7 @@ func (c *Cache) handleRead(now sim.Time, req *mem.ReadReq) bool {
 		data := c.space.Read(req.Addr, req.N)
 		rsp := mem.NewDataReady(c.Top, req.Src, req.ID, req.Addr, data)
 		c.part.AssignMsgID(rsp)
-		c.part.Schedule(hitRspEvent{
-			EventBase: sim.NewEventBase(now+c.cfg.HitLatency, c),
-			rsp:       rsp,
-		})
+		c.part.Schedule(now+c.cfg.HitLatency, hitResponse{c}, rsp, 0)
 		return true
 	}
 

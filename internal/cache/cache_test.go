@@ -29,7 +29,7 @@ func newCollector(name string) *collector {
 	return c
 }
 
-func (c *collector) Handle(sim.Event) error { return nil }
+func (c *collector) Handle(*sim.Event) error { return nil }
 
 func (c *collector) NotifyRecv(now sim.Time, p *sim.Port) {
 	for {

@@ -102,51 +102,31 @@ func NewCrossbar(name string, part *sim.Partition, cfg Config) *Crossbar {
 	return c
 }
 
-// xbarDeliverEvent completes one transfer.
-type xbarDeliverEvent struct {
-	sim.EventBase
-	msg   sim.Msg
-	start sim.Time
+// xbarDone completes one transfer: the record carries the message and, in
+// Arg, the cycle its transmission started.
+type xbarDone struct{ c *Crossbar }
+
+func (r xbarDone) Handle(e *sim.Event) error {
+	c, msg, now := r.c, e.Msg(), e.Time()
+	c.messagesSent++
+	c.bytesSent += uint64(msg.Meta().Bytes)
+	if c.cfg.Trace != nil {
+		c.cfg.Trace.Record(trace.Transfer{
+			Start: sim.Time(e.Arg()),
+			End:   now,
+			Src:   msg.Meta().Src.Name(),
+			Dst:   msg.Meta().Dst.Name(),
+			Bytes: msg.Meta().Bytes,
+			Kind:  fmt.Sprintf("%T", msg),
+		})
+	}
+	c.finish(now, msg)
+	c.schedule(now)
+	return nil
 }
 
-// Handle implements sim.Handler for the hub-side events.
-func (c *Crossbar) Handle(e sim.Event) error {
-	switch evt := e.(type) {
-	case *sim.TickEvent:
-		c.schedule(e.Time())
-		return nil
-	case linkIngressEvent:
-		evt.ep.queue = append(evt.ep.queue, evt.msg)
-		c.schedule(e.Time())
-		return nil
-	case inCreditEvent:
-		evt.ep.refund(evt.bytes)
-		c.schedule(e.Time())
-		return nil
-	case xbarDeliverEvent:
-		c.messagesSent++
-		c.bytesSent += uint64(evt.msg.Meta().Bytes)
-		if c.cfg.Trace != nil {
-			c.cfg.Trace.Record(trace.Transfer{
-				Start: evt.start,
-				End:   e.Time(),
-				Src:   evt.msg.Meta().Src.Name(),
-				Dst:   evt.msg.Meta().Dst.Name(),
-				Bytes: evt.msg.Meta().Bytes,
-				Kind:  fmt.Sprintf("%T", evt.msg),
-			})
-		}
-		c.finish(e.Time(), evt.msg)
-		c.schedule(e.Time())
-		return nil
-	case faultDeliverEvent:
-		c.pendingFaults--
-		c.handOff(e.Time(), evt.msg)
-		return nil
-	default:
-		return fmt.Errorf("fabric %s: unexpected event %T", c.Name(), e)
-	}
-}
+func (c *Crossbar) admit(now sim.Time, _ *endpoint) { c.schedule(now) }
+func (c *Crossbar) refunded(now sim.Time)           { c.schedule(now) }
 
 // schedule starts every transfer whose source output link and destination
 // input link are both free, scanning sources round-robin.
@@ -160,10 +140,10 @@ func (c *Crossbar) schedule(now sim.Time) {
 		started = false
 		for i := 0; i < n; i++ {
 			ep := c.endpoints[(c.nextRR+i)%n]
-			if len(ep.queue) == 0 {
+			if ep.queue.Len() == 0 {
 				continue
 			}
-			msg := ep.queue[0]
+			msg := ep.queue.Peek()
 			dst := msg.Meta().Dst
 			if c.outBusy[ep] > now || c.inBusy[dst] > now {
 				continue
@@ -172,17 +152,13 @@ func (c *Crossbar) schedule(now sim.Time) {
 			if !c.byPort[dst].reserve(bytes) {
 				continue
 			}
-			ep.queue = ep.queue[1:]
+			ep.queue.Pop()
 			cycles := c.cycles(bytes)
 			done := now + cycles
 			c.outBusy[ep] = done
 			c.inBusy[dst] = done
 			c.busyCycles += uint64(cycles)
-			c.part.Schedule(xbarDeliverEvent{
-				EventBase: sim.NewEventBase(done, c),
-				msg:       msg,
-				start:     now,
-			})
+			c.part.Schedule(done, xbarDone{c}, msg, int(now))
 			c.outCredit(now, ep, bytes)
 			c.nextRR = (c.nextRR + i + 1) % n
 			started = true
@@ -225,7 +201,7 @@ func (c *Crossbar) Utilization(now sim.Time) float64 {
 func (c *Crossbar) QueuedMessages() int {
 	n := 0
 	for _, ep := range c.endpoints {
-		n += len(ep.queue)
+		n += ep.queue.Len()
 	}
 	return n
 }

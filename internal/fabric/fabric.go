@@ -143,36 +143,16 @@ func NewBus(name string, part *sim.Partition, cfg Config) *Bus {
 	return b
 }
 
-// transferDoneEvent completes an in-flight transmission.
-type transferDoneEvent struct {
-	sim.EventBase
+// busDone completes the bus's in-flight transmission.
+type busDone struct{ b *Bus }
+
+func (r busDone) Handle(e *sim.Event) error {
+	r.b.completeTransfer(e.Time())
+	return nil
 }
 
-// Handle implements sim.Handler for the hub-side events.
-func (b *Bus) Handle(e sim.Event) error {
-	switch evt := e.(type) {
-	case *sim.TickEvent:
-		b.arbitrate(e.Time())
-		return nil
-	case linkIngressEvent:
-		evt.ep.queue = append(evt.ep.queue, evt.msg)
-		b.arbitrate(e.Time())
-		return nil
-	case inCreditEvent:
-		evt.ep.refund(evt.bytes)
-		b.arbitrate(e.Time())
-		return nil
-	case transferDoneEvent:
-		b.completeTransfer(e.Time())
-		return nil
-	case faultDeliverEvent:
-		b.pendingFaults--
-		b.handOff(e.Time(), evt.msg)
-		return nil
-	default:
-		return fmt.Errorf("fabric %s: unexpected event %T", b.Name(), e)
-	}
-}
+func (b *Bus) admit(now sim.Time, _ *endpoint) { b.arbitrate(now) }
+func (b *Bus) refunded(now sim.Time)           { b.arbitrate(now) }
 
 // arbitrate starts the next transmission if the bus is idle: scan endpoints
 // round-robin and pick the first whose head message fits in its
@@ -184,23 +164,23 @@ func (b *Bus) arbitrate(now sim.Time) {
 	n := len(b.endpoints)
 	for i := 0; i < n; i++ {
 		ep := b.endpoints[(b.nextRR+i)%n]
-		if len(ep.queue) == 0 {
+		if ep.queue.Len() == 0 {
 			continue
 		}
-		msg := ep.queue[0]
+		msg := ep.queue.Peek()
 		bytes := msg.Meta().Bytes
 		if !b.byPort[msg.Meta().Dst].reserve(bytes) {
 			continue // head-of-line blocked; try another endpoint
 		}
 		// Claim the bus.
-		ep.queue = ep.queue[1:]
+		ep.queue.Pop()
 		b.nextRR = (b.nextRR + i + 1) % n
 		b.inFlight = msg
 		b.inFlightStart = now
 		cycles := b.cycles(bytes)
 		b.busyUntil = now + cycles
 		b.BusyCycles += uint64(cycles)
-		b.part.Schedule(transferDoneEvent{EventBase: sim.NewEventBase(b.busyUntil, b)})
+		b.part.ScheduleTick(b.busyUntil, busDone{b})
 		// Output space freed: credit the sender's link.
 		b.outCredit(now, ep, bytes)
 		// The wire is committed through busyUntil: arbitrate is a no-op while
@@ -275,7 +255,7 @@ func (b *Bus) EnergyPJ() float64 {
 func (b *Bus) QueuedMessages() int {
 	n := 0
 	for _, ep := range b.endpoints {
-		n += len(ep.queue)
+		n += ep.queue.Len()
 	}
 	if b.inFlight != nil {
 		n++

@@ -22,7 +22,7 @@ func newNode(name string, bufBytes int, drain bool) *node {
 	return n
 }
 
-func (n *node) Handle(sim.Event) error { return nil }
+func (n *node) Handle(*sim.Event) error { return nil }
 
 func (n *node) NotifyRecv(now sim.Time, p *sim.Port) {
 	if !n.drain {

@@ -19,7 +19,7 @@ type hub struct {
 	sim.ComponentBase
 	part *sim.Partition
 	cfg  Config
-	arb  sim.Handler // the concrete fabric (Bus/Crossbar)
+	arb  arbiter // the concrete fabric
 
 	endpoints []*endpoint
 	byPort    map[*sim.Port]*endpoint
@@ -31,6 +31,15 @@ type hub struct {
 	pendingFaults int
 }
 
+// arbiter is the arbitration policy the concrete fabric (Bus, Crossbar,
+// SwitchFabric) supplies to its hub.
+type arbiter interface {
+	// admit runs arbitration after a message joined ep's ingress queue.
+	admit(now sim.Time, ep *endpoint)
+	// refunded runs arbitration after input credit returned to an endpoint.
+	refunded(now sim.Time)
+}
+
 // endpoint is the hub-side view of one attached port: its ingress queue
 // (messages that crossed the wire from the owner and await arbitration) and
 // the input-credit counter mirroring the destination buffer.
@@ -38,7 +47,7 @@ type endpoint struct {
 	port    *sim.Port
 	link    *fabricLink
 	toOwner *sim.Remote
-	queue   []sim.Msg
+	queue   sim.FIFO[sim.Msg]
 	// inCredit tracks how many bytes of the port's input buffer the hub may
 	// still claim; -1 means the buffer is unbounded. Credits are reserved
 	// when a transfer claims the fabric and returned by the owner-side link
@@ -65,7 +74,7 @@ type endpoint struct {
 	// its next-send promise would overtake the completed message's
 	// hand-off.
 	egrInFlight bool
-	egrQueue    []sim.Msg
+	egrQueue    sim.FIFO[sim.Msg]
 }
 
 // newHub builds the shared half of every fabric. The configuration must
@@ -141,10 +150,7 @@ func (h *hub) finish(now sim.Time, msg sim.Msg) {
 		}
 		if out.Delay > 0 {
 			h.pendingFaults++
-			h.part.Schedule(faultDeliverEvent{
-				EventBase: sim.NewEventBase(now+out.Delay, h.arb),
-				msg:       out.Msg,
-			})
+			h.part.Schedule(now+out.Delay, faultDeliver{h}, out.Msg, 0)
 			return
 		}
 		msg = out.Msg
@@ -156,11 +162,7 @@ func (h *hub) finish(now sim.Time, msg sim.Msg) {
 // owner partition, where the link delivers it into the port buffer.
 func (h *hub) handOff(now sim.Time, msg sim.Msg) {
 	ep := h.byPort[msg.Meta().Dst]
-	ep.toOwner.Schedule(linkDeliverEvent{
-		EventBase: sim.NewEventBase(now+h.cfg.LinkLatency, ep.link),
-		link:      ep.link,
-		msg:       msg,
-	})
+	ep.toOwner.Schedule(now+h.cfg.LinkLatency, linkDeliver{ep.link}, msg, 0)
 }
 
 // cycles returns the integral bus occupancy of a message.
@@ -182,11 +184,7 @@ func (h *hub) outCredit(now sim.Time, ep *endpoint, bytes int) {
 	if ep.creditOut != nil {
 		r = ep.creditOut
 	}
-	r.Schedule(outCreditEvent{
-		EventBase: sim.NewEventBase(now+h.cfg.LinkLatency, ep.link),
-		link:      ep.link,
-		bytes:     bytes,
-	})
+	r.Schedule(now+h.cfg.LinkLatency, outCreditReturn{ep.link}, nil, bytes)
 }
 
 // fabricLink is the owner-partition side of one fabric attachment. It
@@ -241,11 +239,7 @@ func (l *fabricLink) Send(now sim.Time, m sim.Msg) bool {
 	}
 	l.outstanding += n
 	meta.SendTime = now
-	l.toHub.Schedule(linkIngressEvent{
-		EventBase: sim.NewEventBase(now+l.hub.cfg.LinkLatency, l.hub.arb),
-		ep:        l.ep,
-		msg:       m,
-	})
+	l.toHub.Schedule(now+l.hub.cfg.LinkLatency, linkIngress{l.ep}, m, 0)
 	return true
 }
 
@@ -263,69 +257,65 @@ func (l *fabricLink) reconcile(now sim.Time) {
 	used := l.port.UsedBytes()
 	if freed := l.lastUsed - used; freed > 0 {
 		l.lastUsed = used
-		l.toHub.Schedule(inCreditEvent{
-			EventBase: sim.NewEventBase(now+l.hub.cfg.LinkLatency, l.hub.arb),
-			ep:        l.ep,
-			bytes:     freed,
-		})
+		l.toHub.Schedule(now+l.hub.cfg.LinkLatency, inCreditReturn{l.ep}, nil, freed)
 	}
 }
 
-// Handle processes the hub-to-owner events for this link.
-func (l *fabricLink) Handle(e sim.Event) error {
-	switch evt := e.(type) {
-	case linkDeliverEvent:
-		// Count the delivery against the mirrored occupancy before Deliver:
-		// the receiving component may drain the port synchronously from
-		// NotifyRecv, and the freed bytes must be visible to reconcile.
-		l.lastUsed += evt.msg.Meta().Bytes
-		l.port.Deliver(e.Time(), evt.msg)
-		l.reconcile(e.Time())
-		return nil
-	case outCreditEvent:
-		l.outstanding -= evt.bytes
-		l.port.Component().NotifyPortFree(e.Time(), l.port)
-		return nil
-	default:
-		return fmt.Errorf("fabric %s: link %s: unexpected event %T", l.hub.Name(), l.port.Name(), e)
-	}
+// The records crossing between an endpoint's owner and the hub. Each kind
+// is a single-pointer handler type, so scheduling one allocates nothing;
+// messages ride in the record's Msg and byte counts in its Arg.
+
+// linkIngress lands a message from the owner-side link in the endpoint's
+// ingress queue and runs arbitration.
+type linkIngress struct{ ep *endpoint }
+
+func (r linkIngress) Handle(e *sim.Event) error {
+	r.ep.queue.Push(e.Msg())
+	r.ep.link.hub.arb.admit(e.Time(), r.ep)
+	return nil
 }
 
-// linkIngressEvent carries a message from an owner-side link onto the hub's
-// ingress queue for that endpoint.
-type linkIngressEvent struct {
-	sim.EventBase
-	ep  *endpoint
-	msg sim.Msg
+// inCreditReturn returns Arg drained input-buffer bytes to the hub.
+type inCreditReturn struct{ ep *endpoint }
+
+func (r inCreditReturn) Handle(e *sim.Event) error {
+	r.ep.refund(e.Arg())
+	r.ep.link.hub.arb.refunded(e.Time())
+	return nil
 }
 
-// inCreditEvent returns drained input-buffer bytes to the hub.
-type inCreditEvent struct {
-	sim.EventBase
-	ep    *endpoint
-	bytes int
+// linkDeliver lands a completed transfer in the destination port, on the
+// destination's own partition.
+type linkDeliver struct{ l *fabricLink }
+
+func (r linkDeliver) Handle(e *sim.Event) error {
+	l, m := r.l, e.Msg()
+	// Count the delivery against the mirrored occupancy before Deliver: the
+	// receiving component may drain the port synchronously from NotifyRecv,
+	// and the freed bytes must be visible to reconcile.
+	l.lastUsed += m.Meta().Bytes
+	l.port.Deliver(e.Time(), m)
+	l.reconcile(e.Time())
+	return nil
 }
 
-// linkDeliverEvent lands a completed transfer in the destination port, on
-// the destination's own partition.
-type linkDeliverEvent struct {
-	sim.EventBase
-	link *fabricLink
-	msg  sim.Msg
+// outCreditReturn frees Arg bytes of output-buffer space on the source link
+// after its message claimed the fabric.
+type outCreditReturn struct{ l *fabricLink }
+
+func (r outCreditReturn) Handle(e *sim.Event) error {
+	r.l.outstanding -= e.Arg()
+	r.l.port.Component().NotifyPortFree(e.Time(), r.l.port)
+	return nil
 }
 
-// outCreditEvent frees output-buffer space on the source link after its
-// message claimed the fabric.
-type outCreditEvent struct {
-	sim.EventBase
-	link  *fabricLink
-	bytes int
-}
-
-// faultDeliverEvent finishes a fault-delayed delivery; the input-credit
+// faultDeliver finishes a fault-delayed delivery; the input-credit
 // reservation from arbitration time is still held, so the hand-off needs no
-// re-check. It is shared by the bus and the crossbar.
-type faultDeliverEvent struct {
-	sim.EventBase
-	msg sim.Msg
+// re-check. It is shared by every fabric.
+type faultDeliver struct{ h *hub }
+
+func (r faultDeliver) Handle(e *sim.Event) error {
+	r.h.pendingFaults--
+	r.h.handOff(e.Time(), e.Msg())
+	return nil
 }

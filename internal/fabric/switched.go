@@ -69,12 +69,13 @@ type swNode struct {
 }
 
 // swLink is one directed inter-switch link: FIFO queue, single transmission
-// at a time.
+// at a time. idx is its position in SwitchFabric.links.
 type swLink struct {
+	idx       int
 	from, to  int
 	class     energy.LinkClass
 	busyUntil sim.Time
-	queue     []sim.Msg
+	queue     sim.FIFO[sim.Msg]
 }
 
 // NewSwitchFabric creates the switched interconnect on the hub partition.
@@ -192,8 +193,8 @@ func (s *SwitchFabric) build() {
 
 // connect wires a bidirectional pair of links between switches a and b.
 func (s *SwitchFabric) connect(a, b int, class energy.LinkClass) {
-	ab := &swLink{from: a, to: b, class: class}
-	ba := &swLink{from: b, to: a, class: class}
+	ab := &swLink{idx: len(s.links), from: a, to: b, class: class}
+	ba := &swLink{idx: len(s.links) + 1, from: b, to: a, class: class}
 	s.sws[a].out[b] = ab
 	s.sws[b].out[a] = ba
 	s.links = append(s.links, ab, ba)
@@ -263,36 +264,11 @@ func (s *SwitchFabric) Attach(p *sim.Port, owner *sim.Partition) {
 	s.sws[ep.sw].eps = append(s.sws[ep.sw].eps, ep)
 }
 
-// Handle implements sim.Handler for the hub-side events.
-func (s *SwitchFabric) Handle(e sim.Event) error {
-	switch evt := e.(type) {
-	case *sim.TickEvent:
-		s.injectAll(e.Time())
-		return nil
-	case linkIngressEvent:
-		evt.ep.queue = append(evt.ep.queue, evt.msg)
-		s.inject(e.Time(), s.sws[evt.ep.sw])
-		return nil
-	case inCreditEvent:
-		evt.ep.refund(evt.bytes)
-		// A refund can unblock a head-of-line message at any switch.
-		s.injectAll(e.Time())
-		return nil
-	case hopDoneEvent:
-		s.pumpLink(e.Time(), evt.link)
-		s.forward(e.Time(), evt.link.to, evt.msg)
-		return nil
-	case egressDoneEvent:
-		s.egressDone(e.Time(), evt)
-		return nil
-	case faultDeliverEvent:
-		s.pendingFaults--
-		s.handOff(e.Time(), evt.msg)
-		return nil
-	default:
-		return fmt.Errorf("fabric %s: unexpected event %T", s.Name(), e)
-	}
-}
+func (s *SwitchFabric) admit(now sim.Time, ep *endpoint) { s.inject(now, s.sws[ep.sw]) }
+
+// refunded re-runs injection everywhere: a refund can unblock a head-of-line
+// message at any switch.
+func (s *SwitchFabric) refunded(now sim.Time) { s.injectAll(now) }
 
 // injectAll runs injection arbitration on every switch, in switch order.
 func (s *SwitchFabric) injectAll(now sim.Time) {
@@ -314,15 +290,15 @@ func (s *SwitchFabric) inject(now sim.Time, sw *swNode) {
 		progress = false
 		for i := 0; i < n; i++ {
 			ep := sw.eps[(sw.nextRR+i)%n]
-			if len(ep.queue) == 0 {
+			if ep.queue.Len() == 0 {
 				continue
 			}
-			msg := ep.queue[0]
+			msg := ep.queue.Peek()
 			bytes := msg.Meta().Bytes
 			if !s.byPort[msg.Meta().Dst].reserve(bytes) {
 				continue // head-of-line blocked; try another endpoint
 			}
-			ep.queue = ep.queue[1:]
+			ep.queue.Pop()
 			sw.nextRR = (sw.nextRR + i + 1) % n
 			s.outCredit(now, ep, bytes)
 			s.forward(now, sw.id, msg)
@@ -337,12 +313,12 @@ func (s *SwitchFabric) inject(now sim.Time, sw *swNode) {
 func (s *SwitchFabric) forward(now sim.Time, at int, msg sim.Msg) {
 	dst := s.byPort[msg.Meta().Dst]
 	if dst.sw == at {
-		dst.egrQueue = append(dst.egrQueue, msg)
+		dst.egrQueue.Push(msg)
 		s.pumpEgress(now, dst)
 		return
 	}
 	l := s.sws[at].out[s.next[at][dst.sw]]
-	l.queue = append(l.queue, msg)
+	l.queue.Push(msg)
 	s.pumpLink(now, l)
 }
 
@@ -350,21 +326,16 @@ func (s *SwitchFabric) forward(now sim.Time, at int, msg sim.Msg) {
 // message arrives at the far switch when the transmission completes (store
 // and forward; the hop occupies the link for the full serialization time).
 func (s *SwitchFabric) pumpLink(now sim.Time, l *swLink) {
-	if l.busyUntil > now || len(l.queue) == 0 {
+	if l.busyUntil > now || l.queue.Len() == 0 {
 		return
 	}
-	msg := l.queue[0]
-	l.queue = l.queue[1:]
+	msg := l.queue.Pop()
 	cycles := s.cycles(msg.Meta().Bytes)
 	l.busyUntil = now + cycles
 	s.busyCycles += uint64(cycles)
 	s.hopCount++
 	s.bytesByClass[l.class] += uint64(msg.Meta().Bytes)
-	s.part.Schedule(hopDoneEvent{
-		EventBase: sim.NewEventBase(l.busyUntil, s),
-		link:      l,
-		msg:       msg,
-	})
+	s.part.Schedule(l.busyUntil, hopDone{s}, msg, l.idx)
 }
 
 // pumpEgress starts the next transmission on an idle egress wire and, while
@@ -374,11 +345,10 @@ func (s *SwitchFabric) pumpLink(now sim.Time, l *swLink) {
 // fault-delayed delivery is outstanding, since it may land inside the
 // horizon of a later transmission.
 func (s *SwitchFabric) pumpEgress(now sim.Time, ep *endpoint) {
-	if ep.egrInFlight || len(ep.egrQueue) == 0 {
+	if ep.egrInFlight || ep.egrQueue.Len() == 0 {
 		return
 	}
-	msg := ep.egrQueue[0]
-	ep.egrQueue = ep.egrQueue[1:]
+	msg := ep.egrQueue.Pop()
 	cycles := s.cycles(msg.Meta().Bytes)
 	done := now + cycles
 	ep.egrInFlight = true
@@ -387,23 +357,33 @@ func (s *SwitchFabric) pumpEgress(now sim.Time, ep *endpoint) {
 	if s.pendingFaults == 0 {
 		ep.toOwner.SetNextSend(done + s.cfg.LinkLatency)
 	}
-	s.part.Schedule(egressDoneEvent{
-		EventBase: sim.NewEventBase(done, s),
-		ep:        ep,
-		msg:       msg,
-		start:     now,
-	})
+	s.part.Schedule(done, egressDone{s}, msg, int(now))
 }
 
-// egressDone completes one delivery: accounting, trace, fault routing and
-// the hand-off to the destination partition.
-func (s *SwitchFabric) egressDone(now sim.Time, evt egressDoneEvent) {
-	msg := evt.msg
+// hopDone releases the inter-switch link s.links[Arg] and forwards the
+// record's message to the link's far switch.
+type hopDone struct{ s *SwitchFabric }
+
+func (r hopDone) Handle(e *sim.Event) error {
+	l := r.s.links[e.Arg()]
+	r.s.pumpLink(e.Time(), l)
+	r.s.forward(e.Time(), l.to, e.Msg())
+	return nil
+}
+
+// egressDone completes one delivery on the destination endpoint's egress
+// wire, whose transmission started at cycle Arg: accounting, trace, fault
+// routing and the hand-off to the destination partition.
+type egressDone struct{ s *SwitchFabric }
+
+func (r egressDone) Handle(e *sim.Event) error {
+	s, msg, now := r.s, e.Msg(), e.Time()
+	ep := s.byPort[msg.Meta().Dst]
 	s.messagesSent++
 	s.bytesSent += uint64(msg.Meta().Bytes)
 	if s.cfg.Trace != nil {
 		s.cfg.Trace.Record(trace.Transfer{
-			Start: evt.start,
+			Start: sim.Time(e.Arg()),
 			End:   now,
 			Src:   msg.Meta().Src.Name(),
 			Dst:   msg.Meta().Dst.Name(),
@@ -412,23 +392,9 @@ func (s *SwitchFabric) egressDone(now sim.Time, evt egressDoneEvent) {
 		})
 	}
 	s.finish(now, msg)
-	evt.ep.egrInFlight = false
-	s.pumpEgress(now, evt.ep)
-}
-
-// hopDoneEvent releases an inter-switch link and forwards its message.
-type hopDoneEvent struct {
-	sim.EventBase
-	link *swLink
-	msg  sim.Msg
-}
-
-// egressDoneEvent completes a transmission on an endpoint's egress wire.
-type egressDoneEvent struct {
-	sim.EventBase
-	ep    *endpoint
-	msg   sim.Msg
-	start sim.Time
+	ep.egrInFlight = false
+	s.pumpEgress(now, ep)
+	return nil
 }
 
 // Hops returns the number of inter-switch hops between GPU nodes a and b
@@ -450,10 +416,10 @@ func (s *SwitchFabric) Switches() int { return len(s.sws) }
 func (s *SwitchFabric) QueuedMessages() int {
 	n := 0
 	for _, ep := range s.endpoints {
-		n += len(ep.queue) + len(ep.egrQueue)
+		n += ep.queue.Len() + ep.egrQueue.Len()
 	}
 	for _, l := range s.links {
-		n += len(l.queue)
+		n += l.queue.Len()
 	}
 	return n
 }

@@ -139,7 +139,7 @@ func newTalker(name string, part *sim.Partition) *talker {
 	return c
 }
 
-func (c *talker) Handle(e sim.Event) error {
+func (c *talker) Handle(e *sim.Event) error {
 	c.drain(e.Time())
 	return nil
 }

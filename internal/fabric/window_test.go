@@ -28,7 +28,7 @@ func newChatter(name string, part *sim.Partition, rounds int) *chatter {
 	return c
 }
 
-func (c *chatter) Handle(e sim.Event) error {
+func (c *chatter) Handle(e *sim.Event) error {
 	// Kick-off tick: send round 0 to every peer.
 	for i, p := range c.peers {
 		c.send(e.Time(), p, 0, i)

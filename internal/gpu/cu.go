@@ -68,6 +68,9 @@ type CU struct {
 	OnWGDone func(wg int)
 
 	rrIndex int
+	// ready is issue's scratch list of issuable wavefronts, reused across
+	// ticks.
+	ready []*wavefront
 
 	// Stats
 	WGsRetired      uint64
@@ -123,14 +126,7 @@ func (c *CU) NotifyRecv(now sim.Time, _ *sim.Port) { c.ticker.TickNow(now) }
 func (c *CU) NotifyPortFree(now sim.Time, _ *sim.Port) { c.ticker.TickNow(now) }
 
 // Handle implements sim.Handler.
-func (c *CU) Handle(e sim.Event) error {
-	switch e.(type) {
-	case *sim.TickEvent:
-		return c.tick(e.Time())
-	default:
-		return fmt.Errorf("%s: unexpected event %T", c.Name(), e)
-	}
-}
+func (c *CU) Handle(e *sim.Event) error { return c.tick(e.Time()) }
 
 func (c *CU) tick(now sim.Time) error {
 	c.drainResponses(now)
@@ -200,7 +196,7 @@ func (c *CU) activateWGs(now sim.Time) {
 
 // issue executes up to IssueWidth operations, rotating across wavefronts.
 func (c *CU) issue(now sim.Time) {
-	var waves []*wavefront
+	waves := c.ready[:0]
 	for _, wg := range c.active {
 		for _, wf := range wg.waves {
 			if !wf.done && !wf.waiting && !wf.atBarrier && wf.busyUntil <= now {
@@ -208,6 +204,7 @@ func (c *CU) issue(now sim.Time) {
 			}
 		}
 	}
+	c.ready = waves
 	if len(waves) == 0 {
 		return
 	}

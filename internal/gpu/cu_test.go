@@ -32,14 +32,9 @@ func newMemStub(part *sim.Partition, latency sim.Time) *memStub {
 	return s
 }
 
-type stubRspEvent struct {
-	sim.EventBase
-	rsp sim.Msg
-}
-
-func (s *memStub) Handle(e sim.Event) error {
-	evt := e.(stubRspEvent)
-	if !s.Top.Send(e.Time(), evt.rsp) {
+// Handle sends the record's response once the stub latency has elapsed.
+func (s *memStub) Handle(e *sim.Event) error {
+	if !s.Top.Send(e.Time(), e.Msg()) {
 		panic("memstub: send failed")
 	}
 	return nil
@@ -62,10 +57,7 @@ func (s *memStub) NotifyRecv(now sim.Time, p *sim.Port) {
 			rsp = mem.NewWriteACK(s.Top, req.Src, req.ID, req.Addr)
 		}
 		s.part.AssignMsgID(rsp)
-		s.part.Schedule(stubRspEvent{
-			EventBase: sim.NewEventBase(now+s.latency, s),
-			rsp:       rsp,
-		})
+		s.part.Schedule(now+s.latency, s, rsp, 0)
 	}
 }
 

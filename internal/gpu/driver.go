@@ -72,8 +72,8 @@ func NewCommandProcessor(name string, part *sim.Partition, gpu int) *CommandProc
 }
 
 // Handle implements sim.Handler.
-func (cp *CommandProcessor) Handle(e sim.Event) error {
-	return fmt.Errorf("%s: unexpected event %T", cp.Name(), e)
+func (cp *CommandProcessor) Handle(e *sim.Event) error {
+	return fmt.Errorf("%s: unexpected event at %d", cp.Name(), e.Time())
 }
 
 // NotifyRecv implements sim.Component: dispatch launches immediately.
@@ -190,8 +190,8 @@ func NewDriver(name string, part *sim.Partition, space *mem.Space) *Driver {
 }
 
 // Handle implements sim.Handler.
-func (d *Driver) Handle(e sim.Event) error {
-	return fmt.Errorf("%s: unexpected event %T", d.Name(), e)
+func (d *Driver) Handle(e *sim.Event) error {
+	return fmt.Errorf("%s: unexpected event at %d", d.Name(), e.Time())
 }
 
 // NotifyPortFree implements sim.Component.

@@ -77,25 +77,17 @@ func (d *DRAM) NotifyRecv(now sim.Time, _ *sim.Port) { d.ticker.TickNow(now) }
 // NotifyPortFree implements sim.Component.
 func (d *DRAM) NotifyPortFree(now sim.Time, _ *sim.Port) { d.ticker.TickNow(now) }
 
-// dramDoneEvent fires when an access completes and its response can be sent.
-type dramDoneEvent struct {
-	sim.EventBase
-	req sim.Msg
+// Handle implements sim.Handler: ticks dequeue requests.
+func (d *DRAM) Handle(e *sim.Event) error {
+	d.tick(e.Time())
+	return nil
 }
 
-// Handle implements sim.Handler: ticks dequeue requests, done events send
-// responses.
-func (d *DRAM) Handle(e sim.Event) error {
-	switch evt := e.(type) {
-	case *sim.TickEvent:
-		d.tick(e.Time())
-		return nil
-	case dramDoneEvent:
-		return d.complete(e.Time(), evt.req)
-	default:
-		return fmt.Errorf("%s: unexpected event %T", d.Name(), e)
-	}
-}
+// dramDone fires when the access for the record's request completes and its
+// response can be sent.
+type dramDone struct{ d *DRAM }
+
+func (r dramDone) Handle(e *sim.Event) error { return r.d.complete(e.Time(), e.Msg()) }
 
 func (d *DRAM) tick(now sim.Time) {
 	for {
@@ -122,10 +114,7 @@ func (d *DRAM) tick(now sim.Time) {
 		d.Top.Retrieve(now)
 		d.inflight++
 		d.busyUntil = now + d.cfg.CyclesPerLine
-		d.part.Schedule(dramDoneEvent{
-			EventBase: sim.NewEventBase(now+d.cfg.AccessLatency, d),
-			req:       msg,
-		})
+		d.part.Schedule(now+d.cfg.AccessLatency, dramDone{d}, msg, 0)
 	}
 }
 

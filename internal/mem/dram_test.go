@@ -22,7 +22,7 @@ func newRequester(name string) *requester {
 	return r
 }
 
-func (r *requester) Handle(sim.Event) error { return nil }
+func (r *requester) Handle(*sim.Event) error { return nil }
 
 func (r *requester) NotifyRecv(now sim.Time, p *sim.Port) {
 	for {

@@ -10,7 +10,7 @@ type portOwner struct {
 	sim.ComponentBase
 }
 
-func (portOwner) Handle(sim.Event) error         { return nil }
+func (portOwner) Handle(*sim.Event) error        { return nil }
 func (portOwner) NotifyRecv(sim.Time, *sim.Port) {}
 func (portOwner) NotifyPortFree(sim.Time, *sim.Port) {
 }

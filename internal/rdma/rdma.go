@@ -87,7 +87,11 @@ type Engine struct {
 	// per-endpoint output buffer. The fabric enforces the paper's buffer
 	// bound; this queue models the engine's internal pipeline registers
 	// upstream of it and is drained strictly in order.
-	outQueue []sim.Msg
+	outQueue sim.FIFO[sim.Msg]
+
+	// decoding parks the pending reads whose responses are decompressing;
+	// the decompression record carries the slot.
+	decoding sim.Slab[*pendingRead]
 
 	// request tracking
 	pendingReads  map[uint64]*pendingRead  // wire ReadReq ID -> original local request
@@ -146,7 +150,7 @@ func (e *Engine) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.CounterFunc(prefix+"/writes_sent", func() uint64 { return e.WritesSent })
 	reg.CounterFunc(prefix+"/reads_served", func() uint64 { return e.ReadsServed })
 	reg.CounterFunc(prefix+"/writes_served", func() uint64 { return e.WritesServed })
-	reg.GaugeFunc(prefix+"/queue_depth", func() float64 { return float64(len(e.outQueue)) })
+	reg.GaugeFunc(prefix+"/queue_depth", func() float64 { return float64(e.outQueue.Len()) })
 	reg.DistributionFunc(prefix+"/read_latency", func() metrics.DistValue {
 		return metrics.DistValue{
 			Count: uint64(e.ReadLatency.Count()),
@@ -199,46 +203,44 @@ func (e *Engine) NotifyRecv(now sim.Time, _ *sim.Port) { e.ticker.TickNow(now) }
 // NotifyPortFree implements sim.Component.
 func (e *Engine) NotifyPortFree(now sim.Time, _ *sim.Port) { e.ticker.TickNow(now) }
 
-// delayedSendEvent enqueues a wire message for the fabric after the
+// Handle implements sim.Handler: ticks move messages between the ports.
+func (e *Engine) Handle(ev *sim.Event) error { return e.tick(ev.Time()) }
+
+// delayedSend enqueues the record's wire message for the fabric once the
 // compression latency has elapsed.
-type delayedSendEvent struct {
-	sim.EventBase
-	msg sim.Msg
+type delayedSend struct{ e *Engine }
+
+func (r delayedSend) Handle(ev *sim.Event) error {
+	r.e.outQueue.Push(ev.Msg())
+	r.e.drainOutQueue(ev.Time())
+	return nil
 }
 
-// delayedDeliverEvent finishes decompression of an incoming payload.
-type delayedDeliverEvent struct {
-	sim.EventBase
-	deliver func(now sim.Time) error
-}
+// decompressed finishes decompression of the record's incoming payload: a
+// *WriteReq is forwarded into the local L2, and a *DataReady answers the
+// pending read parked in slot Arg of the decoding table.
+type decompressed struct{ e *Engine }
 
-// retryTimeoutEvent fires when a guarded request has waited long enough for
-// its response. The attempt number pins the event to one transmission: a
-// retransmission in the meantime (e.g. NACK-triggered) bumps the pending
-// entry's attempt count, turning the old timeout into a no-op.
-type retryTimeoutEvent struct {
-	sim.EventBase
-	id      uint64
-	attempt int
-	write   bool
-}
-
-// Handle implements sim.Handler.
-func (e *Engine) Handle(ev sim.Event) error {
-	switch evt := ev.(type) {
-	case *sim.TickEvent:
-		return e.tick(ev.Time())
-	case delayedSendEvent:
-		e.outQueue = append(e.outQueue, evt.msg)
-		e.drainOutQueue(ev.Time())
-		return nil
-	case delayedDeliverEvent:
-		return evt.deliver(ev.Time())
-	case retryTimeoutEvent:
-		return e.handleTimeout(ev.Time(), evt)
+func (r decompressed) Handle(ev *sim.Event) error {
+	switch wire := ev.Msg().(type) {
+	case *WriteReq:
+		return r.e.deliverWrite(ev.Time(), wire)
+	case *DataReady:
+		return r.e.deliverRead(ev.Time(), wire, r.e.decoding.Take(ev.Arg()))
 	default:
-		return fmt.Errorf("%s: unexpected event %T", e.Name(), ev)
+		return fmt.Errorf("%s: unexpected decompressed message %T", r.e.Name(), wire)
 	}
+}
+
+// retryTimeout fires when the guarded request whose wire message the record
+// carries has waited long enough for its response. The attempt number in
+// Arg pins the timeout to one transmission: a retransmission in the
+// meantime (e.g. NACK-triggered) bumps the pending entry's attempt count,
+// turning the old timeout into a no-op.
+type retryTimeout struct{ e *Engine }
+
+func (r retryTimeout) Handle(ev *sim.Event) error {
+	return r.e.handleTimeout(ev.Time(), ev.Msg(), ev.Arg())
 }
 
 func (e *Engine) tick(now sim.Time) error {
@@ -274,12 +276,11 @@ func (e *Engine) tick(now sim.Time) error {
 }
 
 func (e *Engine) drainOutQueue(now sim.Time) {
-	for len(e.outQueue) > 0 {
-		msg := e.outQueue[0]
-		if !e.ToFabric.Send(now, msg) {
+	for e.outQueue.Len() > 0 {
+		if !e.ToFabric.Send(now, e.outQueue.Peek()) {
 			return // fabric output buffer full; retry on NotifyPortFree
 		}
-		e.outQueue = e.outQueue[1:]
+		e.outQueue.Pop()
 	}
 }
 
@@ -297,9 +298,9 @@ func (e *Engine) handleLocal(now sim.Time, msg sim.Msg) error {
 		e.ReadsSent++
 		e.Rec.RemoteRead(e.GPU)
 		e.Rec.Header(ReadReqHeaderBytes)
-		e.outQueue = append(e.outQueue, wire)
+		e.outQueue.Push(wire)
 		e.drainOutQueue(now)
-		e.scheduleTimeout(now, wire.ID, 1, false)
+		e.scheduleTimeout(now, wire, 1)
 		return nil
 	case *mem.WriteReq:
 		owner := e.OwnerOf(req.Addr)
@@ -317,7 +318,7 @@ func (e *Engine) handleLocal(now sim.Time, msg sim.Msg) error {
 		e.Rec.RemoteWrite(e.GPU)
 		e.Rec.Header(WriteReqHeaderBytes)
 		e.scheduleSend(now, wire, d.CompressionCycles)
-		e.scheduleTimeout(now, wire.ID, 1, true)
+		e.scheduleTimeout(now, wire, 1)
 		return nil
 	default:
 		return fmt.Errorf("%s: unexpected local message %T", e.Name(), msg)
@@ -342,7 +343,7 @@ func (e *Engine) compress(data []byte) (Payload, core.Decision) {
 	if obs, ok := e.Policy.(core.CongestionObserver); ok {
 		// Feed the dynamic-λ extension its local congestion signal: the
 		// depth of this engine's fabric output queue.
-		obs.ObserveCongestion(len(e.outQueue))
+		obs.ObserveCongestion(e.outQueue.Len())
 	}
 	d := e.Policy.Process(data)
 	e.Rec.Payload(data, d)
@@ -355,14 +356,11 @@ func (e *Engine) compress(data []byte) (Payload, core.Decision) {
 // scheduleSend queues the wire message after the compression latency.
 func (e *Engine) scheduleSend(now sim.Time, msg sim.Msg, compressionCycles int) {
 	if compressionCycles <= 0 {
-		e.outQueue = append(e.outQueue, msg)
+		e.outQueue.Push(msg)
 		e.drainOutQueue(now)
 		return
 	}
-	e.part.Schedule(delayedSendEvent{
-		EventBase: sim.NewEventBase(now+sim.Time(compressionCycles), e),
-		msg:       msg,
-	})
+	e.part.Schedule(now+sim.Time(compressionCycles), delayedSend{e}, msg, 0)
 }
 
 // handleWire processes a message arriving from the fabric.
@@ -389,21 +387,11 @@ func (e *Engine) handleWire(now sim.Time, msg sim.Msg) error {
 		}
 		// Decompress (if needed), then forward the write into local L2.
 		e.WritesServed++
-		latency := decompressionCycles(wire.Payload.Alg)
-		deliver := func(now sim.Time) error {
-			data, err := wire.Payload.Decode()
-			if err != nil {
-				return fmt.Errorf("%s: write payload: %w", e.Name(), err)
-			}
-			local := mem.NewWriteReq(e.ToL2, e.L2Router(wire.Addr), wire.Addr, data)
-			e.part.AssignMsgID(local)
-			e.serviceWrites[local.ID] = wire
-			if !e.ToL2.Send(now, local) {
-				return fmt.Errorf("%s: L2 rejected forwarded write", e.Name())
-			}
+		if cycles := decompressionCycles(wire.Payload.Alg); cycles > 0 {
+			e.part.Schedule(now+sim.Time(cycles), decompressed{e}, wire, 0)
 			return nil
 		}
-		return e.afterDecompression(now, latency, deliver)
+		return e.deliverWrite(now, wire)
 	case *DataReady:
 		// Response to one of our outgoing reads.
 		pr, ok := e.pendingReads[wire.RspTo]
@@ -424,23 +412,12 @@ func (e *Engine) handleWire(now sim.Time, msg sim.Msg) error {
 			e.sendNACK(now, wire.Meta().Src, wire.RspTo, wire.Payload.Alg)
 			return e.retransmitRead(now, wire.RspTo)
 		}
-		orig := pr.req
 		delete(e.pendingReads, wire.RspTo)
-		latency := decompressionCycles(wire.Payload.Alg)
-		deliver := func(now sim.Time) error {
-			data, err := wire.Payload.Decode()
-			if err != nil {
-				return fmt.Errorf("%s: read payload: %w", e.Name(), err)
-			}
-			e.ReadLatency.Add(float64(now - pr.issued))
-			rsp := mem.NewDataReady(e.ToL1, orig.Src, orig.ID, orig.Addr, data)
-			e.part.AssignMsgID(rsp)
-			if !e.ToL1.Send(now, rsp) {
-				return fmt.Errorf("%s: L1 rejected response", e.Name())
-			}
+		if cycles := decompressionCycles(wire.Payload.Alg); cycles > 0 {
+			e.part.Schedule(now+sim.Time(cycles), decompressed{e}, wire, e.decoding.Put(pr))
 			return nil
 		}
-		return e.afterDecompression(now, latency, deliver)
+		return e.deliverRead(now, wire, pr)
 	case *WriteACK:
 		pw, ok := e.pendingWrites[wire.RspTo]
 		if !ok {
@@ -492,7 +469,7 @@ func (e *Engine) sendNACK(now sim.Time, dst *sim.Port, rspTo uint64, alg comp.Al
 	n.Bytes = NACKHeaderBytes
 	e.part.AssignMsgID(n)
 	e.NACKsSent++
-	e.outQueue = append(e.outQueue, n)
+	e.outQueue.Push(n)
 	e.drainOutQueue(now)
 }
 
@@ -503,9 +480,10 @@ func (e *Engine) observeIntegrity(ok bool) {
 	}
 }
 
-// scheduleTimeout arms the retransmit timer for transmission `attempt` of a
-// guarded request, with exponential backoff. No-op without a guard.
-func (e *Engine) scheduleTimeout(now sim.Time, id uint64, attempt int, write bool) {
+// scheduleTimeout arms the retransmit timer for transmission `attempt` of
+// the guarded request wire, with exponential backoff. No-op without a
+// guard.
+func (e *Engine) scheduleTimeout(now sim.Time, wire sim.Msg, attempt int) {
 	if e.Guard == nil {
 		return
 	}
@@ -513,35 +491,31 @@ func (e *Engine) scheduleTimeout(now sim.Time, id uint64, attempt int, write boo
 	if shift > 10 {
 		shift = 10 // backoff cap; MaxAttempts bounds attempts anyway
 	}
-	e.part.Schedule(retryTimeoutEvent{
-		EventBase: sim.NewEventBase(now+e.Guard.TimeoutCycles<<shift, e),
-		id:        id,
-		attempt:   attempt,
-		write:     write,
-	})
+	e.part.Schedule(now+e.Guard.TimeoutCycles<<shift, retryTimeout{e}, wire, attempt)
 }
 
 // handleTimeout retransmits a request whose response never arrived. A stale
 // timeout — the request completed, or a NACK already retransmitted it — is
 // a no-op.
-func (e *Engine) handleTimeout(now sim.Time, evt retryTimeoutEvent) error {
+func (e *Engine) handleTimeout(now sim.Time, wire sim.Msg, attempt int) error {
 	if e.Guard == nil {
 		return nil
 	}
-	if evt.write {
-		pw, ok := e.pendingWrites[evt.id]
-		if !ok || pw.attempts != evt.attempt {
+	id := wire.Meta().ID
+	if _, write := wire.(*WriteReq); write {
+		pw, ok := e.pendingWrites[id]
+		if !ok || pw.attempts != attempt {
 			return nil
 		}
 		e.TimeoutsFired++
-		return e.retransmitWrite(now, evt.id, pw)
+		return e.retransmitWrite(now, id, pw)
 	}
-	pr, ok := e.pendingReads[evt.id]
-	if !ok || pr.attempts != evt.attempt {
+	pr, ok := e.pendingReads[id]
+	if !ok || pr.attempts != attempt {
 		return nil
 	}
 	e.TimeoutsFired++
-	return e.retransmitRead(now, evt.id)
+	return e.retransmitRead(now, id)
 }
 
 // retransmitRead re-sends the wire ReadReq for a still-pending read.
@@ -557,9 +531,9 @@ func (e *Engine) retransmitRead(now sim.Time, id uint64) error {
 	pr.attempts++
 	e.Retries++
 	e.recordRetrySpan(now, "retry:read", pr.wire.Addr, pr.attempts)
-	e.outQueue = append(e.outQueue, pr.wire)
+	e.outQueue.Push(pr.wire)
 	e.drainOutQueue(now)
-	e.scheduleTimeout(now, id, pr.attempts, false)
+	e.scheduleTimeout(now, pr.wire, pr.attempts)
 	return nil
 }
 
@@ -574,9 +548,9 @@ func (e *Engine) retransmitWrite(now sim.Time, id uint64, pw *pendingWrite) erro
 	pw.attempts++
 	e.Retries++
 	e.recordRetrySpan(now, "retry:write", pw.wire.Addr, pw.attempts)
-	e.outQueue = append(e.outQueue, pw.wire)
+	e.outQueue.Push(pw.wire)
 	e.drainOutQueue(now)
-	e.scheduleTimeout(now, id, pw.attempts, true)
+	e.scheduleTimeout(now, pw.wire, pw.attempts)
 	return nil
 }
 
@@ -591,14 +565,36 @@ func (e *Engine) recordRetrySpan(now sim.Time, name string, addr uint64, attempt
 	})
 }
 
-func (e *Engine) afterDecompression(now sim.Time, cycles int, deliver func(sim.Time) error) error {
-	if cycles <= 0 {
-		return deliver(now)
+// deliverWrite decodes an incoming write payload and forwards the write
+// into the local L2.
+func (e *Engine) deliverWrite(now sim.Time, wire *WriteReq) error {
+	data, err := wire.Payload.Decode()
+	if err != nil {
+		return fmt.Errorf("%s: write payload: %w", e.Name(), err)
 	}
-	e.part.Schedule(delayedDeliverEvent{
-		EventBase: sim.NewEventBase(now+sim.Time(cycles), e),
-		deliver:   deliver,
-	})
+	local := mem.NewWriteReq(e.ToL2, e.L2Router(wire.Addr), wire.Addr, data)
+	e.part.AssignMsgID(local)
+	e.serviceWrites[local.ID] = wire
+	if !e.ToL2.Send(now, local) {
+		return fmt.Errorf("%s: L2 rejected forwarded write", e.Name())
+	}
+	return nil
+}
+
+// deliverRead decodes the response to the pending read pr and returns the
+// data to the requesting L1.
+func (e *Engine) deliverRead(now sim.Time, wire *DataReady, pr *pendingRead) error {
+	data, err := wire.Payload.Decode()
+	if err != nil {
+		return fmt.Errorf("%s: read payload: %w", e.Name(), err)
+	}
+	e.ReadLatency.Add(float64(now - pr.issued))
+	orig := pr.req
+	rsp := mem.NewDataReady(e.ToL1, orig.Src, orig.ID, orig.Addr, data)
+	e.part.AssignMsgID(rsp)
+	if !e.ToL1.Send(now, rsp) {
+		return fmt.Errorf("%s: L1 rejected response", e.Name())
+	}
 	return nil
 }
 
@@ -639,7 +635,7 @@ func (e *Engine) handleL2Response(now sim.Time, msg sim.Msg) error {
 		out.Bytes = WriteACKHeaderBytes
 		e.part.AssignMsgID(out)
 		e.Rec.Header(WriteACKHeaderBytes)
-		e.outQueue = append(e.outQueue, out)
+		e.outQueue.Push(out)
 		e.drainOutQueue(now)
 		return nil
 	default:

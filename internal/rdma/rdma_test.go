@@ -33,7 +33,7 @@ func newL1Stub(name string) *l1stub {
 	return s
 }
 
-func (s *l1stub) Handle(sim.Event) error { return nil }
+func (s *l1stub) Handle(*sim.Event) error { return nil }
 
 func (s *l1stub) NotifyRecv(now sim.Time, p *sim.Port) {
 	for {

@@ -28,15 +28,6 @@ func NewComponentBase(name string) ComponentBase {
 // Name returns the component name.
 func (c *ComponentBase) Name() string { return c.name }
 
-// TickEvent asks a ticking component to make progress at a certain cycle.
-// Ticks dispatched through Partition.ScheduleTick arrive as a *TickEvent
-// that the partition reuses across dispatches; handlers must read what they
-// need
-// (typically just Time) during Handle and not retain the pointer.
-type TickEvent struct {
-	EventBase
-}
-
 // Ticker schedules ticks for a component, coalescing duplicate requests so
 // each component runs at most once per cycle. Embed one per component and
 // call TickLater whenever there may be work to do.
@@ -74,8 +65,8 @@ func (t *Ticker) TickAt(when Time) {
 	t.hasAsked = true
 	t.nextAsked = when
 	// tickerTrampoline is a single-pointer struct, so converting it to
-	// Handler is a direct interface — together with ScheduleTick's reusable
-	// event this makes a tick request allocation-free.
+	// Handler is a direct interface — together with the partition's reused
+	// Event this makes a tick request allocation-free.
 	t.Part.ScheduleTick(when, tickerTrampoline{t})
 }
 
@@ -84,7 +75,7 @@ func (t *Ticker) TickAt(when Time) {
 // the handler can request the next tick from inside Handle.
 type tickerTrampoline struct{ t *Ticker }
 
-func (tt tickerTrampoline) Handle(e Event) error {
+func (tt tickerTrampoline) Handle(e *Event) error {
 	if !tt.t.hasAsked || tt.t.nextAsked != e.Time() {
 		return nil // superseded or duplicate request; the live one handles it
 	}

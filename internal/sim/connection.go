@@ -24,24 +24,24 @@ type Connection interface {
 	Partition() *Partition
 }
 
-// deliverEvent delivers a message into its destination port at a scheduled
-// time, used by DirectConnection.
-type deliverEvent struct {
-	EventBase
-	msg Msg
-}
-
+// directDeliverer lands a message sent over c once the latency has elapsed;
+// the record carries the message.
 type directDeliverer struct{ c *DirectConnection }
 
-func (d directDeliverer) Handle(e Event) error {
-	evt := e.(deliverEvent)
-	dst := evt.msg.Meta().Dst
-	if !dst.CanAccept(evt.msg.Meta().Bytes) {
+func (d directDeliverer) Handle(e *Event) error {
+	m := e.Msg()
+	dst := m.Meta().Dst
+	if !dst.CanAccept(m.Meta().Bytes) {
 		// Destination full: park the message; resume on NotifyBufferFree.
-		d.c.parked[dst] = append(d.c.parked[dst], evt.msg)
+		q := d.c.parked[dst]
+		if q == nil {
+			q = new(FIFO[Msg])
+			d.c.parked[dst] = q
+		}
+		q.Push(m)
 		return nil
 	}
-	dst.Deliver(d.c.part.Now(), evt.msg)
+	dst.Deliver(e.Time(), m)
 	return nil
 }
 
@@ -53,7 +53,7 @@ type DirectConnection struct {
 	part    *Partition
 	latency Time
 	ports   map[*Port]bool
-	parked  map[*Port][]Msg
+	parked  map[*Port]*FIFO[Msg] // created on a port's first park, then reused
 }
 
 // NewDirectConnection creates a direct connection on partition p with the
@@ -64,7 +64,7 @@ func NewDirectConnection(name string, p *Partition, latency Time) *DirectConnect
 		part:    p,
 		latency: latency,
 		ports:   make(map[*Port]bool),
-		parked:  make(map[*Port][]Msg),
+		parked:  make(map[*Port]*FIFO[Msg]),
 	}
 }
 
@@ -80,10 +80,16 @@ func (c *DirectConnection) Partition() *Partition { return c.part }
 // Latency returns the connection's fixed one-way latency.
 func (c *DirectConnection) Latency() Time { return c.latency }
 
-// Send schedules delivery after the connection latency. A DirectConnection
-// never rejects a send; back-pressure is applied at the destination buffer
-// (messages park until space frees).
+// Send schedules delivery after the connection latency, as one record that
+// carries the message. A DirectConnection never rejects a send;
+// back-pressure is applied at the destination buffer (messages park until
+// space frees). Deliveries keep send order because the latency is fixed and
+// send times never run behind the partition clock, which only moves
+// forward; a send stamped before the clock panics.
 func (c *DirectConnection) Send(now Time, m Msg) bool {
+	if now < c.part.now {
+		panic(fmt.Sprintf("sim: %s: send at %d is before the partition clock %d", c.name, now, c.part.now))
+	}
 	dst := m.Meta().Dst
 	if dst == nil {
 		panic(fmt.Sprintf("sim: %s: message %d has no destination", c.name, m.Meta().ID))
@@ -92,28 +98,24 @@ func (c *DirectConnection) Send(now Time, m Msg) bool {
 		panic(fmt.Sprintf("sim: %s: destination port %s is not plugged in", c.name, dst.Name()))
 	}
 	m.Meta().SendTime = now
-	c.part.Schedule(deliverEvent{
-		EventBase: NewEventBase(now+c.latency, directDeliverer{c}),
-		msg:       m,
-	})
+	c.part.Schedule(now+c.latency, directDeliverer{c}, m, 0)
 	return true
 }
 
 // NotifyBufferFree drains parked messages for the port in FIFO order. The
-// parked map is re-read every iteration because Deliver can re-enter this
-// method via the receiving component.
+// queue's length and head are re-read every iteration because Deliver can
+// re-enter this method via the receiving component.
 func (c *DirectConnection) NotifyBufferFree(now Time, port *Port) {
-	for {
-		queue := c.parked[port]
-		if len(queue) == 0 {
-			delete(c.parked, port)
-			return
-		}
-		m := queue[0]
+	q := c.parked[port]
+	if q == nil {
+		return
+	}
+	for q.Len() > 0 {
+		m := q.Peek()
 		if !port.CanAccept(m.Meta().Bytes) {
 			return
 		}
-		c.parked[port] = queue[1:]
+		q.Pop()
 		port.Deliver(now, m)
 	}
 }

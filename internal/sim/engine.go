@@ -49,85 +49,96 @@ type Time uint64
 // TimeInf is a sentinel for "never".
 const TimeInf Time = math.MaxUint64
 
-// Event is something that happens at a point in simulated time. Events are
-// totally ordered by (time, secondary ID) so simulation runs are
-// deterministic regardless of scheduling order.
-type Event interface {
-	// Time returns when the event happens.
-	Time() Time
-	// Handler returns the handler that should process the event.
-	Handler() Handler
-}
-
-// Handler processes events.
-type Handler interface {
-	Handle(e Event) error
-}
-
-// EventBase provides a canonical Event implementation to embed in concrete
-// event types.
-type EventBase struct {
-	EvtTime    Time
-	EvtHandler Handler
-}
-
-// NewEventBase builds an EventBase for the given time and handler.
-func NewEventBase(t Time, h Handler) EventBase {
-	return EventBase{EvtTime: t, EvtHandler: h}
+// Event is the value a partition hands to a handler when a queued record
+// comes due: its time plus the record's message and integer payloads. Each
+// partition reuses one Event across dispatches, so handlers read what they
+// need during Handle and must not retain the pointer.
+type Event struct {
+	time Time
+	msg  Msg
+	arg  int
 }
 
 // Time returns when the event happens.
-func (e EventBase) Time() Time { return e.EvtTime }
+func (e *Event) Time() Time { return e.time }
 
-// Handler returns the handler that processes the event.
-func (e EventBase) Handler() Handler { return e.EvtHandler }
+// Msg returns the record's message payload (nil for ticks).
+func (e *Event) Msg() Msg { return e.msg }
 
-// queuedEvent is one pending entry. The time is cached so ordering never
-// calls through the Event interface, and lightweight ticks scheduled with
-// ScheduleTick carry only a Handler (evt is nil), avoiding the interface
-// boxing allocation that scheduling a concrete event value would cost.
-type queuedEvent struct {
-	time Time
-	seq  uint64 // tie-breaker for determinism
-	evt  Event  // nil for lightweight ticks
-	h    Handler
+// Arg returns the record's integer payload (0 for ticks).
+func (e *Event) Arg() int { return e.arg }
+
+// Handler processes events. A component with several kinds of scheduled
+// work tells them apart by handler: besides its own Handle (conventionally
+// its tick), it schedules single-pointer trampoline types such as
+// tickerTrampoline, which convert to a Handler without allocating.
+type Handler interface {
+	Handle(e *Event) error
 }
 
-func (q queuedEvent) less(o queuedEvent) bool {
+// record is one unit of scheduled work: the handler to run and the payloads
+// its Event will carry. Records live in a partition's slab; the heap orders
+// keys that point into it.
+type record struct {
+	h   Handler
+	msg Msg
+	arg int
+}
+
+// queueKey is one heap entry: the (time, seq) total-order key and the slab
+// slot of its record. It holds no pointers, so heap moves are plain 24-byte
+// copies with no write barriers and nothing for the garbage collector to
+// scan.
+type queueKey struct {
+	time Time
+	seq  uint64 // tie-breaker for determinism
+	slot int
+}
+
+func (q queueKey) less(o queueKey) bool {
 	if q.time != o.time {
 		return q.time < o.time
 	}
 	return q.seq < o.seq
 }
 
-// eventQueue is a hand-rolled 4-ary min-heap over queuedEvent. Compared to
-// container/heap it is monomorphic (no `any` boxing, no interface-method
-// dispatch per comparison) and shallower (4 children per node), which
-// matters because every simulated event passes through it. The order is the
-// same (time, seq) total order the binary heap used, so runs stay
-// deterministic.
-type eventQueue []queuedEvent
+// eventQueue is a partition's pending work: a hand-rolled 4-ary min-heap of
+// pointer-free keys over a Slab of records. Compared to container/heap it is monomorphic (no
+// `any` boxing, no interface-method dispatch per comparison) and shallower
+// (4 children per node), which matters because every simulated event passes
+// through it. The slab and heap grow on demand and are reused, so once a
+// partition has seen its peak depth, push and pop allocate nothing.
+type eventQueue struct {
+	keys []queueKey
+	recs Slab[record]
+}
 
-func (q *eventQueue) push(qe queuedEvent) {
-	h := append(*q, qe)
+// len returns the number of pending records.
+func (q *eventQueue) len() int { return len(q.keys) }
+
+// push stores r in the slab and sifts its key into the heap.
+func (q *eventQueue) push(t Time, seq uint64, r record) {
+	k := queueKey{time: t, seq: seq, slot: q.recs.Put(r)}
+	h := append(q.keys, k)
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 4
-		if !qe.less(h[p]) {
+		if !k.less(h[p]) {
 			break
 		}
 		h[i] = h[p]
 		i = p
 	}
-	h[i] = qe
-	*q = h
+	h[i] = k
+	q.keys = h
 }
 
-func (q *eventQueue) pop() queuedEvent {
-	h := *q
+// pop removes the minimum key and returns it with its record, whose slab
+// slot is zeroed (releasing the handler and message) and recycled.
+func (q *eventQueue) pop() (queueKey, record) {
+	h := q.keys
 	top := h[0]
 	last := h[len(h)-1]
-	h[len(h)-1] = queuedEvent{} // release the Event/Handler references
 	h = h[:len(h)-1]
 	n := len(h)
 	if n > 0 {
@@ -155,8 +166,8 @@ func (q *eventQueue) pop() queuedEvent {
 		}
 		h[i] = last
 	}
-	*q = h
-	return top
+	q.keys = h
+	return top, q.recs.Take(top.slot)
 }
 
 // Option configures an Engine at construction.
@@ -283,7 +294,7 @@ func (e *Engine) EventCount() uint64 {
 func (e *Engine) Pending() int {
 	n := 0
 	for _, p := range e.parts {
-		n += len(p.queue)
+		n += p.queue.len()
 	}
 	return n
 }
@@ -406,8 +417,8 @@ func (e *Engine) RunUntil(t Time) error {
 func (e *Engine) nextWindow() (Time, bool) {
 	t := TimeInf
 	for _, p := range e.parts {
-		if len(p.queue) > 0 && p.queue[0].time < t {
-			t = p.queue[0].time
+		if p.queue.len() > 0 && p.queue.keys[0].time < t {
+			t = p.queue.keys[0].time
 		}
 	}
 	if t == TimeInf || t > e.maxTime {
@@ -419,10 +430,10 @@ func (e *Engine) nextWindow() (Time, bool) {
 	} else {
 		limit = TimeInf
 		for _, r := range e.cross {
-			if len(r.src.queue) == 0 {
+			if r.src.queue.len() == 0 {
 				continue
 			}
-			b := satAdd(r.src.queue[0].time, r.latency)
+			b := satAdd(r.src.queue.keys[0].time, r.latency)
 			if r.nextSend > b {
 				b = r.nextSend
 			}
@@ -448,7 +459,7 @@ func (e *Engine) nextWindow() (Time, bool) {
 func (e *Engine) runWindow(limit Time) {
 	e.jobs = e.jobs[:0]
 	for _, p := range e.parts {
-		if len(p.queue) > 0 && p.queue[0].time < limit {
+		if p.queue.len() > 0 && p.queue.keys[0].time < limit {
 			e.jobs = append(e.jobs, p)
 		}
 	}
@@ -483,10 +494,10 @@ func (e *Engine) runWindow(limit Time) {
 func (e *Engine) wideLimit(p *Partition, limit Time) Time {
 	w := TimeInf
 	for _, r := range e.cross {
-		if r.src == p || len(r.src.queue) == 0 {
+		if r.src == p || r.src.queue.len() == 0 {
 			continue
 		}
-		b := satAdd(r.src.queue[0].time, r.latency)
+		b := satAdd(r.src.queue.keys[0].time, r.latency)
 		if r.nextSend > b {
 			b = r.nextSend
 		}

@@ -23,9 +23,16 @@ func TestEngineDispatchTotalOrderRandomized(t *testing.T) {
 		schedule = func(at Time, depth int) {
 			id := len(times)
 			times = append(times, at)
-			h := handlerFunc(func(ev Event) error {
+			arg := 0 // ticks carry no payload; other records carry their id
+			if rng.Intn(2) == 1 {
+				arg = id
+			}
+			h := handlerFunc(func(ev *Event) error {
 				if ev.Time() != at {
 					t.Fatalf("event %d dispatched with time %d, scheduled at %d", id, ev.Time(), at)
+				}
+				if ev.Arg() != arg {
+					t.Fatalf("event %d dispatched with arg %d, want %d", id, ev.Arg(), arg)
 				}
 				fired = append(fired, id)
 				// Re-entrant scheduling: handlers may queue further work at
@@ -37,10 +44,10 @@ func TestEngineDispatchTotalOrderRandomized(t *testing.T) {
 				}
 				return nil
 			})
-			if rng.Intn(2) == 0 {
+			if arg == 0 {
 				p.ScheduleTick(at, h)
 			} else {
-				p.Schedule(TickEvent{EventBase: NewEventBase(at, h)})
+				p.Schedule(at, h, nil, arg)
 			}
 		}
 		for i := 0; i < 200; i++ {

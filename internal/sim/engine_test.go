@@ -12,7 +12,7 @@ type recordingHandler struct {
 	err   error
 }
 
-func (h *recordingHandler) Handle(e Event) error {
+func (h *recordingHandler) Handle(e *Event) error {
 	h.times = append(h.times, e.Time())
 	return h.err
 }
@@ -22,7 +22,7 @@ func TestEngineRunsEventsInTimeOrder(t *testing.T) {
 	p := e.Partition(0)
 	h := &recordingHandler{}
 	for _, tm := range []Time{5, 1, 9, 3, 3, 7, 0} {
-		p.Schedule(TickEvent{EventBase: NewEventBase(tm, h)})
+		p.ScheduleTick(tm, h)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -46,13 +46,13 @@ func TestEngineSameTimeEventsKeepScheduleOrder(t *testing.T) {
 	p := e.Partition(0)
 	var order []int
 	mk := func(id int) Handler {
-		return handlerFunc(func(Event) error {
+		return handlerFunc(func(*Event) error {
 			order = append(order, id)
 			return nil
 		})
 	}
 	for i := 0; i < 10; i++ {
-		p.Schedule(TickEvent{EventBase: NewEventBase(4, mk(i))})
+		p.ScheduleTick(4, mk(i))
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -64,15 +64,15 @@ func TestEngineSameTimeEventsKeepScheduleOrder(t *testing.T) {
 	}
 }
 
-type handlerFunc func(Event) error
+type handlerFunc func(*Event) error
 
-func (f handlerFunc) Handle(e Event) error { return f(e) }
+func (f handlerFunc) Handle(e *Event) error { return f(e) }
 
 func TestEngineSchedulingInPastPanics(t *testing.T) {
 	e := NewEngine()
 	p := e.Partition(0)
 	h := &recordingHandler{}
-	p.Schedule(TickEvent{EventBase: NewEventBase(10, h)})
+	p.ScheduleTick(10, h)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -81,14 +81,14 @@ func TestEngineSchedulingInPastPanics(t *testing.T) {
 			t.Error("scheduling in the past did not panic")
 		}
 	}()
-	p.Schedule(TickEvent{EventBase: NewEventBase(5, h)})
+	p.ScheduleTick(5, h)
 }
 
 func TestEnginePropagatesHandlerError(t *testing.T) {
 	e := NewEngine()
 	p := e.Partition(0)
 	h := &recordingHandler{err: errors.New("boom")}
-	p.Schedule(TickEvent{EventBase: NewEventBase(1, h)})
+	p.ScheduleTick(1, h)
 	if err := e.Run(); err == nil {
 		t.Error("Run did not propagate handler error")
 	}
@@ -98,13 +98,13 @@ func TestEnginePauseStopsDispatch(t *testing.T) {
 	e := NewEngine()
 	p := e.Partition(0)
 	var count int
-	h := handlerFunc(func(Event) error {
+	h := handlerFunc(func(*Event) error {
 		count++
 		p.Pause()
 		return nil
 	})
-	p.Schedule(TickEvent{EventBase: NewEventBase(1, h)})
-	p.Schedule(TickEvent{EventBase: NewEventBase(2, h)})
+	p.ScheduleTick(1, h)
+	p.ScheduleTick(2, h)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestEngineRunUntilLeavesFutureEvents(t *testing.T) {
 	p := e.Partition(0)
 	h := &recordingHandler{}
 	for _, tm := range []Time{1, 5, 10, 15} {
-		p.Schedule(TickEvent{EventBase: NewEventBase(tm, h)})
+		p.ScheduleTick(tm, h)
 	}
 	if err := e.RunUntil(10); err != nil {
 		t.Fatal(err)
@@ -151,7 +151,7 @@ func TestEngineOrderingProperty(t *testing.T) {
 		p := e.Partition(0)
 		h := &recordingHandler{}
 		for _, r := range raw {
-			p.Schedule(TickEvent{EventBase: NewEventBase(Time(r), h)})
+			p.ScheduleTick(Time(r), h)
 		}
 		if err := e.Run(); err != nil {
 			return false
@@ -176,7 +176,7 @@ func TestTickerCoalescesDuplicateRequests(t *testing.T) {
 	p := e.Partition(0)
 	var ticks []Time
 	var tk *Ticker
-	tk = NewTicker(p, handlerFunc(func(ev Event) error {
+	tk = NewTicker(p, handlerFunc(func(ev *Event) error {
 		ticks = append(ticks, ev.Time())
 		return nil
 	}))
@@ -195,7 +195,7 @@ func TestTickerEarlierRequestSupersedesLater(t *testing.T) {
 	e := NewEngine()
 	p := e.Partition(0)
 	var ticks []Time
-	tk := NewTicker(p, handlerFunc(func(ev Event) error {
+	tk := NewTicker(p, handlerFunc(func(ev *Event) error {
 		ticks = append(ticks, ev.Time())
 		return nil
 	}))
@@ -214,7 +214,7 @@ func TestTickerRescheduleFromHandler(t *testing.T) {
 	p := e.Partition(0)
 	var ticks []Time
 	var tk *Ticker
-	tk = NewTicker(p, handlerFunc(func(ev Event) error {
+	tk = NewTicker(p, handlerFunc(func(ev *Event) error {
 		ticks = append(ticks, ev.Time())
 		if len(ticks) < 5 {
 			tk.TickLater(ev.Time())
@@ -245,7 +245,7 @@ func TestTickerNeverDoubleFiresProperty(t *testing.T) {
 		p := e.Partition(0)
 		fired := map[Time]int{}
 		var tk *Ticker
-		tk = NewTicker(p, handlerFunc(func(ev Event) error {
+		tk = NewTicker(p, handlerFunc(func(ev *Event) error {
 			fired[ev.Time()]++
 			if rng.Intn(2) == 0 {
 				tk.TickAt(ev.Time() + Time(rng.Intn(5)+1))
@@ -274,10 +274,10 @@ func TestTickerNeverDoubleFiresProperty(t *testing.T) {
 func BenchmarkEngineThroughput(b *testing.B) {
 	e := NewEngine()
 	p := e.Partition(0)
-	h := handlerFunc(func(Event) error { return nil })
+	h := handlerFunc(func(*Event) error { return nil })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Schedule(TickEvent{EventBase: NewEventBase(e.Now()+Time(i%64), h)})
+		p.Schedule(e.Now()+Time(i%64), h, nil, i)
 		if i%1024 == 1023 {
 			if err := e.Run(); err != nil {
 				b.Fatal(err)

@@ -29,9 +29,9 @@ type Partition struct {
 	errTime Time
 	errSeq  uint64
 
-	// tick is reused across ScheduleTick dispatches so handling a
-	// lightweight tick allocates nothing.
-	tick TickEvent
+	// ev is the Event every dispatch hands to its handler, reused so
+	// dispatch allocates nothing.
+	ev Event
 
 	// Window-scheduling state. curLimit is the exclusive bound the current
 	// window dispatches under; in a lone-partition dynamic window (dynamic
@@ -51,7 +51,7 @@ func (p *Partition) Index() int { return p.idx }
 func (p *Partition) Now() Time { return p.now }
 
 // Pending returns the number of events waiting in this partition's queue.
-func (p *Partition) Pending() int { return len(p.queue) }
+func (p *Partition) Pending() int { return p.queue.len() }
 
 // nextSeq assigns the next partition-striped sequence number.
 func (p *Partition) nextSeq() uint64 {
@@ -59,42 +59,43 @@ func (p *Partition) nextSeq() uint64 {
 	return p.localSeq*uint64(len(p.eng.parts)) + uint64(p.idx)
 }
 
-// enqueue is the single entry point into the queue: past-check, sequence
-// assignment, accounting, push.
-func (p *Partition) enqueue(t Time, evt Event, h Handler) {
+// enqueue is the single local entry point into the queue: past-check,
+// sequence assignment, accounting, push.
+func (p *Partition) enqueue(t Time, r record) {
 	if t < p.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, p.now))
 	}
 	p.scheduled++
-	p.queue.push(queuedEvent{time: t, seq: p.nextSeq(), evt: evt, h: h})
+	p.queue.push(t, p.nextSeq(), r)
 }
 
-// enqueueStamped queues a cross-partition event whose sequence number was
+// enqueueStamped queues a cross-partition record whose sequence number was
 // assigned by the emitting partition. Striped numbering keeps foreign stamps
 // disjoint from local ones, and because the stamp is fixed at emission time,
 // the (time, seq) order — and therefore every run's behaviour — is
 // independent of window placement.
-func (p *Partition) enqueueStamped(t Time, seq uint64, evt Event) {
+func (p *Partition) enqueueStamped(t Time, seq uint64, r record) {
 	if t < p.now {
 		panic(fmt.Sprintf("sim: merging remote event at %d before now %d", t, p.now))
 	}
 	p.scheduled++
-	p.queue.push(queuedEvent{time: t, seq: seq, evt: evt})
+	p.queue.push(t, seq, r)
 }
 
-// Schedule adds an event to this partition's queue. It panics if the event
-// is in the partition's past. Events at the same timestamp run in the order
-// they were scheduled.
-func (p *Partition) Schedule(evt Event) {
-	p.enqueue(evt.Time(), evt, evt.Handler())
+// Schedule queues a record for h at time t carrying msg and arg, which the
+// dispatched Event returns from Msg and Arg. It panics if t is in the
+// partition's past. Records at the same timestamp run in the order they
+// were scheduled. Scheduling allocates nothing once the partition's queue
+// has reached its peak depth, provided h converts to a Handler without
+// allocating (a pointer, or a single-pointer struct).
+func (p *Partition) Schedule(t Time, h Handler, msg Msg, arg int) {
+	p.enqueue(t, record{h: h, msg: msg, arg: arg})
 }
 
-// ScheduleTick queues a lightweight tick for h at time t without allocating:
-// only the handler is stored, and dispatch reuses a per-partition TickEvent.
-// Ticks share the sequence space with Schedule, so the FIFO-at-equal-time
-// guarantee holds across both.
+// ScheduleTick queues a payload-less record for h at time t: Schedule with
+// no message and a zero argument.
 func (p *Partition) ScheduleTick(t Time, h Handler) {
-	p.enqueue(t, nil, h)
+	p.enqueue(t, record{h: h})
 }
 
 // AssignMsgID gives the message an ID unique within this engine's run.
@@ -123,22 +124,15 @@ func (p *Partition) Pause() { p.stopped = true }
 // of the other partitions conservative.
 func (p *Partition) window(limit Time) {
 	p.curLimit = limit
-	for len(p.queue) > 0 && !p.stopped {
-		if p.queue[0].time >= p.curLimit {
+	for p.queue.len() > 0 && !p.stopped {
+		if p.queue.keys[0].time >= p.curLimit {
 			return
 		}
-		next := p.queue.pop()
+		next, r := p.queue.pop()
 		p.now = next.time
 		p.handled++
-
-		var err error
-		if next.evt != nil {
-			err = next.evt.Handler().Handle(next.evt)
-		} else {
-			p.tick = TickEvent{NewEventBase(next.time, next.h)}
-			err = next.h.Handle(&p.tick)
-		}
-		if err != nil {
+		p.ev = Event{time: next.time, msg: r.msg, arg: r.arg}
+		if err := r.h.Handle(&p.ev); err != nil {
 			p.err = fmt.Errorf("sim: event at %d: %w", next.time, err)
 			p.errTime = next.time
 			p.errSeq = next.seq

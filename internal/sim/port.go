@@ -12,7 +12,7 @@ type Port struct {
 	conn      Connection
 	capBytes  int
 	usedBytes int
-	buf       []Msg
+	buf       FIFO[Msg]
 }
 
 // NewPort creates a port owned by comp with an incoming buffer of capBytes.
@@ -55,27 +55,21 @@ func (p *Port) Deliver(now Time, m Msg) {
 	}
 	m.Meta().RecvTime = now
 	p.usedBytes += n
-	p.buf = append(p.buf, m)
+	p.buf.Push(m)
 	p.comp.NotifyRecv(now, p)
 }
 
 // Peek returns the oldest buffered message without removing it, or nil.
-func (p *Port) Peek() Msg {
-	if len(p.buf) == 0 {
-		return nil
-	}
-	return p.buf[0]
-}
+func (p *Port) Peek() Msg { return p.buf.Peek() }
 
 // Retrieve removes and returns the oldest buffered message, or nil. When
 // space frees up, the attached connection is notified so stalled senders
 // can resume.
 func (p *Port) Retrieve(now Time) Msg {
-	if len(p.buf) == 0 {
+	if p.buf.Len() == 0 {
 		return nil
 	}
-	m := p.buf[0]
-	p.buf = p.buf[1:]
+	m := p.buf.Pop()
 	p.usedBytes -= m.Meta().Bytes
 	if p.conn != nil {
 		p.conn.NotifyBufferFree(now, p)
@@ -103,7 +97,7 @@ func (p *Port) Send(now Time, m Msg) bool {
 }
 
 // Buffered returns the number of messages waiting in the port.
-func (p *Port) Buffered() int { return len(p.buf) }
+func (p *Port) Buffered() int { return p.buf.Len() }
 
 // UsedBytes returns the occupied buffer bytes.
 func (p *Port) UsedBytes() int { return p.usedBytes }

@@ -15,7 +15,7 @@ type stubComponent struct {
 	portFreeNotified int
 }
 
-func (c *stubComponent) Handle(Event) error         { return nil }
+func (c *stubComponent) Handle(*Event) error        { return nil }
 func (c *stubComponent) NotifyRecv(Time, *Port)     { c.recvNotified++ }
 func (c *stubComponent) NotifyPortFree(Time, *Port) { c.portFreeNotified++ }
 
@@ -166,4 +166,88 @@ func TestDirectConnectionUnpluggedDestinationPanics(t *testing.T) {
 		}
 	}()
 	srcPort.Send(0, &testMsg{MsgMeta: MsgMeta{Dst: dstPort, Bytes: 1}})
+}
+
+// eagerSink records payloads in arrival order (its port holds one message,
+// so the head is the arrival); once drain is set it retrieves each arrival
+// from inside NotifyRecv, re-entering the connection's NotifyBufferFree from
+// within a delivery.
+type eagerSink struct {
+	ComponentBase
+	drain bool
+	got   []int
+}
+
+func (c *eagerSink) Handle(*Event) error        { return nil }
+func (c *eagerSink) NotifyPortFree(Time, *Port) {}
+func (c *eagerSink) NotifyRecv(now Time, p *Port) {
+	c.got = append(c.got, p.Peek().(*testMsg).payload)
+	if c.drain {
+		p.Retrieve(now)
+	}
+}
+
+// TestDirectConnectionReentrantResumeKeepsFIFO: parked deliveries resume in
+// send order even when each resumed delivery drains the port re-entrantly.
+func TestDirectConnectionReentrantResumeKeepsFIFO(t *testing.T) {
+	e := NewEngine()
+	src := newStubComponent("src")
+	dst := &eagerSink{ComponentBase: NewComponentBase("dst")}
+	srcPort := NewPort(src, "src.out", 0)
+	dstPort := NewPort(dst, "dst.in", 64) // room for exactly one message
+	conn := NewDirectConnection("link", e.Partition(0), 2)
+	conn.Plug(srcPort)
+	conn.Plug(dstPort)
+
+	const n = 6
+	for i := 0; i < n; i++ {
+		srcPort.Send(0, &testMsg{MsgMeta: MsgMeta{Dst: dstPort, Bytes: 64}, payload: i})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if dstPort.Buffered() != 1 || conn.parked[dstPort].Len() != n-1 {
+		t.Fatalf("buffered %d, parked %d; want 1 and %d", dstPort.Buffered(), conn.parked[dstPort].Len(), n-1)
+	}
+	dst.drain = true
+	dstPort.Retrieve(e.Now())
+	if len(dst.got) != n {
+		t.Fatalf("received %v, want all %d messages", dst.got, n)
+	}
+	for i, p := range dst.got {
+		if p != i {
+			t.Fatalf("received %v, want send order", dst.got)
+		}
+	}
+	if conn.parked[dstPort].Len() != 0 || dstPort.Buffered() != 0 {
+		t.Fatal("messages left behind after the re-entrant drain")
+	}
+}
+
+// TestDirectConnectionSendBeforeClockPanics: a send stamped before the
+// partition clock would let its delivery overtake earlier sends, so it
+// panics.
+func TestDirectConnectionSendBeforeClockPanics(t *testing.T) {
+	e := NewEngine()
+	p := e.Partition(0)
+	src := newStubComponent("src")
+	dst := newStubComponent("dst")
+	srcPort := NewPort(src, "src.out", 0)
+	dstPort := NewPort(dst, "dst.in", 0)
+	conn := NewDirectConnection("link", p, 4)
+	conn.Plug(srcPort)
+	conn.Plug(dstPort)
+	p.ScheduleTick(10, handlerFunc(func(ev *Event) error {
+		srcPort.Send(ev.Time(), &testMsg{MsgMeta: MsgMeta{Dst: dstPort, Bytes: 1}})
+		return nil
+	}))
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a send stamped before the partition clock did not panic")
+		}
+	}()
+	srcPort.Send(9, &testMsg{MsgMeta: MsgMeta{Dst: dstPort, Bytes: 1}})
 }

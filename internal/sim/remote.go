@@ -1,7 +1,7 @@
 package sim
 
 // Remote is a scheduling channel between two partitions, created with
-// Engine.Link. Events cross it stamped with a sequence number from the
+// Engine.Link. Records cross it stamped with a sequence number from the
 // source partition, so the destination's (time, seq) dispatch order is a
 // pure function of simulation content, independent of window placement.
 // Because the declared latency keeps emissions at or past the window limit,
@@ -38,30 +38,30 @@ func (r *Remote) SetNextSend(t Time) {
 	}
 }
 
-// Schedule sends evt across the link. The event's time must be at least the
-// source partition's current time plus the link latency — that floor is what
-// makes the conservative window safe, so violating it panics. Local links
-// (src == dst) and calls from host code between runs schedule on the
-// destination like any local event.
+// Schedule sends a record for h, carrying msg and arg, across the link to
+// run at time t: the cross-partition form of Partition.Schedule. The time
+// must be at least the source partition's current time plus the link
+// latency — that floor is what makes the conservative window safe, so
+// violating it panics. Local links (src == dst) and calls from host code
+// between runs schedule on the destination like any local record.
 //
 // When the source is running alone in a dynamic window, each emission
 // collapses the source's window limit to the earliest time the recipient's
 // reaction could travel back through the link graph, so the lone partition
 // never dispatches anything its own traffic might retroactively disturb.
-func (r *Remote) Schedule(evt Event) {
-	t := evt.Time()
+func (r *Remote) Schedule(t Time, h Handler, msg Msg, arg int) {
 	if min := satAdd(r.src.now, r.latency); t < min {
 		panic("sim: remote event scheduled under the link's latency floor")
 	}
 	src := r.src
 	if src == r.dst || !src.eng.running {
-		r.dst.Schedule(evt)
+		r.dst.Schedule(t, h, msg, arg)
 		return
 	}
 	if t < r.nextSend {
 		panic("sim: remote event scheduled under the link's next-send bound")
 	}
-	r.dst.enqueueStamped(t, src.nextSeq(), evt)
+	r.dst.enqueueStamped(t, src.nextSeq(), record{h: h, msg: msg, arg: arg})
 	src.eng.crossMsgs++
 	if src.dynamic {
 		if back := satAdd(t, src.eng.dist[r.dst.idx][src.idx]); back < src.curLimit {

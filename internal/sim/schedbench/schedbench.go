@@ -85,14 +85,10 @@ type node struct {
 	send      bool
 }
 
-// localEvent advances the owning node's burst; tokenEvent is a cross arrival
-// that may be forwarded while its ttl lasts.
-type localEvent struct{ sim.EventBase }
-
-type tokenEvent struct {
-	sim.EventBase
-	ttl int
-}
+// token is the handler of a cross arrival at node n, which may forward it
+// while its ttl (the record's argument) lasts; the node's own Handle advances
+// its burst.
+type token struct{ n *node }
 
 // rand steps the node's xorshift64 state.
 func (n *node) rand() uint64 {
@@ -113,43 +109,42 @@ func (n *node) mix(now sim.Time, tag uint64) {
 	n.digest = h
 }
 
-// Handle implements sim.Handler.
-func (n *node) Handle(e sim.Event) error {
+// Handle implements sim.Handler: one step of the node's burst.
+func (n *node) Handle(e *sim.Event) error {
 	now := e.Time()
-	switch evt := e.(type) {
-	case *localEvent:
-		n.mix(now, 1)
-		if n.burstLeft == 0 {
-			// Segment start: load the next program entry.
-			seg := n.program[n.next]
-			n.next++
-			n.burstLeft = seg.burst
-			n.gap = seg.gap
-			n.send = seg.send
-		}
-		n.burstLeft--
-		if n.burstLeft > 0 {
-			n.part.Schedule(&localEvent{sim.NewEventBase(now+n.gap, n)})
-			return nil
-		}
-		if n.send {
-			n.sendToken(now, int(n.rand()%3))
-		}
-		if n.next < len(n.program) {
-			n.part.Schedule(&localEvent{sim.NewEventBase(now+n.program[n.next].idle, n)})
-		}
-		return nil
-	case *tokenEvent:
-		n.mix(now, 2)
-		// Forward the token around the ring while its ttl lasts, so cross
-		// traffic forms short causal cascades rather than single hops.
-		if evt.ttl > 0 && n.rand()%2 == 0 {
-			n.sendToken(now, evt.ttl-1)
-		}
-		return nil
-	default:
-		return fmt.Errorf("schedbench: unexpected event %T", e)
+	n.mix(now, 1)
+	if n.burstLeft == 0 {
+		// Segment start: load the next program entry.
+		seg := n.program[n.next]
+		n.next++
+		n.burstLeft = seg.burst
+		n.gap = seg.gap
+		n.send = seg.send
 	}
+	n.burstLeft--
+	if n.burstLeft > 0 {
+		n.part.ScheduleTick(now+n.gap, n)
+		return nil
+	}
+	if n.send {
+		n.sendToken(now, int(n.rand()%3))
+	}
+	if n.next < len(n.program) {
+		n.part.ScheduleTick(now+n.program[n.next].idle, n)
+	}
+	return nil
+}
+
+// Handle implements sim.Handler for a token arriving at the node.
+func (tk token) Handle(e *sim.Event) error {
+	n, now, ttl := tk.n, e.Time(), e.Arg()
+	n.mix(now, 2)
+	// Forward the token around the ring while its ttl lasts, so cross
+	// traffic forms short causal cascades rather than single hops.
+	if ttl > 0 && n.rand()%2 == 0 {
+		n.sendToken(now, ttl-1)
+	}
+	return nil
 }
 
 // sendToken emits a token to a random peer at the link latency plus jitter.
@@ -160,7 +155,7 @@ func (n *node) sendToken(now sim.Time, ttl int) {
 	}
 	dst := n.peers[i]
 	t := now + LinkLatency + sim.Time(n.rand()%4)
-	n.out[i].Schedule(&tokenEvent{sim.NewEventBase(t, dst), ttl})
+	n.out[i].Schedule(t, token{dst}, nil, ttl)
 }
 
 // program builds a node's segment list for the shape from the generator rng.
@@ -261,7 +256,7 @@ func Run(shape Shape, seed int64, fixedLA sim.Time) (Result, error) {
 	}
 	for i, n := range nodes {
 		n.program = program(shape, i, rng)
-		n.part.Schedule(&localEvent{sim.NewEventBase(n.program[0].idle, n)})
+		n.part.ScheduleTick(n.program[0].idle, n)
 		n.next = 0
 	}
 

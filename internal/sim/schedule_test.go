@@ -35,7 +35,7 @@ type schedDriver struct {
 	h      []byte
 }
 
-func (d *schedDriver) Handle(e Event) error {
+func (d *schedDriver) Handle(e *Event) error {
 	if d.sent < d.rounds {
 		m := &testMsg{MsgMeta: MsgMeta{Dst: d.dst, Bytes: 64}, payload: d.sent}
 		d.out.Send(e.Time(), m)
@@ -73,7 +73,7 @@ type schedEcho struct {
 	back *Port
 }
 
-func (c *schedEcho) Handle(Event) error { return nil }
+func (c *schedEcho) Handle(*Event) error { return nil }
 
 func (c *schedEcho) NotifyRecv(now Time, p *Port) {
 	for {

@@ -20,14 +20,14 @@ type chatty struct {
 	seen  []Time
 }
 
-func (c *chatty) Handle(e Event) error {
+func (c *chatty) Handle(e *Event) error {
 	c.seen = append(c.seen, e.Time())
 	if c.left == 0 {
 		return nil
 	}
 	c.left--
 	t := e.Time() + c.out.MinLatency() + c.think
-	c.out.Schedule(TickEvent{EventBase: NewEventBase(t, c.peer)})
+	c.out.Schedule(t, c.peer, nil, 0)
 	return nil
 }
 
@@ -39,7 +39,7 @@ func newPingPong(latency, think Time, rounds int, opts ...Option) (*Engine, *cha
 	a.out = e.Link(a.part, b.part, latency)
 	b.out = e.Link(b.part, a.part, latency)
 	a.peer, b.peer = b, a
-	a.part.Schedule(TickEvent{EventBase: NewEventBase(0, a)})
+	a.part.ScheduleTick(0, a)
 	return e, a, b
 }
 
@@ -159,7 +159,7 @@ type localChain struct {
 	left int
 }
 
-func (c *localChain) Handle(e Event) error {
+func (c *localChain) Handle(e *Event) error {
 	if c.left > 0 {
 		c.left--
 		c.part.ScheduleTick(e.Time()+1, c)
@@ -258,7 +258,7 @@ type promiseBreaker struct {
 	dst Handler
 }
 
-func (p *promiseBreaker) Handle(e Event) error {
-	p.out.Schedule(TickEvent{EventBase: NewEventBase(e.Time()+2, p.dst)})
+func (p *promiseBreaker) Handle(e *Event) error {
+	p.out.Schedule(e.Time()+2, p.dst, nil, 0)
 	return nil
 }
