@@ -1,20 +1,22 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all ci lint lint-baseline test short race cover fuzz-smoke bench bench-smoke serve-smoke serve-load reproduce ablations examples fmt vet
+.PHONY: all ci lint lint-baseline test short race poison cover fuzz-smoke bench bench-smoke serve-smoke serve-load reproduce ablations examples fmt vet
 
 # Packages whose hot paths must stay clean of lint suppressions: the
-# zero-allocation fast paths (codecs, the event engine and the message path
-# through the fabric and the RDMA engines) are exactly where a silenced
-# analyzer would hide a determinism bug.
-HOT_PKGS := internal/bitstream internal/comp internal/sim internal/fabric internal/rdma
+# zero-allocation fast paths (codecs, the event engine, the message path
+# through the fabric and the RDMA engines, and the compute side's op
+# streams, caches and memory reads) are exactly where a silenced analyzer
+# would hide a determinism bug.
+HOT_PKGS := internal/bitstream internal/comp internal/sim internal/fabric internal/rdma \
+	internal/gpu internal/cache internal/mem
 
 all: vet lint test
 
 # Everything a pre-merge check needs: formatting, vet (including the
 # separate bench/ module, which root `go vet ./...` never compiles), the
 # project's own determinism linter, the short test suite under the race
-# detector (the sweep engine is concurrent by design), and two determinism
-# gates: the quickstart's -metrics-out snapshot and the files of a
+# detector (the sweep engine is concurrent by design), the borrow-contract
+# check (poison), and two determinism gates: the quickstart's -metrics-out snapshot and the files of a
 # `reproduce -only` run must be byte-identical across runs.
 ci:
 	@unformatted=$$(gofmt -l .); \
@@ -27,6 +29,7 @@ ci:
 	go build -o bin/mgpulint ./cmd/mgpulint
 	./bin/mgpulint -sarif bin/mgpulint.sarif -baseline lint-baseline.json ./...
 	go test -race -short ./...
+	$(MAKE) poison
 	@if grep -rn "lint:ignore" $(HOT_PKGS); then \
 		echo "hot-path packages must not carry lint:ignore suppressions"; exit 1; \
 	fi
@@ -67,6 +70,13 @@ short:
 race:
 	go test -race ./...
 
+# The borrow contract of read data (DESIGN.md §9): under the poison tag the
+# CU overwrites every response's data once its continuation returns, so a
+# workload that keeps a reference to borrowed data fails Verify, and the
+# golden digests show any change in simulated behaviour.
+poison:
+	go test -tags poison -short ./internal/gpu ./internal/workloads ./internal/runner ./internal/platform
+
 # Coverage with a floor: the short suite must keep total statement coverage
 # at or above COVER_FLOOR so new subsystems land with their tests.
 COVER_FLOOR := 75
@@ -99,7 +109,7 @@ bench:
 # crash — timings are meaningless at -benchtime=1x.
 bench-smoke:
 	go test -run='^$$' -bench=. -benchtime=1x -benchmem \
-		./internal/bitstream ./internal/comp ./internal/sim ./internal/fabric
+		./internal/bitstream ./internal/comp ./internal/sim ./internal/fabric ./internal/gpu
 
 # End-to-end gate for the sweep service: build the real sweepd binary, SIGKILL
 # it mid-batch, restart it on the same data directory, and require the resumed

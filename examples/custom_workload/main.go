@@ -103,57 +103,73 @@ func jacobiCell(cur []uint32, i int) uint32 {
 // jacobiKernel updates every cell from src into dst: each workgroup owns a
 // run of lines and reads one halo line on each side.
 func jacobiKernel(src, dst mem.Buffer) *gpu.Kernel {
-	const linesPerWG = 4
-	lines := cells / cellsPerLine
-	k := &gpu.Kernel{
+	return &gpu.Kernel{
 		Name:          "jacobi3",
-		NumWorkgroups: lines / linesPerWG,
+		NumWorkgroups: cells / cellsPerLine / linesPerWG,
 		Args:          make([]byte, 48),
-		Program: func(wg int) [][]gpu.Op {
-			first := wg * linesPerWG
-			lo := first - 1
-			if lo < 0 {
-				lo = 0
-			}
-			hi := first + linesPerWG // exclusive owned range; +1 halo below
-			if hi >= lines {
-				hi = lines - 1
-			}
-			collected := map[int][]byte{}
-			var read func(l int) []gpu.Op
-			read = func(l int) []gpu.Op {
-				if l > hi {
-					return compute(collected, first, linesPerWG, dst)
-				}
-				return []gpu.Op{gpu.ReadOp{
-					Addr: src.Addr(uint64(l) * mem.LineSize),
-					N:    mem.LineSize,
-					Then: func(data []byte) []gpu.Op {
-						collected[l] = append([]byte(nil), data...)
-						return read(l + 1)
-					},
-				}}
-			}
-			return [][]gpu.Op{read(lo)}
-		},
+		Program:       &jacobi{src: src, dst: dst},
 	}
-	return k
 }
 
-func compute(lines map[int][]byte, first, count int, dst mem.Buffer) []gpu.Op {
-	cell := func(i int) uint32 {
-		if i < 0 || i >= cells {
-			return 0
-		}
-		data, ok := lines[i/cellsPerLine]
-		if !ok {
-			return 0
-		}
-		return binary.LittleEndian.Uint32(data[i%cellsPerLine*4:])
+const linesPerWG = 4
+
+// jacobi is the kernel's program. A program generates each wavefront's
+// operations on demand: Next starts the stream, and every read names a
+// continuation (here the program itself) that receives the line and emits
+// what follows — the next read, or the compute and the writes. The read's
+// data is only lent for the call, so Resume copies it into the wavefront's
+// reused state.
+type jacobi struct {
+	src, dst mem.Buffer
+}
+
+// jacobiWave is a wavefront's state: the owned lines with one halo line on
+// each side (index 0 is line first-1), and the output lines.
+type jacobiWave struct {
+	in  [linesPerWG + 2][mem.LineSize]byte
+	out [linesPerWG][mem.LineSize]byte
+}
+
+// Waves implements gpu.Program: one wavefront per workgroup.
+func (k *jacobi) Waves(int) int { return 1 }
+
+// span returns the lines workgroup wg reads: its own plus the halo, clipped
+// to the buffer.
+func span(wg int) (first, lo, hi int) {
+	first = wg * linesPerWG
+	lo = max(first-1, 0)
+	hi = min(first+linesPerWG, cells/cellsPerLine-1)
+	return first, lo, hi
+}
+
+// Next implements gpu.Program: the stream is one chain of reads started by
+// the first one; Step records that it has started.
+func (k *jacobi) Next(w *gpu.Wave) {
+	if w.Step > 0 {
+		return
 	}
-	ops := []gpu.Op{gpu.ComputeOp{Cycles: count * cellsPerLine / 8}}
-	for s := 0; s < count; s++ {
-		out := make([]byte, mem.LineSize)
+	w.Step++
+	_, lo, _ := span(w.WG)
+	w.Read(k.src.Addr(uint64(lo)*mem.LineSize), mem.LineSize, k, lo)
+}
+
+// Resume implements gpu.Continuation: line l has arrived.
+func (k *jacobi) Resume(w *gpu.Wave, data []byte, l int) {
+	st := gpu.StateOf[jacobiWave](w)
+	first, lo, hi := span(w.WG)
+	copy(st.in[l-(first-1)][:], data)
+	if l < hi {
+		w.Read(k.src.Addr(uint64(l+1)*mem.LineSize), mem.LineSize, k, l+1)
+		return
+	}
+	cell := func(i int) uint32 {
+		if i < 0 || i >= cells || i/cellsPerLine < lo || i/cellsPerLine > hi {
+			return 0
+		}
+		return binary.LittleEndian.Uint32(st.in[i/cellsPerLine-(first-1)][i%cellsPerLine*4:])
+	}
+	w.Compute(linesPerWG * cellsPerLine / 8)
+	for s := 0; s < linesPerWG; s++ {
 		for e := 0; e < cellsPerLine; e++ {
 			i := (first+s)*cellsPerLine + e
 			var v uint32
@@ -165,12 +181,8 @@ func compute(lines map[int][]byte, first, count int, dst mem.Buffer) []gpu.Op {
 			default:
 				v = (cell(i-1) + 2*cell(i) + cell(i+1)) / 4
 			}
-			binary.LittleEndian.PutUint32(out[e*4:], v)
+			binary.LittleEndian.PutUint32(st.out[s][e*4:], v)
 		}
-		ops = append(ops, gpu.WriteOp{
-			Addr: dst.Addr(uint64(first+s) * mem.LineSize),
-			Data: out,
-		})
+		w.Write(k.dst.Addr(uint64(first+s)*mem.LineSize), st.out[s][:])
 	}
-	return ops
 }

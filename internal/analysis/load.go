@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -205,6 +206,16 @@ func (l *Loader) load(path string) (*Package, error) {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
 			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, "_") || strings.HasPrefix(name, ".") {
+			continue
+		}
+		// Honour build constraints the way the go command does for a
+		// default build (no extra tags), so tag-selected variants of a
+		// file are not type-checked together.
+		ok, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, fmt.Errorf("analysis: %w", err)
+		}
+		if !ok {
 			continue
 		}
 		names = append(names, name)

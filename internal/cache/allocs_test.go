@@ -1,0 +1,91 @@
+//go:build !race
+
+package cache
+
+import (
+	"testing"
+
+	"mgpucompress/internal/mem"
+	"mgpucompress/internal/sim"
+)
+
+// The cache's allocation pins: a hit allocates only its response, and a
+// miss only its three messages (the fetch, the fill and the response); the
+// MSHR entry is recycled. The race detector instruments allocations, so
+// the file is excluded under -race.
+
+// sink counts the responses arriving at a port and keeps none of them.
+type sink struct {
+	sim.ComponentBase
+	port *sim.Port
+	got  int
+}
+
+func (s *sink) Handle(*sim.Event) error { return nil }
+
+func (s *sink) NotifyRecv(now sim.Time, p *sim.Port) {
+	for p.Retrieve(now) != nil {
+		s.got++
+	}
+}
+
+func (s *sink) NotifyPortFree(sim.Time, *sim.Port) {}
+
+// pinBench returns a function that sends one reused read request for addr
+// through an L1 in front of a DRAM channel and runs it to completion.
+func pinBench(t *testing.T, addr uint64) (read func(), c *Cache) {
+	engine := sim.NewEngine()
+	part := engine.Partition(0)
+	space := mem.NewSpace(4)
+	dram := mem.NewDRAM("DRAM", part, space, mem.DefaultDRAMConfig())
+	c = New("L1", part, space, L1Config())
+	s := &sink{ComponentBase: sim.NewComponentBase("sink")}
+	s.port = sim.NewPort(s, "sink.port", 0)
+	top := sim.NewDirectConnection("top", part, 1)
+	top.Plug(s.port)
+	top.Plug(c.Top)
+	bottom := sim.NewDirectConnection("bottom", part, 1)
+	bottom.Plug(c.Bottom)
+	bottom.Plug(dram.Top)
+	c.Router = func(uint64) *sim.Port { return dram.Top }
+	req := mem.NewReadReq(s.port, c.Top, addr, mem.LineSize)
+	return func() {
+		want := s.got + 1
+		part.AssignMsgID(req)
+		if !s.port.Send(engine.Now(), req) {
+			t.Fatal("send rejected")
+		}
+		if err := engine.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if s.got != want {
+			t.Fatal("no response")
+		}
+	}, c
+}
+
+func TestCacheHitAllocatesOnlyTheResponse(t *testing.T) {
+	read, c := pinBench(t, 0x1000)
+	read() // miss: installs the line
+	if got := testing.AllocsPerRun(20, read); got != 1 {
+		t.Errorf("%v allocs per hit, want 1 (the response)", got)
+	}
+	if c.Misses != 1 {
+		t.Errorf("%d misses, want 1", c.Misses)
+	}
+}
+
+func TestCacheMissAllocatesOnlyItsMessages(t *testing.T) {
+	read, c := pinBench(t, 0x1000)
+	miss := func() {
+		c.Invalidate()
+		read()
+	}
+	miss() // warm-up: the MSHR free list and the maps
+	if got := testing.AllocsPerRun(20, miss); got != 3 {
+		t.Errorf("%v allocs per miss, want 3 (fetch, fill, response)", got)
+	}
+	if c.Hits != 0 {
+		t.Errorf("%d hits, want 0", c.Hits)
+	}
+}

@@ -66,9 +66,16 @@ type set struct {
 	tags []uint64 // line-aligned addresses; LRU order, front = most recent
 }
 
+// mshrEntry tracks one outstanding line fetch and the reads waiting for
+// it. Entries live from a miss to its fill inside one cache and are
+// recycled through the cache's free list.
 type mshrEntry struct {
 	lineAddr uint64
-	waiters  []*mem.ReadReq
+	// waiters are the reads to answer, in arrival order. A new entry backs
+	// them with first, so a miss that never coalesces needs no slice.
+	waiters []*mem.ReadReq
+	served  int // waiters already answered
+	first   [1]*mem.ReadReq
 }
 
 type pendingWrite struct {
@@ -96,6 +103,7 @@ type Cache struct {
 	numSets  int
 	mshr     map[uint64]*mshrEntry // keyed by bottom ReadReq ID
 	mshrLine map[uint64]*mshrEntry // keyed by line address
+	freeMSHR []*mshrEntry
 	writes   map[uint64]pendingWrite
 	// passthrough tracks forwarded non-cacheable reads by bottom ID.
 	passthrough map[uint64]*mem.ReadReq
@@ -281,8 +289,8 @@ func (c *Cache) handleRead(now sim.Time, req *mem.ReadReq) bool {
 	if c.lookup(la) {
 		c.Hits++
 		c.Top.Retrieve(now)
-		data := c.space.Read(req.Addr, req.N)
-		rsp := mem.NewDataReady(c.Top, req.Src, req.ID, req.Addr, data)
+		rsp := mem.NewDataReadyLine(c.Top, req.Src, req.ID, req.Addr, req.N)
+		c.space.ReadInto(req.Addr, rsp.Data)
 		c.part.AssignMsgID(rsp)
 		c.part.Schedule(now+c.cfg.HitLatency, hitResponse{c}, rsp, 0)
 		return true
@@ -307,7 +315,9 @@ func (c *Cache) handleRead(now sim.Time, req *mem.ReadReq) bool {
 	}
 	c.Misses++
 	c.Top.Retrieve(now)
-	entry := &mshrEntry{lineAddr: la, waiters: []*mem.ReadReq{req}}
+	entry := c.takeMSHR()
+	entry.lineAddr = la
+	entry.waiters = append(entry.waiters, req)
 	c.mshr[fetch.ID] = entry
 	c.mshrLine[la] = entry
 	return true
@@ -349,25 +359,26 @@ func (c *Cache) processBottom(now sim.Time) bool {
 		if !ok {
 			panic(fmt.Sprintf("%s: fill for unknown request %d", c.Name(), rsp.RspTo))
 		}
-		// Deliver to the first waiter; requeue the rest as hits next tick.
-		// All waiters must receive a response before the MSHR retires.
-		if len(entry.waiters) > 0 {
-			w := entry.waiters[0]
-			data := c.space.Read(w.Addr, w.N)
-			up := mem.NewDataReady(c.Top, w.Src, w.ID, w.Addr, data)
+		// Answer the waiters in arrival order, one per call; the fill stays
+		// at the head of Bottom until all of them have a response.
+		if entry.served < len(entry.waiters) {
+			w := entry.waiters[entry.served]
+			up := mem.NewDataReadyLine(c.Top, w.Src, w.ID, w.Addr, w.N)
+			c.space.ReadInto(w.Addr, up.Data)
 			c.part.AssignMsgID(up)
 			if !c.Top.Send(now, up) {
 				return false
 			}
-			entry.waiters = entry.waiters[1:]
+			entry.served++
 		}
-		if len(entry.waiters) > 0 {
+		if entry.served < len(entry.waiters) {
 			return true // stay on this fill next iteration
 		}
 		c.install(entry.lineAddr)
 		c.Bottom.Retrieve(now)
 		delete(c.mshr, rsp.RspTo)
 		delete(c.mshrLine, entry.lineAddr)
+		c.releaseMSHR(entry)
 		return true
 	case *mem.WriteACK:
 		pw, ok := c.writes[rsp.RspTo]
@@ -385,4 +396,24 @@ func (c *Cache) processBottom(now sim.Time) bool {
 	default:
 		panic(fmt.Sprintf("%s: unexpected bottom message %T", c.Name(), msg))
 	}
+}
+
+// takeMSHR returns a cleared entry from the free list, or a new one.
+func (c *Cache) takeMSHR() *mshrEntry {
+	if n := len(c.freeMSHR); n > 0 {
+		e := c.freeMSHR[n-1]
+		c.freeMSHR = c.freeMSHR[:n-1]
+		return e
+	}
+	e := new(mshrEntry)
+	e.waiters = e.first[:0]
+	return e
+}
+
+// releaseMSHR clears a retired entry, keeping only the capacity of its
+// waiter slice, and returns it to the free list.
+func (c *Cache) releaseMSHR(e *mshrEntry) {
+	clear(e.waiters)
+	*e = mshrEntry{waiters: e.waiters[:0]}
+	c.freeMSHR = append(c.freeMSHR, e)
 }

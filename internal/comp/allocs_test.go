@@ -41,3 +41,29 @@ func TestHotPathsAllocationFree(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeIntoAllocationFree pins the receive path's decode into a
+// caller's line at zero allocations for every codec and line grade.
+func TestDecodeIntoAllocationFree(t *testing.T) {
+	line := make([]byte, LineSize)
+	for _, c := range ExtendedCompressors() {
+		for _, grade := range benchGrades {
+			var encs []Encoded
+			for _, l := range benchLines(grade) {
+				encs = append(encs, c.Compress(l))
+			}
+			t.Run(fmt.Sprintf("%v/%s", c.Algorithm(), grade), func(t *testing.T) {
+				got := testing.AllocsPerRun(10, func() {
+					for _, enc := range encs {
+						if err := DecodeInto(line, enc); err != nil {
+							t.Fatal(err)
+						}
+					}
+				})
+				if got != 0 {
+					t.Errorf("%v allocs per pass over %d lines, want 0", got, len(encs))
+				}
+			})
+		}
+	}
+}

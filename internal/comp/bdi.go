@@ -299,40 +299,43 @@ func (b *bdi) CompressedBits(line []byte) int {
 	return best
 }
 
-func (b *bdi) Decompress(enc Encoded) ([]byte, error) {
+func (b *bdi) Decompress(enc Encoded) ([]byte, error) { return decompress(b, enc) }
+
+func (b *bdi) decompressInto(line []byte, enc Encoded) error {
 	if enc.Alg != BDI {
-		return nil, fmt.Errorf("comp: BDI decompressor fed %v data", enc.Alg)
+		return fmt.Errorf("comp: BDI decompressor fed %v data", enc.Alg)
 	}
 	if enc.Uncompressed {
 		if len(enc.Data) != LineSize {
-			return nil, fmt.Errorf("comp: raw BDI line has %d bytes", len(enc.Data))
+			return fmt.Errorf("comp: raw BDI line has %d bytes", len(enc.Data))
 		}
-		return append([]byte(nil), enc.Data...), nil
+		copy(line, enc.Data)
+		return nil
 	}
 	r := bitstream.NewReader(enc.Data)
 	prefix, err := r.ReadBits(4)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	line := make([]byte, LineSize)
+	clear(line)
 	switch prefix {
 	case bdiZeroBlock:
 		if enc.Bits != 4 {
-			return nil, fmt.Errorf("comp: BDI zero block with %d bits", enc.Bits)
+			return fmt.Errorf("comp: BDI zero block with %d bits", enc.Bits)
 		}
-		return line, nil
+		return nil
 	case bdiRepeated:
 		if enc.Bits != 68 {
-			return nil, fmt.Errorf("comp: BDI repeated block with %d bits", enc.Bits)
+			return fmt.Errorf("comp: BDI repeated block with %d bits", enc.Bits)
 		}
 		v, err := r.ReadBits(64)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for i := 0; i < 8; i++ {
 			binary.LittleEndian.PutUint64(line[i*8:], v)
 		}
-		return line, nil
+		return nil
 	}
 	var cfg bdiConfig
 	ok := false
@@ -343,11 +346,11 @@ func (b *bdi) Decompress(enc Encoded) ([]byte, error) {
 		}
 	}
 	if !ok {
-		return nil, fmt.Errorf("comp: invalid BDI prefix %04b", prefix)
+		return fmt.Errorf("comp: invalid BDI prefix %04b", prefix)
 	}
 	base, err := r.ReadBits(cfg.baseBytes * 8)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	nVals := LineSize / cfg.baseBytes
 	var maskArr [bdiMaxVals]bool
@@ -355,7 +358,7 @@ func (b *bdi) Decompress(enc Encoded) ([]byte, error) {
 	for i := range mask {
 		bit, err := r.ReadBits(1)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		mask[i] = bit == 1
 	}
@@ -363,7 +366,7 @@ func (b *bdi) Decompress(enc Encoded) ([]byte, error) {
 	for i := 0; i < nVals; i++ {
 		raw, err := r.ReadBits(deltaBits)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		d := bitstream.SignExtend(raw, deltaBits)
 		var v uint64
@@ -375,9 +378,9 @@ func (b *bdi) Decompress(enc Encoded) ([]byte, error) {
 		writeUint(line, i*cfg.baseBytes, cfg.baseBytes, v)
 	}
 	if r.Pos() != enc.Bits {
-		return nil, fmt.Errorf("comp: BDI consumed %d bits, encoding says %d", r.Pos(), enc.Bits)
+		return fmt.Errorf("comp: BDI consumed %d bits, encoding says %d", r.Pos(), enc.Bits)
 	}
-	return line, nil
+	return nil
 }
 
 func writeUint(line []byte, off, size int, v uint64) {

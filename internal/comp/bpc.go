@@ -112,8 +112,8 @@ func bpcTransform(line []byte) (base uint32, dbx [bpcPlanes]uint16) {
 	return base, dbx
 }
 
-// bpcInverse reconstructs the line from the base word and DBX planes.
-func bpcInverse(base uint32, dbx [bpcPlanes]uint16) []byte {
+// bpcInverse reconstructs into line the line from the base word and DBX planes.
+func bpcInverse(line []byte, base uint32, dbx [bpcPlanes]uint16) {
 	var dbp [bpcPlanes]uint16
 	dbp[bpcPlanes-1] = dbx[bpcPlanes-1]
 	for k := bpcPlanes - 2; k >= 0; k-- {
@@ -127,14 +127,12 @@ func bpcInverse(base uint32, dbx [bpcPlanes]uint16) []byte {
 		}
 		deltas[j] = bitstream.SignExtend(v, bpcPlanes)
 	}
-	line := make([]byte, LineSize)
 	binary.LittleEndian.PutUint32(line, base)
 	w := base
 	for j := 0; j < bpcPlaneBits; j++ {
 		w = uint32(int64(w) + deltas[j])
 		binary.LittleEndian.PutUint32(line[(j+1)*4:], w)
 	}
-	return line
 }
 
 const bpcAllOnes = uint16(1<<bpcPlaneBits) - 1
@@ -261,21 +259,24 @@ func (b *bpc) CompressedBits(line []byte) int {
 	return bits
 }
 
-func (b *bpc) Decompress(enc Encoded) ([]byte, error) {
+func (b *bpc) Decompress(enc Encoded) ([]byte, error) { return decompress(b, enc) }
+
+func (b *bpc) decompressInto(line []byte, enc Encoded) error {
 	if enc.Alg != BPC {
-		return nil, fmt.Errorf("comp: BPC decompressor fed %v data", enc.Alg)
+		return fmt.Errorf("comp: BPC decompressor fed %v data", enc.Alg)
 	}
 	if enc.Uncompressed {
 		if len(enc.Data) != LineSize {
-			return nil, fmt.Errorf("comp: raw BPC line has %d bytes", len(enc.Data))
+			return fmt.Errorf("comp: raw BPC line has %d bytes", len(enc.Data))
 		}
-		return append([]byte(nil), enc.Data...), nil
+		copy(line, enc.Data)
+		return nil
 	}
 	r := bitstream.NewReader(enc.Data)
 
 	baseKind, err := r.ReadBits(2)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var base uint32
 	switch baseKind {
@@ -284,19 +285,19 @@ func (b *bpc) Decompress(enc Encoded) ([]byte, error) {
 	case 0b01:
 		v, err := r.ReadBits(8)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		base = uint32(int32(bitstream.SignExtend(v, 8)))
 	case 0b10:
 		v, err := r.ReadBits(16)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		base = uint32(int32(bitstream.SignExtend(v, 16)))
 	default:
 		v, err := r.ReadBits(32)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		base = uint32(v)
 	}
@@ -305,12 +306,12 @@ func (b *bpc) Decompress(enc Encoded) ([]byte, error) {
 	for k := 0; k < bpcPlanes; {
 		bit, err := r.ReadBits(1)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if bit == 1 { // raw plane
 			v, err := r.ReadBits(bpcPlaneBits)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			dbx[k] = uint16(v)
 			k++
@@ -318,23 +319,23 @@ func (b *bpc) Decompress(enc Encoded) ([]byte, error) {
 		}
 		bit, err = r.ReadBits(1)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if bit == 1 { // '01': zero run
 			rl, err := r.ReadBits(5)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			run := int(rl) + 2
 			if k+run > bpcPlanes {
-				return nil, fmt.Errorf("comp: BPC zero run of %d overflows planes", run)
+				return fmt.Errorf("comp: BPC zero run of %d overflows planes", run)
 			}
 			k += run
 			continue
 		}
 		bit, err = r.ReadBits(1)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if bit == 1 { // '001': single zero plane
 			k++
@@ -342,7 +343,7 @@ func (b *bpc) Decompress(enc Encoded) ([]byte, error) {
 		}
 		bit, err = r.ReadBits(1)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if bit == 1 { // '0001': all ones
 			dbx[k] = bpcAllOnes
@@ -351,23 +352,24 @@ func (b *bpc) Decompress(enc Encoded) ([]byte, error) {
 		}
 		bit, err = r.ReadBits(1)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if bit != 1 {
-			return nil, fmt.Errorf("comp: invalid BPC symbol prefix")
+			return fmt.Errorf("comp: invalid BPC symbol prefix")
 		}
 		pos, err := r.ReadBits(4)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if int(pos) >= bpcPlaneBits {
-			return nil, fmt.Errorf("comp: BPC one-bit position %d out of range", pos)
+			return fmt.Errorf("comp: BPC one-bit position %d out of range", pos)
 		}
 		dbx[k] = 1 << uint(pos)
 		k++
 	}
 	if r.Pos() != enc.Bits {
-		return nil, fmt.Errorf("comp: BPC consumed %d bits, encoding says %d", r.Pos(), enc.Bits)
+		return fmt.Errorf("comp: BPC consumed %d bits, encoding says %d", r.Pos(), enc.Bits)
 	}
-	return bpcInverse(base, dbx), nil
+	bpcInverse(line, base, dbx)
+	return nil
 }

@@ -98,7 +98,9 @@ func TestBPCTransformInverse(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		line := patternedLine(rng)
 		base, dbx := bpcTransform(line)
-		return bytes.Equal(bpcInverse(base, dbx), line)
+		got := make([]byte, LineSize)
+		bpcInverse(got, base, dbx)
+		return bytes.Equal(got, line)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

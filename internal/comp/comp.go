@@ -240,21 +240,50 @@ func rawEncodedInto(alg Algorithm, dst, line []byte, pattern int) Encoded {
 	return e
 }
 
-// decoders are package-shared instances used only for Decompress, which
-// never touches per-codec scratch, so sharing them across goroutines is
-// safe.
-var decoders = [NumAlgorithms]Compressor{
-	FPC:    NewFPC(),
-	BDI:    NewBDI(),
-	CPackZ: NewCPackZ(),
-	BPC:    NewBPC(),
+// decoders are package-shared instances used only for decompression,
+// which never touches per-codec scratch, so sharing them across goroutines
+// is safe.
+var decoders = [NumAlgorithms]lineDecoder{
+	FPC:    &fpc{},
+	BDI:    &bdi{},
+	CPackZ: &cpackZ{},
+	BPC:    &bpc{},
 }
 
 // Decode decompresses enc with a shared stateless decoder for enc.Alg,
 // sparing receive paths a codec allocation per message.
 func Decode(enc Encoded) ([]byte, error) {
-	if int(enc.Alg) >= len(decoders) || decoders[enc.Alg] == nil {
-		return nil, fmt.Errorf("comp: no decoder for algorithm %v", enc.Alg)
+	line := make([]byte, LineSize)
+	if err := DecodeInto(line, enc); err != nil {
+		return nil, err
 	}
-	return decoders[enc.Alg].Decompress(enc)
+	return line, nil
+}
+
+// DecodeInto decompresses enc into dst, a LineSize-byte line, allocating
+// nothing: the receive path decodes straight into the response message
+// that carries the line.
+func DecodeInto(dst []byte, enc Encoded) error {
+	if len(dst) != LineSize {
+		return fmt.Errorf("comp: decode destination has %d bytes, want %d", len(dst), LineSize)
+	}
+	if int(enc.Alg) >= len(decoders) || decoders[enc.Alg] == nil {
+		return fmt.Errorf("comp: no decoder for algorithm %v", enc.Alg)
+	}
+	return decoders[enc.Alg].decompressInto(dst, enc)
+}
+
+// lineDecoder is implemented by every codec: Decompress into a caller's
+// LineSize-byte line.
+type lineDecoder interface {
+	decompressInto(line []byte, enc Encoded) error
+}
+
+// decompress is every codec's Decompress: decompressInto a fresh line.
+func decompress(d lineDecoder, enc Encoded) ([]byte, error) {
+	line := make([]byte, LineSize)
+	if err := d.decompressInto(line, enc); err != nil {
+		return nil, err
+	}
+	return line, nil
 }

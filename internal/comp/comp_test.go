@@ -710,3 +710,32 @@ func TestRelativeStrengthSpatialSimilarity(t *testing.T) {
 		t.Errorf("C-Pack+Z (%d bits) should beat BDI (%d bits) on spatially similar data", cpBits, bdiBits)
 	}
 }
+
+// DecodeInto reconstructs exactly what Decode returns, into a reused line
+// whose previous contents must not leak through.
+func TestDecodeIntoMatchesDecode(t *testing.T) {
+	dst := bytes.Repeat([]byte{0xEE}, LineSize)
+	for _, c := range ExtendedCompressors() {
+		for _, grade := range benchGrades {
+			for i, line := range benchLines(grade) {
+				enc := c.Compress(line)
+				want, err := Decode(enc)
+				if err != nil {
+					t.Fatalf("%v/%s/%d: Decode: %v", c.Algorithm(), grade, i, err)
+				}
+				if err := DecodeInto(dst, enc); err != nil {
+					t.Fatalf("%v/%s/%d: DecodeInto: %v", c.Algorithm(), grade, i, err)
+				}
+				if !bytes.Equal(dst, want) || !bytes.Equal(dst, line) {
+					t.Fatalf("%v/%s/%d: DecodeInto differs from Decode", c.Algorithm(), grade, i)
+				}
+			}
+		}
+	}
+	if err := DecodeInto(make([]byte, 8), NewBDI().Compress(make([]byte, LineSize))); err == nil {
+		t.Error("short destination accepted")
+	}
+	if err := DecodeInto(dst, Encoded{Alg: None}); err == nil {
+		t.Error("algorithm without a decoder accepted")
+	}
+}

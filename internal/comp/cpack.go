@@ -185,38 +185,41 @@ func (c *cpackZ) CompressedBits(line []byte) int {
 	return bits
 }
 
-func (c *cpackZ) Decompress(enc Encoded) ([]byte, error) {
+func (c *cpackZ) Decompress(enc Encoded) ([]byte, error) { return decompress(c, enc) }
+
+func (c *cpackZ) decompressInto(line []byte, enc Encoded) error {
 	if enc.Alg != CPackZ {
-		return nil, fmt.Errorf("comp: C-Pack+Z decompressor fed %v data", enc.Alg)
+		return fmt.Errorf("comp: C-Pack+Z decompressor fed %v data", enc.Alg)
 	}
 	if enc.Uncompressed {
 		if len(enc.Data) != LineSize {
-			return nil, fmt.Errorf("comp: raw C-Pack+Z line has %d bytes", len(enc.Data))
+			return fmt.Errorf("comp: raw C-Pack+Z line has %d bytes", len(enc.Data))
 		}
-		return append([]byte(nil), enc.Data...), nil
+		copy(line, enc.Data)
+		return nil
 	}
 	r := bitstream.NewReader(enc.Data)
-	line := make([]byte, LineSize)
+	clear(line)
 	var dictArr [cpackDictEntries]uint32
 	dict := dictArr[:0]
 	for word := 0; word < 16; word++ {
 		t2, err := r.ReadBits(2)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		var v uint32
 		switch t2 {
 		case cpackZeroBlock:
 			if word == 0 && enc.Bits == 2 {
-				return line, nil
+				return nil
 			}
-			return nil, fmt.Errorf("comp: C-Pack+Z zero-block token inside line at word %d", word)
+			return fmt.Errorf("comp: C-Pack+Z zero-block token inside line at word %d", word)
 		case cpackZeroWord:
 			v = 0
 		case cpackNewWord:
 			raw, err := r.ReadBits(32)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			v = uint32(raw)
 			if len(dict) < cpackDictEntries {
@@ -225,49 +228,49 @@ func (c *cpackZ) Decompress(enc Encoded) ([]byte, error) {
 		default: // 11: read 2 more bits to disambiguate
 			lo, err := r.ReadBits(2)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			tok := 0b1100 | lo
 			switch tok {
 			case cpackFullMatch:
 				idx, err := r.ReadBits(4)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if int(idx) >= len(dict) {
-					return nil, fmt.Errorf("comp: C-Pack+Z index %d beyond dictionary of %d", idx, len(dict))
+					return fmt.Errorf("comp: C-Pack+Z index %d beyond dictionary of %d", idx, len(dict))
 				}
 				v = dict[idx]
 			case cpackHalfMatch:
 				idx, err := r.ReadBits(4)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				low, err := r.ReadBits(16)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if int(idx) >= len(dict) {
-					return nil, fmt.Errorf("comp: C-Pack+Z index %d beyond dictionary of %d", idx, len(dict))
+					return fmt.Errorf("comp: C-Pack+Z index %d beyond dictionary of %d", idx, len(dict))
 				}
 				v = dict[idx]&0xFFFF0000 | uint32(low)
 			case cpackNarrow:
 				b, err := r.ReadBits(8)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				v = uint32(b)
 			case cpack3BMatch:
 				idx, err := r.ReadBits(4)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				b, err := r.ReadBits(8)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if int(idx) >= len(dict) {
-					return nil, fmt.Errorf("comp: C-Pack+Z index %d beyond dictionary of %d", idx, len(dict))
+					return fmt.Errorf("comp: C-Pack+Z index %d beyond dictionary of %d", idx, len(dict))
 				}
 				v = dict[idx]&0xFFFFFF00 | uint32(b)
 			}
@@ -275,7 +278,7 @@ func (c *cpackZ) Decompress(enc Encoded) ([]byte, error) {
 		putWord32(line, word, v)
 	}
 	if r.Pos() != enc.Bits {
-		return nil, fmt.Errorf("comp: C-Pack+Z consumed %d bits, encoding says %d", r.Pos(), enc.Bits)
+		return fmt.Errorf("comp: C-Pack+Z consumed %d bits, encoding says %d", r.Pos(), enc.Bits)
 	}
-	return line, nil
+	return nil
 }

@@ -173,27 +173,30 @@ func (f *fpc) CompressedBits(line []byte) int {
 	return bits
 }
 
-func (f *fpc) Decompress(enc Encoded) ([]byte, error) {
+func (f *fpc) Decompress(enc Encoded) ([]byte, error) { return decompress(f, enc) }
+
+func (f *fpc) decompressInto(line []byte, enc Encoded) error {
 	if enc.Alg != FPC {
-		return nil, fmt.Errorf("comp: FPC decompressor fed %v data", enc.Alg)
+		return fmt.Errorf("comp: FPC decompressor fed %v data", enc.Alg)
 	}
 	if enc.Uncompressed {
 		if len(enc.Data) != LineSize {
-			return nil, fmt.Errorf("comp: raw FPC line has %d bytes", len(enc.Data))
+			return fmt.Errorf("comp: raw FPC line has %d bytes", len(enc.Data))
 		}
-		return append([]byte(nil), enc.Data...), nil
+		copy(line, enc.Data)
+		return nil
 	}
 	r := bitstream.NewReader(enc.Data)
 	first, err := r.ReadBits(3)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	line := make([]byte, LineSize)
+	clear(line)
 	if first == fpcZeroBlock {
 		if enc.Bits != 3 {
-			return nil, fmt.Errorf("comp: FPC zero block with %d bits", enc.Bits)
+			return fmt.Errorf("comp: FPC zero block with %d bits", enc.Bits)
 		}
-		return line, nil
+		return nil
 	}
 	word := 0
 	prefix := first
@@ -205,49 +208,49 @@ func (f *fpc) Decompress(enc Encoded) ([]byte, error) {
 		case fpcRepeatedBytes:
 			b, err := r.ReadBits(8)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			v = uint32(b) | uint32(b)<<8 | uint32(b)<<16 | uint32(b)<<24
 		case fpcSignExt4:
 			b, err := r.ReadBits(4)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			v = uint32(int32(bitstream.SignExtend(b, 4)))
 		case fpcSignExt8:
 			b, err := r.ReadBits(8)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			v = uint32(int32(bitstream.SignExtend(b, 8)))
 		case fpcSignExt16:
 			b, err := r.ReadBits(16)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			v = uint32(int32(bitstream.SignExtend(b, 16)))
 		case fpcHalfZeroPadded:
 			b, err := r.ReadBits(16)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			v = uint32(b) << 16
 		case fpcTwoHalfSignExt8:
 			hi, err := r.ReadBits(8)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			lo, err := r.ReadBits(8)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			hiV := uint32(uint16(bitstream.SignExtend(hi, 8)))
 			loV := uint32(uint16(bitstream.SignExtend(lo, 8)))
 			v = hiV<<16 | loV
 		case fpcZeroBlock:
-			return nil, fmt.Errorf("comp: FPC zero-block prefix inside line at word %d", word)
+			return fmt.Errorf("comp: FPC zero-block prefix inside line at word %d", word)
 		default:
-			return nil, fmt.Errorf("comp: invalid FPC prefix %03b", prefix)
+			return fmt.Errorf("comp: invalid FPC prefix %03b", prefix)
 		}
 		putWord32(line, word, v)
 		word++
@@ -256,13 +259,13 @@ func (f *fpc) Decompress(enc Encoded) ([]byte, error) {
 		}
 		prefix, err = r.ReadBits(3)
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if r.Pos() != enc.Bits {
-		return nil, fmt.Errorf("comp: FPC consumed %d bits, encoding says %d", r.Pos(), enc.Bits)
+		return fmt.Errorf("comp: FPC consumed %d bits, encoding says %d", r.Pos(), enc.Bits)
 	}
-	return line, nil
+	return nil
 }
 
 func putWord32(line []byte, i int, v uint32) {

@@ -23,20 +23,10 @@ func DefaultCUConfig() CUConfig {
 	return CUConfig{IssueWidth: 1, MaxResidentWGs: 4, PortBufferBytes: 8 * 1024}
 }
 
-type wavefront struct {
-	wg    *wgInstance
-	queue []Op
-	// busyUntil is set by ComputeOps.
-	busyUntil sim.Time
-	waiting   bool // blocked on an outstanding read
-	atBarrier bool
-	done      bool
-}
-
 type wgInstance struct {
 	id            int
 	kernel        *Kernel
-	waves         []*wavefront
+	waves         []*Wave
 	pendingWrites int
 	doneWaves     int
 }
@@ -58,11 +48,16 @@ type CU struct {
 	ToL1  *sim.Port
 	l1Dst *sim.Port
 
-	queue  []*wgInstance // assigned, waiting for a resident slot
+	queue  sim.FIFO[*wgInstance] // assigned, waiting for a resident slot
 	active []*wgInstance
 
-	pendingReads  map[uint64]*wavefront
+	pendingReads  map[uint64]*Wave
 	pendingWrites map[uint64]*wgInstance
+
+	// freeWGs and freeWaves recycle retired workgroups and their
+	// wavefronts, op stacks and program state included.
+	freeWGs   []*wgInstance
+	freeWaves []*Wave
 
 	// OnWGDone is called (same cycle) when a workgroup retires.
 	OnWGDone func(wg int)
@@ -70,7 +65,7 @@ type CU struct {
 	rrIndex int
 	// ready is issue's scratch list of issuable wavefronts, reused across
 	// ticks.
-	ready []*wavefront
+	ready []*Wave
 
 	// Stats
 	WGsRetired      uint64
@@ -99,7 +94,7 @@ func NewCU(name string, part *sim.Partition, cfg CUConfig) *CU {
 		ComponentBase: sim.NewComponentBase(name),
 		part:          part,
 		cfg:           cfg,
-		pendingReads:  make(map[uint64]*wavefront),
+		pendingReads:  make(map[uint64]*Wave),
 		pendingWrites: make(map[uint64]*wgInstance),
 	}
 	c.ToL1 = sim.NewPort(c, name+".ToL1", cfg.PortBufferBytes)
@@ -109,14 +104,21 @@ func NewCU(name string, part *sim.Partition, cfg CUConfig) *CU {
 
 // Assign queues a workgroup on this CU. Called by the command processor.
 func (c *CU) Assign(now sim.Time, k *Kernel, wg int) {
-	inst := &wgInstance{id: wg, kernel: k}
-	c.queue = append(c.queue, inst)
+	var inst *wgInstance
+	if n := len(c.freeWGs); n > 0 {
+		inst = c.freeWGs[n-1]
+		c.freeWGs = c.freeWGs[:n-1]
+	} else {
+		inst = new(wgInstance)
+	}
+	inst.id, inst.kernel = wg, k
+	c.queue.Push(inst)
 	c.ticker.TickNow(now)
 }
 
 // Idle reports whether the CU has no work at all.
 func (c *CU) Idle() bool {
-	return len(c.queue) == 0 && len(c.active) == 0
+	return c.queue.Len() == 0 && len(c.active) == 0
 }
 
 // NotifyRecv implements sim.Component.
@@ -151,16 +153,15 @@ func (c *CU) drainResponses(now sim.Time) {
 			}
 			delete(c.pendingReads, rsp.RspTo)
 			wf.waiting = false
-			// The completed op is still at the head of the queue; pop it
-			// and splice in its continuation.
-			op := wf.queue[0].(ReadOp)
-			wf.queue = wf.queue[1:]
-			if op.Then != nil {
-				cont := op.Then(rsp.Data)
-				if len(cont) > 0 {
-					wf.queue = append(append([]Op{}, cont...), wf.queue...)
-				}
+			// The completed read is still the head of the stream; pop it
+			// and put its continuation's operations in front.
+			rd := wf.head()
+			then, arg := rd.then, rd.arg
+			wf.pop()
+			if then != nil {
+				wf.resume(then, rsp.Data, arg)
 			}
+			poison(rsp.Data)
 		case *mem.WriteACK:
 			wg, ok := c.pendingWrites[rsp.RspTo]
 			if !ok {
@@ -175,23 +176,49 @@ func (c *CU) drainResponses(now sim.Time) {
 }
 
 func (c *CU) activateWGs(now sim.Time) {
-	for len(c.active) < c.cfg.MaxResidentWGs && len(c.queue) > 0 {
-		inst := c.queue[0]
-		c.queue = c.queue[1:]
-		streams := inst.kernel.Program(inst.id)
-		if len(streams) == 0 {
+	for len(c.active) < c.cfg.MaxResidentWGs && c.queue.Len() > 0 {
+		inst := c.queue.Pop()
+		n := inst.kernel.Program.Waves(inst.id)
+		if n == 0 {
 			// Degenerate empty workgroup: retires immediately.
 			c.WGsRetired++
 			if c.OnWGDone != nil {
 				c.OnWGDone(inst.id)
 			}
+			c.release(inst)
 			continue
 		}
-		for _, ops := range streams {
-			inst.waves = append(inst.waves, &wavefront{wg: inst, queue: ops})
+		for i := 0; i < n; i++ {
+			inst.waves = append(inst.waves, c.newWave(inst, i))
 		}
 		c.active = append(c.active, inst)
 	}
+}
+
+// newWave takes a recycled wavefront (or a new one) for wave i of inst.
+func (c *CU) newWave(inst *wgInstance, i int) *Wave {
+	var w *Wave
+	if n := len(c.freeWaves); n > 0 {
+		w = c.freeWaves[n-1]
+		c.freeWaves = c.freeWaves[:n-1]
+	} else {
+		w = new(Wave)
+	}
+	w.WG, w.Index, w.Step = inst.id, i, 0
+	w.prog, w.wg = inst.kernel.Program, inst
+	return w
+}
+
+// release recycles a retired workgroup and its wavefronts, clearing every
+// field but the op stacks' capacity and the program state.
+func (c *CU) release(inst *wgInstance) {
+	for i, w := range inst.waves {
+		*w = Wave{State: w.State, ops: w.ops[:0]}
+		c.freeWaves = append(c.freeWaves, w)
+		inst.waves[i] = nil
+	}
+	*inst = wgInstance{waves: inst.waves[:0]}
+	c.freeWGs = append(c.freeWGs, inst)
 }
 
 // issue executes up to IssueWidth operations, rotating across wavefronts.
@@ -220,22 +247,23 @@ func (c *CU) issue(now sim.Time) {
 
 // step executes one operation of the wavefront; reports whether an issue
 // slot was consumed.
-func (c *CU) step(now sim.Time, wf *wavefront) bool {
-	if len(wf.queue) == 0 {
+func (c *CU) step(now sim.Time, wf *Wave) bool {
+	if !wf.more() {
 		wf.done = true
 		wf.wg.doneWaves++
 		return false
 	}
-	switch op := wf.queue[0].(type) {
-	case ComputeOp:
-		wf.queue = wf.queue[1:]
-		if op.Cycles > 0 {
-			wf.busyUntil = now + sim.Time(op.Cycles)
-			c.ComputeCycles += uint64(op.Cycles)
+	switch op := wf.head(); op.kind {
+	case opCompute:
+		cycles := op.n
+		wf.pop()
+		if cycles > 0 {
+			wf.busyUntil = now + sim.Time(cycles)
+			c.ComputeCycles += uint64(cycles)
 		}
 		return true
-	case ReadOp:
-		req := mem.NewReadReq(c.ToL1, c.l1Top(), op.Addr, op.N)
+	case opRead:
+		req := mem.NewReadReq(c.ToL1, c.l1Top(), op.addr, int(op.n))
 		c.part.AssignMsgID(req)
 		if !c.ToL1.Send(now, req) {
 			return false
@@ -244,23 +272,23 @@ func (c *CU) step(now sim.Time, wf *wavefront) bool {
 		c.pendingReads[req.ID] = wf
 		wf.waiting = true // op popped when the data returns
 		return true
-	case WriteOp:
-		req := mem.NewWriteReq(c.ToL1, c.l1Top(), op.Addr, op.Data)
+	case opWrite:
+		req := mem.NewWriteReqLine(c.ToL1, c.l1Top(), op.addr, op.data)
 		c.part.AssignMsgID(req)
 		if !c.ToL1.Send(now, req) {
 			return false
 		}
 		c.MemWritesIssued++
-		wf.queue = wf.queue[1:]
+		wf.pop()
 		wf.wg.pendingWrites++
 		c.pendingWrites[req.ID] = wf.wg
 		return true
-	case BarrierOp:
+	case opBarrier:
 		wf.atBarrier = true
 		c.tryReleaseBarrier(wf.wg)
 		return false
 	default:
-		panic(fmt.Sprintf("%s: unknown op %T", c.Name(), op))
+		panic(fmt.Sprintf("%s: unknown op kind %d", c.Name(), op.kind))
 	}
 }
 
@@ -276,7 +304,7 @@ func (c *CU) tryReleaseBarrier(wg *wgInstance) {
 	for _, wf := range wg.waves {
 		if wf.atBarrier {
 			wf.atBarrier = false
-			wf.queue = wf.queue[1:] // pop the barrier
+			wf.pop() // the barrier
 		}
 	}
 }
@@ -286,9 +314,9 @@ func (c *CU) retireWGs(now sim.Time) {
 	for _, wg := range c.active {
 		// Barriers may become releasable when the last write drains.
 		c.tryReleaseBarrier(wg)
-		// Wavefronts whose queue emptied outside step().
+		// Wavefronts whose stream ended outside step().
 		for _, wf := range wg.waves {
-			if !wf.done && len(wf.queue) == 0 && !wf.waiting {
+			if !wf.done && !wf.waiting && !wf.more() {
 				wf.done = true
 				wg.doneWaves++
 			}
@@ -298,6 +326,7 @@ func (c *CU) retireWGs(now sim.Time) {
 			if c.OnWGDone != nil {
 				c.OnWGDone(wg.id)
 			}
+			c.release(wg)
 			continue
 		}
 		kept = append(kept, wg)
@@ -307,7 +336,7 @@ func (c *CU) retireWGs(now sim.Time) {
 
 // scheduleNext decides when the CU needs to run again.
 func (c *CU) scheduleNext(now sim.Time) {
-	if len(c.queue) > 0 {
+	if c.queue.Len() > 0 {
 		c.ticker.TickLater(now)
 		return
 	}

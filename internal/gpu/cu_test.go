@@ -91,23 +91,41 @@ func runWG(t *testing.T, engine *sim.Engine, cu *CU, k *Kernel, wgs int) {
 	}
 }
 
+// testProgram adapts a closure to Program: every workgroup runs waves
+// wavefronts, and start emits a wavefront's opening operations.
+type testProgram struct {
+	waves int
+	start func(w *Wave)
+}
+
+func (p *testProgram) Waves(int) int { return p.waves }
+
+func (p *testProgram) Next(w *Wave) {
+	if w.Step > 0 {
+		return
+	}
+	w.Step++
+	p.start(w)
+}
+
+// then adapts a closure to Continuation.
+type then func(w *Wave, data []byte)
+
+func (f then) Resume(w *Wave, data []byte, _ int) { f(w, data) }
+
 func TestCUExecutesSequentialOps(t *testing.T) {
 	engine, cu, stub := cuBench(t, DefaultCUConfig())
 	stub.space.Write(0, []byte{1, 2, 3, 4})
 	k := &Kernel{
 		Name: "seq", NumWorkgroups: 1,
-		Program: func(int) [][]Op {
-			return [][]Op{{
-				ReadOp{Addr: 0, N: 64, Then: func(d []byte) []Op {
-					out := append([]byte(nil), d...)
-					out[0] = 99
-					return []Op{
-						ComputeOp{Cycles: 10},
-						WriteOp{Addr: 64, Data: out},
-					}
-				}},
-			}}
-		},
+		Program: &testProgram{waves: 1, start: func(w *Wave) {
+			w.Read(0, 64, then(func(w *Wave, d []byte) {
+				out := append([]byte(nil), d...)
+				out[0] = 99
+				w.Compute(10)
+				w.Write(64, out)
+			}), 0)
+		}},
 	}
 	runWG(t, engine, cu, k, 1)
 	got := stub.space.Read(64, 4)
@@ -122,6 +140,15 @@ func TestCUExecutesSequentialOps(t *testing.T) {
 	}
 }
 
+// chain emits a read of addr whose continuation emits the next read, n
+// reads in all.
+func chain(w *Wave, addr uint64, n int) {
+	if n == 0 {
+		return
+	}
+	w.Read(addr, 64, then(func(w *Wave, _ []byte) { chain(w, addr, n-1) }), 0)
+}
+
 func TestCUInterleavesWavefrontsToHideLatency(t *testing.T) {
 	// 8 wavefronts each doing 4 dependent 50-cycle reads. Serial time
 	// would be ≈ 8×4×52; an interleaving CU overlaps them so total is
@@ -129,23 +156,9 @@ func TestCUInterleavesWavefrontsToHideLatency(t *testing.T) {
 	engine, cu, _ := cuBench(t, DefaultCUConfig())
 	k := &Kernel{
 		Name: "overlap", NumWorkgroups: 1,
-		Program: func(int) [][]Op {
-			streams := make([][]Op, 8)
-			for w := range streams {
-				addr := uint64(w) * 64
-				var chain func(n int) []Op
-				chain = func(n int) []Op {
-					if n == 0 {
-						return nil
-					}
-					return []Op{ReadOp{Addr: addr, N: 64, Then: func([]byte) []Op {
-						return chain(n - 1)
-					}}}
-				}
-				streams[w] = chain(4)
-			}
-			return streams
-		},
+		Program: &testProgram{waves: 8, start: func(w *Wave) {
+			chain(w, uint64(w.Index)*64, 4)
+		}},
 	}
 	runWG(t, engine, cu, k, 1)
 	serial := sim.Time(8 * 4 * 52)
@@ -162,13 +175,9 @@ func TestCUIssueWidthLimits(t *testing.T) {
 	engine, cu, stub := cuBench(t, cfg)
 	k := &Kernel{
 		Name: "width", NumWorkgroups: 1,
-		Program: func(int) [][]Op {
-			streams := make([][]Op, 16)
-			for w := range streams {
-				streams[w] = []Op{ReadOp{Addr: uint64(w) * 64, N: 64}}
-			}
-			return streams
-		},
+		Program: &testProgram{waves: 16, start: func(w *Wave) {
+			w.Read(uint64(w.Index)*64, 64, nil, 0)
+		}},
 	}
 	runWG(t, engine, cu, k, 1)
 	if stub.reads != 16 {
@@ -188,12 +197,10 @@ func TestCUResidencyLimitQueuesWGs(t *testing.T) {
 	cu.OnWGDone = func(wg int) { order = append(order, wg) }
 	k := &Kernel{
 		Name: "resident", NumWorkgroups: 3,
-		Program: func(int) [][]Op {
-			return [][]Op{{
-				ReadOp{Addr: 0, N: 64},
-				ComputeOp{Cycles: 20},
-			}}
-		},
+		Program: &testProgram{waves: 1, start: func(w *Wave) {
+			w.Read(0, 64, nil, 0)
+			w.Compute(20)
+		}},
 	}
 	for wg := 0; wg < 3; wg++ {
 		cu.Assign(0, k, wg)
@@ -218,12 +225,10 @@ func TestCUPostedWritesHoldWGCompletion(t *testing.T) {
 	cu.OnWGDone = func(int) { doneAt = engine.Now() }
 	k := &Kernel{
 		Name: "posted", NumWorkgroups: 1,
-		Program: func(int) [][]Op {
-			return [][]Op{{
-				WriteOp{Addr: 0, Data: make([]byte, 64)},
-				WriteOp{Addr: 64, Data: make([]byte, 64)},
-			}}
-		},
+		Program: &testProgram{waves: 1, start: func(w *Wave) {
+			w.Write(0, make([]byte, 64))
+			w.Write(64, make([]byte, 64))
+		}},
 	}
 	cu.Assign(0, k, 0)
 	if err := engine.Run(); err != nil {
@@ -245,30 +250,21 @@ func TestCUBarrierWithThreeWavefronts(t *testing.T) {
 		d[0] = b
 		return d
 	}
+	pre := []int{100, 5, 1}
 	k := &Kernel{
 		Name: "barrier3", NumWorkgroups: 1,
-		Program: func(int) [][]Op {
-			mk := func(pre int, addr uint64, b byte) []Op {
-				return []Op{
-					ComputeOp{Cycles: pre},
-					WriteOp{Addr: addr, Data: marker(b)},
-					BarrierOp{},
-					ReadOp{Addr: 0, N: 64, Then: func(d []byte) []Op {
-						// After the barrier every wavefront must see wf0's
-						// write at address 0.
-						if d[0] != 1 {
-							panic("barrier violated")
-						}
-						return nil
-					}},
+		Program: &testProgram{waves: 3, start: func(w *Wave) {
+			w.Compute(pre[w.Index])
+			w.Write(uint64(w.Index)*64, marker(byte(w.Index+1)))
+			w.Barrier()
+			w.Read(0, 64, then(func(_ *Wave, d []byte) {
+				// After the barrier every wavefront must see wf0's write
+				// at address 0.
+				if d[0] != 1 {
+					panic("barrier violated")
 				}
-			}
-			return [][]Op{
-				mk(100, 0, 1),
-				mk(5, 64, 2),
-				mk(1, 128, 3),
-			}
-		},
+			}), 0)
+		}},
 	}
 	runWG(t, engine, cu, k, 1)
 	if stub.space.Read(0, 1)[0] != 1 || stub.space.Read(64, 1)[0] != 2 {
@@ -280,7 +276,7 @@ func TestCUEmptyWorkgroupRetiresImmediately(t *testing.T) {
 	engine, cu, _ := cuBench(t, DefaultCUConfig())
 	k := &Kernel{
 		Name: "empty", NumWorkgroups: 1,
-		Program: func(int) [][]Op { return nil },
+		Program: &testProgram{waves: 0},
 	}
 	runWG(t, engine, cu, k, 1)
 	if cu.WGsRetired != 1 {
@@ -295,11 +291,11 @@ func TestCUManyWGsAcrossAssignBatches(t *testing.T) {
 	engine, cu, stub := cuBench(t, DefaultCUConfig())
 	k := &Kernel{
 		Name: "many", NumWorkgroups: 20,
-		Program: func(wg int) [][]Op {
+		Program: &testProgram{waves: 1, start: func(w *Wave) {
 			d := make([]byte, 64)
-			d[0] = byte(wg + 1)
-			return [][]Op{{WriteOp{Addr: uint64(wg) * 64, Data: d}}}
-		},
+			d[0] = byte(w.WG + 1)
+			w.Write(uint64(w.WG)*64, d)
+		}},
 	}
 	runWG(t, engine, cu, k, 20)
 	for wg := 0; wg < 20; wg++ {

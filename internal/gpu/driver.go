@@ -54,6 +54,7 @@ type CommandProcessor struct {
 	CUs []*CU
 
 	driverPort  *sim.Port
+	onWGDone    func(int) // cp.wgDone, bound once
 	outstanding int
 	seq         int
 	nextCU      int
@@ -68,6 +69,7 @@ func NewCommandProcessor(name string, part *sim.Partition, gpu int) *CommandProc
 		GPU:           gpu,
 	}
 	cp.ToFabric = sim.NewPort(cp, name+".ToFabric", 4*1024)
+	cp.onWGDone = cp.wgDone
 	return cp
 }
 
@@ -97,7 +99,7 @@ func (cp *CommandProcessor) NotifyRecv(now sim.Time, p *sim.Port) {
 		for _, wg := range cmd.WGs {
 			cu := cp.CUs[cp.nextCU%len(cp.CUs)]
 			cp.nextCU++
-			cu.OnWGDone = cp.wgDone
+			cu.OnWGDone = cp.onWGDone
 			cu.Assign(now, cmd.Kernel, wg)
 		}
 	}

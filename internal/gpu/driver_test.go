@@ -14,7 +14,7 @@ func TestDriverRejectsInvalidKernels(t *testing.T) {
 	d := NewDriver("Driver", part, space)
 
 	if err := d.Launch(&Kernel{Name: "k", NumWorkgroups: 0,
-		Program: func(int) [][]Op { return nil }}); err == nil {
+		Program: &testProgram{}}); err == nil {
 		t.Error("zero-workgroup kernel accepted")
 	}
 	if err := d.Launch(&Kernel{Name: "k", NumWorkgroups: 1}); err == nil {
@@ -31,7 +31,7 @@ func TestDriverNoCUs(t *testing.T) {
 	cp := NewCommandProcessor("CP", part, 0)
 	d.CPPorts = []*sim.Port{cp.ToFabric}
 	err := d.Launch(&Kernel{Name: "k", NumWorkgroups: 1,
-		Program: func(int) [][]Op { return nil }})
+		Program: &testProgram{}})
 	if err == nil {
 		t.Error("launch with zero CUs accepted")
 	}
@@ -88,14 +88,12 @@ func TestDriverLaunchFlow(t *testing.T) {
 
 	k := &Kernel{
 		Name: "probe", NumWorkgroups: 12,
-		Program: func(wg int) [][]Op {
+		Program: &testProgram{waves: 1, start: func(w *Wave) {
 			data := make([]byte, 64)
-			data[0] = byte(wg + 1)
-			return [][]Op{{
-				ComputeOp{Cycles: 5},
-				WriteOp{Addr: uint64(wg) * 64, Data: data},
-			}}
-		},
+			data[0] = byte(w.WG + 1)
+			w.Compute(5)
+			w.Write(uint64(w.WG)*64, data)
+		}},
 	}
 	if err := d.Launch(k); err != nil {
 		t.Fatal(err)
@@ -160,7 +158,7 @@ func TestDriverArgWrites(t *testing.T) {
 	args := []byte{1, 2, 3, 4, 5} // will be padded to one 64-byte line
 	k := &Kernel{
 		Name: "argk", NumWorkgroups: 1, Args: args,
-		Program: func(int) [][]Op { return [][]Op{{ComputeOp{Cycles: 1}}} },
+		Program: &testProgram{waves: 1, start: func(w *Wave) { w.Compute(1) }},
 	}
 	if err := d.Launch(k); err != nil {
 		t.Fatal(err)

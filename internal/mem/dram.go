@@ -123,8 +123,8 @@ func (d *DRAM) complete(now sim.Time, msg sim.Msg) error {
 	switch req := msg.(type) {
 	case *ReadReq:
 		d.Reads++
-		data := d.space.Read(req.Addr, req.N)
-		rsp := NewDataReady(d.Top, req.Src, req.ID, req.Addr, data)
+		rsp := NewDataReadyLine(d.Top, req.Src, req.ID, req.Addr, req.N)
+		d.space.ReadInto(req.Addr, rsp.Data)
 		if !d.Top.Send(now, rsp) {
 			return fmt.Errorf("%s: response rejected by connection", d.Name())
 		}

@@ -57,6 +57,26 @@ func NewWriteReq(src, dst *sim.Port, addr uint64, data []byte) *WriteReq {
 	return w
 }
 
+// NewWriteReqLine builds a write request that carries a copy of data in its
+// own allocation, so the caller may reuse data once this returns. Payloads
+// longer than a line are copied to a separate slice.
+func NewWriteReqLine(src, dst *sim.Port, addr uint64, data []byte) *WriteReq {
+	if len(data) > LineSize {
+		return NewWriteReq(src, dst, addr, append([]byte(nil), data...))
+	}
+	l := &writeReqLine{}
+	n := copy(l.line[:], data)
+	l.WriteReq = WriteReq{Addr: addr, Data: l.line[:n:n]}
+	l.Src, l.Dst, l.Bytes = src, dst, WriteReqHeaderBytes+n
+	return &l.WriteReq
+}
+
+// writeReqLine is a WriteReq and the line it carries in one allocation.
+type writeReqLine struct {
+	WriteReq
+	line [LineSize]byte
+}
+
 // DataReady answers a ReadReq with the requested bytes.
 type DataReady struct {
 	sim.MsgMeta
@@ -73,6 +93,25 @@ func NewDataReady(src, dst *sim.Port, rspTo uint64, addr uint64, data []byte) *D
 	d := &DataReady{RspTo: rspTo, Addr: addr, Data: data}
 	d.Src, d.Dst, d.Bytes = src, dst, DataReadyHeaderBytes+len(data)
 	return d
+}
+
+// NewDataReadyLine builds a read response whose n data bytes live in the
+// message's own allocation; the caller fills Data (zeroed) before sending.
+// Responses longer than a line get a separate slice.
+func NewDataReadyLine(src, dst *sim.Port, rspTo uint64, addr uint64, n int) *DataReady {
+	if n > LineSize {
+		return NewDataReady(src, dst, rspTo, addr, make([]byte, n))
+	}
+	l := &dataReadyLine{}
+	l.DataReady = DataReady{RspTo: rspTo, Addr: addr, Data: l.line[:n:n]}
+	l.Src, l.Dst, l.Bytes = src, dst, DataReadyHeaderBytes+n
+	return &l.DataReady
+}
+
+// dataReadyLine is a DataReady and the line it carries in one allocation.
+type dataReadyLine struct {
+	DataReady
+	line [LineSize]byte
 }
 
 // WriteACK acknowledges a WriteReq.

@@ -144,17 +144,26 @@ func (s *Space) page(addr uint64, create bool) []byte {
 // reads as zero.
 func (s *Space) Read(addr uint64, n int) []byte {
 	out := make([]byte, n)
+	s.ReadInto(addr, out)
+	return out
+}
+
+// ReadInto fills dst with the len(dst) bytes starting at addr, allocating
+// nothing. Unwritten memory reads as zero.
+func (s *Space) ReadInto(addr uint64, dst []byte) {
+	n := len(dst)
 	off := 0
 	for off < n {
 		p := s.page(addr+uint64(off), false)
 		inPage := int((addr + uint64(off)) % PageSize)
 		chunk := min(n-off, PageSize-inPage)
 		if p != nil {
-			copy(out[off:off+chunk], p[inPage:inPage+chunk])
+			copy(dst[off:off+chunk], p[inPage:inPage+chunk])
+		} else {
+			clear(dst[off : off+chunk])
 		}
 		off += chunk
 	}
-	return out
 }
 
 // Write stores data at addr.
@@ -176,7 +185,9 @@ func (s *Space) ReadLine(addr uint64) []byte {
 
 // ReadUint32 reads a little-endian uint32.
 func (s *Space) ReadUint32(addr uint64) uint32 {
-	return binary.LittleEndian.Uint32(s.Read(addr, 4))
+	var b [4]byte
+	s.ReadInto(addr, b[:])
+	return binary.LittleEndian.Uint32(b[:])
 }
 
 // WriteUint32 writes a little-endian uint32.
@@ -188,7 +199,9 @@ func (s *Space) WriteUint32(addr uint64, v uint32) {
 
 // ReadUint64 reads a little-endian uint64.
 func (s *Space) ReadUint64(addr uint64) uint64 {
-	return binary.LittleEndian.Uint64(s.Read(addr, 8))
+	var b [8]byte
+	s.ReadInto(addr, b[:])
+	return binary.LittleEndian.Uint64(b[:])
 }
 
 // WriteUint64 writes a little-endian uint64.

@@ -64,6 +64,22 @@ func TestReadUnwrittenMemoryIsZero(t *testing.T) {
 	}
 }
 
+// ReadInto overwrites every byte of a reused buffer, unwritten memory
+// included, and agrees with Read across page boundaries.
+func TestReadIntoMatchesRead(t *testing.T) {
+	s := NewSpace(4)
+	data := make([]byte, PageSize)
+	rand.New(rand.NewSource(2)).Read(data)
+	s.Write(PageSize-100, data[:150]) // the second page is partly unwritten
+	buf := bytes.Repeat([]byte{0xEE}, 3*LineSize)
+	for _, addr := range []uint64{PageSize - 100, PageSize - 64, PageSize + 20, 9 * PageSize} {
+		s.ReadInto(addr, buf)
+		if want := s.Read(addr, len(buf)); !bytes.Equal(buf, want) {
+			t.Errorf("ReadInto(%#x) differs from Read", addr)
+		}
+	}
+}
+
 func TestWriteAcrossPageBoundary(t *testing.T) {
 	s := NewSpace(4)
 	data := make([]byte, 3*PageSize)

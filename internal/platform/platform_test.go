@@ -20,34 +20,47 @@ func testConfig() Config {
 	return cfg
 }
 
+// streams is a test Program: every workgroup runs waves wavefronts, and
+// start emits a wavefront's whole opening stream.
+type streams struct {
+	waves int
+	start func(w *gpu.Wave)
+}
+
+func (p *streams) Waves(int) int { return p.waves }
+
+func (p *streams) Next(w *gpu.Wave) {
+	if w.Step > 0 {
+		return
+	}
+	w.Step++
+	p.start(w)
+}
+
+// resume adapts a closure to gpu.Continuation.
+type resume func(w *gpu.Wave, data []byte, arg int)
+
+func (f resume) Resume(w *gpu.Wave, data []byte, arg int) { f(w, data, arg) }
+
 // copyKernel builds a kernel where each workgroup copies `lines` cache
 // lines from src to dst, one wavefront per workgroup.
 func copyKernel(src, dst mem.Buffer, lines, wgs int) *gpu.Kernel {
 	perWG := lines / wgs
+	copyLine := resume(func(w *gpu.Wave, data []byte, line int) {
+		w.Compute(4)
+		// data is lent only for this call; the write issues after it.
+		w.Write(dst.Addr(uint64(line*mem.LineSize)), append([]byte(nil), data...))
+	})
 	return &gpu.Kernel{
 		Name:          "copy",
 		NumWorkgroups: wgs,
 		Args:          make([]byte, 32),
-		Program: func(wg int) [][]gpu.Op {
-			var ops []gpu.Op
+		Program: &streams{waves: 1, start: func(w *gpu.Wave) {
 			for i := 0; i < perWG; i++ {
-				line := wg*perWG + i
-				off := uint64(line * mem.LineSize)
-				srcAddr := src.Addr(off)
-				dstAddr := dst.Addr(off)
-				ops = append(ops, gpu.ReadOp{
-					Addr: srcAddr,
-					N:    mem.LineSize,
-					Then: func(data []byte) []gpu.Op {
-						return []gpu.Op{
-							gpu.ComputeOp{Cycles: 4},
-							gpu.WriteOp{Addr: dstAddr, Data: data},
-						}
-					},
-				})
+				line := w.WG*perWG + i
+				w.Read(src.Addr(uint64(line*mem.LineSize)), mem.LineSize, copyLine, line)
 			}
-			return [][]gpu.Op{ops}
-		},
+		}},
 	}
 }
 
@@ -183,28 +196,26 @@ func TestPlatformBarrierOrdersIntraWGPhases(t *testing.T) {
 	k := &gpu.Kernel{
 		Name:          "barrier",
 		NumWorkgroups: 1,
-		Program: func(int) [][]gpu.Op {
-			data := make([]byte, mem.LineSize)
-			for i := range data {
-				data[i] = 0xAB
+		Program: &streams{waves: 2, start: func(w *gpu.Wave) {
+			if w.Index == 0 {
+				data := make([]byte, mem.LineSize)
+				for i := range data {
+					data[i] = 0xAB
+				}
+				w.Compute(50)
+				w.Write(buf.Addr(0), data)
+				w.Barrier()
+				return
 			}
-			w0 := []gpu.Op{
-				gpu.ComputeOp{Cycles: 50},
-				gpu.WriteOp{Addr: buf.Addr(0), Data: data},
-				gpu.BarrierOp{},
-			}
-			w1 := []gpu.Op{
-				gpu.BarrierOp{},
-				gpu.ReadOp{Addr: buf.Addr(0), N: mem.LineSize, Then: func(d []byte) []gpu.Op {
-					out := make([]byte, mem.LineSize)
-					for i, v := range d {
-						out[i] = v ^ 0xFF
-					}
-					return []gpu.Op{gpu.WriteOp{Addr: buf.Addr(mem.LineSize), Data: out}}
-				}},
-			}
-			return [][]gpu.Op{w0, w1}
-		},
+			w.Barrier()
+			w.Read(buf.Addr(0), mem.LineSize, resume(func(w *gpu.Wave, d []byte, _ int) {
+				out := make([]byte, mem.LineSize)
+				for i, v := range d {
+					out[i] = v ^ 0xFF
+				}
+				w.Write(buf.Addr(mem.LineSize), out)
+			}), 0)
+		}},
 	}
 	if err := p.Driver.Launch(k); err != nil {
 		t.Fatal(err)
@@ -223,13 +234,11 @@ func TestPlatformWorkgroupsSpreadAcrossAllGPUs(t *testing.T) {
 	k := &gpu.Kernel{
 		Name:          "spread",
 		NumWorkgroups: 32,
-		Program: func(wg int) [][]gpu.Op {
+		Program: &streams{waves: 1, start: func(w *gpu.Wave) {
 			data := make([]byte, mem.LineSize)
-			data[0] = byte(wg + 1)
-			return [][]gpu.Op{{
-				gpu.WriteOp{Addr: buf.Addr(uint64(wg) * mem.LineSize), Data: data},
-			}}
-		},
+			data[0] = byte(w.WG + 1)
+			w.Write(buf.Addr(uint64(w.WG)*mem.LineSize), data)
+		}},
 	}
 	if err := p.Driver.Launch(k); err != nil {
 		t.Fatal(err)
@@ -259,13 +268,11 @@ func TestPlatformL1CachingReducesSecondKernelTraffic(t *testing.T) {
 	k := &gpu.Kernel{
 		Name:          "reread",
 		NumWorkgroups: 1,
-		Program: func(int) [][]gpu.Op {
-			var ops []gpu.Op
+		Program: &streams{waves: 1, start: func(w *gpu.Wave) {
 			for i := 0; i < 10; i++ {
-				ops = append(ops, gpu.ReadOp{Addr: buf.Addr(0), N: mem.LineSize})
+				w.Read(buf.Addr(0), mem.LineSize, nil, 0)
 			}
-			return [][]gpu.Op{ops}
-		},
+		}},
 	}
 	if err := p.Driver.Launch(k); err != nil {
 		t.Fatal(err)
@@ -375,13 +382,11 @@ func TestPlatformRemoteCacheExtension(t *testing.T) {
 	buf.Write(0, data)
 	k := &gpu.Kernel{
 		Name: "reread-remote", NumWorkgroups: 16,
-		Program: func(int) [][]gpu.Op {
-			var ops []gpu.Op
+		Program: &streams{waves: 1, start: func(w *gpu.Wave) {
 			for i := 0; i < 8; i++ {
-				ops = append(ops, gpu.ReadOp{Addr: buf.Addr(0), N: mem.LineSize})
+				w.Read(buf.Addr(0), mem.LineSize, nil, 0)
 			}
-			return [][]gpu.Op{ops}
-		},
+		}},
 	}
 	if err := p.Driver.Launch(k); err != nil {
 		t.Fatal(err)

@@ -85,14 +85,6 @@ func (p *Payload) corrupt(pick uint64) bool {
 	return true
 }
 
-// Decode returns the original bytes, decompressing if needed.
-func (p Payload) Decode() ([]byte, error) {
-	if p.Alg == comp.None {
-		return p.Raw, nil
-	}
-	return comp.Decode(p.Enc)
-}
-
 // DataReady answers a ReadReq.
 type DataReady struct {
 	sim.MsgMeta

@@ -91,11 +91,14 @@ type Engine struct {
 
 	// decoding parks the pending reads whose responses are decompressing;
 	// the decompression record carries the slot.
-	decoding sim.Slab[*pendingRead]
+	decoding sim.Slab[pendingRead]
+	// line is deliverWrite's decode scratch.
+	line [comp.LineSize]byte
 
-	// request tracking
-	pendingReads  map[uint64]*pendingRead  // wire ReadReq ID -> original local request
-	pendingWrites map[uint64]*pendingWrite // wire WriteReq ID -> original
+	// request tracking, by value: a remote request costs one allocation,
+	// its wire message
+	pendingReads  map[uint64]pendingRead  // wire ReadReq ID -> original local request
+	pendingWrites map[uint64]pendingWrite // wire WriteReq ID -> original
 	// incoming remote requests forwarded into local L2
 	serviceReads  map[uint64]*ReadReq  // local L2 ReadReq ID -> wire request
 	serviceWrites map[uint64]*WriteReq // local L2 WriteReq ID -> wire request
@@ -185,8 +188,8 @@ func New(name string, part *sim.Partition, gpu int, policy core.Policy, rec Reco
 		GPU:           gpu,
 		Policy:        policy,
 		Rec:           rec,
-		pendingReads:  make(map[uint64]*pendingRead),
-		pendingWrites: make(map[uint64]*pendingWrite),
+		pendingReads:  make(map[uint64]pendingRead),
+		pendingWrites: make(map[uint64]pendingWrite),
 		serviceReads:  make(map[uint64]*ReadReq),
 		serviceWrites: make(map[uint64]*WriteReq),
 	}
@@ -294,7 +297,7 @@ func (e *Engine) handleLocal(now sim.Time, msg sim.Msg) error {
 		wire.Src, wire.Dst = e.ToFabric, e.RemotePort(owner)
 		wire.Bytes = ReadReqHeaderBytes
 		e.part.AssignMsgID(wire)
-		e.pendingReads[wire.ID] = &pendingRead{req: req, issued: now, wire: wire, attempts: 1}
+		e.pendingReads[wire.ID] = pendingRead{req: req, issued: now, wire: wire, attempts: 1}
 		e.ReadsSent++
 		e.Rec.RemoteRead(e.GPU)
 		e.Rec.Header(ReadReqHeaderBytes)
@@ -313,7 +316,7 @@ func (e *Engine) handleLocal(now sim.Time, msg sim.Msg) error {
 			wire.Bytes += CRCTrailerBytes
 		}
 		e.part.AssignMsgID(wire)
-		e.pendingWrites[wire.ID] = &pendingWrite{req: req, wire: wire, attempts: 1}
+		e.pendingWrites[wire.ID] = pendingWrite{req: req, wire: wire, attempts: 1}
 		e.WritesSent++
 		e.Rec.RemoteWrite(e.GPU)
 		e.Rec.Header(WriteReqHeaderBytes)
@@ -449,8 +452,8 @@ func (e *Engine) handleWire(now sim.Time, msg sim.Msg) error {
 			// a codec-attributed integrity failure.
 			e.observeIntegrity(false)
 		}
-		if pw, ok := e.pendingWrites[wire.RspTo]; ok {
-			return e.retransmitWrite(now, wire.RspTo, pw)
+		if _, ok := e.pendingWrites[wire.RspTo]; ok {
+			return e.retransmitWrite(now, wire.RspTo)
 		}
 		// Read-path NACK: informational only — the requester already
 		// retransmitted its ReadReq, and this engine kept no state for the
@@ -508,7 +511,7 @@ func (e *Engine) handleTimeout(now sim.Time, wire sim.Msg, attempt int) error {
 			return nil
 		}
 		e.TimeoutsFired++
-		return e.retransmitWrite(now, id, pw)
+		return e.retransmitWrite(now, id)
 	}
 	pr, ok := e.pendingReads[id]
 	if !ok || pr.attempts != attempt {
@@ -529,6 +532,7 @@ func (e *Engine) retransmitRead(now sim.Time, id uint64) error {
 			e.Name(), pr.wire.Addr, pr.attempts)
 	}
 	pr.attempts++
+	e.pendingReads[id] = pr
 	e.Retries++
 	e.recordRetrySpan(now, "retry:read", pr.wire.Addr, pr.attempts)
 	e.outQueue.Push(pr.wire)
@@ -540,12 +544,14 @@ func (e *Engine) retransmitRead(now sim.Time, id uint64) error {
 // retransmitWrite re-sends the wire WriteReq for a still-pending write. The
 // payload was already encoded and checksummed on first send, so the
 // retransmission costs no additional compression latency.
-func (e *Engine) retransmitWrite(now sim.Time, id uint64, pw *pendingWrite) error {
+func (e *Engine) retransmitWrite(now sim.Time, id uint64) error {
+	pw := e.pendingWrites[id]
 	if pw.attempts >= e.Guard.MaxAttempts {
 		return fmt.Errorf("%s: remote write %#x: retry budget exhausted after %d attempts",
 			e.Name(), pw.wire.Addr, pw.attempts)
 	}
 	pw.attempts++
+	e.pendingWrites[id] = pw
 	e.Retries++
 	e.recordRetrySpan(now, "retry:write", pw.wire.Addr, pw.attempts)
 	e.outQueue.Push(pw.wire)
@@ -565,14 +571,19 @@ func (e *Engine) recordRetrySpan(now sim.Time, name string, addr uint64, attempt
 	})
 }
 
-// deliverWrite decodes an incoming write payload and forwards the write
-// into the local L2.
+// deliverWrite forwards an incoming write into the local L2. A compressed
+// payload is decoded into the engine's scratch line, which the request
+// copies into its own; a raw one is passed on as is.
 func (e *Engine) deliverWrite(now sim.Time, wire *WriteReq) error {
-	data, err := wire.Payload.Decode()
-	if err != nil {
-		return fmt.Errorf("%s: write payload: %w", e.Name(), err)
+	var local *mem.WriteReq
+	if wire.Payload.Alg == comp.None {
+		local = mem.NewWriteReq(e.ToL2, e.L2Router(wire.Addr), wire.Addr, wire.Payload.Raw)
+	} else {
+		if err := comp.DecodeInto(e.line[:], wire.Payload.Enc); err != nil {
+			return fmt.Errorf("%s: write payload: %w", e.Name(), err)
+		}
+		local = mem.NewWriteReqLine(e.ToL2, e.L2Router(wire.Addr), wire.Addr, e.line[:])
 	}
-	local := mem.NewWriteReq(e.ToL2, e.L2Router(wire.Addr), wire.Addr, data)
 	e.part.AssignMsgID(local)
 	e.serviceWrites[local.ID] = wire
 	if !e.ToL2.Send(now, local) {
@@ -581,16 +592,21 @@ func (e *Engine) deliverWrite(now sim.Time, wire *WriteReq) error {
 	return nil
 }
 
-// deliverRead decodes the response to the pending read pr and returns the
-// data to the requesting L1.
-func (e *Engine) deliverRead(now sim.Time, wire *DataReady, pr *pendingRead) error {
-	data, err := wire.Payload.Decode()
-	if err != nil {
-		return fmt.Errorf("%s: read payload: %w", e.Name(), err)
+// deliverRead returns the response to the pending read pr to the requesting
+// L1. A compressed payload is decoded straight into the line the response
+// carries; a raw one is passed on as is.
+func (e *Engine) deliverRead(now sim.Time, wire *DataReady, pr pendingRead) error {
+	orig := pr.req
+	var rsp *mem.DataReady
+	if wire.Payload.Alg == comp.None {
+		rsp = mem.NewDataReady(e.ToL1, orig.Src, orig.ID, orig.Addr, wire.Payload.Raw)
+	} else {
+		rsp = mem.NewDataReadyLine(e.ToL1, orig.Src, orig.ID, orig.Addr, comp.LineSize)
+		if err := comp.DecodeInto(rsp.Data, wire.Payload.Enc); err != nil {
+			return fmt.Errorf("%s: read payload: %w", e.Name(), err)
+		}
 	}
 	e.ReadLatency.Add(float64(now - pr.issued))
-	orig := pr.req
-	rsp := mem.NewDataReady(e.ToL1, orig.Src, orig.ID, orig.Addr, data)
 	e.part.AssignMsgID(rsp)
 	if !e.ToL1.Send(now, rsp) {
 		return fmt.Errorf("%s: L1 rejected response", e.Name())

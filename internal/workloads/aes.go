@@ -3,6 +3,7 @@ package workloads
 import (
 	"bytes"
 	"crypto/aes"
+	"crypto/cipher"
 	"fmt"
 
 	"mgpucompress/internal/gpu"
@@ -98,39 +99,46 @@ func (a *AES) Run(p *platform.Platform) error {
 			[]uint64{a.input.Base(), a.outputs[0].Base()},
 			[]uint32{uint32(a.totalLines * mem.LineSize), 256},
 		),
-		Program: func(wg int) [][]gpu.Op {
-			g, outLine := a.outputSlot(p, wg)
-			out := a.outputs[g]
-			streams := make([][]gpu.Op, a.wavesPerWG)
-			perWave := a.linesPerWG / a.wavesPerWG
-			for w := 0; w < a.wavesPerWG; w++ {
-				var ops []gpu.Op
-				for i := 0; i < perWave; i++ {
-					line := wg*a.linesPerWG + w*perWave + i
-					dst := out.Addr(uint64(outLine+w*perWave+i) * mem.LineSize)
-					ops = append(ops, gpu.ReadOp{
-						Addr: a.input.Addr(uint64(line) * mem.LineSize),
-						N:    mem.LineSize,
-						Then: func(data []byte) []gpu.Op {
-							ct := make([]byte, mem.LineSize)
-							for b := 0; b < mem.LineSize; b += aes.BlockSize {
-								block.Encrypt(ct[b:b+aes.BlockSize], data[b:b+aes.BlockSize])
-							}
-							return []gpu.Op{
-								// ~14 rounds of SubBytes/ShiftRows/MixColumns
-								// per block, 4 blocks per line.
-								gpu.ComputeOp{Cycles: 80},
-								gpu.WriteOp{Addr: dst, Data: ct},
-							}
-						},
-					})
-				}
-				streams[w] = ops
-			}
-			return streams
-		},
+		Program: &aesEncrypt{a: a, p: p, block: block},
 	}
 	return p.Driver.Launch(k)
+}
+
+// aesEncrypt is the encryption kernel: each of a workgroup's wavefronts
+// reads its share of the lines one at a time (Step is the line within the
+// share, also the read's arg) and writes each line's ciphertext to the
+// GPU-local output partition.
+type aesEncrypt struct {
+	a     *AES
+	p     *platform.Platform
+	block cipher.Block
+}
+
+func (k *aesEncrypt) Waves(int) int { return k.a.wavesPerWG }
+
+func (k *aesEncrypt) perWave() int { return k.a.linesPerWG / k.a.wavesPerWG }
+
+func (k *aesEncrypt) Next(w *gpu.Wave) {
+	i := w.Step
+	if i == k.perWave() {
+		return
+	}
+	w.Step++
+	line := w.WG*k.a.linesPerWG + w.Index*k.perWave() + i
+	w.Read(k.a.input.Addr(uint64(line)*mem.LineSize), mem.LineSize, k, i)
+}
+
+func (k *aesEncrypt) Resume(w *gpu.Wave, data []byte, i int) {
+	ct := gpu.StateOf[[mem.LineSize]byte](w)
+	for b := 0; b < mem.LineSize; b += aes.BlockSize {
+		k.block.Encrypt(ct[b:b+aes.BlockSize], data[b:b+aes.BlockSize])
+	}
+	g, outLine := k.a.outputSlot(k.p, w.WG)
+	dst := k.a.outputs[g].Addr(uint64(outLine+w.Index*k.perWave()+i) * mem.LineSize)
+	// ~14 rounds of SubBytes/ShiftRows/MixColumns per block, 4 blocks per
+	// line.
+	w.Compute(80)
+	w.Write(dst, ct[:])
 }
 
 // Verify implements Workload.

@@ -126,88 +126,87 @@ func (b *BS) launchStage(p *platform.Platform, k, j int) error {
 			[]uint64{b.data.Base()},
 			[]uint32{uint32(b.n), uint32(k), uint32(j)},
 		),
-		Program: func(wg int) [][]gpu.Op {
-			var ops []gpu.Op
-			for s := 0; s < linesPerWG; s++ {
-				idx := wg*linesPerWG + s
-				if idx >= len(owners) {
-					break
-				}
-				la := owners[idx]
-				if lineJ == 0 {
-					ops = append(ops, b.intraLineOps(la, k, j)...)
-				} else {
-					ops = append(ops, b.crossLineOps(la, la^lineJ, k, j)...)
-				}
-			}
-			return [][]gpu.Op{ops}
-		},
+		Program: &bsStage{b: b, owners: owners, linesPerWG: linesPerWG, lineJ: lineJ, k: k, j: j},
 	}
 	return p.Driver.Launch(kern)
 }
 
-// intraLineOps exchanges partners that live within one line.
-func (b *BS) intraLineOps(la, k, j int) []gpu.Op {
-	addr := b.data.Addr(uint64(la) * mem.LineSize)
-	return []gpu.Op{gpu.ReadOp{
-		Addr: addr,
-		N:    mem.LineSize,
-		Then: func(data []byte) []gpu.Op {
-			out := append([]byte(nil), data...)
-			for e := 0; e < elemsPerLine; e++ {
-				i := la*elemsPerLine + e
-				partner := i ^ j
-				if partner <= i || partner/elemsPerLine != la {
-					continue
-				}
-				pe := partner % elemsPerLine
-				a := readU32(out[e*4:])
-				c := readU32(out[pe*4:])
-				if (i&k == 0) == (a > c) {
-					putU32(out[e*4:], c)
-					putU32(out[pe*4:], a)
-				}
-			}
-			return []gpu.Op{
-				gpu.ComputeOp{Cycles: 8},
-				gpu.WriteOp{Addr: addr, Data: out},
-			}
-		},
-	}}
+// bsStage is one compare-exchange stage: one wavefront per workgroup takes
+// its owner lines in turn (Step counts them). Partners within one line
+// take one read; partners split across two lines read line A (arg 0), then
+// line B (arg 1).
+type bsStage struct {
+	b          *BS
+	owners     []int
+	linesPerWG int
+	lineJ      int
+	k, j       int
 }
 
-// crossLineOps exchanges partners split across two lines.
-func (b *BS) crossLineOps(la, lb, k, j int) []gpu.Op {
-	addrA := b.data.Addr(uint64(la) * mem.LineSize)
-	addrB := b.data.Addr(uint64(lb) * mem.LineSize)
-	return []gpu.Op{gpu.ReadOp{
-		Addr: addrA,
-		N:    mem.LineSize,
-		Then: func(dataA []byte) []gpu.Op {
-			a := append([]byte(nil), dataA...)
-			return []gpu.Op{gpu.ReadOp{
-				Addr: addrB,
-				N:    mem.LineSize,
-				Then: func(dataB []byte) []gpu.Op {
-					bb := append([]byte(nil), dataB...)
-					for e := 0; e < elemsPerLine; e++ {
-						i := la*elemsPerLine + e
-						va := readU32(a[e*4:])
-						vb := readU32(bb[e*4:])
-						if (i&k == 0) == (va > vb) {
-							putU32(a[e*4:], vb)
-							putU32(bb[e*4:], va)
-						}
-					}
-					return []gpu.Op{
-						gpu.ComputeOp{Cycles: 8},
-						gpu.WriteOp{Addr: addrA, Data: a},
-						gpu.WriteOp{Addr: addrB, Data: bb},
-					}
-				},
-			}}
-		},
-	}}
+// bsWave is a wavefront's reused pair of lines.
+type bsWave struct {
+	a, b [mem.LineSize]byte
+}
+
+func (s *bsStage) Waves(int) int { return 1 }
+
+// owner returns the owner line the wavefront is exchanging.
+func (s *bsStage) owner(w *gpu.Wave) int { return s.owners[w.WG*s.linesPerWG+w.Step-1] }
+
+func (s *bsStage) addr(line int) uint64 { return s.b.data.Addr(uint64(line) * mem.LineSize) }
+
+func (s *bsStage) Next(w *gpu.Wave) {
+	if w.Step == s.linesPerWG || w.WG*s.linesPerWG+w.Step >= len(s.owners) {
+		return
+	}
+	w.Step++
+	w.Read(s.addr(s.owner(w)), mem.LineSize, s, 0)
+}
+
+func (s *bsStage) Resume(w *gpu.Wave, data []byte, arg int) {
+	st, la := gpu.StateOf[bsWave](w), s.owner(w)
+	if s.lineJ == 0 {
+		// Partners within one line.
+		out := st.a[:]
+		copy(out, data)
+		for e := 0; e < elemsPerLine; e++ {
+			i := la*elemsPerLine + e
+			partner := i ^ s.j
+			if partner <= i || partner/elemsPerLine != la {
+				continue
+			}
+			pe := partner % elemsPerLine
+			a := readU32(out[e*4:])
+			c := readU32(out[pe*4:])
+			if (i&s.k == 0) == (a > c) {
+				putU32(out[e*4:], c)
+				putU32(out[pe*4:], a)
+			}
+		}
+		w.Compute(8)
+		w.Write(s.addr(la), out)
+		return
+	}
+	// Partners split across two lines.
+	lb := la ^ s.lineJ
+	if arg == 0 {
+		copy(st.a[:], data)
+		w.Read(s.addr(lb), mem.LineSize, s, 1)
+		return
+	}
+	copy(st.b[:], data)
+	for e := 0; e < elemsPerLine; e++ {
+		i := la*elemsPerLine + e
+		va := readU32(st.a[e*4:])
+		vb := readU32(st.b[e*4:])
+		if (i&s.k == 0) == (va > vb) {
+			putU32(st.a[e*4:], vb)
+			putU32(st.b[e*4:], va)
+		}
+	}
+	w.Compute(8)
+	w.Write(s.addr(la), st.a[:])
+	w.Write(s.addr(lb), st.b[:])
 }
 
 // Verify implements Workload.

@@ -47,6 +47,11 @@ func (f *FIR) Description() string {
 
 const firSamplesPerLine = mem.LineSize / 8
 
+// firLinesPerWG is the filter kernel's output lines per workgroup; each
+// workgroup also reads the two input lines before its chunk (the 16-tap
+// history spans at most 15 earlier samples).
+const firLinesPerWG = 4
+
 // firDC is the sensor DC offset: samples vary only in their low 2 bytes.
 const firDC = uint64(0x4012340000560000)
 
@@ -64,7 +69,7 @@ func (f *FIR) Setup(p *platform.Platform) error {
 	}
 
 	f.n = 2048 * int(f.scale)
-	f.linesPerWG = 4
+	f.linesPerWG = firLinesPerWG
 	f.numWGs = f.n / firSamplesPerLine / f.linesPerWG
 
 	f.input = p.Space.AllocStriped(uint64(f.n * 8))
@@ -133,38 +138,41 @@ func (f *FIR) Run(p *platform.Platform) error {
 // phase 1 of Fig. 1c.
 func (f *FIR) runSetupKernel(p *platform.Platform) error {
 	linesPerWG := 4
-	numWGs := (f.tabLines + linesPerWG - 1) / linesPerWG
 	k := &gpu.Kernel{
 		Name:          "fir_setup",
-		NumWorkgroups: numWGs,
+		NumWorkgroups: (f.tabLines + linesPerWG - 1) / linesPerWG,
 		Args:          argsBlock([]uint64{f.indexTab.Base()}, []uint32{uint32(f.tabLines)}),
-		Program: func(wg int) [][]gpu.Op {
-			var ops []gpu.Op
-			for s := 0; s < linesPerWG; s++ {
-				line := wg*linesPerWG + s
-				if line >= f.tabLines {
-					break
-				}
-				addr := f.indexTab.Addr(uint64(line) * mem.LineSize)
-				ops = append(ops, gpu.ReadOp{
-					Addr: addr,
-					N:    mem.LineSize,
-					Then: func(data []byte) []gpu.Op {
-						out := append([]byte(nil), data...)
-						for w := 0; w < mem.LineSize/4; w += 2 {
-							putU32(out[w*4:], readU32(out[w*4:])+1)
-						}
-						return []gpu.Op{
-							gpu.ComputeOp{Cycles: 4},
-							gpu.WriteOp{Addr: addr, Data: out},
-						}
-					},
-				})
-			}
-			return [][]gpu.Op{ops}
-		},
+		Program:       &firSetup{f: f, linesPerWG: linesPerWG},
 	}
 	return p.Driver.Launch(k)
+}
+
+// firSetup is the setup kernel: one wavefront per workgroup reads each of
+// its table lines and writes it back with the counter words bumped.
+type firSetup struct {
+	f          *FIR
+	linesPerWG int
+}
+
+func (k *firSetup) Waves(int) int { return 1 }
+
+func (k *firSetup) Next(w *gpu.Wave) {
+	line := w.WG*k.linesPerWG + w.Step
+	if w.Step == k.linesPerWG || line >= k.f.tabLines {
+		return
+	}
+	w.Step++
+	w.Read(k.f.indexTab.Addr(uint64(line)*mem.LineSize), mem.LineSize, k, line)
+}
+
+func (k *firSetup) Resume(w *gpu.Wave, data []byte, line int) {
+	out := gpu.StateOf[[mem.LineSize]byte](w)
+	copy(out[:], data)
+	for i := 0; i < mem.LineSize/4; i += 2 {
+		putU32(out[i*4:], readU32(out[i*4:])+1)
+	}
+	w.Compute(4)
+	w.Write(k.f.indexTab.Addr(uint64(line)*mem.LineSize), out[:])
 }
 
 // runFilterKernel is the FIR filter proper — phase 2 of Fig. 1c.
@@ -176,74 +184,78 @@ func (f *FIR) runFilterKernel(p *platform.Platform) error {
 			[]uint64{f.input.Base(), f.outputs[0].Base()},
 			[]uint32{uint32(f.n), uint32(f.numTaps)},
 		),
-		Program: func(wg int) [][]gpu.Op {
-			g, outLine := f.outputSlot(p, wg)
-			out := f.outputs[g]
-			firstLine := wg * f.linesPerWG
-			// Read the chunk plus two halo lines before it, then compute
-			// all outputs and write them to the GPU-local partition.
-			var lineIdx []int
-			for l := firstLine - 2; l < firstLine+f.linesPerWG; l++ {
-				if l >= 0 {
-					lineIdx = append(lineIdx, l)
-				}
-			}
-			collected := make(map[int][]byte, len(lineIdx))
-			var build func(i int) []gpu.Op
-			build = func(i int) []gpu.Op {
-				if i == len(lineIdx) {
-					return f.computeAndWrite(collected, firstLine, out, outLine)
-				}
-				l := lineIdx[i]
-				return []gpu.Op{gpu.ReadOp{
-					Addr: f.input.Addr(uint64(l) * mem.LineSize),
-					N:    mem.LineSize,
-					Then: func(data []byte) []gpu.Op {
-						collected[l] = append([]byte(nil), data...)
-						return build(i + 1)
-					},
-				}}
-			}
-			return [][]gpu.Op{build(0)}
-		},
+		Program: &firFilter{f: f, p: p},
 	}
 	return p.Driver.Launch(k)
 }
 
-func (f *FIR) computeAndWrite(lines map[int][]byte, firstLine int, out mem.Buffer, outLine int) []gpu.Op {
+// firFilter is the filter kernel: one wavefront per workgroup reads its
+// chunk plus two halo lines before it (arg is the input line), each
+// continuation emitting the next read, then computes all outputs and
+// writes them to the GPU-local partition.
+type firFilter struct {
+	f *FIR
+	p *platform.Platform
+}
+
+// firWave is a wavefront's reused state: the input lines firstLine-2 ..
+// firstLine+firLinesPerWG-1 and the output lines.
+type firWave struct {
+	lines [firLinesPerWG + 2][mem.LineSize]byte
+	out   [firLinesPerWG][mem.LineSize]byte
+}
+
+func (k *firFilter) Waves(int) int { return 1 }
+
+func (k *firFilter) Next(w *gpu.Wave) {
+	if w.Step > 0 {
+		return
+	}
+	w.Step++
+	k.read(w, max(w.WG*k.f.linesPerWG-2, 0))
+}
+
+func (k *firFilter) read(w *gpu.Wave, l int) {
+	w.Read(k.f.input.Addr(uint64(l)*mem.LineSize), mem.LineSize, k, l)
+}
+
+func (k *firFilter) Resume(w *gpu.Wave, data []byte, l int) {
+	f, st := k.f, gpu.StateOf[firWave](w)
+	firstLine := w.WG * f.linesPerWG
+	copy(st.lines[l-(firstLine-2)][:], data)
+	if l+1 < firstLine+f.linesPerWG {
+		k.read(w, l+1)
+		return
+	}
+	g, outLine := f.outputSlot(k.p, w.WG)
+	out := f.outputs[g]
 	sample := func(i int) uint64 {
 		if i < 0 {
 			return 0
 		}
-		l := i / firSamplesPerLine
-		data, ok := lines[l]
-		if !ok {
-			return 0
+		idx := i/firSamplesPerLine - (firstLine - 2)
+		if idx < 0 {
+			return 0 // before the lines read
 		}
 		e := i % firSamplesPerLine
 		var v uint64
 		for b := 0; b < 8; b++ {
-			v |= uint64(data[e*8+b]) << (8 * b)
+			v |= uint64(st.lines[idx][e*8+b]) << (8 * b)
 		}
 		return v
 	}
-	ops := []gpu.Op{gpu.ComputeOp{Cycles: 8 * f.linesPerWG * firSamplesPerLine / 4}}
+	w.Compute(8 * f.linesPerWG * firSamplesPerLine / 4)
 	for s := 0; s < f.linesPerWG; s++ {
-		lineData := make([]byte, mem.LineSize)
 		for e := 0; e < firSamplesPerLine; e++ {
 			i := (firstLine+s)*firSamplesPerLine + e
 			var acc uint64
 			for t := 0; t < f.numTaps; t++ {
 				acc += uint64(f.taps[t]) * sample(i-t)
 			}
-			putU64(lineData[e*8:], acc)
+			putU64(st.out[s][e*8:], acc)
 		}
-		ops = append(ops, gpu.WriteOp{
-			Addr: out.Addr(uint64(outLine+s) * mem.LineSize),
-			Data: lineData,
-		})
+		w.Write(out.Addr(uint64(outLine+s)*mem.LineSize), st.out[s][:])
 	}
-	return ops
 }
 
 // Verify implements Workload.

@@ -127,54 +127,65 @@ func (g *GD) runGradKernel(p *platform.Platform) error {
 			[]uint64{g.weights.Base(), g.batches[0].Base(), g.grads[0].Base()},
 			[]uint32{uint32(g.m), uint32(g.rows)},
 		),
-		Program: func(wg int) [][]gpu.Op {
-			b := wg % numGPUs
-			chunk := wg / numGPUs
-			firstLine := chunk * g.linesPerWG
-			var ops []gpu.Op
-			for s := 0; s < g.linesPerWG; s++ {
-				line := firstLine + s
-				j0 := line * wordsPerLine
-				gradAddr := g.grads[b].Addr(uint64(line) * mem.LineSize)
-				ops = append(ops, gpu.ReadOp{
-					Addr: g.weights.Addr(uint64(line) * mem.LineSize),
-					N:    mem.LineSize,
-					Then: func(wline []byte) []gpu.Op {
-						// Gather the batch rows for this feature range.
-						acc := make([]float32, wordsPerLine)
-						var rowOps func(row int) []gpu.Op
-						rowOps = func(row int) []gpu.Op {
-							if row == g.rows {
-								out := make([]byte, mem.LineSize)
-								for e := 0; e < wordsPerLine; e++ {
-									putU32(out[e*4:], math.Float32bits(acc[e]))
-								}
-								return []gpu.Op{
-									gpu.ComputeOp{Cycles: 4},
-									gpu.WriteOp{Addr: gradAddr, Data: out},
-								}
-							}
-							return []gpu.Op{gpu.ReadOp{
-								Addr: g.batches[b].Addr(uint64(row*g.m+j0) * 4),
-								N:    mem.LineSize,
-								Then: func(xline []byte) []gpu.Op {
-									for e := 0; e < wordsPerLine; e++ {
-										x := math.Float32frombits(readU32(xline[e*4:]))
-										w := math.Float32frombits(readU32(wline[e*4:]))
-										acc[e] += float32(x * w)
-									}
-									return rowOps(row + 1)
-								},
-							}}
-						}
-						return rowOps(0)
-					},
-				})
-			}
-			return [][]gpu.Op{ops}
-		},
+		Program: &gdGrad{g: g, numGPUs: numGPUs},
 	}
 	return p.Driver.Launch(k)
+}
+
+// gdWave is a GD wavefront's reused per-line state.
+type gdWave struct {
+	wline [mem.LineSize]byte // the weight line
+	acc   [wordsPerLine]float32
+	out   [mem.LineSize]byte
+}
+
+// gdGrad is the gradient kernel. Step counts the feature lines started;
+// per line the weight read (arg 0) is followed by one read per batch row
+// (arg row+1), each continuation emitting the next.
+type gdGrad struct {
+	g       *GD
+	numGPUs int
+}
+
+func (k *gdGrad) Waves(int) int { return 1 }
+
+// line returns the feature line the wavefront is working on.
+func (k *gdGrad) line(w *gpu.Wave) int {
+	return w.WG/k.numGPUs*k.g.linesPerWG + w.Step - 1
+}
+
+func (k *gdGrad) Next(w *gpu.Wave) {
+	if w.Step == k.g.linesPerWG {
+		return
+	}
+	w.Step++
+	w.Read(k.g.weights.Addr(uint64(k.line(w))*mem.LineSize), mem.LineSize, k, 0)
+}
+
+func (k *gdGrad) Resume(w *gpu.Wave, data []byte, arg int) {
+	g, st := k.g, gpu.StateOf[gdWave](w)
+	b, line := w.WG%k.numGPUs, k.line(w)
+	if arg == 0 {
+		copy(st.wline[:], data)
+		st.acc = [wordsPerLine]float32{}
+	} else {
+		// Gather the batch rows for this feature range.
+		for e := 0; e < wordsPerLine; e++ {
+			x := math.Float32frombits(readU32(data[e*4:]))
+			wv := math.Float32frombits(readU32(st.wline[e*4:]))
+			st.acc[e] += float32(x * wv)
+		}
+	}
+	if row := arg; row < g.rows {
+		j0 := line * wordsPerLine
+		w.Read(g.batches[b].Addr(uint64(row*g.m+j0)*4), mem.LineSize, k, row+1)
+		return
+	}
+	for e := 0; e < wordsPerLine; e++ {
+		putU32(st.out[e*4:], math.Float32bits(st.acc[e]))
+	}
+	w.Compute(4)
+	w.Write(g.grads[b].Addr(uint64(line)*mem.LineSize), st.out[:])
 }
 
 // runReduceKernel averages the per-GPU gradients and applies a scaled
@@ -189,50 +200,56 @@ func (g *GD) runReduceKernel(p *platform.Platform) error {
 			[]uint64{g.weights.Base(), g.grads[0].Base()},
 			[]uint32{uint32(g.m), uint32(numGPUs)},
 		),
-		Program: func(wg int) [][]gpu.Op {
-			firstLine := wg * g.linesPerWG
-			var ops []gpu.Op
-			for s := 0; s < g.linesPerWG; s++ {
-				line := firstLine + s
-				wAddr := g.weights.Addr(uint64(line) * mem.LineSize)
-				ops = append(ops, gpu.ReadOp{
-					Addr: wAddr,
-					N:    mem.LineSize,
-					Then: func(wline []byte) []gpu.Op {
-						sum := make([]float32, wordsPerLine)
-						var gatherOps func(b int) []gpu.Op
-						gatherOps = func(b int) []gpu.Op {
-							if b == numGPUs {
-								out := make([]byte, mem.LineSize)
-								for e := 0; e < wordsPerLine; e++ {
-									w := math.Float32frombits(readU32(wline[e*4:]))
-									w -= sum[e] / float32(numGPUs) / 1024
-									putU32(out[e*4:], math.Float32bits(w))
-								}
-								return []gpu.Op{
-									gpu.ComputeOp{Cycles: 6},
-									gpu.WriteOp{Addr: wAddr, Data: out},
-								}
-							}
-							return []gpu.Op{gpu.ReadOp{
-								Addr: g.grads[b].Addr(uint64(line) * mem.LineSize),
-								N:    mem.LineSize,
-								Then: func(gline []byte) []gpu.Op {
-									for e := 0; e < wordsPerLine; e++ {
-										sum[e] += math.Float32frombits(readU32(gline[e*4:]))
-									}
-									return gatherOps(b + 1)
-								},
-							}}
-						}
-						return gatherOps(0)
-					},
-				})
-			}
-			return [][]gpu.Op{ops}
-		},
+		Program: &gdReduce{g: g, numGPUs: numGPUs},
 	}
 	return p.Driver.Launch(k)
+}
+
+// gdReduce is the averaging kernel. Step counts the feature lines started;
+// per line the weight read (arg 0) is followed by one read per GPU's
+// gradient (arg gpu+1).
+type gdReduce struct {
+	g       *GD
+	numGPUs int
+}
+
+func (k *gdReduce) Waves(int) int { return 1 }
+
+// wAddr returns the address of the weight line the wavefront is updating.
+func (k *gdReduce) wAddr(w *gpu.Wave) uint64 {
+	return k.g.weights.Addr(uint64(w.WG*k.g.linesPerWG+w.Step-1) * mem.LineSize)
+}
+
+func (k *gdReduce) Next(w *gpu.Wave) {
+	if w.Step == k.g.linesPerWG {
+		return
+	}
+	w.Step++
+	w.Read(k.wAddr(w), mem.LineSize, k, 0)
+}
+
+func (k *gdReduce) Resume(w *gpu.Wave, data []byte, arg int) {
+	st := gpu.StateOf[gdWave](w)
+	if arg == 0 {
+		copy(st.wline[:], data)
+		st.acc = [wordsPerLine]float32{}
+	} else {
+		for e := 0; e < wordsPerLine; e++ {
+			st.acc[e] += math.Float32frombits(readU32(data[e*4:]))
+		}
+	}
+	if b := arg; b < k.numGPUs {
+		line := w.WG*k.g.linesPerWG + w.Step - 1
+		w.Read(k.g.grads[b].Addr(uint64(line)*mem.LineSize), mem.LineSize, k, b+1)
+		return
+	}
+	for e := 0; e < wordsPerLine; e++ {
+		wv := math.Float32frombits(readU32(st.wline[e*4:]))
+		wv -= st.acc[e] / float32(k.numGPUs) / 1024
+		putU32(st.out[e*4:], math.Float32bits(wv))
+	}
+	w.Compute(6)
+	w.Write(k.wAddr(w), st.out[:])
 }
 
 // Verify implements Workload.

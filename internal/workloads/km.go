@@ -35,6 +35,15 @@ type KM struct {
 	initCentroids [][]int32
 }
 
+// KMeans shape: centroids, features per point (words 0..kmD-1 of its line;
+// a partial-sum line keeps its count in word kmD), and points per
+// workgroup (one assignment line's worth of words).
+const (
+	kmK           = 8
+	kmD           = 13
+	kmPointsPerWG = mem.LineSize / 4
+)
+
 // NewKM builds the KMeans benchmark.
 func NewKM(scale Scale) *KM { return &KM{scale: scale} }
 
@@ -53,10 +62,10 @@ func (m *KM) Description() string {
 func (m *KM) Setup(p *platform.Platform) error {
 	r := m.rng(0x6B17)
 	m.n = 512 * int(m.scale)
-	m.k = 8
-	m.d = 13
+	m.k = kmK
+	m.d = kmD
 	m.iterations = 2
-	m.pointsPerWG = 16
+	m.pointsPerWG = kmPointsPerWG
 
 	// Quantization vocabulary: halfword-range levels spread far apart.
 	// Each point is "two-hot": two levels, each repeated in ~2 of its 13
@@ -135,93 +144,86 @@ func (m *KM) runAssignKernel(p *platform.Platform) error {
 			[]uint64{m.points.Base(), m.centroids.Base(), m.assignments.Base(), m.partials.Base()},
 			[]uint32{uint32(m.n), uint32(m.k), uint32(m.d)},
 		),
-		Program: func(wg int) [][]gpu.Op {
-			cents := make([][]int32, m.k)
-			// Read the centroid table first.
-			var readCentroids func(c int) []gpu.Op
-			var readPoints func(i int, assigns []uint32, sums [][]int32, counts []int32) []gpu.Op
-
-			finish := func(assigns []uint32, sums [][]int32, counts []int32) []gpu.Op {
-				ops := []gpu.Op{gpu.ComputeOp{Cycles: m.pointsPerWG * m.k}}
-				assignLine := make([]byte, mem.LineSize)
-				for e, a := range assigns {
-					putU32(assignLine[e*4:], a)
-				}
-				ops = append(ops, gpu.WriteOp{
-					Addr: m.assignments.Addr(uint64(wg*m.pointsPerWG) * 4),
-					Data: assignLine,
-				})
-				for c := 0; c < m.k; c++ {
-					line := make([]byte, mem.LineSize)
-					for f := 0; f < m.d; f++ {
-						putU32(line[f*4:], uint32(sums[c][f]))
-					}
-					putU32(line[13*4:], uint32(counts[c]))
-					ops = append(ops, gpu.WriteOp{
-						Addr: m.partials.Addr(uint64(wg*m.k+c) * mem.LineSize),
-						Data: line,
-					})
-				}
-				return ops
-			}
-
-			readPoints = func(i int, assigns []uint32, sums [][]int32, counts []int32) []gpu.Op {
-				if i == m.pointsPerWG {
-					return finish(assigns, sums, counts)
-				}
-				pt := wg*m.pointsPerWG + i
-				return []gpu.Op{gpu.ReadOp{
-					Addr: m.points.Addr(uint64(pt) * mem.LineSize),
-					N:    mem.LineSize,
-					Then: func(line []byte) []gpu.Op {
-						best, bestDist := 0, int64(1)<<62
-						for c := 0; c < m.k; c++ {
-							var dist int64
-							for f := 0; f < m.d; f++ {
-								diff := int64(int32(readU32(line[f*4:]))) - int64(cents[c][f])
-								dist += diff * diff
-							}
-							if dist < bestDist {
-								best, bestDist = c, dist
-							}
-						}
-						assigns[i] = uint32(best)
-						for f := 0; f < m.d; f++ {
-							sums[best][f] += int32(readU32(line[f*4:]))
-						}
-						counts[best]++
-						return readPoints(i+1, assigns, sums, counts)
-					},
-				}}
-			}
-
-			readCentroids = func(c int) []gpu.Op {
-				if c == m.k {
-					assigns := make([]uint32, m.pointsPerWG)
-					sums := make([][]int32, m.k)
-					for i := range sums {
-						sums[i] = make([]int32, m.d)
-					}
-					counts := make([]int32, m.k)
-					return readPoints(0, assigns, sums, counts)
-				}
-				return []gpu.Op{gpu.ReadOp{
-					Addr: m.centroids.Addr(uint64(c) * mem.LineSize),
-					N:    mem.LineSize,
-					Then: func(line []byte) []gpu.Op {
-						feats := make([]int32, m.d)
-						for f := 0; f < m.d; f++ {
-							feats[f] = int32(readU32(line[f*4:]))
-						}
-						cents[c] = feats
-						return readCentroids(c + 1)
-					},
-				}}
-			}
-			return [][]gpu.Op{readCentroids(0)}
-		},
+		Program: &kmAssign{m: m},
 	}
 	return p.Driver.Launch(k)
+}
+
+// kmAssign is the assignment kernel: one wavefront per workgroup reads the
+// k centroid lines (arg 0..k-1) and then its points (arg k+i for point i),
+// each continuation emitting the next read.
+type kmAssign struct{ m *KM }
+
+// kmAssignWave is a wavefront's reused state.
+type kmAssignWave struct {
+	cents   [kmK][kmD]int32
+	assigns [kmPointsPerWG]uint32
+	sums    [kmK][kmD]int32
+	counts  [kmK]int32
+	out     [1 + kmK][mem.LineSize]byte // the assignment line, then the partials
+}
+
+func (k *kmAssign) Waves(int) int { return 1 }
+
+func (k *kmAssign) Next(w *gpu.Wave) {
+	if w.Step > 0 {
+		return
+	}
+	w.Step++
+	// Read the centroid table first.
+	w.Read(k.m.centroids.Addr(0), mem.LineSize, k, 0)
+}
+
+func (k *kmAssign) Resume(w *gpu.Wave, line []byte, arg int) {
+	m, st := k.m, gpu.StateOf[kmAssignWave](w)
+	if c := arg; c < m.k {
+		for f := 0; f < m.d; f++ {
+			st.cents[c][f] = int32(readU32(line[f*4:]))
+		}
+		if c+1 < m.k {
+			w.Read(m.centroids.Addr(uint64(c+1)*mem.LineSize), mem.LineSize, k, c+1)
+			return
+		}
+		st.sums = [kmK][kmD]int32{}
+		st.counts = [kmK]int32{}
+	} else {
+		i := arg - m.k
+		best, bestDist := 0, int64(1)<<62
+		for c := 0; c < m.k; c++ {
+			var dist int64
+			for f := 0; f < m.d; f++ {
+				diff := int64(int32(readU32(line[f*4:]))) - int64(st.cents[c][f])
+				dist += diff * diff
+			}
+			if dist < bestDist {
+				best, bestDist = c, dist
+			}
+		}
+		st.assigns[i] = uint32(best)
+		for f := 0; f < m.d; f++ {
+			st.sums[best][f] += int32(readU32(line[f*4:]))
+		}
+		st.counts[best]++
+	}
+	if i := arg + 1 - m.k; i < m.pointsPerWG {
+		pt := w.WG*m.pointsPerWG + i
+		w.Read(m.points.Addr(uint64(pt)*mem.LineSize), mem.LineSize, k, m.k+i)
+		return
+	}
+	w.Compute(m.pointsPerWG * m.k)
+	for e, a := range st.assigns {
+		putU32(st.out[0][e*4:], a)
+	}
+	w.Write(m.assignments.Addr(uint64(w.WG*m.pointsPerWG)*4), st.out[0][:])
+	for c := 0; c < m.k; c++ {
+		out := st.out[1+c][:]
+		clear(out)
+		for f := 0; f < m.d; f++ {
+			putU32(out[f*4:], uint32(st.sums[c][f]))
+		}
+		putU32(out[kmD*4:], uint32(st.counts[c]))
+		w.Write(m.partials.Addr(uint64(w.WG*m.k+c)*mem.LineSize), out)
+	}
 }
 
 // runUpdateKernel: workgroup c gathers every partial-sum line for centroid
@@ -235,41 +237,62 @@ func (m *KM) runUpdateKernel(p *platform.Platform) error {
 			[]uint64{m.centroids.Base(), m.partials.Base()},
 			[]uint32{uint32(m.k), uint32(numWGs)},
 		),
-		Program: func(c int) [][]gpu.Op {
-			sums := make([]int64, m.d)
-			var count int64
-			var gather func(wg int) []gpu.Op
-			gather = func(wg int) []gpu.Op {
-				if wg == numWGs {
-					line := make([]byte, mem.LineSize)
-					for f := 0; f < m.d; f++ {
-						v := int64(0)
-						if count > 0 {
-							v = sums[f] / count
-						}
-						putU32(line[f*4:], uint32(int32(v)))
-					}
-					return []gpu.Op{
-						gpu.ComputeOp{Cycles: 8},
-						gpu.WriteOp{Addr: m.centroids.Addr(uint64(c) * mem.LineSize), Data: line},
-					}
-				}
-				return []gpu.Op{gpu.ReadOp{
-					Addr: m.partials.Addr(uint64(wg*m.k+c) * mem.LineSize),
-					N:    mem.LineSize,
-					Then: func(line []byte) []gpu.Op {
-						for f := 0; f < m.d; f++ {
-							sums[f] += int64(int32(readU32(line[f*4:])))
-						}
-						count += int64(int32(readU32(line[13*4:])))
-						return gather(wg + 1)
-					},
-				}}
-			}
-			return [][]gpu.Op{gather(0)}
-		},
+		Program: &kmUpdate{m: m, numWGs: numWGs},
 	}
 	return p.Driver.Launch(k)
+}
+
+// kmUpdate is the update kernel: the wavefront of workgroup c reads the
+// partial-sum line of centroid c from every assignment workgroup (arg is
+// that workgroup), each continuation emitting the next read.
+type kmUpdate struct {
+	m      *KM
+	numWGs int
+}
+
+// kmUpdateWave is a wavefront's reused state.
+type kmUpdateWave struct {
+	sums  [kmD]int64
+	count int64
+	out   [mem.LineSize]byte
+}
+
+func (k *kmUpdate) Waves(int) int { return 1 }
+
+func (k *kmUpdate) partial(wg, c int) uint64 {
+	return k.m.partials.Addr(uint64(wg*k.m.k+c) * mem.LineSize)
+}
+
+func (k *kmUpdate) Next(w *gpu.Wave) {
+	if w.Step > 0 {
+		return
+	}
+	w.Step++
+	st := gpu.StateOf[kmUpdateWave](w)
+	st.sums, st.count = [kmD]int64{}, 0
+	w.Read(k.partial(0, w.WG), mem.LineSize, k, 0)
+}
+
+func (k *kmUpdate) Resume(w *gpu.Wave, line []byte, wg int) {
+	m, st, c := k.m, gpu.StateOf[kmUpdateWave](w), w.WG
+	for f := 0; f < m.d; f++ {
+		st.sums[f] += int64(int32(readU32(line[f*4:])))
+	}
+	st.count += int64(int32(readU32(line[kmD*4:])))
+	if wg+1 < k.numWGs {
+		w.Read(k.partial(wg+1, c), mem.LineSize, k, wg+1)
+		return
+	}
+	clear(st.out[:])
+	for f := 0; f < m.d; f++ {
+		v := int64(0)
+		if st.count > 0 {
+			v = st.sums[f] / st.count
+		}
+		putU32(st.out[f*4:], uint32(int32(v)))
+	}
+	w.Compute(8)
+	w.Write(m.centroids.Addr(uint64(c)*mem.LineSize), st.out[:])
 }
 
 // Verify implements Workload.

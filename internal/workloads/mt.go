@@ -71,40 +71,58 @@ func (t *MT) Run(p *platform.Platform) error {
 			[]uint64{t.input.Base(), t.output.Base()},
 			[]uint32{uint32(t.n)},
 		),
-		Program: func(wg int) [][]gpu.Op {
-			tr, tc := wg/tiles, wg%tiles
-			tile := make([][]byte, mtTile)
-			var readRows func(i int) []gpu.Op
-			readRows = func(i int) []gpu.Op {
-				if i == mtTile {
-					ops := []gpu.Op{gpu.ComputeOp{Cycles: 16}}
-					for j := 0; j < mtTile; j++ {
-						// Output line j of the transposed tile: column j of
-						// the input tile.
-						line := make([]byte, mem.LineSize)
-						for e := 0; e < mtTile; e++ {
-							copy(line[e*4:e*4+4], tile[e][j*4:j*4+4])
-						}
-						ops = append(ops, gpu.WriteOp{
-							Addr: t.output.Addr(t.elemOff(tc*mtTile+j, tr*mtTile)),
-							Data: line,
-						})
-					}
-					return ops
-				}
-				return []gpu.Op{gpu.ReadOp{
-					Addr: t.input.Addr(t.elemOff(tr*mtTile+i, tc*mtTile)),
-					N:    mem.LineSize,
-					Then: func(data []byte) []gpu.Op {
-						tile[i] = append([]byte(nil), data...)
-						return readRows(i + 1)
-					},
-				}}
-			}
-			return [][]gpu.Op{readRows(0)}
-		},
+		Program: &mtTranspose{t: t, tiles: tiles},
 	}
 	return p.Driver.Launch(k)
+}
+
+// mtTranspose is the transpose kernel: one wavefront per tile reads the
+// tile's rows in order (arg is the row), each continuation emitting the
+// next read, then writes the transposed tile.
+type mtTranspose struct {
+	t     *MT
+	tiles int
+}
+
+// mtWave is a wavefront's reused tile storage.
+type mtWave struct {
+	tile [mtTile][mem.LineSize]byte
+	out  [mtTile][mem.LineSize]byte
+}
+
+func (k *mtTranspose) Waves(int) int { return 1 }
+
+func (k *mtTranspose) readRow(w *gpu.Wave, i int) {
+	tr, tc := w.WG/k.tiles, w.WG%k.tiles
+	w.Read(k.t.input.Addr(k.t.elemOff(tr*mtTile+i, tc*mtTile)), mem.LineSize, k, i)
+}
+
+func (k *mtTranspose) Next(w *gpu.Wave) {
+	if w.Step > 0 {
+		return
+	}
+	w.Step++
+	k.readRow(w, 0)
+}
+
+func (k *mtTranspose) Resume(w *gpu.Wave, data []byte, i int) {
+	st := gpu.StateOf[mtWave](w)
+	copy(st.tile[i][:], data)
+	if i+1 < mtTile {
+		k.readRow(w, i+1)
+		return
+	}
+	tr, tc := w.WG/k.tiles, w.WG%k.tiles
+	w.Compute(16)
+	for j := 0; j < mtTile; j++ {
+		// Output line j of the transposed tile: column j of the input
+		// tile.
+		line := st.out[j][:]
+		for e := 0; e < mtTile; e++ {
+			copy(line[e*4:e*4+4], st.tile[e][j*4:j*4+4])
+		}
+		w.Write(k.t.output.Addr(k.t.elemOff(tc*mtTile+j, tr*mtTile)), line)
+	}
 }
 
 // Verify implements Workload.

@@ -173,22 +173,32 @@ func (rp *Replay) Run(p *platform.Platform) error {
 		Name:          "trace_replay",
 		NumWorkgroups: len(rp.ops),
 		Args:          argsBlock([]uint64{rp.buf.Base()}, []uint32{uint32(len(rp.ops))}),
-		Program: func(wg int) [][]gpu.Op {
-			var ops []gpu.Op
-			for _, op := range rp.ops[wg] {
-				switch op.kind {
-				case 'R':
-					ops = append(ops, gpu.ReadOp{Addr: rp.buf.Addr(op.offset), N: mem.LineSize})
-				case 'W':
-					ops = append(ops, gpu.WriteOp{Addr: rp.buf.Addr(op.offset), Data: op.data})
-				case 'C':
-					ops = append(ops, gpu.ComputeOp{Cycles: op.cycles})
-				}
-			}
-			return [][]gpu.Op{ops}
-		},
+		Program:       replayProgram{rp},
 	}
 	return p.Driver.Launch(k)
+}
+
+// replayProgram emits a traced workgroup's operations one at a time; Step
+// indexes the trace.
+type replayProgram struct{ rp *Replay }
+
+func (k replayProgram) Waves(int) int { return 1 }
+
+func (k replayProgram) Next(w *gpu.Wave) {
+	ops := k.rp.ops[w.WG]
+	if w.Step == len(ops) {
+		return
+	}
+	op := ops[w.Step]
+	w.Step++
+	switch op.kind {
+	case 'R':
+		w.Read(k.rp.buf.Addr(op.offset), mem.LineSize, nil, 0)
+	case 'W':
+		w.Write(k.rp.buf.Addr(op.offset), op.data)
+	case 'C':
+		w.Compute(op.cycles)
+	}
 }
 
 // Verify implements Workload: replay every workgroup's writes in program

@@ -145,43 +145,45 @@ func (s *SC) Run(p *platform.Platform) error {
 // runStageKernel streams the tile-descriptor table (phase 1 of Fig. 1a).
 func (s *SC) runStageKernel(p *platform.Platform) error {
 	linesPerWG := 4
-	numWGs := (s.stageLines + linesPerWG - 1) / linesPerWG
 	k := &gpu.Kernel{
 		Name:          "sc_stage",
-		NumWorkgroups: numWGs,
+		NumWorkgroups: (s.stageLines + linesPerWG - 1) / linesPerWG,
 		Args:          argsBlock([]uint64{s.stage.Base()}, []uint32{uint32(s.stageLines)}),
-		Program: func(wg int) [][]gpu.Op {
-			var ops []gpu.Op
-			for i := 0; i < linesPerWG; i++ {
-				line := wg*linesPerWG + i
-				if line >= s.stageLines {
-					break
-				}
-				addr := s.stage.Addr(uint64(line) * mem.LineSize)
-				ops = append(ops, gpu.ReadOp{
-					Addr: addr,
-					N:    mem.LineSize,
-					Then: func(data []byte) []gpu.Op {
-						out := append([]byte(nil), data...)
-						putU32(out[10*4:], readU32(out[10*4:])+1) // visit counter
-						return []gpu.Op{
-							gpu.ComputeOp{Cycles: 2},
-							gpu.WriteOp{Addr: addr, Data: out},
-						}
-					},
-				})
-			}
-			return [][]gpu.Op{ops}
-		},
+		Program:       &scStage{s: s, linesPerWG: linesPerWG},
 	}
 	return p.Driver.Launch(k)
+}
+
+// scStage is the staging kernel: one wavefront per workgroup reads each of
+// its table lines and writes it back with the visit counter bumped.
+type scStage struct {
+	s          *SC
+	linesPerWG int
+}
+
+func (k *scStage) Waves(int) int { return 1 }
+
+func (k *scStage) Next(w *gpu.Wave) {
+	line := w.WG*k.linesPerWG + w.Step
+	if w.Step == k.linesPerWG || line >= k.s.stageLines {
+		return
+	}
+	w.Step++
+	w.Read(k.s.stage.Addr(uint64(line)*mem.LineSize), mem.LineSize, k, line)
+}
+
+func (k *scStage) Resume(w *gpu.Wave, data []byte, line int) {
+	out := gpu.StateOf[[mem.LineSize]byte](w)
+	copy(out[:], data)
+	putU32(out[10*4:], readU32(out[10*4:])+1) // visit counter
+	w.Compute(2)
+	w.Write(k.s.stage.Addr(uint64(line)*mem.LineSize), out[:])
 }
 
 // runConvKernel is the convolution (phase 2). Each workgroup produces
 // rowsPerWG output rows; for every output line it gathers the 3×3 halo of
 // input lines (9 reads, many remote) and writes one GPU-local output line.
 func (s *SC) runConvKernel(p *platform.Platform) error {
-	linesPerRow := s.w / pixPerLine
 	k := &gpu.Kernel{
 		Name:          "sc_conv3x3",
 		NumWorkgroups: s.numWGs,
@@ -189,71 +191,82 @@ func (s *SC) runConvKernel(p *platform.Platform) error {
 			[]uint64{s.image.Base(), s.outputs[0].Base()},
 			[]uint32{uint32(s.w), uint32(s.h), 3},
 		),
-		Program: func(wg int) [][]gpu.Op {
-			g, outOff := s.outputSlot(p, wg)
-			out := s.outputs[g]
-			var ops []gpu.Op
-			for r := 0; r < s.rowsPerWG; r++ {
-				y := wg*s.rowsPerWG + r
-				for lx := 0; lx < linesPerRow; lx++ {
-					ops = append(ops, s.convLineOps(y, lx, out,
-						outOff+uint64((r*linesPerRow+lx)*mem.LineSize))...)
-				}
-			}
-			return [][]gpu.Op{ops}
-		},
+		Program: &scConv{s: s, p: p, linesPerRow: s.w / pixPerLine},
 	}
 	return p.Driver.Launch(k)
 }
 
-// convLineOps reads the 9 input lines around output line (y, lx) and
-// computes the 16 output pixels.
-func (s *SC) convLineOps(y, lx int, out mem.Buffer, outOff uint64) []gpu.Op {
-	// Padded coordinates: output pixel (x, y) reads padded rows y..y+2 and
-	// padded columns (pixPerLine+x-1)..(pixPerLine+x+1).
+// scConv is the convolution kernel. Step counts the output lines started;
+// the nine reads of a line chain through Resume, whose arg is the index of
+// the neighbour line just read (row-major over the 3×3 line halo).
+type scConv struct {
+	s           *SC
+	p           *platform.Platform
+	linesPerRow int
+}
+
+// scConvWave is a wavefront's reused per-line state.
+type scConvWave struct {
+	out    mem.Buffer
+	outOff uint64
+	nb     [9][mem.LineSize]byte // the 3×3 input lines around the output line
+	line   [mem.LineSize]byte    // the output line
+}
+
+func (k *scConv) Waves(int) int { return 1 }
+
+func (k *scConv) Next(w *gpu.Wave) {
+	if w.Step == k.s.rowsPerWG*k.linesPerRow {
+		return
+	}
+	if w.Step == 0 {
+		st := gpu.StateOf[scConvWave](w)
+		g, off := k.s.outputSlot(k.p, w.WG)
+		st.out, st.outOff = k.s.outputs[g], off
+	}
+	w.Step++
+	k.read(w, 0)
+}
+
+// current returns the workgroup row r, image row y and line column lx of
+// the output line the wavefront is computing.
+func (k *scConv) current(w *gpu.Wave) (r, y, lx int) {
+	line := w.Step - 1
+	r, lx = line/k.linesPerRow, line%k.linesPerRow
+	return r, w.WG*k.s.rowsPerWG + r, lx
+}
+
+// read emits the read of neighbour line i of the current output line.
+// Padded coordinates: output pixel (x, y) reads padded rows y..y+2 and
+// padded columns (pixPerLine+x-1)..(pixPerLine+x+1).
+func (k *scConv) read(w *gpu.Wave, i int) {
+	_, y, lx := k.current(w)
+	col := lx + i%3 // padded line column: the output's is 1+lx
+	w.Read(k.s.paddedAddr(col*pixPerLine, y+i/3), mem.LineSize, k, i)
+}
+
+func (k *scConv) Resume(w *gpu.Wave, data []byte, i int) {
+	st := gpu.StateOf[scConvWave](w)
+	copy(st.nb[i][:], data)
+	if i+1 < len(st.nb) {
+		k.read(w, i+1)
+		return
+	}
+	r, _, lx := k.current(w)
 	baseCol := pixPerLine + lx*pixPerLine // padded column of output pixel 0
-	neighbors := make(map[[2]int][]byte, 9)
-	var reads [][2]int
-	for dy := 0; dy < 3; dy++ {
-		for dl := -1; dl <= 1; dl++ {
-			reads = append(reads, [2]int{y + dy, baseCol/pixPerLine + dl})
-		}
-	}
-	var build func(i int) []gpu.Op
-	build = func(i int) []gpu.Op {
-		if i == len(reads) {
-			lineOut := make([]byte, mem.LineSize)
-			px := func(col, row int) int32 {
-				key := [2]int{row, col / pixPerLine}
-				data := neighbors[key]
-				e := col % pixPerLine
-				return int32(readU32(data[e*4:]))
-			}
-			for e := 0; e < pixPerLine; e++ {
-				var acc int32
-				for ky := 0; ky < 3; ky++ {
-					for kx := -1; kx <= 1; kx++ {
-						acc += scWeights[ky][kx+1] * px(baseCol+e+kx, y+ky)
-					}
-				}
-				putU32(lineOut[e*4:], uint32(acc))
-			}
-			return []gpu.Op{
-				gpu.ComputeOp{Cycles: 18},
-				gpu.WriteOp{Addr: out.Addr(outOff), Data: lineOut},
+	for e := 0; e < pixPerLine; e++ {
+		var acc int32
+		for ky := 0; ky < 3; ky++ {
+			for kx := -1; kx <= 1; kx++ {
+				col := baseCol + e + kx
+				nb := st.nb[ky*3+col/pixPerLine-baseCol/pixPerLine+1][:]
+				acc += scWeights[ky][kx+1] * int32(readU32(nb[col%pixPerLine*4:]))
 			}
 		}
-		key := reads[i]
-		return []gpu.Op{gpu.ReadOp{
-			Addr: s.paddedAddr(key[1]*pixPerLine, key[0]),
-			N:    mem.LineSize,
-			Then: func(data []byte) []gpu.Op {
-				neighbors[key] = append([]byte(nil), data...)
-				return build(i + 1)
-			},
-		}}
+		putU32(st.line[e*4:], uint32(acc))
 	}
-	return build(0)
+	w.Compute(18)
+	w.Write(st.out.Addr(st.outOff+uint64((r*k.linesPerRow+lx)*mem.LineSize)), st.line[:])
 }
 
 // Verify implements Workload.
