@@ -4,18 +4,18 @@
 
 # Packages whose hot paths must stay clean of lint suppressions: the
 # zero-allocation fast paths (codecs, the event engine, the message path
-# through the fabric and the RDMA engines, and the compute side's op
-# streams, caches and memory reads) are exactly where a silenced analyzer
-# would hide a determinism bug.
+# through the fabric and the RDMA engines, the compute side's op streams,
+# caches and memory reads, and the platform's run-end check) are exactly
+# where a silenced analyzer would hide a determinism bug.
 HOT_PKGS := internal/bitstream internal/comp internal/sim internal/fabric internal/rdma \
-	internal/gpu internal/cache internal/mem
+	internal/gpu internal/cache internal/mem internal/platform
 
 all: vet lint test
 
 # Everything a pre-merge check needs: formatting, vet (including the
 # separate bench/ module, which root `go vet ./...` never compiles), the
 # project's own determinism linter, the short test suite under the race
-# detector (the sweep engine is concurrent by design), the borrow-contract
+# detector (the sweep engine is concurrent by design), the message-ownership
 # check (poison), and two determinism gates: the quickstart's -metrics-out snapshot and the files of a
 # `reproduce -only` run must be byte-identical across runs.
 ci:
@@ -70,12 +70,16 @@ short:
 race:
 	go test -race ./...
 
-# The borrow contract of read data (DESIGN.md §9): under the poison tag the
-# CU overwrites every response's data once its continuation returns, so a
-# workload that keeps a reference to borrowed data fails Verify, and the
-# golden digests show any change in simulated behaviour.
+# Message ownership (DESIGN.md §9): under the poison tag every released
+# memory message has its ID, address, response ID and data overwritten and
+# is never reused, and a second release panics. A component or workload
+# that keeps using a message (or borrowed read data) after its release
+# computes garbage and fails Verify, and the golden digests show any change
+# in simulated behaviour; the run-end check matrix (TestRunEndsQuiescent)
+# runs in this build too.
 poison:
-	go test -tags poison -short ./internal/gpu ./internal/workloads ./internal/runner ./internal/platform
+	go test -tags poison -short ./internal/sim ./internal/mem ./internal/cache ./internal/rdma \
+		./internal/gpu ./internal/workloads ./internal/runner ./internal/platform
 
 # Coverage with a floor: the short suite must keep total statement coverage
 # at or above COVER_FLOOR so new subsystems land with their tests.

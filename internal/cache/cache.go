@@ -66,6 +66,17 @@ type set struct {
 	tags []uint64 // line-aligned addresses; LRU order, front = most recent
 }
 
+// request is what the cache keeps of a request it has retrieved and
+// released: the fields its response needs.
+type request struct {
+	src  *sim.Port
+	id   uint64
+	addr uint64
+	n    int
+}
+
+func readRequest(r *mem.ReadReq) request { return request{r.Src, r.ID, r.Addr, r.N} }
+
 // mshrEntry tracks one outstanding line fetch and the reads waiting for
 // it. Entries live from a miss to its fill inside one cache and are
 // recycled through the cache's free list.
@@ -73,13 +84,9 @@ type mshrEntry struct {
 	lineAddr uint64
 	// waiters are the reads to answer, in arrival order. A new entry backs
 	// them with first, so a miss that never coalesces needs no slice.
-	waiters []*mem.ReadReq
+	waiters []request
 	served  int // waiters already answered
-	first   [1]*mem.ReadReq
-}
-
-type pendingWrite struct {
-	orig *mem.WriteReq
+	first   [1]request
 }
 
 // Cache is a set-associative, write-through, no-write-allocate cache.
@@ -89,6 +96,7 @@ type Cache struct {
 	ticker *sim.Ticker
 	cfg    Config
 	space  *mem.Space
+	msgs   *mem.Pool
 
 	// Top receives requests from the level above; Bottom talks to the
 	// level below through the router.
@@ -104,9 +112,10 @@ type Cache struct {
 	mshr     map[uint64]*mshrEntry // keyed by bottom ReadReq ID
 	mshrLine map[uint64]*mshrEntry // keyed by line address
 	freeMSHR []*mshrEntry
-	writes   map[uint64]pendingWrite
+	// writes tracks forwarded writes by bottom ID.
+	writes map[uint64]request
 	// passthrough tracks forwarded non-cacheable reads by bottom ID.
-	passthrough map[uint64]*mem.ReadReq
+	passthrough map[uint64]request
 
 	// Stats
 	Hits, Misses, Coalesced uint64
@@ -142,12 +151,13 @@ func New(name string, part *sim.Partition, space *mem.Space, cfg Config) *Cache 
 		part:          part,
 		cfg:           cfg,
 		space:         space,
+		msgs:          mem.PoolOf(part),
 		numSets:       numSets,
 		sets:          make([]set, numSets),
 		mshr:          make(map[uint64]*mshrEntry),
 		mshrLine:      make(map[uint64]*mshrEntry),
-		writes:        make(map[uint64]pendingWrite),
-		passthrough:   make(map[uint64]*mem.ReadReq),
+		writes:        make(map[uint64]request),
+		passthrough:   make(map[uint64]request),
 	}
 	c.Top = sim.NewPort(c, name+".Top", cfg.PortBufferBytes)
 	c.Bottom = sim.NewPort(c, name+".Bottom", cfg.PortBufferBytes)
@@ -270,18 +280,32 @@ func (c *Cache) processTop(now sim.Time) bool {
 	}
 }
 
+// send sends m from port, releasing it if the connection rejects it.
+func (c *Cache) send(now sim.Time, port *sim.Port, m sim.Msg) bool {
+	if port.Send(now, m) {
+		return true
+	}
+	c.msgs.Release(m)
+	return false
+}
+
+// retire retrieves the handled request at the head of Top and releases it.
+func (c *Cache) retire(now sim.Time) {
+	c.msgs.Release(c.Top.Retrieve(now))
+}
+
 func (c *Cache) handleRead(now sim.Time, req *mem.ReadReq) bool {
 	if c.cfg.Cacheable != nil && !c.cfg.Cacheable(req.Addr) {
 		// Forward without allocation (e.g. remote address at L1 → RDMA).
 		dst := c.Router(req.Addr)
-		fwd := mem.NewReadReq(c.Bottom, dst, req.Addr, req.N)
+		fwd := c.msgs.ReadReq(c.Bottom, dst, req.Addr, req.N)
 		c.part.AssignMsgID(fwd)
-		if !c.Bottom.Send(now, fwd) {
+		if !c.send(now, c.Bottom, fwd) {
 			return false
 		}
-		c.Top.Retrieve(now)
 		c.Bypassed++
-		c.passthrough[fwd.ID] = req
+		c.passthrough[fwd.ID] = readRequest(req)
+		c.retire(now)
 		return true
 	}
 
@@ -289,18 +313,19 @@ func (c *Cache) handleRead(now sim.Time, req *mem.ReadReq) bool {
 	if c.lookup(la) {
 		c.Hits++
 		c.Top.Retrieve(now)
-		rsp := mem.NewDataReadyLine(c.Top, req.Src, req.ID, req.Addr, req.N)
+		rsp := c.msgs.DataReady(c.Top, req.Src, req.ID, req.Addr, req.N)
 		c.space.ReadInto(req.Addr, rsp.Data)
 		c.part.AssignMsgID(rsp)
 		c.part.Schedule(now+c.cfg.HitLatency, hitResponse{c}, rsp, 0)
+		c.msgs.Release(req)
 		return true
 	}
 
 	if entry, ok := c.mshrLine[la]; ok {
 		// Coalesce with the outstanding fetch.
 		c.Coalesced++
-		c.Top.Retrieve(now)
-		entry.waiters = append(entry.waiters, req)
+		entry.waiters = append(entry.waiters, readRequest(req))
+		c.retire(now)
 		return true
 	}
 
@@ -308,18 +333,18 @@ func (c *Cache) handleRead(now sim.Time, req *mem.ReadReq) bool {
 		return false // back-pressure
 	}
 	dst := c.Router(la)
-	fetch := mem.NewReadReq(c.Bottom, dst, la, c.cfg.LineSize)
+	fetch := c.msgs.ReadReq(c.Bottom, dst, la, c.cfg.LineSize)
 	c.part.AssignMsgID(fetch)
-	if !c.Bottom.Send(now, fetch) {
+	if !c.send(now, c.Bottom, fetch) {
 		return false
 	}
 	c.Misses++
-	c.Top.Retrieve(now)
 	entry := c.takeMSHR()
 	entry.lineAddr = la
-	entry.waiters = append(entry.waiters, req)
+	entry.waiters = append(entry.waiters, readRequest(req))
 	c.mshr[fetch.ID] = entry
 	c.mshrLine[la] = entry
+	c.retire(now)
 	return true
 }
 
@@ -327,14 +352,15 @@ func (c *Cache) handleWrite(now sim.Time, req *mem.WriteReq) bool {
 	// Write-through, no-write-allocate: always forward; keep the tag if
 	// present (the line stays valid because data lives in the space).
 	dst := c.Router(req.Addr)
-	fwd := mem.NewWriteReq(c.Bottom, dst, req.Addr, req.Data)
+	fwd := c.msgs.WriteReq(c.Bottom, dst, req.Addr, len(req.Data))
+	copy(fwd.Data, req.Data)
 	c.part.AssignMsgID(fwd)
-	if !c.Bottom.Send(now, fwd) {
+	if !c.send(now, c.Bottom, fwd) {
 		return false
 	}
 	c.WritesSeen++
-	c.Top.Retrieve(now)
-	c.writes[fwd.ID] = pendingWrite{orig: req}
+	c.writes[fwd.ID] = request{src: req.Src, id: req.ID, addr: req.Addr}
+	c.retire(now)
 	return true
 }
 
@@ -346,13 +372,14 @@ func (c *Cache) processBottom(now sim.Time) bool {
 	switch rsp := msg.(type) {
 	case *mem.DataReady:
 		if orig, ok := c.passthrough[rsp.RspTo]; ok {
-			up := mem.NewDataReady(c.Top, orig.Src, orig.ID, orig.Addr, rsp.Data)
+			up := c.msgs.DataReady(c.Top, orig.src, orig.id, orig.addr, len(rsp.Data))
+			copy(up.Data, rsp.Data)
 			c.part.AssignMsgID(up)
-			if !c.Top.Send(now, up) {
+			if !c.send(now, c.Top, up) {
 				return false
 			}
-			c.Bottom.Retrieve(now)
 			delete(c.passthrough, rsp.RspTo)
+			c.msgs.Release(c.Bottom.Retrieve(now))
 			return true
 		}
 		entry, ok := c.mshr[rsp.RspTo]
@@ -363,10 +390,10 @@ func (c *Cache) processBottom(now sim.Time) bool {
 		// at the head of Bottom until all of them have a response.
 		if entry.served < len(entry.waiters) {
 			w := entry.waiters[entry.served]
-			up := mem.NewDataReadyLine(c.Top, w.Src, w.ID, w.Addr, w.N)
-			c.space.ReadInto(w.Addr, up.Data)
+			up := c.msgs.DataReady(c.Top, w.src, w.id, w.addr, w.n)
+			c.space.ReadInto(w.addr, up.Data)
 			c.part.AssignMsgID(up)
-			if !c.Top.Send(now, up) {
+			if !c.send(now, c.Top, up) {
 				return false
 			}
 			entry.served++
@@ -375,23 +402,23 @@ func (c *Cache) processBottom(now sim.Time) bool {
 			return true // stay on this fill next iteration
 		}
 		c.install(entry.lineAddr)
-		c.Bottom.Retrieve(now)
 		delete(c.mshr, rsp.RspTo)
 		delete(c.mshrLine, entry.lineAddr)
 		c.releaseMSHR(entry)
+		c.msgs.Release(c.Bottom.Retrieve(now))
 		return true
 	case *mem.WriteACK:
 		pw, ok := c.writes[rsp.RspTo]
 		if !ok {
 			panic(fmt.Sprintf("%s: ack for unknown write %d", c.Name(), rsp.RspTo))
 		}
-		up := mem.NewWriteACK(c.Top, pw.orig.Src, pw.orig.ID, pw.orig.Addr)
+		up := c.msgs.WriteACK(c.Top, pw.src, pw.id, pw.addr)
 		c.part.AssignMsgID(up)
-		if !c.Top.Send(now, up) {
+		if !c.send(now, c.Top, up) {
 			return false
 		}
-		c.Bottom.Retrieve(now)
 		delete(c.writes, rsp.RspTo)
+		c.msgs.Release(c.Bottom.Retrieve(now))
 		return true
 	default:
 		panic(fmt.Sprintf("%s: unexpected bottom message %T", c.Name(), msg))
@@ -416,4 +443,14 @@ func (c *Cache) releaseMSHR(e *mshrEntry) {
 	clear(e.waiters)
 	*e = mshrEntry{waiters: e.waiters[:0]}
 	c.freeMSHR = append(c.freeMSHR, e)
+}
+
+// CheckQuiescent reports an error if the cache still tracks an outstanding
+// fetch, write or forwarded read.
+func (c *Cache) CheckQuiescent() error {
+	if n := len(c.mshr) + len(c.mshrLine) + len(c.writes) + len(c.passthrough); n != 0 {
+		return fmt.Errorf("%s: %d MSHRs (%d lines), %d writes and %d forwarded reads outstanding",
+			c.Name(), len(c.mshr), len(c.mshrLine), len(c.writes), len(c.passthrough))
+	}
+	return nil
 }

@@ -52,6 +52,7 @@ func (c *collector) NotifyPortFree(sim.Time, *sim.Port) {}
 
 type bench struct {
 	engine *sim.Engine
+	msgs   *mem.Pool
 	space  *mem.Space
 	cache  *Cache
 	dram   *mem.DRAM
@@ -77,25 +78,35 @@ func newBench(t *testing.T, cfg Config) *bench {
 	bottom.Plug(dram.Top)
 	c.Router = func(uint64) *sim.Port { return dram.Top }
 
-	return &bench{engine: engine, space: space, cache: c, dram: dram, cu: cu}
+	return &bench{engine: engine, msgs: mem.PoolOf(part), space: space, cache: c, dram: dram, cu: cu}
 }
 
-func (b *bench) read(t *testing.T, addr uint64, n int) *mem.ReadReq {
+// read sends a read request and returns its ID; the cache releases the
+// request itself.
+func (b *bench) read(t *testing.T, addr uint64, n int) uint64 {
 	t.Helper()
-	r := mem.NewReadReq(b.cu.port, b.cache.Top, addr, n)
-	if !b.cu.port.Send(b.engine.Now(), r) {
-		t.Fatal("send rejected")
-	}
-	return r
+	return send(t, b.engine, b.cu.port, b.msgs.ReadReq(b.cu.port, b.cache.Top, addr, n))
 }
 
-func (b *bench) write(t *testing.T, addr uint64, data []byte) *mem.WriteReq {
+// write sends a write request and returns its ID.
+func (b *bench) write(t *testing.T, addr uint64, data []byte) uint64 {
 	t.Helper()
-	w := mem.NewWriteReq(b.cu.port, b.cache.Top, addr, data)
-	if !b.cu.port.Send(b.engine.Now(), w) {
-		t.Fatal("send rejected")
-	}
+	return send(t, b.engine, b.cu.port, writeReq(b.msgs, b.cu.port, b.cache.Top, addr, data))
+}
+
+func writeReq(msgs *mem.Pool, src, dst *sim.Port, addr uint64, data []byte) *mem.WriteReq {
+	w := msgs.WriteReq(src, dst, addr, len(data))
+	copy(w.Data, data)
 	return w
+}
+
+// send sends m from port now and returns the ID it was given.
+func send(t *testing.T, engine *sim.Engine, port *sim.Port, m sim.Msg) uint64 {
+	t.Helper()
+	if !port.Send(engine.Now(), m) {
+		t.Fatal("send rejected")
+	}
+	return m.Meta().ID
 }
 
 func TestCacheMissThenHit(t *testing.T) {
@@ -106,14 +117,14 @@ func TestCacheMissThenHit(t *testing.T) {
 	if err := b.engine.Run(); err != nil {
 		t.Fatal(err)
 	}
-	rsp1, ok := b.cu.reads[r1.ID]
+	rsp1, ok := b.cu.reads[r1]
 	if !ok {
 		t.Fatal("no response to first read")
 	}
 	if rsp1.Data[0] != 42 || rsp1.Data[2] != 44 {
 		t.Errorf("data = %v", rsp1.Data[:3])
 	}
-	missTime := b.cu.times[r1.ID]
+	missTime := b.cu.times[r1]
 	if b.cache.Misses != 1 || b.cache.Hits != 0 {
 		t.Errorf("counters hits=%d misses=%d", b.cache.Hits, b.cache.Misses)
 	}
@@ -126,7 +137,7 @@ func TestCacheMissThenHit(t *testing.T) {
 	if b.cache.Hits != 1 {
 		t.Errorf("second access not a hit (hits=%d)", b.cache.Hits)
 	}
-	hitLatency := b.cu.times[r2.ID] - start
+	hitLatency := b.cu.times[r2] - start
 	if missTime < 100 {
 		t.Errorf("miss served in %d cycles, faster than DRAM latency", missTime)
 	}
@@ -143,9 +154,9 @@ func TestCacheCoalescesSameLineMisses(t *testing.T) {
 	if err := b.engine.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range []*mem.ReadReq{r1, r2, r3} {
-		if _, ok := b.cu.reads[r.ID]; !ok {
-			t.Fatalf("request %d got no response", r.ID)
+	for _, r := range []uint64{r1, r2, r3} {
+		if _, ok := b.cu.reads[r]; !ok {
+			t.Fatalf("request %d got no response", r)
 		}
 	}
 	if b.cache.Misses != 1 {
@@ -166,7 +177,7 @@ func TestCacheWriteThrough(t *testing.T) {
 	if err := b.engine.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := b.cu.acks[w.ID]; !ok {
+	if _, ok := b.cu.acks[w]; !ok {
 		t.Fatal("write not acknowledged")
 	}
 	if got := b.space.Read(0x3000, 4); !bytes.Equal(got, data) {
@@ -187,14 +198,14 @@ func TestCacheReadAfterWriteSeesData(t *testing.T) {
 	if err := b.engine.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := b.cu.acks[w.ID]; !ok {
+	if _, ok := b.cu.acks[w]; !ok {
 		t.Fatal("no ack")
 	}
 	r := b.read(t, 0x4000, 4)
 	if err := b.engine.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.cu.reads[r.ID].Data; !bytes.Equal(got, []byte{1, 2, 3, 4}) {
+	if got := b.cu.reads[r].Data; !bytes.Equal(got, []byte{1, 2, 3, 4}) {
 		t.Errorf("read-after-write = %v", got)
 	}
 }
@@ -253,7 +264,7 @@ func TestCacheUncacheableBypass(t *testing.T) {
 	if err := b.engine.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := b.cu.reads[r.ID]; !ok {
+	if _, ok := b.cu.reads[r]; !ok {
 		t.Fatal("no response to bypassed read")
 	}
 	if b.cache.Contains(0x20000) {
@@ -275,8 +286,8 @@ func TestCacheUncacheableBypass(t *testing.T) {
 func TestCacheManyRandomAccessesAllComplete(t *testing.T) {
 	b := newBench(t, L1Config())
 	rng := rand.New(rand.NewSource(5))
-	var reads []*mem.ReadReq
-	var writes []*mem.WriteReq
+	var reads []uint64
+	var writes []uint64
 	for i := 0; i < 500; i++ {
 		addr := uint64(rng.Intn(64)) * 64
 		if rng.Intn(3) == 0 {
@@ -296,13 +307,13 @@ func TestCacheManyRandomAccessesAllComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range reads {
-		if _, ok := b.cu.reads[r.ID]; !ok {
-			t.Fatalf("read %d lost", r.ID)
+		if _, ok := b.cu.reads[r]; !ok {
+			t.Fatalf("read %d lost", r)
 		}
 	}
 	for _, w := range writes {
-		if _, ok := b.cu.acks[w.ID]; !ok {
-			t.Fatalf("write %d lost", w.ID)
+		if _, ok := b.cu.acks[w]; !ok {
+			t.Fatalf("write %d lost", w)
 		}
 	}
 	if b.cache.Hits == 0 || b.cache.Misses == 0 {
@@ -314,7 +325,7 @@ func TestCacheMSHRLimitEventuallyDrains(t *testing.T) {
 	cfg := L1Config()
 	cfg.MaxMSHR = 2
 	b := newBench(t, cfg)
-	var reads []*mem.ReadReq
+	var reads []uint64
 	for i := 0; i < 20; i++ {
 		reads = append(reads, b.read(t, uint64(i)*64, 64))
 	}
@@ -322,8 +333,8 @@ func TestCacheMSHRLimitEventuallyDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range reads {
-		if _, ok := b.cu.reads[r.ID]; !ok {
-			t.Fatalf("read %d starved under MSHR pressure", r.ID)
+		if _, ok := b.cu.reads[r]; !ok {
+			t.Fatalf("read %d starved under MSHR pressure", r)
 		}
 	}
 }
@@ -356,19 +367,19 @@ func TestTwoLevelCacheStack(t *testing.T) {
 
 	space.Write(0x7000, []byte{9, 8, 7})
 
-	send := func(addr uint64) (*mem.ReadReq, sim.Time) {
+	msgs := mem.PoolOf(part)
+	read := func(addr uint64) (uint64, sim.Time) {
 		start := engine.Now()
-		r := mem.NewReadReq(cu.port, l1.Top, addr, 64)
-		cu.port.Send(start, r)
+		r := send(t, engine, cu.port, msgs.ReadReq(cu.port, l1.Top, addr, 64))
 		if err := engine.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return r, cu.times[r.ID] - start
+		return r, cu.times[r] - start
 	}
 
 	// Cold: misses both levels, pays DRAM.
-	r1, coldLat := send(0x7000)
-	if got := cu.reads[r1.ID].Data[0]; got != 9 {
+	r1, coldLat := read(0x7000)
+	if got := cu.reads[r1].Data[0]; got != 9 {
 		t.Fatalf("cold read data = %d", got)
 	}
 	if coldLat < 200 {
@@ -380,7 +391,7 @@ func TestTwoLevelCacheStack(t *testing.T) {
 
 	// Evict from L1 only: invalidate L1 and re-read -> L2 hit, no DRAM.
 	l1.Invalidate()
-	_, l2Lat := send(0x7000)
+	_, l2Lat := read(0x7000)
 	if l2.Hits != 1 {
 		t.Errorf("L2 hits = %d, want 1", l2.Hits)
 	}
@@ -392,7 +403,7 @@ func TestTwoLevelCacheStack(t *testing.T) {
 	}
 
 	// Warm: L1 hit, fastest of all.
-	_, l1Lat := send(0x7000)
+	_, l1Lat := read(0x7000)
 	if l1.Hits != 1 {
 		t.Errorf("L1 hits = %d, want 1", l1.Hits)
 	}
@@ -401,19 +412,57 @@ func TestTwoLevelCacheStack(t *testing.T) {
 	}
 
 	// Write through both levels.
-	w := mem.NewWriteReq(cu.port, l1.Top, 0x7000, []byte{42})
-	cu.port.Send(engine.Now(), w)
+	w := send(t, engine, cu.port, writeReq(msgs, cu.port, l1.Top, 0x7000, []byte{42}))
 	if err := engine.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := cu.acks[w.ID]; !ok {
+	if _, ok := cu.acks[w]; !ok {
 		t.Fatal("write not acked through the stack")
 	}
 	if dram.Writes != 1 {
 		t.Errorf("DRAM writes = %d, want 1 (write-through both levels)", dram.Writes)
 	}
-	r4, _ := send(0x7000)
-	if got := cu.reads[r4.ID].Data[0]; got != 42 {
+	r4, _ := read(0x7000)
+	if got := cu.reads[r4].Data[0]; got != 42 {
 		t.Errorf("read after write = %d, want 42", got)
+	}
+}
+
+// rejecting is a connection that turns every send away.
+type rejecting struct{ part *sim.Partition }
+
+func (r rejecting) Send(sim.Time, sim.Msg) bool          { return false }
+func (r rejecting) NotifyBufferFree(sim.Time, *sim.Port) {}
+func (r rejecting) Plug(p *sim.Port)                     { p.SetConnection(r) }
+func (r rejecting) Partition() *sim.Partition            { return r.part }
+
+// TestCacheRejectedForwardReleasesIt: a fetch, a forwarded read or a
+// forwarded write that the level below turns away goes back to the pool;
+// only the request waiting at the cache's top stays live.
+func TestCacheRejectedForwardReleasesIt(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		send func(t *testing.T, b *bench)
+	}{
+		{"miss", func(t *testing.T, b *bench) { b.read(t, 0x1000, 64) }},
+		{"passthrough", func(t *testing.T, b *bench) { b.read(t, 0x20000, 64) }},
+		{"write", func(t *testing.T, b *bench) { b.write(t, 0x1000, []byte{1}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := L1Config()
+			cfg.Cacheable = func(addr uint64) bool { return addr < 0x10000 }
+			b := newBench(t, cfg)
+			rejecting{b.engine.Partition(0)}.Plug(b.cache.Bottom)
+			tc.send(t, b)
+			if err := b.engine.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if live := b.msgs.Live(); live != 1 {
+				t.Errorf("%d messages live, want 1 (the request at the top)", live)
+			}
+			if err := b.cache.CheckQuiescent(); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }

@@ -43,6 +43,7 @@ type CU struct {
 	part   *sim.Partition
 	ticker *sim.Ticker
 	cfg    CUConfig
+	msgs   *mem.Pool
 
 	// ToL1 connects to the CU's private L1 vector cache.
 	ToL1  *sim.Port
@@ -94,6 +95,7 @@ func NewCU(name string, part *sim.Partition, cfg CUConfig) *CU {
 		ComponentBase: sim.NewComponentBase(name),
 		part:          part,
 		cfg:           cfg,
+		msgs:          mem.PoolOf(part),
 		pendingReads:  make(map[uint64]*Wave),
 		pendingWrites: make(map[uint64]*wgInstance),
 	}
@@ -161,7 +163,6 @@ func (c *CU) drainResponses(now sim.Time) {
 			if then != nil {
 				wf.resume(then, rsp.Data, arg)
 			}
-			poison(rsp.Data)
 		case *mem.WriteACK:
 			wg, ok := c.pendingWrites[rsp.RspTo]
 			if !ok {
@@ -172,6 +173,7 @@ func (c *CU) drainResponses(now sim.Time) {
 		default:
 			panic(fmt.Sprintf("%s: unexpected response %T", c.Name(), msg))
 		}
+		c.msgs.Release(msg)
 	}
 }
 
@@ -263,9 +265,10 @@ func (c *CU) step(now sim.Time, wf *Wave) bool {
 		}
 		return true
 	case opRead:
-		req := mem.NewReadReq(c.ToL1, c.l1Top(), op.addr, int(op.n))
+		req := c.msgs.ReadReq(c.ToL1, c.l1Top(), op.addr, int(op.n))
 		c.part.AssignMsgID(req)
 		if !c.ToL1.Send(now, req) {
+			c.msgs.Release(req)
 			return false
 		}
 		c.MemReadsIssued++
@@ -273,9 +276,11 @@ func (c *CU) step(now sim.Time, wf *Wave) bool {
 		wf.waiting = true // op popped when the data returns
 		return true
 	case opWrite:
-		req := mem.NewWriteReqLine(c.ToL1, c.l1Top(), op.addr, op.data)
+		req := c.msgs.WriteReq(c.ToL1, c.l1Top(), op.addr, len(op.data))
+		copy(req.Data, op.data)
 		c.part.AssignMsgID(req)
 		if !c.ToL1.Send(now, req) {
+			c.msgs.Release(req)
 			return false
 		}
 		c.MemWritesIssued++
@@ -375,6 +380,16 @@ func (c *CU) l1Top() *sim.Port {
 		panic(fmt.Sprintf("%s: L1 destination not set", c.Name()))
 	}
 	return c.l1Dst
+}
+
+// CheckQuiescent reports an error if the CU still waits for a read or a
+// write acknowledgment.
+func (c *CU) CheckQuiescent() error {
+	if len(c.pendingReads) != 0 || len(c.pendingWrites) != 0 {
+		return fmt.Errorf("%s: %d reads and %d writes outstanding",
+			c.Name(), len(c.pendingReads), len(c.pendingWrites))
+	}
+	return nil
 }
 
 // SetL1 points the CU at its L1 cache's top port.

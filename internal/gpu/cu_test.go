@@ -10,10 +10,12 @@ import (
 
 // memStub is a single-component memory that answers every request after a
 // fixed latency, standing in for the whole cache hierarchy in CU unit
-// tests.
+// tests. Like a real L1 it answers with pooled messages and releases the
+// requests it retrieves, so it allocates nothing once the pool is warm.
 type memStub struct {
 	sim.ComponentBase
 	part    *sim.Partition
+	msgs    *mem.Pool
 	space   *mem.Space
 	latency sim.Time
 	Top     *sim.Port
@@ -25,6 +27,7 @@ func newMemStub(part *sim.Partition, latency sim.Time) *memStub {
 	s := &memStub{
 		ComponentBase: sim.NewComponentBase("memstub"),
 		part:          part,
+		msgs:          mem.PoolOf(part),
 		space:         mem.NewSpace(1),
 		latency:       latency,
 	}
@@ -50,12 +53,15 @@ func (s *memStub) NotifyRecv(now sim.Time, p *sim.Port) {
 		switch req := m.(type) {
 		case *mem.ReadReq:
 			s.reads++
-			rsp = mem.NewDataReady(s.Top, req.Src, req.ID, req.Addr, s.space.Read(req.Addr, req.N))
+			d := s.msgs.DataReady(s.Top, req.Src, req.ID, req.Addr, req.N)
+			s.space.ReadInto(req.Addr, d.Data)
+			rsp = d
 		case *mem.WriteReq:
 			s.writes++
 			s.space.Write(req.Addr, req.Data)
-			rsp = mem.NewWriteACK(s.Top, req.Src, req.ID, req.Addr)
+			rsp = s.msgs.WriteACK(s.Top, req.Src, req.ID, req.Addr)
 		}
+		s.msgs.Release(m)
 		s.part.AssignMsgID(rsp)
 		s.part.Schedule(now+s.latency, s, rsp, 0)
 	}
@@ -302,5 +308,45 @@ func TestCUManyWGsAcrossAssignBatches(t *testing.T) {
 		if got := stub.space.Read(uint64(wg)*64, 1)[0]; got != byte(wg+1) {
 			t.Errorf("wg %d marker = %d", wg, got)
 		}
+	}
+}
+
+// rejecting is a connection that turns every send away.
+type rejecting struct{ part *sim.Partition }
+
+func (r rejecting) Send(sim.Time, sim.Msg) bool          { return false }
+func (r rejecting) NotifyBufferFree(sim.Time, *sim.Port) {}
+func (r rejecting) Plug(p *sim.Port)                     { p.SetConnection(r) }
+func (r rejecting) Partition() *sim.Partition            { return r.part }
+
+// TestCURejectedSendReleasesRequest: a request the L1 connection turns away
+// goes back to the pool, so retrying every cycle leaks nothing.
+func TestCURejectedSendReleasesRequest(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		start func(w *Wave)
+	}{
+		{"read", func(w *Wave) { w.Read(0x40, mem.LineSize, nil, 0) }},
+		{"write", func(w *Wave) { w.Write(0x40, make([]byte, mem.LineSize)) }},
+	} {
+		name, start := tc.name, tc.start
+		t.Run(name, func(t *testing.T) {
+			engine := sim.NewEngine()
+			part := engine.Partition(0)
+			cu := NewCU("CU", part, DefaultCUConfig())
+			rejecting{part}.Plug(cu.ToL1)
+			cu.SetL1(sim.NewPort(nil, "L1.Top", 0))
+			cu.Assign(0, &Kernel{Name: name, NumWorkgroups: 1, Program: &testProgram{waves: 1, start: start}}, 0)
+			if err := engine.RunUntil(100); err != nil {
+				t.Fatal(err)
+			}
+			if cu.MemReadsIssued+cu.MemWritesIssued != 0 {
+				t.Fatalf("%d reads and %d writes issued through a rejecting connection",
+					cu.MemReadsIssued, cu.MemWritesIssued)
+			}
+			if live := mem.PoolOf(part).Live(); live != 0 {
+				t.Errorf("%d rejected requests never released", live)
+			}
+		})
 	}
 }

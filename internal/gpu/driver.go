@@ -139,6 +139,7 @@ type Driver struct {
 	sim.ComponentBase
 	part  *sim.Partition
 	space *mem.Space
+	msgs  *mem.Pool
 
 	// Ctrl is the driver's bus endpoint for launch/done control traffic.
 	Ctrl *sim.Port
@@ -185,6 +186,7 @@ func NewDriver(name string, part *sim.Partition, space *mem.Space) *Driver {
 		ComponentBase: sim.NewComponentBase(name),
 		part:          part,
 		space:         space,
+		msgs:          mem.PoolOf(part),
 	}
 	d.Ctrl = sim.NewPort(d, name+".Ctrl", 4*1024)
 	d.ToRDMA = sim.NewPort(d, name+".ToRDMA", 8*1024)
@@ -208,6 +210,7 @@ func (d *Driver) NotifyRecv(now sim.Time, p *sim.Port) {
 		}
 		switch rsp := msg.(type) {
 		case *mem.WriteACK:
+			d.msgs.Release(rsp)
 			d.pendingAcks--
 			if d.pendingAcks == 0 {
 				d.broadcastLaunch(now)
@@ -311,7 +314,8 @@ func (d *Driver) writeArgs(now sim.Time, k *Kernel) {
 		}
 		for off := 0; off < len(padded); off += mem.LineSize {
 			addr := buf.Addr(uint64(off))
-			w := mem.NewWriteReq(d.ToRDMA, d.RDMAPort, addr, padded[off:off+mem.LineSize])
+			w := d.msgs.WriteReq(d.ToRDMA, d.RDMAPort, addr, mem.LineSize)
+			copy(w.Data, padded[off:])
 			d.part.AssignMsgID(w)
 			if !d.ToRDMA.Send(now, w) {
 				panic("gpu: driver RDMA rejected arg write")

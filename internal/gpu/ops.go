@@ -17,14 +17,15 @@
 // Continuation that receives the read's data and emits follow-up operations.
 // This is how data-dependent kernels (e.g. gradient averaging) are
 // expressed. Operations are small values kept on one reusable per-wavefront
-// stack, so running a stream allocates nothing beyond the memory requests
-// it issues.
+// stack, and the memory requests it issues come from the partition's
+// message pool, so running a stream allocates nothing.
 //
 // Borrow contract: the data a Continuation receives is valid only during
 // the call, and a write's data only until the CU issues it (the request
-// carries a copy). A program copies what it keeps into its own state. Under
-// the poison build tag the CU overwrites every response's data after its
-// continuation returns, so a kept reference shows up as wrong results.
+// carries a copy). A program copies what it keeps into its own state. The
+// CU releases every response once its continuation returns; under the
+// poison build tag a released response's data is overwritten, so a kept
+// reference shows up as wrong results.
 package gpu
 
 import (

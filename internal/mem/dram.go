@@ -39,6 +39,7 @@ type DRAM struct {
 	ticker *sim.Ticker
 	cfg    DRAMConfig
 	space  *Space
+	msgs   *Pool
 
 	// Top is the single request/response port.
 	Top *sim.Port
@@ -65,6 +66,7 @@ func NewDRAM(name string, part *sim.Partition, space *Space, cfg DRAMConfig) *DR
 		part:          part,
 		cfg:           cfg,
 		space:         space,
+		msgs:          PoolOf(part),
 	}
 	d.Top = sim.NewPort(d, name+".Top", cfg.PortBufferBytes)
 	d.ticker = sim.NewTicker(part, d)
@@ -118,24 +120,35 @@ func (d *DRAM) tick(now sim.Time) {
 	}
 }
 
+// complete applies the request's access, sends its response and releases
+// the request.
 func (d *DRAM) complete(now sim.Time, msg sim.Msg) error {
 	d.inflight--
+	var rsp sim.Msg
 	switch req := msg.(type) {
 	case *ReadReq:
 		d.Reads++
-		rsp := NewDataReadyLine(d.Top, req.Src, req.ID, req.Addr, req.N)
-		d.space.ReadInto(req.Addr, rsp.Data)
-		if !d.Top.Send(now, rsp) {
-			return fmt.Errorf("%s: response rejected by connection", d.Name())
-		}
+		r := d.msgs.DataReady(d.Top, req.Src, req.ID, req.Addr, req.N)
+		d.space.ReadInto(req.Addr, r.Data)
+		rsp = r
 	case *WriteReq:
 		d.Writes++
 		d.space.Write(req.Addr, req.Data)
-		ack := NewWriteACK(d.Top, req.Src, req.ID, req.Addr)
-		if !d.Top.Send(now, ack) {
-			return fmt.Errorf("%s: ack rejected by connection", d.Name())
-		}
+		rsp = d.msgs.WriteACK(d.Top, req.Src, req.ID, req.Addr)
+	}
+	d.msgs.Release(msg)
+	if !d.Top.Send(now, rsp) {
+		return fmt.Errorf("%s: response rejected by connection", d.Name())
 	}
 	d.ticker.TickNow(now)
+	return nil
+}
+
+// CheckQuiescent reports an error if the channel still has accesses in
+// flight.
+func (d *DRAM) CheckQuiescent() error {
+	if d.inflight != 0 {
+		return fmt.Errorf("%s: %d accesses in flight", d.Name(), d.inflight)
+	}
 	return nil
 }

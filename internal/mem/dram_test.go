@@ -11,6 +11,7 @@ import (
 // and records responses.
 type requester struct {
 	sim.ComponentBase
+	msgs      *Pool
 	port      *sim.Port
 	responses []sim.Msg
 	recvTimes []sim.Time
@@ -44,6 +45,7 @@ func buildDRAMTestbench(t *testing.T, cfg DRAMConfig) (*sim.Engine, *Space, *DRA
 	space := NewSpace(4)
 	dram := NewDRAM("DRAM", part, space, cfg)
 	req := newRequester("req")
+	req.msgs = PoolOf(part)
 	conn := sim.NewDirectConnection("link", part, 1)
 	conn.Plug(dram.Top)
 	conn.Plug(req.port)
@@ -54,8 +56,9 @@ func TestDRAMReadReturnsData(t *testing.T) {
 	engine, space, dram, req := buildDRAMTestbench(t, DefaultDRAMConfig())
 	space.Write(256, []byte{1, 2, 3, 4})
 
-	r := NewReadReq(req.port, dram.Top, 256, 64)
+	r := req.msgs.ReadReq(req.port, dram.Top, 256, 64)
 	req.port.Send(0, r)
+	id := r.ID // the DRAM releases r
 	if err := engine.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -66,8 +69,8 @@ func TestDRAMReadReturnsData(t *testing.T) {
 	if !ok {
 		t.Fatalf("response is %T", req.responses[0])
 	}
-	if rsp.RspTo != r.ID {
-		t.Errorf("RspTo = %d, want %d", rsp.RspTo, r.ID)
+	if rsp.RspTo != id {
+		t.Errorf("RspTo = %d, want %d", rsp.RspTo, id)
 	}
 	if !bytes.Equal(rsp.Data[:4], []byte{1, 2, 3, 4}) {
 		t.Errorf("data = %v", rsp.Data[:4])
@@ -84,7 +87,8 @@ func TestDRAMReadReturnsData(t *testing.T) {
 func TestDRAMWriteAppliesAndAcks(t *testing.T) {
 	engine, space, dram, req := buildDRAMTestbench(t, DefaultDRAMConfig())
 	data := []byte{9, 8, 7, 6, 5}
-	w := NewWriteReq(req.port, dram.Top, 512, data)
+	w := req.msgs.WriteReq(req.port, dram.Top, 512, len(data))
+	copy(w.Data, data)
 	req.port.Send(0, w)
 	if err := engine.Run(); err != nil {
 		t.Fatal(err)
@@ -111,7 +115,7 @@ func TestDRAMThroughputLimit(t *testing.T) {
 
 	const n = 16
 	for i := 0; i < n; i++ {
-		req.port.Send(0, NewReadReq(req.port, dram.Top, uint64(i*64), 64))
+		req.port.Send(0, req.msgs.ReadReq(req.port, dram.Top, uint64(i*64), 64))
 	}
 	if err := engine.Run(); err != nil {
 		t.Fatal(err)
@@ -139,7 +143,7 @@ func TestDRAMInflightLimitBackpressure(t *testing.T) {
 	engine, _, dram, req := buildDRAMTestbench(t, cfg)
 
 	for i := 0; i < 6; i++ {
-		req.port.Send(0, NewReadReq(req.port, dram.Top, uint64(i*64), 64))
+		req.port.Send(0, req.msgs.ReadReq(req.port, dram.Top, uint64(i*64), 64))
 	}
 	if err := engine.Run(); err != nil {
 		t.Fatal(err)
@@ -156,7 +160,7 @@ func TestDRAMInflightLimitBackpressure(t *testing.T) {
 
 func TestDRAMRejectsUnknownMessage(t *testing.T) {
 	engine, _, dram, req := buildDRAMTestbench(t, DefaultDRAMConfig())
-	ack := NewWriteACK(req.port, dram.Top, 1, 0)
+	ack := req.msgs.WriteACK(req.port, dram.Top, 1, 0)
 	req.port.Send(0, ack)
 	defer func() {
 		if recover() == nil {

@@ -6,6 +6,7 @@
 package platform
 
 import (
+	"errors"
 	"fmt"
 
 	"mgpucompress/internal/cache"
@@ -534,3 +535,48 @@ func (p *Platform) TotalCUs() int {
 // ExecCycles returns the current simulated time, i.e. the execution time in
 // cycles at 1 GHz.
 func (p *Platform) ExecCycles() sim.Time { return p.Engine.Now() }
+
+// CheckQuiescent proves that a finished run ended well-formed. It first
+// drains the traffic still queued when the last kernel completed (stale
+// timeouts and duplicate requests and responses of the fault path), then
+// checks that every memory message was released exactly once and that no
+// cache, CU, DRAM channel or RDMA engine still tracks a request. Draining
+// moves counters and feeds the trace recorders, so take the run's snapshot,
+// trace and results first. The check reads state and registers nothing.
+func (p *Platform) CheckQuiescent() error {
+	if err := p.Engine.Run(); err != nil {
+		return fmt.Errorf("platform: draining stale traffic: %w", err)
+	}
+	var errs []error // errors.Join drops the nil ones
+	for g, part := range p.Parts.GPUs {
+		if err := mem.PoolOf(part).CheckQuiescent(); err != nil {
+			errs = append(errs, fmt.Errorf("GPU%d messages: %w", g, err))
+		}
+	}
+	if err := mem.PoolOf(p.Parts.Hub).CheckQuiescent(); err != nil {
+		errs = append(errs, fmt.Errorf("hub messages: %w", err))
+	}
+	for _, dev := range p.GPUs {
+		for _, cu := range dev.CUs {
+			errs = append(errs, cu.CheckQuiescent())
+		}
+		for _, c := range dev.L1s {
+			errs = append(errs, c.CheckQuiescent())
+		}
+		if dev.RemoteCache != nil {
+			errs = append(errs, dev.RemoteCache.CheckQuiescent())
+		}
+		for _, c := range dev.L2s {
+			errs = append(errs, c.CheckQuiescent())
+		}
+		for _, d := range dev.DRAMs {
+			errs = append(errs, d.CheckQuiescent())
+		}
+		errs = append(errs, dev.RDMA.CheckQuiescent())
+	}
+	errs = append(errs, p.HostRDMA.CheckQuiescent())
+	if err := errors.Join(errs...); err != nil {
+		return fmt.Errorf("platform: run did not end quiescent: %w", err)
+	}
+	return nil
+}

@@ -510,3 +510,35 @@ func TestPlatformStatsReport(t *testing.T) {
 		t.Error("hit rates out of range")
 	}
 }
+
+// TestPlatformCheckQuiescent: a finished copy kernel passes the run-end
+// check, with and without the remote cache, and a message that is never
+// released fails it.
+func TestPlatformCheckQuiescent(t *testing.T) {
+	for _, remoteCache := range []bool{false, true} {
+		cfg := testConfig()
+		if remoteCache {
+			rc := RemoteCacheConfig()
+			cfg.RemoteCache = &rc
+		}
+		p, parts := Build(cfg)
+		const lines = 64
+		src := p.Space.AllocStriped(lines * mem.LineSize)
+		dst := p.Space.AllocStriped(lines * mem.LineSize)
+		if err := p.Driver.Launch(copyKernel(src, dst, lines, 8)); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.CheckQuiescent(); err != nil {
+			t.Fatalf("remote cache %v: %v", remoteCache, err)
+		}
+		msgs := mem.PoolOf(parts.GPUs[1])
+		leak := msgs.ReadReq(nil, nil, 0, mem.LineSize)
+		if err := p.CheckQuiescent(); err == nil || !strings.Contains(err.Error(), "GPU1 messages") {
+			t.Errorf("remote cache %v: a live message passed the check (%v)", remoteCache, err)
+		}
+		msgs.Release(leak)
+		if err := p.CheckQuiescent(); err != nil {
+			t.Errorf("remote cache %v: %v", remoteCache, err)
+		}
+	}
+}

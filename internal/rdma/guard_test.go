@@ -72,17 +72,15 @@ func TestGuardCleanFabricIsTransparent(t *testing.T) {
 	want := compressibleLine()
 	tb.space.Write(addr, want)
 
-	r := mem.NewReadReq(tb.l1s[0].port, tb.rdmas[0].ToL1, addr, comp.LineSize)
-	tb.l1s[0].port.Send(0, r)
-	w := mem.NewWriteReq(tb.l1s[0].port, tb.rdmas[0].ToL1, addr+64, want)
-	tb.l1s[0].port.Send(0, w)
+	r := tb.read(0, addr)
+	w := tb.write(0, addr+64, want)
 	if err := tb.engine.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if rsp := tb.l1s[0].reads[r.ID]; rsp == nil || !bytes.Equal(rsp.Data, want) {
+	if rsp := tb.l1s[0].reads[r]; rsp == nil || !bytes.Equal(rsp.Data, want) {
 		t.Error("guarded read failed")
 	}
-	if _, ok := tb.l1s[0].acks[w.ID]; !ok {
+	if _, ok := tb.l1s[0].acks[w]; !ok {
 		t.Error("guarded write not acked")
 	}
 	crc, retries, nacks, timeouts, stale := tb.guardStats()
@@ -104,8 +102,7 @@ func TestGuardCRCTrailerCharged(t *testing.T) {
 		}
 		addr := remoteAddr(tb.space)
 		tb.space.Write(addr, compressibleLine())
-		r := mem.NewReadReq(tb.l1s[0].port, tb.rdmas[0].ToL1, addr, comp.LineSize)
-		tb.l1s[0].port.Send(0, r)
+		tb.read(0, addr)
 		if err := tb.engine.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -126,39 +123,38 @@ func TestGuardRecoversFromCorruption(t *testing.T) {
 	tb := newGuardedTestbed(t, func(int) core.Policy { return core.NewStatic(comp.BDI) }, prof, 1)
 	addr := remoteAddr(tb.space)
 	want := compressibleLine()
-	var reads []*mem.ReadReq
-	var writes []*mem.WriteReq
+	var reads []uint64
+	var writes, writeAddrs []uint64
 	for i := 0; i < 40; i++ {
 		lineAddr := addr + uint64(i%16)*64
 		if i%2 == 0 {
 			tb.space.Write(lineAddr, want)
-			r := mem.NewReadReq(tb.l1s[0].port, tb.rdmas[0].ToL1, lineAddr, comp.LineSize)
-			tb.l1s[0].port.Send(tb.engine.Now(), r)
+			r := tb.read(0, lineAddr)
 			reads = append(reads, r)
 		} else {
-			w := mem.NewWriteReq(tb.l1s[0].port, tb.rdmas[0].ToL1, lineAddr, want)
-			tb.l1s[0].port.Send(tb.engine.Now(), w)
+			w := tb.write(0, lineAddr, want)
 			writes = append(writes, w)
+			writeAddrs = append(writeAddrs, lineAddr)
 		}
 	}
 	if err := tb.engine.Run(); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range reads {
-		rsp, ok := tb.l1s[0].reads[r.ID]
+		rsp, ok := tb.l1s[0].reads[r]
 		if !ok {
-			t.Fatalf("read %d lost under corruption", r.ID)
+			t.Fatalf("read %d lost under corruption", r)
 		}
 		if !bytes.Equal(rsp.Data, want) {
-			t.Fatalf("read %d returned corrupt data", r.ID)
+			t.Fatalf("read %d returned corrupt data", r)
 		}
 	}
-	for _, w := range writes {
-		if _, ok := tb.l1s[0].acks[w.ID]; !ok {
-			t.Fatalf("write %d lost under corruption", w.ID)
+	for i, w := range writes {
+		if _, ok := tb.l1s[0].acks[w]; !ok {
+			t.Fatalf("write %d lost under corruption", w)
 		}
-		if got := tb.space.Read(w.Addr, comp.LineSize); !bytes.Equal(got, want) {
-			t.Fatalf("write %d stored corrupt data", w.ID)
+		if got := tb.space.Read(writeAddrs[i], comp.LineSize); !bytes.Equal(got, want) {
+			t.Fatalf("write %d stored corrupt data", w)
 		}
 	}
 	crc, retries, nacks, _, _ := tb.guardStats()
@@ -174,18 +170,16 @@ func TestGuardRecoversFromDrops(t *testing.T) {
 	tb := newGuardedTestbed(t, func(int) core.Policy { return core.NewStatic(comp.BDI) }, prof, 2)
 	addr := remoteAddr(tb.space)
 	want := compressibleLine()
-	var reads []*mem.ReadReq
-	var writes []*mem.WriteReq
+	var reads []uint64
+	var writes []uint64
 	for i := 0; i < 30; i++ {
 		lineAddr := addr + uint64(i%8)*64
 		if i%2 == 0 {
 			tb.space.Write(lineAddr, want)
-			r := mem.NewReadReq(tb.l1s[0].port, tb.rdmas[0].ToL1, lineAddr, comp.LineSize)
-			tb.l1s[0].port.Send(tb.engine.Now(), r)
+			r := tb.read(0, lineAddr)
 			reads = append(reads, r)
 		} else {
-			w := mem.NewWriteReq(tb.l1s[0].port, tb.rdmas[0].ToL1, lineAddr, want)
-			tb.l1s[0].port.Send(tb.engine.Now(), w)
+			w := tb.write(0, lineAddr, want)
 			writes = append(writes, w)
 		}
 	}
@@ -193,19 +187,20 @@ func TestGuardRecoversFromDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range reads {
-		if rsp := tb.l1s[0].reads[r.ID]; rsp == nil || !bytes.Equal(rsp.Data, want) {
-			t.Fatalf("read %d lost or corrupt under drops", r.ID)
+		if rsp := tb.l1s[0].reads[r]; rsp == nil || !bytes.Equal(rsp.Data, want) {
+			t.Fatalf("read %d lost or corrupt under drops", r)
 		}
 	}
 	for _, w := range writes {
-		if _, ok := tb.l1s[0].acks[w.ID]; !ok {
-			t.Fatalf("write %d lost under drops", w.ID)
+		if _, ok := tb.l1s[0].acks[w]; !ok {
+			t.Fatalf("write %d lost under drops", w)
 		}
 	}
 	_, retries, _, timeouts, _ := tb.guardStats()
 	if timeouts == 0 || retries == 0 {
 		t.Errorf("dropping fabric fired no timeouts: retries=%d timeouts=%d", retries, timeouts)
 	}
+	tb.checkQuiescent(t)
 }
 
 // TestGuardFaultsAreDeterministic: two runs with the same profile and seed
@@ -220,9 +215,9 @@ func TestGuardFaultsAreDeterministic(t *testing.T) {
 			lineAddr := addr + uint64(i%8)*64
 			tb.space.Write(lineAddr, want)
 			if i%2 == 0 {
-				tb.l1s[0].port.Send(tb.engine.Now(), mem.NewReadReq(tb.l1s[0].port, tb.rdmas[0].ToL1, lineAddr, comp.LineSize))
+				tb.read(0, lineAddr)
 			} else {
-				tb.l1s[0].port.Send(tb.engine.Now(), mem.NewWriteReq(tb.l1s[0].port, tb.rdmas[0].ToL1, lineAddr, want))
+				tb.write(0, lineAddr, want)
 			}
 		}
 		if err := tb.engine.Run(); err != nil {
@@ -248,8 +243,7 @@ func TestGuardExhaustionIsHardError(t *testing.T) {
 	prof := fault.Profile{CorruptRate: 1, TimeoutCycles: 128, MaxAttempts: 3}
 	tb := newGuardedTestbed(t, func(int) core.Policy { return core.NewStatic(comp.BDI) }, prof, 3)
 	addr := remoteAddr(tb.space)
-	w := mem.NewWriteReq(tb.l1s[0].port, tb.rdmas[0].ToL1, addr, compressibleLine())
-	tb.l1s[0].port.Send(0, w)
+	w := tb.write(0, addr, compressibleLine())
 	err := tb.engine.Run()
 	if err == nil {
 		t.Fatal("fully corrupting fabric did not surface an error")
@@ -257,7 +251,7 @@ func TestGuardExhaustionIsHardError(t *testing.T) {
 	if !strings.Contains(err.Error(), "retry budget exhausted") {
 		t.Errorf("unexpected error: %v", err)
 	}
-	if _, ok := tb.l1s[0].acks[w.ID]; ok {
+	if _, ok := tb.l1s[0].acks[w]; ok {
 		t.Error("exhausted write was acked")
 	}
 }
@@ -273,7 +267,7 @@ func TestGuardRetrySpansRecorded(t *testing.T) {
 	}
 	addr := remoteAddr(tb.space)
 	for i := 0; i < 20; i++ {
-		tb.l1s[0].port.Send(tb.engine.Now(), mem.NewWriteReq(tb.l1s[0].port, tb.rdmas[0].ToL1, addr+uint64(i%4)*64, compressibleLine()))
+		tb.write(0, addr+uint64(i%4)*64, compressibleLine())
 	}
 	if err := tb.engine.Run(); err != nil {
 		t.Fatal(err)

@@ -55,6 +55,7 @@ type Engine struct {
 	sim.ComponentBase
 	part   *sim.Partition
 	ticker *sim.Ticker
+	msgs   *mem.Pool
 
 	GPU    int
 	Policy core.Policy
@@ -92,8 +93,6 @@ type Engine struct {
 	// decoding parks the pending reads whose responses are decompressing;
 	// the decompression record carries the slot.
 	decoding sim.Slab[pendingRead]
-	// line is deliverWrite's decode scratch.
-	line [comp.LineSize]byte
 
 	// request tracking, by value: a remote request costs one allocation,
 	// its wire message
@@ -132,15 +131,23 @@ type GuardConfig struct {
 	MaxAttempts int
 }
 
+// origin is what the engine keeps of a local request it has retrieved and
+// released: the fields its response needs.
+type origin struct {
+	src  *sim.Port
+	id   uint64
+	addr uint64
+}
+
 type pendingRead struct {
-	req      *mem.ReadReq
+	req      origin
 	issued   sim.Time
 	wire     *ReadReq
 	attempts int
 }
 
 type pendingWrite struct {
-	req      *mem.WriteReq
+	req      origin
 	wire     *WriteReq
 	attempts int
 }
@@ -185,6 +192,7 @@ func New(name string, part *sim.Partition, gpu int, policy core.Policy, rec Reco
 	e := &Engine{
 		ComponentBase: sim.NewComponentBase(name),
 		part:          part,
+		msgs:          mem.PoolOf(part),
 		GPU:           gpu,
 		Policy:        policy,
 		Rec:           rec,
@@ -288,7 +296,7 @@ func (e *Engine) drainOutQueue(now sim.Time) {
 }
 
 // handleLocal processes a request from this GPU's L1s destined for a remote
-// GPU.
+// GPU, and releases it.
 func (e *Engine) handleLocal(now sim.Time, msg sim.Msg) error {
 	switch req := msg.(type) {
 	case *mem.ReadReq:
@@ -297,7 +305,8 @@ func (e *Engine) handleLocal(now sim.Time, msg sim.Msg) error {
 		wire.Src, wire.Dst = e.ToFabric, e.RemotePort(owner)
 		wire.Bytes = ReadReqHeaderBytes
 		e.part.AssignMsgID(wire)
-		e.pendingReads[wire.ID] = pendingRead{req: req, issued: now, wire: wire, attempts: 1}
+		e.pendingReads[wire.ID] = pendingRead{req: origin{req.Src, req.ID, req.Addr}, issued: now, wire: wire, attempts: 1}
+		e.msgs.Release(req)
 		e.ReadsSent++
 		e.Rec.RemoteRead(e.GPU)
 		e.Rec.Header(ReadReqHeaderBytes)
@@ -316,7 +325,8 @@ func (e *Engine) handleLocal(now sim.Time, msg sim.Msg) error {
 			wire.Bytes += CRCTrailerBytes
 		}
 		e.part.AssignMsgID(wire)
-		e.pendingWrites[wire.ID] = pendingWrite{req: req, wire: wire, attempts: 1}
+		e.pendingWrites[wire.ID] = pendingWrite{req: origin{req.Src, req.ID, req.Addr}, wire: wire, attempts: 1}
+		e.msgs.Release(req)
 		e.WritesSent++
 		e.Rec.RemoteWrite(e.GPU)
 		e.Rec.Header(WriteReqHeaderBytes)
@@ -330,11 +340,12 @@ func (e *Engine) handleLocal(now sim.Time, msg sim.Msg) error {
 
 // compress runs the policy over a payload. Payloads that are not a whole
 // cache line bypass the codecs (they cannot be encoded by the line-based
-// algorithms) and ship raw.
+// algorithms) and ship raw. The payload never aliases data, which belongs
+// to a message released once this returns.
 func (e *Engine) compress(data []byte) (Payload, core.Decision) {
 	if len(data) != comp.LineSize || e.Policy == nil {
 		d := core.Decision{Alg: comp.None}
-		p := Payload{Alg: comp.None, Raw: data, RawLen: len(data)}
+		p := Payload{Alg: comp.None, Raw: append([]byte(nil), data...), RawLen: len(data)}
 		if e.Policy != nil {
 			// Still record the transfer so traffic accounting is complete.
 			e.Rec.Payload(data, core.Decision{Alg: comp.None, Enc: comp.Encoded{
@@ -372,7 +383,7 @@ func (e *Engine) handleWire(now sim.Time, msg sim.Msg) error {
 	case *ReadReq:
 		// A remote GPU wants our data: forward into the local L2.
 		e.ReadsServed++
-		local := mem.NewReadReq(e.ToL2, e.L2Router(wire.Addr), wire.Addr, wire.N)
+		local := e.msgs.ReadReq(e.ToL2, e.L2Router(wire.Addr), wire.Addr, wire.N)
 		e.part.AssignMsgID(local)
 		e.serviceReads[local.ID] = wire
 		if !e.ToL2.Send(now, local) {
@@ -437,7 +448,7 @@ func (e *Engine) handleWire(now sim.Time, msg sim.Msg) error {
 			e.observeIntegrity(true)
 		}
 		orig := pw.req
-		ack := mem.NewWriteACK(e.ToL1, orig.Src, orig.ID, orig.Addr)
+		ack := e.msgs.WriteACK(e.ToL1, orig.src, orig.id, orig.addr)
 		e.part.AssignMsgID(ack)
 		if !e.ToL1.Send(now, ack) {
 			return fmt.Errorf("%s: L1 rejected ack", e.Name())
@@ -572,17 +583,18 @@ func (e *Engine) recordRetrySpan(now sim.Time, name string, addr uint64, attempt
 }
 
 // deliverWrite forwards an incoming write into the local L2. A compressed
-// payload is decoded into the engine's scratch line, which the request
-// copies into its own; a raw one is passed on as is.
+// payload is decoded straight into the line the request carries; a raw one
+// is copied there.
 func (e *Engine) deliverWrite(now sim.Time, wire *WriteReq) error {
 	var local *mem.WriteReq
 	if wire.Payload.Alg == comp.None {
-		local = mem.NewWriteReq(e.ToL2, e.L2Router(wire.Addr), wire.Addr, wire.Payload.Raw)
+		local = e.msgs.WriteReq(e.ToL2, e.L2Router(wire.Addr), wire.Addr, len(wire.Payload.Raw))
+		copy(local.Data, wire.Payload.Raw)
 	} else {
-		if err := comp.DecodeInto(e.line[:], wire.Payload.Enc); err != nil {
+		local = e.msgs.WriteReq(e.ToL2, e.L2Router(wire.Addr), wire.Addr, comp.LineSize)
+		if err := comp.DecodeInto(local.Data, wire.Payload.Enc); err != nil {
 			return fmt.Errorf("%s: write payload: %w", e.Name(), err)
 		}
-		local = mem.NewWriteReqLine(e.ToL2, e.L2Router(wire.Addr), wire.Addr, e.line[:])
 	}
 	e.part.AssignMsgID(local)
 	e.serviceWrites[local.ID] = wire
@@ -594,14 +606,15 @@ func (e *Engine) deliverWrite(now sim.Time, wire *WriteReq) error {
 
 // deliverRead returns the response to the pending read pr to the requesting
 // L1. A compressed payload is decoded straight into the line the response
-// carries; a raw one is passed on as is.
+// carries; a raw one is copied there.
 func (e *Engine) deliverRead(now sim.Time, wire *DataReady, pr pendingRead) error {
 	orig := pr.req
 	var rsp *mem.DataReady
 	if wire.Payload.Alg == comp.None {
-		rsp = mem.NewDataReady(e.ToL1, orig.Src, orig.ID, orig.Addr, wire.Payload.Raw)
+		rsp = e.msgs.DataReady(e.ToL1, orig.src, orig.id, orig.addr, len(wire.Payload.Raw))
+		copy(rsp.Data, wire.Payload.Raw)
 	} else {
-		rsp = mem.NewDataReadyLine(e.ToL1, orig.Src, orig.ID, orig.Addr, comp.LineSize)
+		rsp = e.msgs.DataReady(e.ToL1, orig.src, orig.id, orig.addr, comp.LineSize)
 		if err := comp.DecodeInto(rsp.Data, wire.Payload.Enc); err != nil {
 			return fmt.Errorf("%s: read payload: %w", e.Name(), err)
 		}
@@ -619,7 +632,7 @@ func decompressionCycles(alg comp.Algorithm) int {
 }
 
 // handleL2Response turns local L2 responses into wire responses for the
-// requesting GPU.
+// requesting GPU, and releases them.
 func (e *Engine) handleL2Response(now sim.Time, msg sim.Msg) error {
 	switch rsp := msg.(type) {
 	case *mem.DataReady:
@@ -630,6 +643,7 @@ func (e *Engine) handleL2Response(now sim.Time, msg sim.Msg) error {
 		delete(e.serviceReads, rsp.RspTo)
 		payload, d := e.compress(rsp.Data)
 		out := &DataReady{RspTo: wireReq.ID, Addr: rsp.Addr, Payload: payload}
+		e.msgs.Release(rsp)
 		out.Src, out.Dst = e.ToFabric, wireReq.Src
 		out.Bytes = DataReadyHeaderBytes + payload.WireBytes()
 		if e.Guard != nil {
@@ -646,6 +660,7 @@ func (e *Engine) handleL2Response(now sim.Time, msg sim.Msg) error {
 			return fmt.Errorf("%s: L2 ack for unknown request %d", e.Name(), rsp.RspTo)
 		}
 		delete(e.serviceWrites, rsp.RspTo)
+		e.msgs.Release(rsp)
 		out := &WriteACK{RspTo: wireReq.ID}
 		out.Src, out.Dst = e.ToFabric, wireReq.Src
 		out.Bytes = WriteACKHeaderBytes
@@ -657,4 +672,15 @@ func (e *Engine) handleL2Response(now sim.Time, msg sim.Msg) error {
 	default:
 		return fmt.Errorf("%s: unexpected L2 message %T", e.Name(), msg)
 	}
+}
+
+// CheckQuiescent reports an error if the engine still tracks a remote
+// request, a request it serves, or a response being decompressed.
+func (e *Engine) CheckQuiescent() error {
+	n := len(e.pendingReads) + len(e.pendingWrites) + len(e.serviceReads) + len(e.serviceWrites) + e.decoding.Len()
+	if n != 0 {
+		return fmt.Errorf("%s: %d reads and %d writes pending, %d reads and %d writes in service, %d responses decoding",
+			e.Name(), len(e.pendingReads), len(e.pendingWrites), len(e.serviceReads), len(e.serviceWrites), e.decoding.Len())
+	}
+	return nil
 }

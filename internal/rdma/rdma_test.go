@@ -113,6 +113,25 @@ func newTestbed(t *testing.T, policy func(gpu int) core.Policy) *testbed {
 	return tb
 }
 
+// read sends a read of the line at addr from GPU g's L1 stub and returns
+// its ID; the engine releases the request itself.
+func (tb *testbed) read(g int, addr uint64) uint64 {
+	return tb.send(g, mem.PoolOf(tb.part).ReadReq(tb.l1s[g].port, tb.rdmas[g].ToL1, addr, comp.LineSize))
+}
+
+// write sends a write of data at addr from GPU g's L1 stub and returns its
+// ID.
+func (tb *testbed) write(g int, addr uint64, data []byte) uint64 {
+	w := mem.PoolOf(tb.part).WriteReq(tb.l1s[g].port, tb.rdmas[g].ToL1, addr, len(data))
+	copy(w.Data, data)
+	return tb.send(g, w)
+}
+
+func (tb *testbed) send(g int, m sim.Msg) uint64 {
+	tb.l1s[g].port.Send(tb.engine.Now(), m)
+	return m.Meta().ID
+}
+
 func compressibleLine() []byte {
 	line := make([]byte, comp.LineSize)
 	for i := 0; i < 8; i++ {
@@ -137,12 +156,11 @@ func TestRemoteReadRoundTrip(t *testing.T) {
 	want := compressibleLine()
 	tb.space.Write(addr, want)
 
-	req := mem.NewReadReq(tb.l1s[0].port, tb.rdmas[0].ToL1, addr, comp.LineSize)
-	tb.l1s[0].port.Send(0, req)
+	req := tb.read(0, addr)
 	if err := tb.engine.Run(); err != nil {
 		t.Fatal(err)
 	}
-	rsp, ok := tb.l1s[0].reads[req.ID]
+	rsp, ok := tb.l1s[0].reads[req]
 	if !ok {
 		t.Fatal("no response")
 	}
@@ -169,12 +187,11 @@ func TestRemoteWriteRoundTrip(t *testing.T) {
 	addr := remoteAddr(tb.space)
 	data := compressibleLine()
 
-	req := mem.NewWriteReq(tb.l1s[0].port, tb.rdmas[0].ToL1, addr, data)
-	tb.l1s[0].port.Send(0, req)
+	req := tb.write(0, addr, data)
 	if err := tb.engine.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := tb.l1s[0].acks[req.ID]; !ok {
+	if _, ok := tb.l1s[0].acks[req]; !ok {
 		t.Fatal("no ack")
 	}
 	if got := tb.space.Read(addr, comp.LineSize); !bytes.Equal(got, data) {
@@ -204,12 +221,11 @@ func TestIncompressiblePayloadShipsRawAndBypassesDecompressor(t *testing.T) {
 	}
 	tb.space.Write(addr, line)
 
-	req := mem.NewReadReq(tb.l1s[0].port, tb.rdmas[0].ToL1, addr, comp.LineSize)
-	tb.l1s[0].port.Send(0, req)
+	req := tb.read(0, addr)
 	if err := tb.engine.Run(); err != nil {
 		t.Fatal(err)
 	}
-	rsp, ok := tb.l1s[0].reads[req.ID]
+	rsp, ok := tb.l1s[0].reads[req]
 	if !ok {
 		t.Fatal("no response")
 	}
@@ -231,8 +247,7 @@ func TestCompressionReducesWireBytes(t *testing.T) {
 		addr := remoteAddr(tb.space)
 		tb.space.Write(addr, compressibleLine())
 		for i := 0; i < 20; i++ {
-			req := mem.NewReadReq(tb.l1s[0].port, tb.rdmas[0].ToL1, addr+uint64(i%2)*64, comp.LineSize)
-			tb.l1s[0].port.Send(tb.engine.Now(), req)
+			tb.read(0, addr+uint64(i%2)*64)
 			if err := tb.engine.Run(); err != nil {
 				t.Fatal(err)
 			}
@@ -255,12 +270,11 @@ func TestCompressionLatencyDelaysResponse(t *testing.T) {
 		tb := newTestbed(t, policy)
 		addr := remoteAddr(tb.space)
 		tb.space.Write(addr, compressibleLine())
-		req := mem.NewReadReq(tb.l1s[0].port, tb.rdmas[0].ToL1, addr, comp.LineSize)
-		tb.l1s[0].port.Send(0, req)
+		req := tb.read(0, addr)
 		if err := tb.engine.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return tb.l1s[0].times[req.ID]
+		return tb.l1s[0].times[req]
 	}
 	raw := respTime(func(int) core.Policy { return core.Uncompressed{} })
 	slow := respTime(func(int) core.Policy { return core.NewStatic(comp.CPackZ) })
@@ -285,10 +299,9 @@ func TestAdaptivePolicyOverRDMA(t *testing.T) {
 	})
 	addr := remoteAddr(tb.space)
 	tb.space.Write(addr, compressibleLine())
-	var reqs []*mem.ReadReq
+	var reqs []uint64
 	for i := 0; i < 30; i++ {
-		req := mem.NewReadReq(tb.l1s[0].port, tb.rdmas[0].ToL1, addr, comp.LineSize)
-		tb.l1s[0].port.Send(tb.engine.Now(), req)
+		req := tb.read(0, addr)
 		reqs = append(reqs, req)
 		if err := tb.engine.Run(); err != nil {
 			t.Fatal(err)
@@ -296,12 +309,12 @@ func TestAdaptivePolicyOverRDMA(t *testing.T) {
 	}
 	want := compressibleLine()
 	for _, r := range reqs {
-		rsp, ok := tb.l1s[0].reads[r.ID]
+		rsp, ok := tb.l1s[0].reads[r]
 		if !ok {
-			t.Fatalf("request %d lost", r.ID)
+			t.Fatalf("request %d lost", r)
 		}
 		if !bytes.Equal(rsp.Data, want) {
-			t.Fatalf("request %d data mismatch", r.ID)
+			t.Fatalf("request %d data mismatch", r)
 		}
 	}
 	// After sampling, BDI should be selected for this data.
@@ -320,12 +333,11 @@ func TestPartialLinePayloadShipsRaw(t *testing.T) {
 	tb := newTestbed(t, func(int) core.Policy { return core.NewStatic(comp.FPC) })
 	addr := remoteAddr(tb.space)
 	data := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	req := mem.NewWriteReq(tb.l1s[0].port, tb.rdmas[0].ToL1, addr, data)
-	tb.l1s[0].port.Send(0, req)
+	req := tb.write(0, addr, data)
 	if err := tb.engine.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := tb.l1s[0].acks[req.ID]; !ok {
+	if _, ok := tb.l1s[0].acks[req]; !ok {
 		t.Fatal("no ack")
 	}
 	if got := tb.space.Read(addr, 8); !bytes.Equal(got, data) {
@@ -336,17 +348,15 @@ func TestPartialLinePayloadShipsRaw(t *testing.T) {
 func TestManyOutstandingRequestsAllComplete(t *testing.T) {
 	tb := newTestbed(t, func(int) core.Policy { return core.NewAdaptive(core.Config{Lambda: 6}) })
 	addr := remoteAddr(tb.space)
-	var reads []*mem.ReadReq
-	var writes []*mem.WriteReq
+	var reads []uint64
+	var writes []uint64
 	for i := 0; i < 200; i++ {
 		lineAddr := addr + uint64(i%32)*64
 		if i%3 == 0 {
-			w := mem.NewWriteReq(tb.l1s[0].port, tb.rdmas[0].ToL1, lineAddr, compressibleLine())
-			tb.l1s[0].port.Send(tb.engine.Now(), w)
+			w := tb.write(0, lineAddr, compressibleLine())
 			writes = append(writes, w)
 		} else {
-			r := mem.NewReadReq(tb.l1s[0].port, tb.rdmas[0].ToL1, lineAddr, comp.LineSize)
-			tb.l1s[0].port.Send(tb.engine.Now(), r)
+			r := tb.read(0, lineAddr)
 			reads = append(reads, r)
 		}
 	}
@@ -354,13 +364,24 @@ func TestManyOutstandingRequestsAllComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range reads {
-		if _, ok := tb.l1s[0].reads[r.ID]; !ok {
-			t.Fatalf("read %d lost", r.ID)
+		if _, ok := tb.l1s[0].reads[r]; !ok {
+			t.Fatalf("read %d lost", r)
 		}
 	}
 	for _, w := range writes {
-		if _, ok := tb.l1s[0].acks[w.ID]; !ok {
-			t.Fatalf("write %d lost", w.ID)
+		if _, ok := tb.l1s[0].acks[w]; !ok {
+			t.Fatalf("write %d lost", w)
+		}
+	}
+	tb.checkQuiescent(t)
+}
+
+// checkQuiescent fails the test if an engine still tracks a request.
+func (tb *testbed) checkQuiescent(t *testing.T) {
+	t.Helper()
+	for _, e := range tb.rdmas {
+		if err := e.CheckQuiescent(); err != nil {
+			t.Error(err)
 		}
 	}
 }
@@ -391,17 +412,15 @@ func TestHeterogeneousPoliciesPerGPU(t *testing.T) {
 
 	// GPU 0 reads GPU 1's line (GPU 1 compresses the response with BDI);
 	// GPU 1 reads GPU 0's line (GPU 0 compresses with FPC).
-	r01 := mem.NewReadReq(tb.l1s[0].port, tb.rdmas[0].ToL1, addr1, comp.LineSize)
-	r10 := mem.NewReadReq(tb.l1s[1].port, tb.rdmas[1].ToL1, addr0, comp.LineSize)
-	tb.l1s[0].port.Send(0, r01)
-	tb.l1s[1].port.Send(0, r10)
+	r01 := tb.read(0, addr1)
+	r10 := tb.read(1, addr0)
 	if err := tb.engine.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := tb.l1s[0].reads[r01.ID]; got == nil || !bytes.Equal(got.Data, want) {
+	if got := tb.l1s[0].reads[r01]; got == nil || !bytes.Equal(got.Data, want) {
 		t.Error("GPU0 read via BDI-compressing owner failed")
 	}
-	if got := tb.l1s[1].reads[r10.ID]; got == nil || !bytes.Equal(got.Data, want) {
+	if got := tb.l1s[1].reads[r10]; got == nil || !bytes.Equal(got.Data, want) {
 		t.Error("GPU1 read via FPC-compressing owner failed")
 	}
 	// Both algorithms must appear in the recorded decisions.

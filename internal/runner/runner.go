@@ -431,6 +431,17 @@ func Run(abbrev string, opts Options) (*Result, error) {
 	// report and a -metrics-out file can never disagree.
 	m.Snapshot = reg.Snapshot()
 	m.Platform = platform.StatsFromSnapshot(m.Snapshot)
+
+	// The run-end check drains stale traffic, which still feeds the live
+	// recorders; the result keeps what the run itself recorded.
+	m.TraceLog, m.Spans = traceLog.Clone(), spans.Clone()
+	if m.Series != nil {
+		series := *m.Series
+		m.Series = &series
+	}
+	if err := p.CheckQuiescent(); err != nil {
+		return nil, fmt.Errorf("runner: %s: %w", abbrev, err)
+	}
 	return m, nil
 }
 

@@ -106,3 +106,15 @@ func TestRecordScheduleDispatchAllocationFree(t *testing.T) {
 			got, ticks, e.crossMsgs)
 	}
 }
+
+func TestPoolTakeReleaseAllocationFree(t *testing.T) {
+	if Poison {
+		t.Skip("poison builds quarantine released messages instead of reusing them")
+	}
+	var p Pool[pooled, *pooled]
+	assertNoAllocs(t, func() {
+		a, b := p.Take(), p.Take()
+		p.Release(a)
+		p.Release(b)
+	})
+}

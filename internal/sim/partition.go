@@ -39,6 +39,27 @@ type Partition struct {
 	// so the dispatch loop re-reads it every iteration.
 	curLimit Time
 	dynamic  bool
+
+	// locals holds the partition-local values created by Local; there are
+	// as many as packages that keep one, so a scan beats a map.
+	locals []local
+}
+
+type local struct{ key, val any }
+
+// Local returns the partition's value for key, creating it with mk on the
+// first call. A package keeps state here that every component built on the
+// partition shares, such as mem's message pool, without locking: only the
+// partition's own handlers touch it.
+func (p *Partition) Local(key any, mk func() any) any {
+	for _, l := range p.locals {
+		if l.key == key {
+			return l.val
+		}
+	}
+	v := mk()
+	p.locals = append(p.locals, local{key, v})
+	return v
 }
 
 // Engine returns the engine this partition belongs to.

@@ -21,6 +21,9 @@ func (s *Slab[T]) Put(v T) int {
 	return len(s.items) - 1
 }
 
+// Len returns the number of occupied slots.
+func (s *Slab[T]) Len() int { return len(s.items) - len(s.free) }
+
 // Take returns the value in slot and frees the slot, zeroing it so the slab
 // retains nothing the value referenced.
 func (s *Slab[T]) Take(slot int) T {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -52,6 +53,14 @@ func (r *Recorder) Record(s Span) {
 		return
 	}
 	r.spans = append(r.spans, s)
+}
+
+// Clone returns a copy of the recorder that later records leave
+// unchanged.
+func (r *Recorder) Clone() *Recorder {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return &Recorder{Cap: r.Cap, spans: slices.Clip(r.spans), dropped: r.dropped}
 }
 
 // Spans returns the recorded spans in record order. Call it only after the

@@ -7,6 +7,7 @@ package trace
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -38,6 +39,17 @@ func (l *Log) Record(t Transfer) {
 		return
 	}
 	l.transfers = append(l.transfers, t)
+}
+
+// Clone returns a copy of the log that later records leave unchanged (nil
+// for a nil log).
+func (l *Log) Clone() *Log {
+	if l == nil {
+		return nil
+	}
+	c := *l
+	c.transfers = slices.Clip(l.transfers)
+	return &c
 }
 
 // Transfers returns the recorded transfers in completion order.
