@@ -95,8 +95,11 @@ cover:
 
 # Short fuzz passes over the committed seed corpora (testdata/fuzz) plus ten
 # seconds of new exploration per target: enough to catch encoder/bitstream
-# regressions pre-merge without turning ci into a fuzzing campaign.
+# regressions pre-merge without turning ci into a fuzzing campaign. The codec
+# invariant is the round trip: CompressedBits runs the encoder itself, so
+# FuzzCompressedBits only checks the size probe's plumbing.
 fuzz-smoke:
+	go test ./internal/comp -run='^$$' -fuzz='^FuzzCodecRoundTrip$$' -fuzztime=10s
 	go test ./internal/comp -run='^$$' -fuzz='^FuzzCompressedBits$$' -fuzztime=10s
 	go test ./internal/bitstream -run='^$$' -fuzz='^FuzzWriteBitsDifferential$$' -fuzztime=10s
 	go test ./internal/bitstream -run='^$$' -fuzz='^FuzzReadBitsDifferential$$' -fuzztime=10s

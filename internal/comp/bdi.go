@@ -28,6 +28,7 @@ import (
 type bdi struct {
 	w    bitstream.Writer // encode scratch, reused across lines
 	plan bdiPlan          // winning-config scratch, reused across lines
+	size [LineSize]byte   // CompressedBits' output scratch
 }
 
 // NewBDI returns the BDI codec.
@@ -112,11 +113,11 @@ func tryBDIConfig(line []byte, cfg bdiConfig, plan *bdiPlan) bool {
 	return true
 }
 
-// bdiFeasible is the size-only twin of tryBDIConfig: the same scan without
-// recording the plan, so CompressedBits and the encoder's config selection
-// agree by construction. The scan is specialized per value width so the
-// selection loop — which runs on every sampled line for every candidate
-// codec — stays free of the generic readUint dispatch.
+// bdiFeasible is the check-only twin of tryBDIConfig: the same scan without
+// recording the plan, so the encoder's config selection tries every
+// configuration cheaply and plans only the winner. The scan is specialized
+// per value width so the selection loop stays free of the generic readUint
+// dispatch.
 func bdiFeasible(line []byte, cfg bdiConfig) bool {
 	deltaBits := cfg.deltaByte * 8
 	switch cfg.baseBytes {
@@ -271,33 +272,7 @@ func (b *bdi) CompressInto(dst, line []byte) Encoded {
 	return e
 }
 
-func (b *bdi) CompressedBits(line []byte) int {
-	checkLine(line)
-	if isZeroLine(line) {
-		return 4
-	}
-	w64 := words64(line)
-	repeated := true
-	for _, v := range w64[1:] {
-		if v != w64[0] {
-			repeated = false
-			break
-		}
-	}
-	if repeated {
-		return 68
-	}
-	best := LineBits
-	for _, cfg := range bdiConfigs {
-		if cfg.totalBits() >= best {
-			continue
-		}
-		if bdiFeasible(line, cfg) {
-			best = cfg.totalBits()
-		}
-	}
-	return best
-}
+func (b *bdi) CompressedBits(line []byte) int { return b.CompressInto(b.size[:0], line).Bits }
 
 func (b *bdi) Decompress(enc Encoded) ([]byte, error) { return decompress(b, enc) }
 

@@ -43,7 +43,8 @@ import (
 // below are scaled estimates in the spirit of Table III and are clearly
 // extension-grade rather than paper-reproduced.
 type bpc struct {
-	w bitstream.Writer // encode scratch, reused across lines
+	w    bitstream.Writer // encode scratch, reused across lines
+	size [LineSize]byte   // CompressedBits' output scratch
 }
 
 // NewBPC returns the Bit-Plane Compression codec (extension).
@@ -212,52 +213,7 @@ func (b *bpc) CompressInto(dst, line []byte) Encoded {
 	return Encoded{Alg: BPC, Bits: w.Len(), Data: w.AppendTo(dst), Patterns: hist}
 }
 
-func (b *bpc) CompressedBits(line []byte) int {
-	checkLine(line)
-	base, dbx := bpcTransform(line)
-
-	var bits int
-	switch {
-	case base == 0:
-		bits = 2
-	case bitstream.FitsSigned(int64(int32(base)), 8):
-		bits = 2 + 8
-	case bitstream.FitsSigned(int64(int32(base)), 16):
-		bits = 2 + 16
-	default:
-		bits = 2 + 32
-	}
-
-	for k := 0; k < bpcPlanes; {
-		plane := dbx[k]
-		switch {
-		case plane == 0:
-			run := 1
-			for k+run < bpcPlanes && dbx[k+run] == 0 {
-				run++
-			}
-			if run >= 2 {
-				bits += 2 + 5
-			} else {
-				bits += 3
-			}
-			k += run
-		case plane == bpcAllOnes:
-			bits += 4
-			k++
-		case isPow2u16(plane):
-			bits += 5 + 4
-			k++
-		default:
-			bits += 1 + bpcPlaneBits
-			k++
-		}
-	}
-	if bits >= LineBits {
-		return LineBits
-	}
-	return bits
-}
+func (b *bpc) CompressedBits(line []byte) int { return b.CompressInto(b.size[:0], line).Bits }
 
 func (b *bpc) Decompress(enc Encoded) ([]byte, error) { return decompress(b, enc) }
 

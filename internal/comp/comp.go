@@ -142,8 +142,9 @@ func (e Encoded) Ratio() float64 { return float64(LineBits) / float64(e.Bits) }
 
 // Compressor compresses and decompresses single cache lines.
 //
-// Each instance owns reusable encode scratch (a bitstream.Writer and, for
-// some codecs, plan buffers), so Compress, CompressInto, and CompressedBits
+// Each instance owns reusable encode scratch (a bitstream.Writer, a
+// line-sized output buffer for CompressedBits and, for some codecs, plan
+// buffers), so Compress, CompressInto, and CompressedBits
 // are not safe for concurrent use on one instance — give each goroutine its
 // own codec (AllCompressors returns fresh instances). Decompress is
 // stateless and safe to share.
@@ -158,10 +159,11 @@ type Compressor interface {
 	// the extended slice. Steady-state compression through CompressInto
 	// does not allocate.
 	CompressInto(dst, line []byte) Encoded
-	// CompressedBits returns exactly Compress(line).Bits — including the
-	// uncompressed fallback to LineBits — without materializing any
-	// bitstream. Size-only consumers (the controller's sampling phase,
-	// ratio statistics) run on this path.
+	// CompressedBits returns Compress(line).Bits — including the
+	// uncompressed fallback to LineBits — by running the same encoder into
+	// the instance's own line-sized buffer, so it never allocates and no
+	// second copy of the pattern sizes exists. Size-only consumers (the
+	// controller's sampling phase, the Fig. 1 series) probe through it.
 	CompressedBits(line []byte) int
 	// Decompress reconstructs the original line from enc.Data/enc.Bits.
 	Decompress(enc Encoded) ([]byte, error)

@@ -25,7 +25,8 @@ import (
 // word 34b). Only unmatched ("new") words enter the dictionary, which is
 // what lets the decompressor reconstruct it deterministically.
 type cpackZ struct {
-	w bitstream.Writer // encode scratch, reused across lines
+	w    bitstream.Writer // encode scratch, reused across lines
+	size [LineSize]byte   // CompressedBits' output scratch
 }
 
 // NewCPackZ returns the C-Pack+Z codec.
@@ -84,28 +85,27 @@ func findMatch(dict []uint32, w uint32) cpackMatch {
 // cpackWordPlan is the chosen encoding for one word.
 type cpackWordPlan struct {
 	pattern int // Table II pattern number
-	bits    int
 	match   cpackMatch
 }
 
 // planWord picks the cheapest encoding for w given the dictionary.
 func planWord(dict []uint32, w uint32) cpackWordPlan {
 	if w == 0 {
-		return cpackWordPlan{pattern: 2, bits: 2}
+		return cpackWordPlan{pattern: 2}
 	}
 	m := findMatch(dict, w)
 	narrow := w>>8 == 0 // upper 24 bits zero
 	switch {
 	case m.kind == 4:
-		return cpackWordPlan{pattern: 4, bits: 8, match: m}
+		return cpackWordPlan{pattern: 4, match: m}
 	case narrow:
-		return cpackWordPlan{pattern: 6, bits: 12}
+		return cpackWordPlan{pattern: 6}
 	case m.kind == 3:
-		return cpackWordPlan{pattern: 7, bits: 16, match: m}
+		return cpackWordPlan{pattern: 7, match: m}
 	case m.kind == 2:
-		return cpackWordPlan{pattern: 5, bits: 24, match: m}
+		return cpackWordPlan{pattern: 5, match: m}
 	default:
-		return cpackWordPlan{pattern: 3, bits: 34}
+		return cpackWordPlan{pattern: 3}
 	}
 }
 
@@ -163,27 +163,7 @@ func (c *cpackZ) CompressInto(dst, line []byte) Encoded {
 	return Encoded{Alg: CPackZ, Bits: w.Len(), Data: w.AppendTo(dst), Patterns: hist}
 }
 
-func (c *cpackZ) CompressedBits(line []byte) int {
-	checkLine(line)
-	if isZeroLine(line) {
-		return 2
-	}
-	ws := words32(line)
-	var dictArr [cpackDictEntries]uint32
-	dict := dictArr[:0]
-	bits := 0
-	for _, word := range ws {
-		plan := planWord(dict, word)
-		bits += plan.bits
-		if plan.pattern == 3 && len(dict) < cpackDictEntries {
-			dict = append(dict, word)
-		}
-	}
-	if bits >= LineBits {
-		return LineBits
-	}
-	return bits
-}
+func (c *cpackZ) CompressedBits(line []byte) int { return c.CompressInto(c.size[:0], line).Bits }
 
 func (c *cpackZ) Decompress(enc Encoded) ([]byte, error) { return decompress(c, enc) }
 

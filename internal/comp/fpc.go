@@ -26,7 +26,8 @@ import (
 // ratios the paper reports (e.g. FPC ≈ 1.00 on FIR while C-Pack+Z still
 // compresses it).
 type fpc struct {
-	w bitstream.Writer // encode scratch, reused across lines
+	w    bitstream.Writer // encode scratch, reused across lines
+	size [LineSize]byte   // CompressedBits' output scratch
 }
 
 // NewFPC returns the FPC codec.
@@ -82,10 +83,6 @@ func fitsTwoHalfSignExt(w uint32) bool {
 	hi := int64(int16(w >> 16))
 	return bitstream.FitsSigned(lo, 8) && bitstream.FitsSigned(hi, 8)
 }
-
-// fpcDataBits[p] is the data-bit count following the 3-bit prefix for word
-// pattern p (Table II).
-var fpcDataBits = [MaxPattern + 1]int{2: 0, 3: 8, 4: 4, 5: 8, 6: 16, 7: 16, 8: 16}
 
 func (f *fpc) Compress(line []byte) Encoded {
 	return f.CompressInto(make([]byte, 0, LineSize), line)
@@ -145,33 +142,12 @@ func (f *fpc) CompressInto(dst, line []byte) Encoded {
 			w.WriteBits(uint64(word)&0xFF, 8)
 		}
 	}
-	if w.Len() >= LineBits {
-		e := rawEncodedInto(FPC, dst, line, 9)
-		e.Patterns[9] = 16
-		return e
-	}
+	// Sixteen words of at most 3+16 bits each stay well under LineBits, so
+	// a line whose every word matches a pattern always compresses.
 	return Encoded{Alg: FPC, Bits: w.Len(), Data: w.AppendTo(dst), Patterns: hist}
 }
 
-func (f *fpc) CompressedBits(line []byte) int {
-	checkLine(line)
-	if isZeroLine(line) {
-		return 3
-	}
-	ws := words32(line)
-	bits := 0
-	for _, word := range ws {
-		p := classifyFPCWord(word)
-		if p == 9 {
-			return LineBits
-		}
-		bits += 3 + fpcDataBits[p]
-	}
-	if bits >= LineBits {
-		return LineBits
-	}
-	return bits
-}
+func (f *fpc) CompressedBits(line []byte) int { return f.CompressInto(f.size[:0], line).Bits }
 
 func (f *fpc) Decompress(enc Encoded) ([]byte, error) { return decompress(f, enc) }
 

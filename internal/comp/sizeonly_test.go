@@ -6,10 +6,12 @@ import (
 	"testing"
 )
 
-// The adaptive controller's sampling phase runs on CompressedBits instead of
-// Compress (see internal/core), which is only sound if the two agree bit for
-// bit on every line — including the fallback to LineBits. These tests pin
-// that equivalence.
+// The adaptive controller's sampling phase probes candidates with
+// CompressedBits instead of Compress (see internal/core). CompressedBits is
+// each codec's own encoder run into a per-instance output buffer, so these
+// tests pin the probe's plumbing rather than a second sizing model: it must
+// report Compress's size on every line, including the fallback to LineBits,
+// and the reused buffer must not carry state from one line to the next.
 
 func checkSizeAgreement(t *testing.T, c Compressor, line []byte) {
 	t.Helper()

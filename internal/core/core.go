@@ -68,15 +68,20 @@ type Uncompressed struct{}
 // Name implements Policy.
 func (Uncompressed) Name() string { return "None" }
 
-// Process implements Policy.
+// Process implements Policy. It also takes payloads shorter than a line,
+// which no codec can encode: the transport ships those raw whatever its
+// policy is.
 func (Uncompressed) Process(line []byte) Decision {
 	return Decision{Alg: comp.None, Enc: rawLine(line)}
 }
 
+// rawLine is the raw encoding every policy ships when it bypasses the
+// codecs: a copy of the payload, sized at 8 bits per byte (LineBits for a
+// whole line).
 func rawLine(line []byte) comp.Encoded {
 	return comp.Encoded{
 		Alg:          comp.None,
-		Bits:         comp.LineBits,
+		Bits:         len(line) * 8,
 		Data:         append([]byte(nil), line...),
 		Uncompressed: true,
 	}
@@ -102,21 +107,24 @@ func NewStatic(alg comp.Algorithm) *Static {
 func (s *Static) Name() string { return s.c.Algorithm().String() }
 
 // Process implements Policy.
-func (s *Static) Process(line []byte) Decision {
-	enc := s.c.Compress(line)
-	cost := s.c.Cost()
+func (s *Static) Process(line []byte) Decision { return encode(s.c, line) }
+
+// encode is the decision of a policy that runs the single codec c on line:
+// the compression latency and energy are spent either way, and the line
+// ships compressed (paying c's decompression) unless c could not shrink it,
+// in which case it ships raw and the receiver bypasses the decompressor.
+func encode(c comp.Compressor, line []byte) Decision {
+	cost := c.Cost()
 	d := Decision{
+		Alg:               c.Algorithm(),
+		Enc:               c.Compress(line),
 		CompressionCycles: cost.CompressionCycles,
 		CodecEnergyPJ:     cost.CompressionEnergyPJ(),
 	}
-	if enc.Uncompressed {
-		// No space saved: ship raw, receiver bypasses the decompressor.
+	if d.Enc.Uncompressed {
 		d.Alg = comp.None
-		d.Enc = enc
 		return d
 	}
-	d.Alg = s.c.Algorithm()
-	d.Enc = enc
 	d.DecompressionCycles = cost.DecompressionCycles
 	d.CodecEnergyPJ += cost.DecompressionEnergyPJ()
 	return d
@@ -294,10 +302,10 @@ func (a *Adaptive) processSample(line []byte) Decision {
 	// Run every candidate on this transfer; all compressors run
 	// concurrently in hardware, so the added latency is the slowest
 	// compressor, and every compressor burns its compression energy. The
-	// penalty function consumes only the compressed size, so candidates run
-	// through the exact size-only estimator (CompressedBits(line) ==
-	// Compress(line).Bits, including the fallback to LineBits) and no
-	// losing bitstream is ever materialized; only the winner is encoded.
+	// penalty function consumes only the compressed size, so each candidate
+	// is probed with CompressedBits (its own encoder, run into the codec's
+	// scratch) and only the winner is encoded into storage that ships:
+	// Compress on every candidate would allocate a losing bitstream each.
 	energy := 0.0
 	bestIdx := nCand // bypass
 	bestBits := comp.LineBits
@@ -376,22 +384,7 @@ func (a *Adaptive) processRunning(line []byte) Decision {
 		// Bypass: the compression circuitry is off for this phase.
 		d = Decision{Alg: comp.None, Enc: rawLine(line)}
 	} else {
-		c := a.cfg.Candidates[a.selected]
-		cost := c.Cost()
-		enc := c.Compress(line)
-		d = Decision{
-			CompressionCycles: cost.CompressionCycles,
-			CodecEnergyPJ:     cost.CompressionEnergyPJ(),
-		}
-		if enc.Uncompressed {
-			d.Alg = comp.None
-			d.Enc = enc
-		} else {
-			d.Alg = c.Algorithm()
-			d.Enc = enc
-			d.DecompressionCycles = cost.DecompressionCycles
-			d.CodecEnergyPJ += cost.DecompressionEnergyPJ()
-		}
+		d = encode(a.cfg.Candidates[a.selected], line)
 	}
 	a.phasePos++
 	if a.phasePos >= a.cfg.RunLength {

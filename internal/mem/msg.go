@@ -10,10 +10,10 @@ import (
 // framing is used intra-GPU for consistency; only inter-GPU messages cross
 // the compressing RDMA path.
 const (
-	ReadReqHeaderBytes   = 16 // 4+16+48+32+28 bits = 128
-	WriteReqHeaderBytes  = 16 // 4+16+48+4+32+24 bits = 128
-	DataReadyHeaderBytes = 4  // 4+16+4+8 bits = 32
-	WriteACKHeaderBytes  = 4  // 4+16+12 bits = 32
+	ReadReqHeaderBytes   = 16 // MsgType(4) MsgID(16) PhyAddr(48) Length(32) Reserved(28)
+	WriteReqHeaderBytes  = 16 // MsgType(4) MsgID(16) PhyAddr(48) CompAlg(4) Length(32) Reserved(24)
+	DataReadyHeaderBytes = 4  // MsgType(4) RspID(16) CompAlg(4) Reserved(8)
+	WriteACKHeaderBytes  = 4  // MsgType(4) RspID(16) Reserved(12)
 )
 
 // AccessKind distinguishes loads from stores in statistics.

@@ -11,15 +11,11 @@ import (
 	"mgpucompress/internal/sim"
 )
 
-// Header sizes in bytes, from Fig. 4. Only the payload is ever compressed;
-// headers always travel in full.
-const (
-	ReadReqHeaderBytes   = 16 // MsgType(4) MsgID(16) PhyAddr(48) Length(32) Reserved(28)
-	DataReadyHeaderBytes = 4  // MsgType(4) RspID(16) CompAlg(4) Reserved(8)
-	WriteReqHeaderBytes  = 16 // MsgType(4) MsgID(16) PhyAddr(48) CompAlg(4) Length(32) Reserved(24)
-	WriteACKHeaderBytes  = 4  // MsgType(4) RspID(16) Reserved(12)
-	NACKHeaderBytes      = 4  // MsgType(4) RspID(16) CompAlg(4) Reserved(8)
-)
+// NACKHeaderBytes is the NACK header size in bytes. The other Fig. 4 header
+// sizes are mem's (mem.ReadReqHeaderBytes and siblings): only the payload is
+// ever compressed, so a wire message's header is charged exactly as its
+// memory-hierarchy counterpart's.
+const NACKHeaderBytes = 4 // MsgType(4) RspID(16) CompAlg(4) Reserved(8)
 
 // ReadReq asks the owner GPU for N bytes at Addr.
 type ReadReq struct {

@@ -303,13 +303,13 @@ func (e *Engine) handleLocal(now sim.Time, msg sim.Msg) error {
 		owner := e.OwnerOf(req.Addr)
 		wire := &ReadReq{Addr: req.Addr, N: req.N}
 		wire.Src, wire.Dst = e.ToFabric, e.RemotePort(owner)
-		wire.Bytes = ReadReqHeaderBytes
+		wire.Bytes = mem.ReadReqHeaderBytes
 		e.part.AssignMsgID(wire)
 		e.pendingReads[wire.ID] = pendingRead{req: origin{req.Src, req.ID, req.Addr}, issued: now, wire: wire, attempts: 1}
 		e.msgs.Release(req)
 		e.ReadsSent++
 		e.Rec.RemoteRead(e.GPU)
-		e.Rec.Header(ReadReqHeaderBytes)
+		e.Rec.Header(mem.ReadReqHeaderBytes)
 		e.outQueue.Push(wire)
 		e.drainOutQueue(now)
 		e.scheduleTimeout(now, wire, 1)
@@ -319,7 +319,7 @@ func (e *Engine) handleLocal(now sim.Time, msg sim.Msg) error {
 		payload, d := e.compress(req.Data)
 		wire := &WriteReq{Addr: req.Addr, Payload: payload}
 		wire.Src, wire.Dst = e.ToFabric, e.RemotePort(owner)
-		wire.Bytes = WriteReqHeaderBytes + payload.WireBytes()
+		wire.Bytes = mem.WriteReqHeaderBytes + payload.WireBytes()
 		if e.Guard != nil {
 			wire.Payload.CRC = PayloadCRC(wire.Payload)
 			wire.Bytes += CRCTrailerBytes
@@ -329,7 +329,7 @@ func (e *Engine) handleLocal(now sim.Time, msg sim.Msg) error {
 		e.msgs.Release(req)
 		e.WritesSent++
 		e.Rec.RemoteWrite(e.GPU)
-		e.Rec.Header(WriteReqHeaderBytes)
+		e.Rec.Header(mem.WriteReqHeaderBytes)
 		e.scheduleSend(now, wire, d.CompressionCycles)
 		e.scheduleTimeout(now, wire, 1)
 		return nil
@@ -343,24 +343,20 @@ func (e *Engine) handleLocal(now sim.Time, msg sim.Msg) error {
 // algorithms) and ship raw. The payload never aliases data, which belongs
 // to a message released once this returns.
 func (e *Engine) compress(data []byte) (Payload, core.Decision) {
-	if len(data) != comp.LineSize || e.Policy == nil {
-		d := core.Decision{Alg: comp.None}
-		p := Payload{Alg: comp.None, Raw: append([]byte(nil), data...), RawLen: len(data)}
-		if e.Policy != nil {
-			// Still record the transfer so traffic accounting is complete.
-			e.Rec.Payload(data, core.Decision{Alg: comp.None, Enc: comp.Encoded{
-				Alg: comp.None, Bits: len(data) * 8, Data: data, Uncompressed: true,
-			}})
-		}
-		return p, d
-	}
-	if obs, ok := e.Policy.(core.CongestionObserver); ok {
+	policy := e.Policy
+	if policy == nil || len(data) != comp.LineSize {
+		policy = core.Uncompressed{}
+	} else if obs, ok := policy.(core.CongestionObserver); ok {
 		// Feed the dynamic-λ extension its local congestion signal: the
 		// depth of this engine's fabric output queue.
 		obs.ObserveCongestion(e.outQueue.Len())
 	}
-	d := e.Policy.Process(data)
-	e.Rec.Payload(data, d)
+	d := policy.Process(data)
+	if e.Policy != nil {
+		// A compressing endpoint records every transfer, raw ones included,
+		// so traffic accounting is complete.
+		e.Rec.Payload(data, d)
+	}
 	if d.Alg == comp.None {
 		return Payload{Alg: comp.None, Raw: d.Enc.Data, RawLen: len(data)}, d
 	}
@@ -645,13 +641,13 @@ func (e *Engine) handleL2Response(now sim.Time, msg sim.Msg) error {
 		out := &DataReady{RspTo: wireReq.ID, Addr: rsp.Addr, Payload: payload}
 		e.msgs.Release(rsp)
 		out.Src, out.Dst = e.ToFabric, wireReq.Src
-		out.Bytes = DataReadyHeaderBytes + payload.WireBytes()
+		out.Bytes = mem.DataReadyHeaderBytes + payload.WireBytes()
 		if e.Guard != nil {
 			out.Payload.CRC = PayloadCRC(out.Payload)
 			out.Bytes += CRCTrailerBytes
 		}
 		e.part.AssignMsgID(out)
-		e.Rec.Header(DataReadyHeaderBytes)
+		e.Rec.Header(mem.DataReadyHeaderBytes)
 		e.scheduleSend(now, out, d.CompressionCycles)
 		return nil
 	case *mem.WriteACK:
@@ -663,9 +659,9 @@ func (e *Engine) handleL2Response(now sim.Time, msg sim.Msg) error {
 		e.msgs.Release(rsp)
 		out := &WriteACK{RspTo: wireReq.ID}
 		out.Src, out.Dst = e.ToFabric, wireReq.Src
-		out.Bytes = WriteACKHeaderBytes
+		out.Bytes = mem.WriteACKHeaderBytes
 		e.part.AssignMsgID(out)
-		e.Rec.Header(WriteACKHeaderBytes)
+		e.Rec.Header(mem.WriteACKHeaderBytes)
 		e.outQueue.Push(out)
 		e.drainOutQueue(now)
 		return nil

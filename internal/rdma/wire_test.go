@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"mgpucompress/internal/comp"
+	"mgpucompress/internal/mem"
 )
 
 // The packed header sizes must equal the byte sizes charged on the fabric.
@@ -14,10 +15,10 @@ func TestWireHeaderSizesMatchAccounting(t *testing.T) {
 		h    Header
 		want int
 	}{
-		{Header{Type: MsgRead, Seq: 1, Addr: 0x123456789AB, Length: 64}, ReadReqHeaderBytes},
-		{Header{Type: MsgDataReady, Seq: 2, CompAlg: comp.BDI}, DataReadyHeaderBytes},
-		{Header{Type: MsgWrite, Seq: 3, Addr: 0xFFF, CompAlg: comp.FPC, Length: 64}, WriteReqHeaderBytes},
-		{Header{Type: MsgWriteACK, Seq: 4}, WriteACKHeaderBytes},
+		{Header{Type: MsgRead, Seq: 1, Addr: 0x123456789AB, Length: 64}, mem.ReadReqHeaderBytes},
+		{Header{Type: MsgDataReady, Seq: 2, CompAlg: comp.BDI}, mem.DataReadyHeaderBytes},
+		{Header{Type: MsgWrite, Seq: 3, Addr: 0xFFF, CompAlg: comp.FPC, Length: 64}, mem.WriteReqHeaderBytes},
+		{Header{Type: MsgWriteACK, Seq: 4}, mem.WriteACKHeaderBytes},
 	}
 	for _, c := range cases {
 		buf, err := EncodeHeader(c.h)
@@ -99,7 +100,7 @@ func TestMessageHeaderExtraction(t *testing.T) {
 		t.Errorf("ReadReq header = %+v", h)
 	}
 	buf, err := EncodeHeader(h)
-	if err != nil || len(buf) != ReadReqHeaderBytes {
+	if err != nil || len(buf) != mem.ReadReqHeaderBytes {
 		t.Fatalf("encode: %v, %d bytes", err, len(buf))
 	}
 	back, err := DecodeHeader(buf)

@@ -180,8 +180,8 @@ func (s *Series) Observe(line []byte) {
 		Size:    make(map[comp.Algorithm]int, len(s.codecs)),
 	}
 	for _, c := range s.codecs {
-		// The figure only needs sizes, so the exact size-only estimator
-		// avoids materializing a bitstream per codec per transfer.
+		// The figure only needs sizes, so the codec's size probe encodes
+		// into its own scratch instead of allocating a bitstream.
 		smp.Size[c.Algorithm()] = (c.CompressedBits(line) + 7) / 8
 	}
 	s.Samples = append(s.Samples, smp)
