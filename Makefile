@@ -109,7 +109,7 @@ fuzz-smoke:
 # bench/README.md); the committed BENCH_PR*.json files are historical
 # records.
 bench:
-	go test -bench=. -benchmem ./...
+	go test -run='^$$' -bench=. -benchmem ./...
 
 # Cheap pre-merge benchmark smoke: one iteration of the hot-path
 # microbenchmarks, purely to catch benchmarks that no longer compile or

@@ -456,14 +456,3 @@ func PolicyFactory(id PolicyID, lambda float64) (func() Policy, error) {
 		return nil, fmt.Errorf("core: invalid policy %v", id)
 	}
 }
-
-// PolicyFor builds the policy selected by id (with the given λ for the
-// adaptive controller). It is the single entry point used by the
-// command-line tools.
-func PolicyFor(id PolicyID, lambda float64) (Policy, error) {
-	factory, err := PolicyFactory(id, lambda)
-	if err != nil {
-		return nil, err
-	}
-	return factory(), nil
-}

@@ -369,15 +369,15 @@ func TestPolicyFor(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ParsePolicy(%q): %v", spec, err)
 		}
-		p, err := PolicyFor(id, 6)
-		if err != nil || p == nil {
-			t.Errorf("PolicyFor(%q) failed: %v", spec, err)
+		factory, err := PolicyFactory(id, 6)
+		if err != nil || factory() == nil {
+			t.Errorf("PolicyFactory(%q) failed: %v", spec, err)
 		}
 	}
 	if _, err := ParsePolicy("huffman"); err == nil {
 		t.Error("unknown policy accepted")
 	}
-	if _, err := PolicyFor(PolicyID(99), 6); err == nil {
+	if _, err := PolicyFactory(PolicyID(99), 6); err == nil {
 		t.Error("out-of-range policy accepted")
 	}
 }

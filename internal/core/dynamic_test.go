@@ -94,11 +94,11 @@ func TestDynamicAdaptiveDecisionsRoundTrip(t *testing.T) {
 }
 
 func TestPolicyForDynamic(t *testing.T) {
-	p, err := PolicyFor(PolicyDynamic, 0)
+	factory, err := PolicyFactory(PolicyDynamic, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := p.(CongestionObserver); !ok {
+	if _, ok := factory().(CongestionObserver); !ok {
 		t.Error("dynamic policy does not observe congestion")
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"mgpucompress/internal/metrics"
 	"mgpucompress/internal/sim"
-	"mgpucompress/internal/trace"
 )
 
 // Fabric abstracts the inter-GPU interconnect so the platform can swap the
@@ -23,8 +22,8 @@ type Fabric interface {
 	TotalBytes() uint64
 	// TotalMessages is the number of messages delivered.
 	TotalMessages() uint64
-	// Utilization is busy time over elapsed time (for a crossbar, averaged
-	// over the output links).
+	// Utilization is busy time over elapsed time, averaged over the
+	// serializing links (one for the bus).
 	Utilization(now sim.Time) float64
 	// EnergyPJ is the accumulated link transfer energy: bits moved times
 	// the pJ/bit of the link class each hop crossed. Single-hop fabrics
@@ -35,6 +34,10 @@ type Fabric interface {
 	// (conventionally "fabric"): bytes, messages, busy_cycles, links.
 	// Switched topologies add hops and switches.
 	RegisterMetrics(reg *metrics.Registry, prefix string)
+	// CheckQuiescent reports an error unless the drained fabric is back in
+	// its initial state: no message queued or in flight, every input and
+	// output credit returned.
+	CheckQuiescent() error
 }
 
 // Topology names a fabric implementation.
@@ -81,23 +84,13 @@ func New(name string, part *sim.Partition, cfg Config) Fabric {
 // number of cycles the bus would charge.
 type Crossbar struct {
 	hub
-	outBusy map[*endpoint]sim.Time
-	inBusy  map[*sim.Port]sim.Time
-	nextRR  int
-
-	messagesSent uint64
-	bytesSent    uint64
-	busyCycles   uint64 // summed over output links
+	nextRR int
 }
 
 // NewCrossbar creates the switch on the hub partition part. The
 // configuration must pass Validate; violations are wiring bugs and panic.
 func NewCrossbar(name string, part *sim.Partition, cfg Config) *Crossbar {
-	c := &Crossbar{
-		hub:     newHub(name, part, cfg),
-		outBusy: make(map[*endpoint]sim.Time),
-		inBusy:  make(map[*sim.Port]sim.Time),
-	}
+	c := &Crossbar{hub: newHub(name, part, cfg)}
 	c.arb = c
 	return c
 }
@@ -107,101 +100,33 @@ func NewCrossbar(name string, part *sim.Partition, cfg Config) *Crossbar {
 type xbarDone struct{ c *Crossbar }
 
 func (r xbarDone) Handle(e *sim.Event) error {
-	c, msg, now := r.c, e.Msg(), e.Time()
-	c.messagesSent++
-	c.bytesSent += uint64(msg.Meta().Bytes)
-	if c.cfg.Trace != nil {
-		c.cfg.Trace.Record(trace.Transfer{
-			Start: sim.Time(e.Arg()),
-			End:   now,
-			Src:   msg.Meta().Src.Name(),
-			Dst:   msg.Meta().Dst.Name(),
-			Bytes: msg.Meta().Bytes,
-			Kind:  fmt.Sprintf("%T", msg),
-		})
-	}
-	c.finish(now, msg)
-	c.schedule(now)
+	r.c.deliver(e.Time(), sim.Time(e.Arg()), e.Msg())
+	r.c.schedule(e.Time())
 	return nil
 }
 
 func (c *Crossbar) admit(now sim.Time, _ *endpoint) { c.schedule(now) }
 func (c *Crossbar) refunded(now sim.Time)           { c.schedule(now) }
 
+// linkCount implements arbiter: one output link per endpoint.
+func (c *Crossbar) linkCount() int { return len(c.endpoints) }
+
+// inNetwork implements arbiter: transfers on the links are not counted.
+func (c *Crossbar) inNetwork() int { return 0 }
+
 // schedule starts every transfer whose source output link and destination
 // input link are both free, scanning sources round-robin.
 func (c *Crossbar) schedule(now sim.Time) {
-	n := len(c.endpoints)
-	if n == 0 {
-		return
-	}
-	started := true
-	for started {
-		started = false
-		for i := 0; i < n; i++ {
-			ep := c.endpoints[(c.nextRR+i)%n]
-			if ep.queue.Len() == 0 {
-				continue
-			}
-			msg := ep.queue.Peek()
-			dst := msg.Meta().Dst
-			if c.outBusy[ep] > now || c.inBusy[dst] > now {
-				continue
-			}
-			bytes := msg.Meta().Bytes
-			if !c.byPort[dst].reserve(bytes) {
-				continue
-			}
-			ep.queue.Pop()
-			cycles := c.cycles(bytes)
-			done := now + cycles
-			c.outBusy[ep] = done
-			c.inBusy[dst] = done
-			c.busyCycles += uint64(cycles)
-			c.part.Schedule(done, xbarDone{c}, msg, int(now))
-			c.outCredit(now, ep, bytes)
-			c.nextRR = (c.nextRR + i + 1) % n
-			started = true
-			break
+	for {
+		ep, msg := c.pick(now, c.endpoints, &c.nextRR)
+		if ep == nil {
+			return
 		}
+		bytes := msg.Meta().Bytes
+		done := now + c.transmit(bytes)
+		ep.outBusy = done
+		c.byPort[msg.Meta().Dst].inBusy = done
+		c.part.Schedule(done, xbarDone{c}, msg, int(now))
+		c.outCredit(now, ep, bytes)
 	}
-}
-
-// RegisterMetrics implements Fabric. The links gauge reads len(endpoints)
-// lazily, so registering before Attach still reports the final endpoint
-// count.
-func (c *Crossbar) RegisterMetrics(reg *metrics.Registry, prefix string) {
-	reg.CounterFunc(prefix+"/bytes", func() uint64 { return c.bytesSent })
-	reg.CounterFunc(prefix+"/messages", func() uint64 { return c.messagesSent })
-	reg.CounterFunc(prefix+"/busy_cycles", func() uint64 { return c.busyCycles })
-	reg.GaugeFunc(prefix+"/links", func() float64 { return float64(len(c.endpoints)) })
-}
-
-// TotalBytes implements Fabric.
-func (c *Crossbar) TotalBytes() uint64 { return c.bytesSent }
-
-// TotalMessages implements Fabric.
-func (c *Crossbar) TotalMessages() uint64 { return c.messagesSent }
-
-// EnergyPJ implements Fabric: every crossbar transfer crosses one link of
-// the configured base class.
-func (c *Crossbar) EnergyPJ() float64 {
-	return float64(c.bytesSent*8) * c.cfg.BaseClass.PJPerBit()
-}
-
-// Utilization implements Fabric: mean output-link utilization.
-func (c *Crossbar) Utilization(now sim.Time) float64 {
-	if now == 0 || len(c.endpoints) == 0 {
-		return 0
-	}
-	return float64(c.busyCycles) / float64(now) / float64(len(c.endpoints))
-}
-
-// QueuedMessages returns pending messages across endpoints (tests).
-func (c *Crossbar) QueuedMessages() int {
-	n := 0
-	for _, ep := range c.endpoints {
-		n += ep.queue.Len()
-	}
-	return n
 }

@@ -19,7 +19,6 @@ import (
 
 	"mgpucompress/internal/energy"
 	"mgpucompress/internal/fault"
-	"mgpucompress/internal/metrics"
 	"mgpucompress/internal/sim"
 	"mgpucompress/internal/trace"
 )
@@ -121,18 +120,12 @@ func MeshDims(nodes int) (w, h int, err error) {
 }
 
 // Bus is the shared fabric arbiter; it lives in the hub partition and talks
-// to its endpoints through per-attachment links.
+// to its endpoints through per-attachment links. Its one wire carries one
+// transmission at a time.
 type Bus struct {
 	hub
-	nextRR        int
-	busyUntil     sim.Time
-	inFlight      sim.Msg
-	inFlightStart sim.Time
-
-	// Stats
-	MessagesSent uint64
-	BytesSent    uint64
-	BusyCycles   uint64
+	nextRR int
+	busy   bool
 }
 
 // NewBus creates the fabric on the hub partition part. The configuration
@@ -143,122 +136,60 @@ func NewBus(name string, part *sim.Partition, cfg Config) *Bus {
 	return b
 }
 
-// busDone completes the bus's in-flight transmission.
+// busDone completes the bus's transmission of the record's message, which
+// started at cycle Arg.
 type busDone struct{ b *Bus }
 
 func (r busDone) Handle(e *sim.Event) error {
-	r.b.completeTransfer(e.Time())
+	b, now := r.b, e.Time()
+	b.busy = false
+	b.deliver(now, sim.Time(e.Arg()), e.Msg())
+	b.arbitrate(now)
 	return nil
 }
 
 func (b *Bus) admit(now sim.Time, _ *endpoint) { b.arbitrate(now) }
 func (b *Bus) refunded(now sim.Time)           { b.arbitrate(now) }
 
-// arbitrate starts the next transmission if the bus is idle: scan endpoints
-// round-robin and pick the first whose head message fits in its
-// destination's input credit.
+// linkCount implements arbiter: the bus is a single shared link.
+func (b *Bus) linkCount() int { return 1 }
+
+// inNetwork implements arbiter: the transmission on the wire, if any.
+func (b *Bus) inNetwork() int {
+	if b.busy {
+		return 1
+	}
+	return 0
+}
+
+// arbitrate starts the next transmission if the bus is idle.
 func (b *Bus) arbitrate(now sim.Time) {
-	if b.inFlight != nil || len(b.endpoints) == 0 {
+	if b.busy {
 		return
 	}
-	n := len(b.endpoints)
-	for i := 0; i < n; i++ {
-		ep := b.endpoints[(b.nextRR+i)%n]
-		if ep.queue.Len() == 0 {
-			continue
-		}
-		msg := ep.queue.Peek()
-		bytes := msg.Meta().Bytes
-		if !b.byPort[msg.Meta().Dst].reserve(bytes) {
-			continue // head-of-line blocked; try another endpoint
-		}
-		// Claim the bus.
-		ep.queue.Pop()
-		b.nextRR = (b.nextRR + i + 1) % n
-		b.inFlight = msg
-		b.inFlightStart = now
-		cycles := b.cycles(bytes)
-		b.busyUntil = now + cycles
-		b.BusyCycles += uint64(cycles)
-		b.part.ScheduleTick(b.busyUntil, busDone{b})
-		// Output space freed: credit the sender's link.
-		b.outCredit(now, ep, bytes)
-		// The wire is committed through busyUntil: arbitrate is a no-op while
-		// a transfer is in flight, so after this claim's own credit (just
-		// emitted, entry now+latency) nothing leaves the hub before the
-		// transfer completes. Publish that horizon as the next-send bound of
-		// every egress link — the engine widens its window past the
-		// hub's head events up to it. The completing transfer's delivery and
-		// the next claim's credit both land at exactly busyUntil+latency, so
-		// the bound is tight. Suppressed while a fault-delayed delivery is
-		// outstanding, since it may land inside the horizon.
-		if b.pendingFaults == 0 {
-			horizon := b.busyUntil + b.cfg.LinkLatency
-			for _, other := range b.endpoints {
-				other.toOwner.SetNextSend(horizon)
-			}
-		}
+	ep, msg := b.pick(now, b.endpoints, &b.nextRR)
+	if ep == nil {
 		return
 	}
-}
-
-func (b *Bus) completeTransfer(now sim.Time) {
-	msg := b.inFlight
-	b.inFlight = nil
-	b.MessagesSent++
-	b.BytesSent += uint64(msg.Meta().Bytes)
-	if b.cfg.Trace != nil {
-		b.cfg.Trace.Record(trace.Transfer{
-			Start: b.inFlightStart,
-			End:   now,
-			Src:   msg.Meta().Src.Name(),
-			Dst:   msg.Meta().Dst.Name(),
-			Bytes: msg.Meta().Bytes,
-			Kind:  fmt.Sprintf("%T", msg),
-		})
+	b.busy = true
+	bytes := msg.Meta().Bytes
+	done := now + b.transmit(bytes)
+	b.part.Schedule(done, busDone{b}, msg, int(now))
+	// Output space freed: credit the sender's link.
+	b.outCredit(now, ep, bytes)
+	// The wire is committed through done: arbitrate is a no-op while a
+	// transfer is in flight, so after this claim's own credit (just emitted,
+	// entry now+latency) nothing leaves the hub before the transfer
+	// completes. Publish that horizon as the next-send bound of every egress
+	// link — the engine widens its window past the hub's head events up to
+	// it. The completing transfer's delivery and the next claim's credit both
+	// land at exactly done+latency, so the bound is tight. Suppressed while a
+	// fault-delayed delivery is outstanding, since it may land inside the
+	// horizon.
+	if b.pendingFaults == 0 {
+		horizon := done + b.cfg.LinkLatency
+		for _, other := range b.endpoints {
+			other.toOwner.SetNextSend(horizon)
+		}
 	}
-	b.finish(now, msg)
-	b.arbitrate(now)
-}
-
-// Utilization returns busy cycles divided by total elapsed cycles.
-func (b *Bus) Utilization(now sim.Time) float64 {
-	if now == 0 {
-		return 0
-	}
-	return float64(b.BusyCycles) / float64(now)
-}
-
-// RegisterMetrics implements Fabric. A bus is a single shared link, so the
-// links gauge is constant 1 and busy_cycles/cycles is the utilization.
-func (b *Bus) RegisterMetrics(reg *metrics.Registry, prefix string) {
-	reg.CounterFunc(prefix+"/bytes", func() uint64 { return b.BytesSent })
-	reg.CounterFunc(prefix+"/messages", func() uint64 { return b.MessagesSent })
-	reg.CounterFunc(prefix+"/busy_cycles", func() uint64 { return b.BusyCycles })
-	reg.GaugeFunc(prefix+"/links", func() float64 { return 1 })
-}
-
-// TotalBytes implements Fabric.
-func (b *Bus) TotalBytes() uint64 { return b.BytesSent }
-
-// TotalMessages implements Fabric.
-func (b *Bus) TotalMessages() uint64 { return b.MessagesSent }
-
-// EnergyPJ implements Fabric: every bus transfer crosses one link of the
-// configured base class.
-func (b *Bus) EnergyPJ() float64 {
-	return float64(b.BytesSent*8) * b.cfg.BaseClass.PJPerBit()
-}
-
-// QueuedMessages returns the number of messages waiting across all
-// endpoints (for tests and debugging).
-func (b *Bus) QueuedMessages() int {
-	n := 0
-	for _, ep := range b.endpoints {
-		n += ep.queue.Len()
-	}
-	if b.inFlight != nil {
-		n++
-	}
-	return n
 }

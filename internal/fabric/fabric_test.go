@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"strings"
 	"testing"
 
 	"mgpucompress/internal/sim"
@@ -100,8 +101,8 @@ func TestBusTransfersTakeIntegralCycles(t *testing.T) {
 	if nodes[1].times[1] != 2*L+5 {
 		t.Errorf("second message delivered at %d, want %d (starts one bus cycle later)", nodes[1].times[1], 2*L+5)
 	}
-	if bus.MessagesSent != 2 || bus.BytesSent != 82 {
-		t.Errorf("stats = %d msgs / %d bytes", bus.MessagesSent, bus.BytesSent)
+	if bus.TotalMessages() != 2 || bus.TotalBytes() != 82 {
+		t.Errorf("stats = %d msgs / %d bytes", bus.TotalMessages(), bus.TotalBytes())
 	}
 }
 
@@ -219,10 +220,10 @@ func TestBusUtilization(t *testing.T) {
 	if err := engine.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if bus.BusyCycles != 10 {
-		t.Errorf("BusyCycles = %d, want 10 for a single 200-byte transfer", bus.BusyCycles)
+	if bus.busyCycles != 10 {
+		t.Errorf("busy cycles = %d, want 10 for a single 200-byte transfer", bus.busyCycles)
 	}
-	want := float64(bus.BusyCycles) / float64(engine.Now())
+	want := float64(bus.busyCycles) / float64(engine.Now())
 	if u := bus.Utilization(engine.Now()); u != want {
 		t.Errorf("utilization = %v, want busy/elapsed = %v", u, want)
 	}
@@ -295,5 +296,45 @@ func TestCrossbarQueuedMessages(t *testing.T) {
 	}
 	if xbar.QueuedMessages() != 1 {
 		t.Errorf("queued = %d, want 1 (second blocked)", xbar.QueuedMessages())
+	}
+}
+
+// TestFabricCheckQuiescent: on every topology the run-end check fails while
+// a delivered message sits undrained in its destination's buffer (its input
+// credit still claimed) and a second one waits at the hub for that credit,
+// and passes once the destination drains and the credits flow back.
+func TestFabricCheckQuiescent(t *testing.T) {
+	for _, topo := range Topologies() {
+		cfg := DefaultConfig()
+		cfg.Topology, cfg.Nodes = topo, 2
+		engine := sim.NewEngine()
+		hub := engine.Partition(0)
+		f := New(string(topo), hub, cfg)
+		a := newNode("a", 4096, true)
+		b := newNode("b", 64, false) // blocked destination
+		f.Attach(a.port, hub)
+		f.Attach(b.port, hub)
+		a.port.Send(0, pkt(b.port, 64, 1))
+		a.port.Send(0, pkt(b.port, 64, 2))
+		if err := engine.Run(); err != nil {
+			t.Fatal(err)
+		}
+		err := f.CheckQuiescent()
+		if err == nil || !strings.Contains(err.Error(), "1 messages still queued") ||
+			!strings.Contains(err.Error(), "input credit") {
+			t.Errorf("%s: blocked fabric: CheckQuiescent() = %v", topo, err)
+		}
+		for i := 0; i < 2; i++ {
+			b.drainAll(engine.Now())
+			if err := engine.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(b.received) != 2 {
+			t.Fatalf("%s: destination received %d messages, want 2", topo, len(b.received))
+		}
+		if err := f.CheckQuiescent(); err != nil {
+			t.Errorf("%s: drained fabric: %v", topo, err)
+		}
 	}
 }

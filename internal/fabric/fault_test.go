@@ -54,8 +54,8 @@ func TestBusFaultDropsInjectableOnly(t *testing.T) {
 	}
 	// The dropped message still occupied the bus: accounting reflects the
 	// transmission as sent.
-	if bus.MessagesSent != 2 || bus.BytesSent != 40 {
-		t.Errorf("stats = %d msgs / %d bytes, want 2 / 40", bus.MessagesSent, bus.BytesSent)
+	if bus.TotalMessages() != 2 || bus.TotalBytes() != 40 {
+		t.Errorf("stats = %d msgs / %d bytes, want 2 / 40", bus.TotalMessages(), bus.TotalBytes())
 	}
 	if cfg.Fault.Dropped != 1 {
 		t.Errorf("Dropped = %d", cfg.Fault.Dropped)

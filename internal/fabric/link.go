@@ -1,15 +1,21 @@
 package fabric
 
 import (
+	"errors"
 	"fmt"
 
+	"mgpucompress/internal/metrics"
 	"mgpucompress/internal/sim"
+	"mgpucompress/internal/trace"
 )
 
-// hub is the partition-resident half shared by Bus and Crossbar: the
-// endpoint table, the credit bookkeeping, and the fault-aware hand-off of
+// hub is the partition-resident half every topology shares: the endpoint
+// table, the credit bookkeeping, the round-robin injection pick, the
+// completion accounting and its metrics, and the fault-aware hand-off of
 // completed transfers back to the owning partitions. The concrete fabric
-// embeds it and supplies the arbitration policy.
+// (Bus, Crossbar, SwitchFabric) embeds it and supplies only the arbitration
+// policy: when to pick, what a picked message occupies, and how many
+// serializing links it has.
 //
 // All hub state is touched only from hub-partition event handlers (or from
 // Attach, before the simulation starts). Endpoint ports live in other
@@ -25,19 +31,29 @@ type hub struct {
 	byPort    map[*sim.Port]*endpoint
 
 	// pendingFaults counts fault-delayed deliveries scheduled but not yet
-	// fired. While any are outstanding the bus must not raise next-send
+	// fired. While any are outstanding the fabric must not raise next-send
 	// bounds on its egress links: a delayed delivery may land earlier than
 	// the busy horizon of a later transfer.
 	pendingFaults int
+
+	// Transfer accounting. messages and bytes count each delivered message
+	// once, regardless of hop count, so totals are comparable across
+	// topologies; busyCycles is summed over every serializing link.
+	messages   uint64
+	bytes      uint64
+	busyCycles uint64
 }
 
-// arbiter is the arbitration policy the concrete fabric (Bus, Crossbar,
-// SwitchFabric) supplies to its hub.
+// arbiter is the arbitration policy the concrete fabric supplies to its hub.
 type arbiter interface {
 	// admit runs arbitration after a message joined ep's ingress queue.
 	admit(now sim.Time, ep *endpoint)
 	// refunded runs arbitration after input credit returned to an endpoint.
 	refunded(now sim.Time)
+	// linkCount is the number of serializing links busyCycles is summed over.
+	linkCount() int
+	// inNetwork counts accepted messages held outside the endpoint queues.
+	inNetwork() int
 }
 
 // endpoint is the hub-side view of one attached port: its ingress queue
@@ -53,6 +69,10 @@ type endpoint struct {
 	// when a transfer claims the fabric and returned by the owner-side link
 	// as the component drains its port.
 	inCredit int
+
+	// Crossbar state (zero on the bus and switched fabrics): the cycles
+	// until which the endpoint's output and input links are transmitting.
+	outBusy, inBusy sim.Time
 
 	// Switched-fabric state (unused by bus and crossbar).
 	//
@@ -137,15 +157,55 @@ func (ep *endpoint) refund(n int) {
 	}
 }
 
-// finish routes one completed transfer through the fault injector (when
-// configured) and hands the survivor off toward its destination. The input
-// credit was reserved at arbitration time: a dropped message refunds it, a
-// delayed one keeps the reservation until the retry fires.
-func (h *hub) finish(now sim.Time, msg sim.Msg) {
+// pick is the one round-robin injection scan of every fabric. Starting at
+// eps[*rr] it skips empty queues and heads that cannot go now — the
+// source's output link or the destination's input link still transmitting
+// (crossbar only), or the destination's input credit not covering the
+// message — and claims the first head that can: its credit is reserved,
+// it leaves the queue, and *rr moves past its endpoint. It returns nil when
+// no head can go.
+func (h *hub) pick(now sim.Time, eps []*endpoint, rr *int) (*endpoint, sim.Msg) {
+	n := len(eps)
+	for i := 0; i < n; i++ {
+		ep := eps[(*rr+i)%n]
+		if ep.queue.Len() == 0 || ep.outBusy > now {
+			continue
+		}
+		msg := ep.queue.Peek()
+		dst := h.byPort[msg.Meta().Dst]
+		if dst.inBusy > now || !dst.reserve(msg.Meta().Bytes) {
+			continue // head-of-line blocked; try another endpoint
+		}
+		ep.queue.Pop()
+		*rr = (*rr + i + 1) % n
+		return ep, msg
+	}
+	return nil, nil
+}
+
+// deliver completes one transfer whose transmission started at cycle start:
+// it counts and traces the message as sent, routes it through the fault
+// injector (when configured) and hands the survivor off toward its
+// destination. The input credit was reserved by pick: a dropped message
+// refunds it, a delayed one keeps the reservation until the retry fires.
+func (h *hub) deliver(now, start sim.Time, msg sim.Msg) {
+	meta := msg.Meta()
+	h.messages++
+	h.bytes += uint64(meta.Bytes)
+	if h.cfg.Trace != nil {
+		h.cfg.Trace.Record(trace.Transfer{
+			Start: start,
+			End:   now,
+			Src:   meta.Src.Name(),
+			Dst:   meta.Dst.Name(),
+			Bytes: meta.Bytes,
+			Kind:  fmt.Sprintf("%T", msg),
+		})
+	}
 	if inj := h.cfg.Fault; inj != nil {
 		out := inj.Apply(msg)
 		if out.Msg == nil {
-			h.byPort[msg.Meta().Dst].refund(msg.Meta().Bytes)
+			h.byPort[meta.Dst].refund(meta.Bytes)
 			return // dropped; the RDMA guard's timeout recovers
 		}
 		if out.Delay > 0 {
@@ -165,12 +225,14 @@ func (h *hub) handOff(now sim.Time, msg sim.Msg) {
 	ep.toOwner.Schedule(now+h.cfg.LinkLatency, linkDeliver{ep.link}, msg, 0)
 }
 
-// cycles returns the integral bus occupancy of a message.
-func (h *hub) cycles(bytes int) sim.Time {
+// transmit charges a message's serialization time to the busy counter and
+// returns it: the integral number of cycles a link of BytesPerCycle needs.
+func (h *hub) transmit(bytes int) sim.Time {
 	c := sim.Time((bytes + h.cfg.BytesPerCycle - 1) / h.cfg.BytesPerCycle)
 	if c == 0 {
 		c = 1
 	}
+	h.busyCycles += uint64(c)
 	return c
 }
 
@@ -185,6 +247,89 @@ func (h *hub) outCredit(now sim.Time, ep *endpoint, bytes int) {
 		r = ep.creditOut
 	}
 	r.Schedule(now+h.cfg.LinkLatency, outCreditReturn{ep.link}, nil, bytes)
+}
+
+// RegisterMetrics implements Fabric. The links gauge is read lazily, so
+// registering before Attach still reports the final link count.
+func (h *hub) RegisterMetrics(reg *metrics.Registry, prefix string) {
+	reg.CounterFunc(prefix+"/bytes", func() uint64 { return h.bytes })
+	reg.CounterFunc(prefix+"/messages", func() uint64 { return h.messages })
+	reg.CounterFunc(prefix+"/busy_cycles", func() uint64 { return h.busyCycles })
+	reg.GaugeFunc(prefix+"/links", func() float64 { return float64(h.arb.linkCount()) })
+}
+
+// TotalBytes implements Fabric.
+func (h *hub) TotalBytes() uint64 { return h.bytes }
+
+// TotalMessages implements Fabric.
+func (h *hub) TotalMessages() uint64 { return h.messages }
+
+// Utilization implements Fabric: busy cycles over elapsed cycles, averaged
+// over the serializing links.
+func (h *hub) Utilization(now sim.Time) float64 {
+	if now == 0 {
+		return 0
+	}
+	links := h.arb.linkCount()
+	if links == 0 {
+		return 0
+	}
+	return float64(h.busyCycles) / float64(now) / float64(links)
+}
+
+// EnergyPJ implements Fabric for the single-hop fabrics: every transfer
+// crosses one link of the configured base class.
+func (h *hub) EnergyPJ() float64 {
+	return float64(h.bytes*8) * h.cfg.BaseClass.PJPerBit()
+}
+
+// QueuedMessages returns the messages the fabric has accepted and not yet
+// delivered, in endpoint queues or in the network (tests and debugging).
+func (h *hub) QueuedMessages() int {
+	n := h.arb.inNetwork()
+	for _, ep := range h.endpoints {
+		n += ep.queue.Len() + ep.egrQueue.Len()
+	}
+	return n
+}
+
+// CheckQuiescent implements Fabric: it reports an error unless every queue
+// is empty, no egress wire or fault-delayed delivery is outstanding, every
+// endpoint's input credit is back at its port's capacity and every link's
+// output buffer has been credited back in full.
+func (h *hub) CheckQuiescent() error {
+	var errs []error
+	if q := h.QueuedMessages(); q != 0 {
+		errs = append(errs, fmt.Errorf("%d messages still queued", q))
+	}
+	if h.pendingFaults != 0 {
+		errs = append(errs, fmt.Errorf("%d fault-delayed deliveries outstanding", h.pendingFaults))
+	}
+	var wires, credits, outstanding int
+	for _, ep := range h.endpoints {
+		if ep.egrInFlight {
+			wires++
+		}
+		if c := ep.port.Capacity(); c > 0 && ep.inCredit != c {
+			credits++
+		}
+		if ep.link.outstanding != 0 {
+			outstanding++
+		}
+	}
+	if wires != 0 {
+		errs = append(errs, fmt.Errorf("%d egress wires still transmitting", wires))
+	}
+	if credits != 0 {
+		errs = append(errs, fmt.Errorf("input credits of %d of %d endpoints not returned", credits, len(h.endpoints)))
+	}
+	if outstanding != 0 {
+		errs = append(errs, fmt.Errorf("%d output buffers not credited back", outstanding))
+	}
+	if err := errors.Join(errs...); err != nil {
+		return fmt.Errorf("fabric %s: %w", h.Name(), err)
+	}
+	return nil
 }
 
 // fabricLink is the owner-partition side of one fabric attachment. It

@@ -32,22 +32,27 @@ func (c *endpointComp) NotifyRecv(now sim.Time, p *sim.Port) {
 
 func (c *endpointComp) NotifyPortFree(sim.Time, *sim.Port) { c.freed++ }
 
-// busRoundTrip is the paper's bus with a sender and a receiver, each in its
-// own partition, so every hop crosses a sim.Remote the way platform.Build
-// wires it.
-type busRoundTrip struct {
+// roundTrip is a fabric with a sender and a receiver, each in its own
+// partition, so every hop crosses a sim.Remote the way platform.Build wires
+// it. On the switched topologies the sender hangs off GPU switch 1 and the
+// receiver off the host switch, so the message crosses inter-switch links.
+type roundTrip struct {
 	eng      *sim.Engine
+	fabric   Fabric
 	src, dst *endpointComp
 }
 
-func newBusRoundTrip() *busRoundTrip {
+func newBusRoundTrip() *roundTrip { return newRoundTrip(TopologyBus) }
+
+func newRoundTrip(topo Topology) *roundTrip {
 	eng := sim.NewEngine(sim.WithPartitions(3))
-	bus := NewBus("bus", eng.Partition(0), DefaultConfig())
-	rt := &busRoundTrip{eng: eng}
+	cfg := DefaultConfig()
+	cfg.Topology, cfg.Nodes = topo, 2
+	rt := &roundTrip{eng: eng, fabric: New(string(topo), eng.Partition(0), cfg)}
 	for i, c := range []**endpointComp{&rt.src, &rt.dst} {
 		ep := &endpointComp{ComponentBase: sim.NewComponentBase("ep")}
 		ep.port = sim.NewPort(ep, "ep.port", 4*1024)
-		bus.Attach(ep.port, eng.Partition(i+1))
+		rt.fabric.Attach(ep.port, eng.Partition(i+1))
 		*c = ep
 	}
 	rt.src.out = pkt(rt.dst.port, 72, 0)
@@ -55,10 +60,10 @@ func newBusRoundTrip() *busRoundTrip {
 }
 
 // run moves one packet from src to dst and back to quiescence: the send
-// crosses to the hub, the bus arbitrates and transmits, the delivery crosses
+// crosses to the hub, the fabric arbitrates and transmits, the delivery crosses
 // to dst, and the output and input credits return. The send starts at the
 // engine's time, which no partition has passed.
-func (rt *busRoundTrip) run() error {
+func (rt *roundTrip) run() error {
 	rt.eng.Partition(1).ScheduleTick(rt.eng.Now(), rt.src)
 	return rt.eng.Run()
 }

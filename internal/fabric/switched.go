@@ -6,7 +6,6 @@ import (
 	"mgpucompress/internal/energy"
 	"mgpucompress/internal/metrics"
 	"mgpucompress/internal/sim"
-	"mgpucompress/internal/trace"
 )
 
 // SwitchFabric is the multi-hop interconnect family: a graph of per-hop
@@ -32,8 +31,8 @@ import (
 //   - Egress: the switch-to-owner wire of the destination endpoint is a
 //     serializing link too. While a transmission occupies it, the fabric
 //     publishes a next-send promise (done + LinkLatency) on that endpoint's
-//     delivery link — the PR 9 promise plumbing extended to switch egress —
-//     letting the engine widen windows past the busy stretch.
+//     delivery link — the bus's promise plumbing extended to switch egress
+//     — letting the engine widen windows past the busy stretch.
 //     Promises are suppressed while fault-delayed deliveries are
 //     outstanding, exactly like the bus.
 //   - Energy: each hop charges bits moved times the pJ/bit of the link's
@@ -52,9 +51,6 @@ type SwitchFabric struct {
 	swOf     []int   // GPU node -> switch
 	parent   []int   // tree only: switch -> parent switch (-1 at the root)
 
-	messagesSent uint64
-	bytesSent    uint64
-	busyCycles   uint64 // summed over inter-switch and egress links
 	hopCount     uint64 // inter-switch transmissions
 	bytesByClass [energy.Node + 1]uint64
 }
@@ -266,15 +262,25 @@ func (s *SwitchFabric) Attach(p *sim.Port, owner *sim.Partition) {
 
 func (s *SwitchFabric) admit(now sim.Time, ep *endpoint) { s.inject(now, s.sws[ep.sw]) }
 
-// refunded re-runs injection everywhere: a refund can unblock a head-of-line
-// message at any switch.
-func (s *SwitchFabric) refunded(now sim.Time) { s.injectAll(now) }
-
-// injectAll runs injection arbitration on every switch, in switch order.
-func (s *SwitchFabric) injectAll(now sim.Time) {
+// refunded re-runs injection on every switch, in switch order: a refund can
+// unblock a head-of-line message at any switch.
+func (s *SwitchFabric) refunded(now sim.Time) {
 	for _, sw := range s.sws {
 		s.inject(now, sw)
 	}
+}
+
+// linkCount implements arbiter: the inter-switch links plus the endpoint
+// egress wires.
+func (s *SwitchFabric) linkCount() int { return len(s.links) + len(s.endpoints) }
+
+// inNetwork implements arbiter: messages queued on inter-switch links.
+func (s *SwitchFabric) inNetwork() int {
+	n := 0
+	for _, l := range s.links {
+		n += l.queue.Len()
+	}
+	return n
 }
 
 // inject admits queued messages into the network: round-robin over the
@@ -282,29 +288,13 @@ func (s *SwitchFabric) injectAll(now sim.Time) {
 // output credit returned to the source immediately. Injection itself is
 // instantaneous — contention is modelled at the link level.
 func (s *SwitchFabric) inject(now sim.Time, sw *swNode) {
-	n := len(sw.eps)
-	if n == 0 {
-		return
-	}
-	for progress := true; progress; {
-		progress = false
-		for i := 0; i < n; i++ {
-			ep := sw.eps[(sw.nextRR+i)%n]
-			if ep.queue.Len() == 0 {
-				continue
-			}
-			msg := ep.queue.Peek()
-			bytes := msg.Meta().Bytes
-			if !s.byPort[msg.Meta().Dst].reserve(bytes) {
-				continue // head-of-line blocked; try another endpoint
-			}
-			ep.queue.Pop()
-			sw.nextRR = (sw.nextRR + i + 1) % n
-			s.outCredit(now, ep, bytes)
-			s.forward(now, sw.id, msg)
-			progress = true
-			break
+	for {
+		ep, msg := s.pick(now, sw.eps, &sw.nextRR)
+		if ep == nil {
+			return
 		}
+		s.outCredit(now, ep, msg.Meta().Bytes)
+		s.forward(now, sw.id, msg)
 	}
 }
 
@@ -330,9 +320,7 @@ func (s *SwitchFabric) pumpLink(now sim.Time, l *swLink) {
 		return
 	}
 	msg := l.queue.Pop()
-	cycles := s.cycles(msg.Meta().Bytes)
-	l.busyUntil = now + cycles
-	s.busyCycles += uint64(cycles)
+	l.busyUntil = now + s.transmit(msg.Meta().Bytes)
 	s.hopCount++
 	s.bytesByClass[l.class] += uint64(msg.Meta().Bytes)
 	s.part.Schedule(l.busyUntil, hopDone{s}, msg, l.idx)
@@ -349,10 +337,8 @@ func (s *SwitchFabric) pumpEgress(now sim.Time, ep *endpoint) {
 		return
 	}
 	msg := ep.egrQueue.Pop()
-	cycles := s.cycles(msg.Meta().Bytes)
-	done := now + cycles
+	done := now + s.transmit(msg.Meta().Bytes)
 	ep.egrInFlight = true
-	s.busyCycles += uint64(cycles)
 	s.bytesByClass[s.cfg.BaseClass] += uint64(msg.Meta().Bytes)
 	if s.pendingFaults == 0 {
 		ep.toOwner.SetNextSend(done + s.cfg.LinkLatency)
@@ -372,26 +358,14 @@ func (r hopDone) Handle(e *sim.Event) error {
 }
 
 // egressDone completes one delivery on the destination endpoint's egress
-// wire, whose transmission started at cycle Arg: accounting, trace, fault
-// routing and the hand-off to the destination partition.
+// wire, whose transmission started at cycle Arg, and starts the wire's next
+// transmission.
 type egressDone struct{ s *SwitchFabric }
 
 func (r egressDone) Handle(e *sim.Event) error {
 	s, msg, now := r.s, e.Msg(), e.Time()
 	ep := s.byPort[msg.Meta().Dst]
-	s.messagesSent++
-	s.bytesSent += uint64(msg.Meta().Bytes)
-	if s.cfg.Trace != nil {
-		s.cfg.Trace.Record(trace.Transfer{
-			Start: sim.Time(e.Arg()),
-			End:   now,
-			Src:   msg.Meta().Src.Name(),
-			Dst:   msg.Meta().Dst.Name(),
-			Bytes: msg.Meta().Bytes,
-			Kind:  fmt.Sprintf("%T", msg),
-		})
-	}
-	s.finish(now, msg)
+	s.deliver(now, sim.Time(e.Arg()), msg)
 	ep.egrInFlight = false
 	s.pumpEgress(now, ep)
 	return nil
@@ -412,25 +386,6 @@ func (s *SwitchFabric) Hops(a, b int) int {
 // Switches returns the switch count, host switch included.
 func (s *SwitchFabric) Switches() int { return len(s.sws) }
 
-// QueuedMessages returns messages buffered anywhere in the fabric (tests).
-func (s *SwitchFabric) QueuedMessages() int {
-	n := 0
-	for _, ep := range s.endpoints {
-		n += ep.queue.Len() + ep.egrQueue.Len()
-	}
-	for _, l := range s.links {
-		n += l.queue.Len()
-	}
-	return n
-}
-
-// TotalBytes implements Fabric: bytes delivered, each message counted once
-// regardless of hop count, so totals are comparable across topologies.
-func (s *SwitchFabric) TotalBytes() uint64 { return s.bytesSent }
-
-// TotalMessages implements Fabric.
-func (s *SwitchFabric) TotalMessages() uint64 { return s.messagesSent }
-
 // EnergyPJ implements Fabric: per-hop bytes priced by the class of the link
 // they crossed, in fixed class order (deterministic float sum).
 func (s *SwitchFabric) EnergyPJ() float64 {
@@ -441,24 +396,11 @@ func (s *SwitchFabric) EnergyPJ() float64 {
 	return e
 }
 
-// Utilization implements Fabric: mean utilization across every serializing
-// link (inter-switch links plus the endpoint egress wires).
-func (s *SwitchFabric) Utilization(now sim.Time) float64 {
-	total := len(s.links) + len(s.endpoints)
-	if now == 0 || total == 0 {
-		return 0
-	}
-	return float64(s.busyCycles) / float64(now) / float64(total)
-}
-
 // RegisterMetrics implements Fabric: the shared counters plus the
 // switched-only hops and switches paths (new topologies register new paths;
 // bus and crossbar snapshots stay byte-identical).
 func (s *SwitchFabric) RegisterMetrics(reg *metrics.Registry, prefix string) {
-	reg.CounterFunc(prefix+"/bytes", func() uint64 { return s.bytesSent })
-	reg.CounterFunc(prefix+"/messages", func() uint64 { return s.messagesSent })
-	reg.CounterFunc(prefix+"/busy_cycles", func() uint64 { return s.busyCycles })
-	reg.GaugeFunc(prefix+"/links", func() float64 { return float64(len(s.links) + len(s.endpoints)) })
+	s.hub.RegisterMetrics(reg, prefix)
 	reg.CounterFunc(prefix+"/hops", func() uint64 { return s.hopCount })
 	reg.GaugeFunc(prefix+"/switches", func() float64 { return float64(len(s.sws)) })
 }

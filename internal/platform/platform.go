@@ -539,8 +539,9 @@ func (p *Platform) ExecCycles() sim.Time { return p.Engine.Now() }
 // CheckQuiescent proves that a finished run ended well-formed. It first
 // drains the traffic still queued when the last kernel completed (stale
 // timeouts and duplicate requests and responses of the fault path), then
-// checks that every memory message was released exactly once and that no
-// cache, CU, DRAM channel or RDMA engine still tracks a request. Draining
+// checks that every memory message was released exactly once, that no
+// cache, CU, DRAM channel or RDMA engine still tracks a request, and that
+// the fabric holds no message and has every credit back. Draining
 // moves counters and feeds the trace recorders, so take the run's snapshot,
 // trace and results first. The check reads state and registers nothing.
 func (p *Platform) CheckQuiescent() error {
@@ -574,7 +575,7 @@ func (p *Platform) CheckQuiescent() error {
 		}
 		errs = append(errs, dev.RDMA.CheckQuiescent())
 	}
-	errs = append(errs, p.HostRDMA.CheckQuiescent())
+	errs = append(errs, p.HostRDMA.CheckQuiescent(), p.Bus.CheckQuiescent())
 	if err := errors.Join(errs...); err != nil {
 		return fmt.Errorf("platform: run did not end quiescent: %w", err)
 	}

@@ -106,7 +106,7 @@ func TestGuardCRCTrailerCharged(t *testing.T) {
 		if err := tb.engine.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return tb.bus.BytesSent
+		return tb.bus.TotalBytes()
 	}
 	plain, guarded := run(false), run(true)
 	// One read = ReadReq (no payload) + DataReady (one CRC trailer).

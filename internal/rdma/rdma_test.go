@@ -252,7 +252,7 @@ func TestCompressionReducesWireBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return tb.bus.BytesSent
+		return tb.bus.TotalBytes()
 	}
 	raw := run(func(int) core.Policy { return core.Uncompressed{} })
 	compressed := run(func(int) core.Policy { return core.NewStatic(comp.BDI) })

@@ -30,7 +30,7 @@ type JobKey struct {
 	// Workload is the Table IV benchmark abbreviation (AES, BS, ...).
 	Workload string `json:"workload"`
 	// Policy is the compression policy spec ("none", "fpc", "bdi",
-	// "cpackz", "adaptive", "dynamic").
+	// "cpackz", "adaptive", "dynamic", "adaptive-global").
 	Policy string `json:"policy,omitempty"`
 	// Lambda is the adaptive λ of Eq. (1).
 	Lambda float64 `json:"lambda,omitempty"`
