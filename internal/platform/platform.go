@@ -539,9 +539,10 @@ func (p *Platform) ExecCycles() sim.Time { return p.Engine.Now() }
 // CheckQuiescent proves that a finished run ended well-formed. It first
 // drains the traffic still queued when the last kernel completed (stale
 // timeouts and duplicate requests and responses of the fault path), then
-// checks that every memory message was released exactly once, that no
-// cache, CU, DRAM channel or RDMA engine still tracks a request, and that
-// the fabric holds no message and has every credit back. Draining
+// checks that no partition still has an event queued, that every memory
+// message was released exactly once, that no cache, CU, DRAM channel or
+// RDMA engine still tracks a request or parks a wire message, and that the
+// fabric holds no message and has every credit back. Draining
 // moves counters and feeds the trace recorders, so take the run's snapshot,
 // trace and results first. The check reads state and registers nothing.
 func (p *Platform) CheckQuiescent() error {
@@ -549,6 +550,9 @@ func (p *Platform) CheckQuiescent() error {
 		return fmt.Errorf("platform: draining stale traffic: %w", err)
 	}
 	var errs []error // errors.Join drops the nil ones
+	if n := p.Engine.Pending(); n != 0 {
+		errs = append(errs, fmt.Errorf("engine: %d events still queued after the drain", n))
+	}
 	for g, part := range p.Parts.GPUs {
 		if err := mem.PoolOf(part).CheckQuiescent(); err != nil {
 			errs = append(errs, fmt.Errorf("GPU%d messages: %w", g, err))

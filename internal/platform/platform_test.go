@@ -12,6 +12,7 @@ import (
 	"mgpucompress/internal/gpu"
 	"mgpucompress/internal/mem"
 	"mgpucompress/internal/rdma"
+	"mgpucompress/internal/sim"
 )
 
 func testConfig() Config {
@@ -540,5 +541,36 @@ func TestPlatformCheckQuiescent(t *testing.T) {
 		if err := p.CheckQuiescent(); err != nil {
 			t.Errorf("remote cache %v: %v", remoteCache, err)
 		}
+	}
+}
+
+// nopHandler is an event handler that does nothing.
+type nopHandler struct{}
+
+func (nopHandler) Handle(*sim.Event) error { return nil }
+
+// TestPlatformCheckQuiescentQueuedEvent: an event the drain cannot reach —
+// one past the engine's deadline — fails the run-end check, and once the
+// deadline is lifted the drain runs it and the check passes.
+func TestPlatformCheckQuiescentQueuedEvent(t *testing.T) {
+	p, parts := Build(testConfig())
+	const lines = 16
+	src := p.Space.AllocStriped(lines * mem.LineSize)
+	dst := p.Space.AllocStriped(lines * mem.LineSize)
+	if err := p.Driver.Launch(copyKernel(src, dst, lines, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.CheckQuiescent(); err != nil {
+		t.Fatal(err)
+	}
+	now := p.Engine.Now()
+	p.Engine.SetMaxTime(now)
+	parts.GPUs[1].ScheduleTick(now+10, nopHandler{})
+	if err := p.CheckQuiescent(); err == nil || !strings.Contains(err.Error(), "1 events still queued") {
+		t.Errorf("a queued event passed the check (%v)", err)
+	}
+	p.Engine.SetMaxTime(sim.TimeInf)
+	if err := p.CheckQuiescent(); err != nil {
+		t.Error(err)
 	}
 }

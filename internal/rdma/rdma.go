@@ -671,12 +671,14 @@ func (e *Engine) handleL2Response(now sim.Time, msg sim.Msg) error {
 }
 
 // CheckQuiescent reports an error if the engine still tracks a remote
-// request, a request it serves, or a response being decompressed.
+// request, a request it serves, or a response being decompressed, or still
+// parks a wire message for the fabric.
 func (e *Engine) CheckQuiescent() error {
-	n := len(e.pendingReads) + len(e.pendingWrites) + len(e.serviceReads) + len(e.serviceWrites) + e.decoding.Len()
+	n := len(e.pendingReads) + len(e.pendingWrites) + len(e.serviceReads) + len(e.serviceWrites) +
+		e.decoding.Len() + e.outQueue.Len()
 	if n != 0 {
-		return fmt.Errorf("%s: %d reads and %d writes pending, %d reads and %d writes in service, %d responses decoding",
-			e.Name(), len(e.pendingReads), len(e.pendingWrites), len(e.serviceReads), len(e.serviceWrites), e.decoding.Len())
+		return fmt.Errorf("%s: %d reads and %d writes pending, %d reads and %d writes in service, %d responses decoding, %d wire messages parked",
+			e.Name(), len(e.pendingReads), len(e.pendingWrites), len(e.serviceReads), len(e.serviceWrites), e.decoding.Len(), e.outQueue.Len())
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package rdma
 import (
 	"bytes"
 	"encoding/binary"
+	"strings"
 	"testing"
 
 	"mgpucompress/internal/comp"
@@ -384,6 +385,25 @@ func (tb *testbed) checkQuiescent(t *testing.T) {
 			t.Error(err)
 		}
 	}
+}
+
+// TestCheckQuiescentParkedWireMessage: after a completed round trip, a wire
+// message still parked for the fabric fails the run-end check, and the
+// check passes once it has left.
+func TestCheckQuiescentParkedWireMessage(t *testing.T) {
+	tb := newTestbed(t, func(int) core.Policy { return core.NewStatic(comp.BDI) })
+	tb.read(0, remoteAddr(tb.space))
+	if err := tb.engine.Run(); err != nil {
+		t.Fatal(err)
+	}
+	tb.checkQuiescent(t)
+	e := tb.rdmas[1]
+	e.outQueue.Push(&WriteACK{})
+	if err := e.CheckQuiescent(); err == nil || !strings.Contains(err.Error(), "1 wire messages parked") {
+		t.Errorf("a parked wire message passed the check (%v)", err)
+	}
+	e.outQueue.Pop()
+	tb.checkQuiescent(t)
 }
 
 // Sec. V: because the Comp Alg field travels with every packet, GPUs can

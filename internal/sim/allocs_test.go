@@ -107,6 +107,17 @@ func TestRecordScheduleDispatchAllocationFree(t *testing.T) {
 	}
 }
 
+// TestEventQueueReplayAllocationFree pins BenchmarkEventQueue's replay: a
+// whole pass over its push-distance mix, near and far, allocates nothing.
+func TestEventQueueReplayAllocationFree(t *testing.T) {
+	r := newQueueReplay()
+	assertNoAllocs(t, func() {
+		for range r.dists {
+			r.step()
+		}
+	})
+}
+
 func TestPoolTakeReleaseAllocationFree(t *testing.T) {
 	if Poison {
 		t.Skip("poison builds quarantine released messages instead of reusing them")

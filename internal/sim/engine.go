@@ -34,11 +34,20 @@
 // order is a pure function of simulation content, never of window placement:
 // a run's observable behaviour is byte-identical under adaptive and fixed
 // windows.
+//
+// # Event queue
+//
+// Nearly every record lands within a few cycles of its partition's clock,
+// so each partition's queue is a calendar wheel of one-cycle buckets, where
+// pushing and popping such a record is O(1), in front of a 4-ary heap that
+// holds only the records due past the wheel's span (see eventQueue). Both
+// keep the (time, seq) order, and a pop takes the earlier of their heads.
 package sim
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"mgpucompress/internal/metrics"
 )
@@ -77,18 +86,17 @@ type Handler interface {
 }
 
 // record is one unit of scheduled work: the handler to run and the payloads
-// its Event will carry. Records live in a partition's slab; the heap orders
-// keys that point into it.
+// its Event will carry.
 type record struct {
 	h   Handler
 	msg Msg
 	arg int
 }
 
-// queueKey is one heap entry: the (time, seq) total-order key and the slab
-// slot of its record. It holds no pointers, so heap moves are plain 24-byte
-// copies with no write barriers and nothing for the garbage collector to
-// scan.
+// queueKey is one far-heap entry: the (time, seq) total-order key and the
+// slab slot of its record. It holds no pointers, so heap moves are plain
+// 24-byte copies with no write barriers and nothing for the garbage
+// collector to scan.
 type queueKey struct {
 	time Time
 	seq  uint64 // tie-breaker for determinism
@@ -102,23 +110,162 @@ func (q queueKey) less(o queueKey) bool {
 	return q.seq < o.seq
 }
 
-// eventQueue is a partition's pending work: a hand-rolled 4-ary min-heap of
-// pointer-free keys over a Slab of records. Compared to container/heap it is monomorphic (no
-// `any` boxing, no interface-method dispatch per comparison) and shallower
-// (4 children per node), which matters because every simulated event passes
-// through it. The slab and heap grow on demand and are reused, so once a
-// partition has seen its peak depth, push and pop allocate nothing.
+// wheelSlots is the calendar wheel's bucket count, one bucket per cycle. It
+// is a power of two so a time maps to its bucket with a mask and the
+// occupancy bitmap is one word. Nearly every record the simulator schedules
+// lands within this many cycles of the partition's clock.
+const (
+	wheelSlots = 64
+	wheelMask  = wheelSlots - 1
+)
+
+// wheelRec is a near record on the wheel: the record, its sequence number
+// and the next slot of its bucket's list, or of the free list (slot 0 is the
+// nil link). Its time is implied by its bucket.
+type wheelRec struct {
+	record
+	seq  uint64
+	next int32
+}
+
+// bucket is one cycle's list of wheel slots, in seq order.
+type bucket struct{ head, tail int32 }
+
+// eventQueue is a partition's pending work, popped in (time, seq) order. It
+// is a calendar wheel (Brown, CACM 1988) in front of a 4-ary heap:
+//
+//   - A record less than wheelSlots cycles past the cursor goes on the
+//     wheel, appended to its cycle's bucket. A record whose seq is below
+//     the bucket tail's — a stamped cross-partition record, or a local one
+//     queued behind such a record — walks the list to its place. An
+//     occupancy bitmap finds the earliest non-empty bucket in one
+//     instruction.
+//   - A record further out goes to the far heap: pointer-free (time, seq,
+//     slot) keys over a Slab of records, monomorphic and 4 children per
+//     node.
+//
+// The cursor is the time of the last pop, which is the partition's clock;
+// scheduling below it panics, so every wheel record lies within wheelSlots
+// cycles past it and each bucket holds a single time. pop takes the smaller
+// of the wheel's head and the heap's top, so a far record never migrates.
+// Storage is reused through free lists, so once a partition has seen its
+// peak depth, push and pop allocate nothing.
 type eventQueue struct {
+	cursor  Time
+	occ     uint64 // bit i set: buckets[i] is non-empty
+	near    int    // records on the wheel
+	free    int32  // head of the wheel's free-slot list
+	buckets [wheelSlots]bucket
+	slots   []wheelRec
+
 	keys []queueKey
 	recs Slab[record]
 }
 
 // len returns the number of pending records.
-func (q *eventQueue) len() int { return len(q.keys) }
+func (q *eventQueue) len() int { return q.near + len(q.keys) }
 
-// push stores r in the slab and sifts its key into the heap.
+// wheelHead returns the wheel's earliest time and its bucket; the wheel must
+// be non-empty.
+func (q *eventQueue) wheelHead() (Time, *bucket) {
+	d := Time(bits.TrailingZeros64(bits.RotateLeft64(q.occ, -int(q.cursor&wheelMask))))
+	t := q.cursor + d
+	return t, &q.buckets[t&wheelMask]
+}
+
+// headTime returns the time of the earliest pending record, or TimeInf when
+// the queue is empty.
+func (q *eventQueue) headTime() Time {
+	t := TimeInf
+	if q.occ != 0 {
+		t, _ = q.wheelHead()
+	}
+	if len(q.keys) > 0 && q.keys[0].time < t {
+		t = q.keys[0].time
+	}
+	return t
+}
+
+// push queues r at time t with sequence number seq; t must not be below the
+// cursor.
 func (q *eventQueue) push(t Time, seq uint64, r record) {
-	k := queueKey{time: t, seq: seq, slot: q.recs.Put(r)}
+	if t-q.cursor >= wheelSlots {
+		q.pushFar(queueKey{time: t, seq: seq, slot: q.recs.Put(r)})
+		return
+	}
+	s := q.free
+	if s == 0 {
+		if len(q.slots) == 0 {
+			q.slots = append(q.slots, wheelRec{}) // slot 0: the nil link
+		}
+		s = int32(len(q.slots))
+		q.slots = append(q.slots, wheelRec{})
+	}
+	w := &q.slots[s]
+	q.free = w.next
+	w.record, w.seq, w.next = r, seq, 0
+	q.near++
+	i := t & wheelMask
+	b := &q.buckets[i]
+	switch {
+	case b.head == 0:
+		b.head, b.tail = s, s
+		q.occ |= 1 << i
+	case q.slots[b.tail].seq < seq:
+		q.slots[b.tail].next = s
+		b.tail = s
+	default:
+		// Sequence numbers are striped across partitions, so a stamped
+		// record can carry a seq below the tail's, and a local one can
+		// follow a stamped tail; insert before the first larger one.
+		prev, cur := int32(0), b.head
+		for q.slots[cur].seq < seq {
+			prev, cur = cur, q.slots[cur].next
+		}
+		q.slots[s].next = cur
+		if prev == 0 {
+			b.head = s
+		} else {
+			q.slots[prev].next = s
+		}
+	}
+}
+
+// pop removes the earliest pending record if its time is below limit and
+// returns its time, seq and record; ok is false when there is none. The
+// record's storage is zeroed (releasing the handler and message) and
+// recycled.
+func (q *eventQueue) pop(limit Time) (t Time, seq uint64, r record, ok bool) {
+	if q.occ != 0 {
+		wt, b := q.wheelHead()
+		s := b.head
+		w := &q.slots[s]
+		if len(q.keys) == 0 || wt < q.keys[0].time || wt == q.keys[0].time && w.seq < q.keys[0].seq {
+			if wt >= limit {
+				return 0, 0, record{}, false
+			}
+			seq, r = w.seq, w.record
+			if b.head = w.next; b.head == 0 {
+				b.tail = 0
+				q.occ &^= 1 << (wt & wheelMask)
+			}
+			*w = wheelRec{next: q.free}
+			q.free = s
+			q.near--
+			q.cursor = wt
+			return wt, seq, r, true
+		}
+	}
+	if len(q.keys) == 0 || q.keys[0].time >= limit {
+		return 0, 0, record{}, false
+	}
+	k := q.popFar()
+	q.cursor = k.time
+	return k.time, k.seq, q.recs.Take(k.slot), true
+}
+
+// pushFar sifts k into the far heap.
+func (q *eventQueue) pushFar(k queueKey) {
 	h := append(q.keys, k)
 	i := len(h) - 1
 	for i > 0 {
@@ -133,9 +280,8 @@ func (q *eventQueue) push(t Time, seq uint64, r record) {
 	q.keys = h
 }
 
-// pop removes the minimum key and returns it with its record, whose slab
-// slot is zeroed (releasing the handler and message) and recycled.
-func (q *eventQueue) pop() (queueKey, record) {
+// popFar removes and returns the far heap's minimum key.
+func (q *eventQueue) popFar() queueKey {
 	h := q.keys
 	top := h[0]
 	last := h[len(h)-1]
@@ -167,7 +313,7 @@ func (q *eventQueue) pop() (queueKey, record) {
 		h[i] = last
 	}
 	q.keys = h
-	return top, q.recs.Take(top.slot)
+	return top
 }
 
 // Option configures an Engine at construction.
@@ -417,8 +563,8 @@ func (e *Engine) RunUntil(t Time) error {
 func (e *Engine) nextWindow() (Time, bool) {
 	t := TimeInf
 	for _, p := range e.parts {
-		if p.queue.len() > 0 && p.queue.keys[0].time < t {
-			t = p.queue.keys[0].time
+		if h := p.queue.headTime(); h < t {
+			t = h
 		}
 	}
 	if t == TimeInf || t > e.maxTime {
@@ -430,10 +576,11 @@ func (e *Engine) nextWindow() (Time, bool) {
 	} else {
 		limit = TimeInf
 		for _, r := range e.cross {
-			if r.src.queue.len() == 0 {
+			h := r.src.queue.headTime()
+			if h == TimeInf {
 				continue
 			}
-			b := satAdd(r.src.queue.keys[0].time, r.latency)
+			b := satAdd(h, r.latency)
 			if r.nextSend > b {
 				b = r.nextSend
 			}
@@ -458,13 +605,14 @@ func (e *Engine) nextWindow() (Time, bool) {
 // barriers.
 func (e *Engine) runWindow(limit Time) {
 	e.jobs = e.jobs[:0]
+	var before uint64
 	for _, p := range e.parts {
-		if p.queue.len() > 0 && p.queue.keys[0].time < limit {
+		if p.queue.headTime() < limit {
 			e.jobs = append(e.jobs, p)
+			before += p.handled
 		}
 	}
 	e.windows++
-	before := e.EventCount()
 	if len(e.jobs) == 1 {
 		e.serialWins++
 		p := e.jobs[0]
@@ -480,7 +628,13 @@ func (e *Engine) runWindow(limit Time) {
 			p.window(limit)
 		}
 	}
-	e.evw.Observe(float64(e.EventCount() - before))
+	// Only the jobs dispatch, so their handled counts give the window's
+	// events without scanning every partition.
+	var after uint64
+	for _, p := range e.jobs {
+		after += p.handled
+	}
+	e.evw.Observe(float64(after - before))
 }
 
 // wideLimit returns the dynamic window bound for a lone active partition p:
@@ -494,10 +648,14 @@ func (e *Engine) runWindow(limit Time) {
 func (e *Engine) wideLimit(p *Partition, limit Time) Time {
 	w := TimeInf
 	for _, r := range e.cross {
-		if r.src == p || r.src.queue.len() == 0 {
+		if r.src == p {
 			continue
 		}
-		b := satAdd(r.src.queue.keys[0].time, r.latency)
+		h := r.src.queue.headTime()
+		if h == TimeInf {
+			continue
+		}
+		b := satAdd(h, r.latency)
 		if r.nextSend > b {
 			b = r.nextSend
 		}

@@ -145,18 +145,18 @@ func (p *Partition) Pause() { p.stopped = true }
 // of the other partitions conservative.
 func (p *Partition) window(limit Time) {
 	p.curLimit = limit
-	for p.queue.len() > 0 && !p.stopped {
-		if p.queue.keys[0].time >= p.curLimit {
+	for !p.stopped {
+		t, seq, r, ok := p.queue.pop(p.curLimit)
+		if !ok {
 			return
 		}
-		next, r := p.queue.pop()
-		p.now = next.time
+		p.now = t
 		p.handled++
-		p.ev = Event{time: next.time, msg: r.msg, arg: r.arg}
+		p.ev = Event{time: t, msg: r.msg, arg: r.arg}
 		if err := r.h.Handle(&p.ev); err != nil {
-			p.err = fmt.Errorf("sim: event at %d: %w", next.time, err)
-			p.errTime = next.time
-			p.errSeq = next.seq
+			p.err = fmt.Errorf("sim: event at %d: %w", t, err)
+			p.errTime = t
+			p.errSeq = seq
 			return
 		}
 	}
