@@ -93,6 +93,55 @@ func TestCUReadContinuationsAllocationFree(t *testing.T) {
 	}
 }
 
+// TestCUQuietTickAllocationFree pins the tick of an oversubscribed CU
+// whose resident wavefronts all wait on memory at zero allocations: it
+// drains nothing, activates nothing and finds nothing due, so it only
+// re-arms.
+func TestCUQuietTickAllocationFree(t *testing.T) {
+	const wgs = 6 // more than DefaultCUConfig's 4 resident slots
+	prog := &chainProgram{waves: 2, reads: 4}
+	engine := sim.NewEngine()
+	part := engine.Partition(0)
+	cu := NewCU("CU", part, DefaultCUConfig())
+	stub := newMemStub(part, 100)
+	conn := sim.NewDirectConnection("conn", part, 1)
+	conn.Plug(cu.ToL1)
+	conn.Plug(stub.Top)
+	cu.SetL1(stub.Top)
+	k := &Kernel{Name: "quiet", NumWorkgroups: wgs, Program: prog}
+	batch := func() {
+		for wg := 0; wg < wgs; wg++ {
+			cu.Assign(engine.Now(), k, wg)
+		}
+	}
+	// Runs are bounded, so a CU that spins without progress fails the
+	// retire check below instead of hanging.
+	batch() // warm-up: free lists, op stacks, state, maps, engine slab, message pool
+	if err := engine.RunUntil(100_000); err != nil {
+		t.Fatal(err)
+	}
+	batch()
+	// Every resident wavefront has issued its first read by now, and the
+	// first response is 100 cycles away.
+	if err := engine.RunUntil(engine.Now() + 20); err != nil {
+		t.Fatal(err)
+	}
+	now := engine.Now()
+	if cu.queue.Len() == 0 || !cu.settled || cu.wake <= now {
+		t.Fatalf("CU not quiet at %d: %d queued, settled %v, wake %d", now, cu.queue.Len(), cu.settled, cu.wake)
+	}
+	if got := testing.AllocsPerRun(100, func() { cu.tick(now) }); got != 0 {
+		t.Errorf("%v allocs per quiet tick, want 0", got)
+	}
+	// The extra ticks changed nothing: the batch still runs to the end.
+	if err := engine.RunUntil(200_000); err != nil {
+		t.Fatal(err)
+	}
+	if cu.WGsRetired != 2*wgs || stub.reads != 2*wgs*prog.waves*prog.reads {
+		t.Errorf("%d workgroups retired after %d reads", cu.WGsRetired, stub.reads)
+	}
+}
+
 func BenchmarkCUReadContinuation(b *testing.B) {
 	prog := &chainProgram{waves: 8, reads: 16}
 	run, _ := chainBench(b, prog)

@@ -68,6 +68,15 @@ type CU struct {
 	// ticks.
 	ready []*Wave
 
+	// wake is the earliest busyUntil among resident wavefronts that are
+	// not done, waiting or at a barrier, as of the end of the last full
+	// tick: at or before that tick when one was ready, TimeInf when none is
+	// eligible. settled records that the last full tick's retireWGs ended
+	// no stream, so running it again changes nothing. Their zero values
+	// make the first tick a full one.
+	wake    sim.Time
+	settled bool
+
 	// Stats
 	WGsRetired      uint64
 	MemReadsIssued  uint64
@@ -132,21 +141,36 @@ func (c *CU) NotifyPortFree(now sim.Time, _ *sim.Port) { c.ticker.TickNow(now) }
 // Handle implements sim.Handler.
 func (c *CU) Handle(e *sim.Event) error { return c.tick(e.Time()) }
 
+// tick runs one cycle of the CU. Wavefront and workgroup state changes
+// only in drainResponses, activateWGs and step, so a tick that drains and
+// activates nothing before wake (the quiet tick of an oversubscribed CU
+// whose resident wavefronts all wait on memory) would find no wavefront to
+// issue and nothing to retire: it skips the wavefront scans and re-arms
+// exactly as a full tick would.
 func (c *CU) tick(now sim.Time) error {
-	c.drainResponses(now)
-	c.activateWGs(now)
-	c.issue(now)
-	c.retireWGs(now)
+	drained := c.drainResponses(now)
+	activated := c.activateWGs(now)
+	if drained || activated || !c.settled || now >= c.wake {
+		c.issue(now)
+		c.settled = !c.retireWGs(now)
+		c.wake = c.nextWake(now)
+	} else if sim.Poison {
+		c.checkQuiet(now)
+	}
 	c.scheduleNext(now)
 	return nil
 }
 
-func (c *CU) drainResponses(now sim.Time) {
+// drainResponses hands every arrived response to its wavefront or
+// workgroup and reports whether there was any.
+func (c *CU) drainResponses(now sim.Time) bool {
+	drained := false
 	for {
 		msg := c.ToL1.Retrieve(now)
 		if msg == nil {
-			return
+			return drained
 		}
+		drained = true
 		switch rsp := msg.(type) {
 		case *mem.DataReady:
 			wf, ok := c.pendingReads[rsp.RspTo]
@@ -177,8 +201,12 @@ func (c *CU) drainResponses(now sim.Time) {
 	}
 }
 
-func (c *CU) activateWGs(now sim.Time) {
+// activateWGs moves queued workgroups into free resident slots and reports
+// whether it moved any.
+func (c *CU) activateWGs(now sim.Time) bool {
+	activated := false
 	for len(c.active) < c.cfg.MaxResidentWGs && c.queue.Len() > 0 {
+		activated = true
 		inst := c.queue.Pop()
 		n := inst.kernel.Program.Waves(inst.id)
 		if n == 0 {
@@ -195,6 +223,7 @@ func (c *CU) activateWGs(now sim.Time) {
 		}
 		c.active = append(c.active, inst)
 	}
+	return activated
 }
 
 // newWave takes a recycled wavefront (or a new one) for wave i of inst.
@@ -314,7 +343,12 @@ func (c *CU) tryReleaseBarrier(wg *wgInstance) {
 	}
 }
 
-func (c *CU) retireWGs(now sim.Time) {
+// retireWGs releases barriers, ends streams that ran out outside step and
+// retires complete workgroups. It reports whether it ended a stream: only
+// then can a second call change anything, by releasing a barrier the ended
+// wavefront was holding up.
+func (c *CU) retireWGs(now sim.Time) bool {
+	ended := false
 	kept := c.active[:0]
 	for _, wg := range c.active {
 		// Barriers may become releasable when the last write drains.
@@ -324,6 +358,7 @@ func (c *CU) retireWGs(now sim.Time) {
 			if !wf.done && !wf.waiting && !wf.more() {
 				wf.done = true
 				wg.doneWaves++
+				ended = true
 			}
 		}
 		if wg.complete() {
@@ -337,37 +372,70 @@ func (c *CU) retireWGs(now sim.Time) {
 		kept = append(kept, wg)
 	}
 	c.active = kept
+	return ended
 }
 
-// scheduleNext decides when the CU needs to run again.
-func (c *CU) scheduleNext(now sim.Time) {
-	if c.queue.Len() > 0 {
-		c.ticker.TickLater(now)
-		return
-	}
+// nextWake returns the earliest busyUntil among the wavefronts issue could
+// pick once they are no longer busy, at most now when one is ready already.
+func (c *CU) nextWake(now sim.Time) sim.Time {
 	next := sim.TimeInf
-	anyReady := false
 	for _, wg := range c.active {
 		for _, wf := range wg.waves {
 			if wf.done || wf.waiting || wf.atBarrier {
 				continue
 			}
-			if wf.busyUntil > now {
-				if wf.busyUntil < next {
-					next = wf.busyUntil
-				}
-			} else {
-				anyReady = true
+			if wf.busyUntil <= now {
+				return now
+			}
+			if wf.busyUntil < next {
+				next = wf.busyUntil
 			}
 		}
 	}
-	if anyReady {
+	return next
+}
+
+// scheduleNext decides when the CU needs to run again.
+func (c *CU) scheduleNext(now sim.Time) {
+	if c.queue.Len() > 0 || c.wake <= now {
 		c.ticker.TickLater(now)
-	} else if next != sim.TimeInf {
-		c.ticker.TickAt(next)
+	} else if c.wake != sim.TimeInf {
+		c.ticker.TickAt(c.wake)
 	}
 	// Otherwise everything is waiting on memory or barriers; responses
 	// re-tick via NotifyRecv.
+}
+
+// checkQuiet runs, read-only, what a quiet tick skips, and panics if any
+// of it would have changed something: a ready wavefront, a releasable
+// barrier, a stream that ran out or a complete workgroup. Poison builds
+// call it on every quiet tick.
+func (c *CU) checkQuiet(now sim.Time) {
+	for _, wg := range c.active {
+		releasable := wg.pendingWrites == 0
+		atBarrier := false
+		for _, wf := range wg.waves {
+			switch {
+			case wf.done:
+			case wf.atBarrier:
+				atBarrier = true
+			case wf.waiting:
+				releasable = false
+			case wf.busyUntil <= now:
+				panic(fmt.Sprintf("%s: quiet tick at %d skipped a ready wavefront", c.Name(), now))
+			case len(wf.ops) == 0:
+				panic(fmt.Sprintf("%s: quiet tick at %d skipped an ended stream", c.Name(), now))
+			default:
+				releasable = false
+			}
+		}
+		if atBarrier && releasable {
+			panic(fmt.Sprintf("%s: quiet tick at %d skipped a releasable barrier", c.Name(), now))
+		}
+		if wg.complete() {
+			panic(fmt.Sprintf("%s: quiet tick at %d skipped a complete workgroup", c.Name(), now))
+		}
+	}
 }
 
 // l1Top returns the destination port for memory operations.

@@ -208,19 +208,55 @@ func (s Snapshot) Value(path string) float64 {
 	return smp.Value
 }
 
-// match reports whether a sample path matches a slash-structured glob
-// pattern ("gpu*/l1_*/hits"); a '*' never crosses a path separator.
-func match(pattern, p string) bool {
-	ok, err := path.Match(pattern, p)
+// glob is a slash-structured glob pattern ("gpu*/l1_*/hits") prepared for
+// matching many sample paths: a '*' or '?' never crosses a path separator,
+// exactly as in path.Match, which decides every match. Two necessary
+// conditions of a match, derived once from the pattern, reject most paths
+// before path.Match runs, so the result is path.Match's by construction:
+//   - without a character class (which may match '/'), every '/' of a
+//     matching path comes from a '/' of the pattern, so their counts agree;
+//   - when the pattern's last segment holds no metacharacter (and no ']',
+//     which would put its '/' inside a class), a matching path ends in that
+//     literal after its last '/'.
+type glob struct {
+	pattern string
+	slashes int // '/' count of every match, -1 when unknown
+	last    string
+	literal bool // every match's last segment is last
+}
+
+func newGlob(pattern string) glob {
+	g := glob{pattern: pattern, slashes: -1}
+	if strings.IndexByte(pattern, '[') < 0 {
+		g.slashes = strings.Count(pattern, "/")
+	}
+	last := pattern[strings.LastIndexByte(pattern, '/')+1:]
+	if !strings.ContainsAny(last, `*?[\]`) {
+		g.last, g.literal = last, true
+	}
+	return g
+}
+
+// match reports whether the sample path p matches the pattern; a malformed
+// pattern matches nothing.
+func (g *glob) match(p string) bool {
+	if g.literal && p[strings.LastIndexByte(p, '/')+1:] != g.last {
+		return false
+	}
+	if g.slashes >= 0 && strings.Count(p, "/") != g.slashes {
+		return false
+	}
+	ok, err := path.Match(g.pattern, p)
 	return err == nil && ok
 }
 
 // SumMatch sums the measurements of every sample whose path matches the
 // glob pattern (for distributions, their sums).
 func (s Snapshot) SumMatch(pattern string) float64 {
+	g := newGlob(pattern)
 	total := 0.0
 	for _, smp := range s {
-		if match(pattern, smp.Path) {
+		if g.match(smp.Path) {
 			total += smp.Value
 		}
 	}
@@ -229,9 +265,10 @@ func (s Snapshot) SumMatch(pattern string) float64 {
 
 // CountMatch returns how many sample paths match the glob pattern.
 func (s Snapshot) CountMatch(pattern string) int {
+	g := newGlob(pattern)
 	n := 0
 	for _, smp := range s {
-		if match(pattern, smp.Path) {
+		if g.match(smp.Path) {
 			n++
 		}
 	}

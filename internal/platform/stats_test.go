@@ -3,10 +3,14 @@ package platform
 import (
 	"bytes"
 	"encoding/json"
+	"path"
 	"testing"
 
 	"mgpucompress/internal/core"
+	"mgpucompress/internal/fabric"
+	"mgpucompress/internal/fault"
 	"mgpucompress/internal/mem"
+	"mgpucompress/internal/metrics"
 	"mgpucompress/internal/trace"
 )
 
@@ -115,5 +119,72 @@ func TestAdaptivePhaseSpansRecorded(t *testing.T) {
 	p.FinishTrace()
 	if len(p.Spans.Spans()) != n {
 		t.Error("second FinishTrace appended spans")
+	}
+}
+
+// TestSnapshotGlobsMatchPathMatch is the differential check of the metrics
+// glob prefilter: for every path of a 64-GPU switch-tree snapshot (adaptive
+// controllers, fault guard) and of a remote-cache snapshot, and for every
+// pattern the non-test code sums, CountMatch on that one sample agrees with
+// path.Match. A few extra patterns and paths reach the prefilter's edges:
+// classes, escapes, a malformed pattern and literal last segments.
+func TestSnapshotGlobsMatchPathMatch(t *testing.T) {
+	aggressive, err := fault.Parse("aggressive")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := DefaultConfig()
+	tree.NumGPUs = 64
+	tree.Fabric.Topology = fabric.TopologyTree
+	tree.NewPolicy = func(int) core.Policy { return core.NewAdaptive(core.Config{}) }
+	tree.Fault = aggressive
+	remote := testConfig()
+	rc := RemoteCacheConfig()
+	remote.RemoteCache = &rc
+
+	var paths []string
+	for _, cfg := range []Config{tree, remote} {
+		p, _ := Build(cfg)
+		for _, smp := range p.Metrics.Snapshot() {
+			paths = append(paths, smp.Path)
+		}
+	}
+	paths = append(paths, "", "x", "a/x", "bb/x", "a/b/x", "*/x", "a*/x", "l1_0", "gpu0/l1_0/hits/")
+
+	patterns := []string{
+		// platform.StatsFromSnapshot
+		"gpu*/l1_*/hits", "gpu*/l1_*/misses", "gpu*/l1_*/coalesced", "gpu*/l1_*/bypassed",
+		"gpu*/l2_*/hits", "gpu*/l2_*/misses", "gpu*/dram_*/reads", "gpu*/dram_*/writes",
+		"*/rdma/reads_sent", "*/rdma/writes_sent", "*/rdma/reads_served", "*/rdma/writes_served",
+		"gpu*/cu_*/wgs_retired", "gpu*/cu_*/mem_reads_issued", "gpu*/cu_*/mem_writes_issued",
+		"gpu*/l15/hits", "gpu*/l15/misses",
+		// the benchmark's per-job counters
+		"sim/events_handled", "sim/windows", "sim/remote_msgs", "fabric/hops", "fabric/bytes",
+		"fabric/messages", "gpu*/rdma/retries", "host/rdma/retries", "gpu*/rdma/nacks",
+		"host/rdma/nacks", "gpu*/rdma/timeouts", "host/rdma/timeouts", "fault/injected",
+		"ctrl*/sampling_rounds", "ctrl*/transfers", "traffic/payload_bytes",
+		"traffic/uncompressed_payload_bytes",
+		// edges
+		"*", "*/*", "*/*/*", "[ab]*/x", "[^/]/x", "a[/]x", "a\\*/x", "\\*/x", "a\\/x",
+		"gpu?/l1_?/hits", "[", "gpu*/[", "x", "",
+	}
+	for _, pat := range patterns {
+		for _, p := range paths {
+			ok, err := path.Match(pat, p)
+			want := 0
+			if err == nil && ok {
+				want = 1
+			}
+			one := metrics.Snapshot{{Path: p, Value: 1}}
+			if got := one.CountMatch(pat); got != want {
+				t.Errorf("CountMatch(%q) on %q = %d, path.Match says %d", pat, p, got, want)
+			}
+			if got := one.SumMatch(pat); got != float64(want) {
+				t.Errorf("SumMatch(%q) on %q = %v, path.Match says %d", pat, p, got, want)
+			}
+		}
+	}
+	if len(paths) < 1000 {
+		t.Errorf("only %d paths: the snapshots lost their components", len(paths))
 	}
 }

@@ -50,6 +50,55 @@ func TestByteEntropyRandomIsHigh(t *testing.T) {
 	}
 }
 
+// refByteEntropy is the straightforward ByteEntropy: full-width counts and
+// a scan over all 256 of them.
+func refByteEntropy(data []byte) float64 {
+	if len(data) == 0 {
+		return 0
+	}
+	var counts [256]int
+	for _, b := range data {
+		counts[b]++
+	}
+	n := float64(len(data))
+	h := 0.0
+	for _, c := range counts {
+		if c == 0 {
+			continue
+		}
+		p := float64(c) / n
+		h -= p * math.Log2(p)
+	}
+	return h / 8
+}
+
+// TestByteEntropyMatchesReference pins ByteEntropy bit for bit to the
+// reference over random and skewed data of every length up to 1024: lengths
+// above 255 put counts past a byte's range, and skewed data (few symbols,
+// one dominant) puts a single count near the length.
+func TestByteEntropyMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	data := make([]byte, 1024)
+	for n := 0; n <= len(data); n++ {
+		line := data[:n]
+		rng.Read(line)
+		check := func(kind string) {
+			if got, want := ByteEntropy(line), refByteEntropy(line); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s length %d: entropy %v, reference %v", kind, n, got, want)
+			}
+		}
+		check("random")
+		symbols := 1 + rng.Intn(8)
+		for i := range line {
+			line[i] = byte(rng.Intn(symbols) * 37)
+			if rng.Intn(4) != 0 {
+				line[i] = 0xFF
+			}
+		}
+		check("skewed")
+	}
+}
+
 // Property: entropy is always in [0, 1] and invariant under permutation.
 func TestByteEntropyBoundsProperty(t *testing.T) {
 	f := func(data []byte) bool {
