@@ -40,6 +40,16 @@ func snapshotDigest(t *testing.T, name string, opts Options) string {
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
+	if opts.Policy == core.PolicyDynamic {
+		// The dynamic digests pin λ recalibration and, under faults, the
+		// controller's graceful degradation: both must actually happen.
+		if n := res.Snapshot.SumMatch("ctrl*/recalibrations"); n == 0 {
+			t.Errorf("%s: no λ recalibration", name)
+		}
+		if n := res.Snapshot.SumMatch("ctrl*/degraded_phases"); opts.Fault.Enabled() && n == 0 {
+			t.Errorf("%s: no degraded phase under faults", name)
+		}
+	}
 	var buf bytes.Buffer
 	if err := res.Snapshot.WriteJSON(&buf); err != nil {
 		t.Fatalf("%s: serializing snapshot: %v", name, err)
@@ -50,8 +60,10 @@ func snapshotDigest(t *testing.T, name string, opts Options) string {
 
 // TestTopologyGoldenDigests pins the full metric snapshot of one seed-pinned
 // workload on every topology, under the per-link adaptive policy (keyed by
-// topology) and under the shared adaptive-global controller (keyed
-// "<topology>/adaptive-global"). adaptive-global is the one policy whose
+// topology), under the shared adaptive-global controller (keyed
+// "<topology>/adaptive-global") and under the dynamic-λ controller, fault-free
+// and with the aggressive fault profile (keyed "<topology>/dynamic" and
+// "<topology>/dynamic-aggressive"). adaptive-global is the one policy whose
 // results depend on the order partitions execute inside a window, so its
 // digests pin the window schedule itself. A digest moving means simulated
 // behaviour changed on that interconnect — which must be an intentional,
@@ -68,6 +80,14 @@ func TestTopologyGoldenDigests(t *testing.T) {
 		global.Policy = core.PolicyAdaptiveGlobal
 		name := string(topo) + "/adaptive-global"
 		got[name] = snapshotDigest(t, name, global)
+
+		dynamic := goldenOptions(topo)
+		dynamic.Policy = core.PolicyDynamic
+		name = string(topo) + "/dynamic"
+		got[name] = snapshotDigest(t, name, dynamic)
+		dynamic.Fault = mustParseProfile(t, "aggressive")
+		name = string(topo) + "/dynamic-aggressive"
+		got[name] = snapshotDigest(t, name, dynamic)
 	}
 
 	if *updateTopologyGolden {
