@@ -5,10 +5,11 @@
 # Packages whose hot paths must stay clean of lint suppressions: the
 # zero-allocation fast paths (codecs, the event engine, the message path
 # through the fabric and the RDMA engines, the compute side's op streams,
-# caches and memory reads, and the platform's run-end check) are exactly
+# caches and memory reads, the platform's run-end check, and the adaptive
+# controller and traffic accounting that run on every transfer) are exactly
 # where a silenced analyzer would hide a determinism bug.
 HOT_PKGS := internal/bitstream internal/comp internal/sim internal/fabric internal/rdma \
-	internal/gpu internal/cache internal/mem internal/platform
+	internal/gpu internal/cache internal/mem internal/platform internal/core internal/stats
 
 all: vet lint test
 

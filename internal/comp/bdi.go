@@ -26,9 +26,9 @@ import (
 // The metadata is the 4-bit prefix plus one mask bit per value. The encoder
 // evaluates every applicable configuration and keeps the smallest.
 type bdi struct {
-	w    bitstream.Writer // encode scratch, reused across lines
-	plan bdiPlan          // winning-config scratch, reused across lines
-	size [LineSize]byte   // CompressedBits' output scratch
+	w     bitstream.Writer // encode scratch, reused across lines
+	plans [2]bdiPlan       // best-so-far and trial plans, reused across lines
+	size  [LineSize]byte   // CompressedBits' output scratch
 }
 
 // NewBDI returns the BDI codec.
@@ -113,80 +113,6 @@ func tryBDIConfig(line []byte, cfg bdiConfig, plan *bdiPlan) bool {
 	return true
 }
 
-// bdiFeasible is the check-only twin of tryBDIConfig: the same scan without
-// recording the plan, so the encoder's config selection tries every
-// configuration cheaply and plans only the winner. The scan is specialized
-// per value width so the selection loop stays free of the generic readUint
-// dispatch.
-func bdiFeasible(line []byte, cfg bdiConfig) bool {
-	deltaBits := cfg.deltaByte * 8
-	switch cfg.baseBytes {
-	case 8:
-		return bdiFeasible64(line, deltaBits)
-	case 4:
-		return bdiFeasible32(line, deltaBits)
-	default:
-		return bdiFeasible16(line, deltaBits)
-	}
-}
-
-func bdiFeasible64(line []byte, deltaBits int) bool {
-	haveBase := false
-	var base uint64
-	for i := 0; i < LineSize; i += 8 {
-		v := binary.LittleEndian.Uint64(line[i:])
-		if bitstream.FitsSigned(int64(v), deltaBits) {
-			continue
-		}
-		if !haveBase {
-			haveBase, base = true, v
-			continue
-		}
-		if !bitstream.FitsSigned(int64(v-base), deltaBits) {
-			return false
-		}
-	}
-	return true
-}
-
-func bdiFeasible32(line []byte, deltaBits int) bool {
-	haveBase := false
-	var base uint32
-	for i := 0; i < LineSize; i += 4 {
-		v := binary.LittleEndian.Uint32(line[i:])
-		if bitstream.FitsSigned(int64(int32(v)), deltaBits) {
-			continue
-		}
-		if !haveBase {
-			haveBase, base = true, v
-			continue
-		}
-		if !bitstream.FitsSigned(int64(int32(v-base)), deltaBits) {
-			return false
-		}
-	}
-	return true
-}
-
-func bdiFeasible16(line []byte, deltaBits int) bool {
-	haveBase := false
-	var base uint16
-	for i := 0; i < LineSize; i += 2 {
-		v := binary.LittleEndian.Uint16(line[i:])
-		if bitstream.FitsSigned(int64(int16(v)), deltaBits) {
-			continue
-		}
-		if !haveBase {
-			haveBase, base = true, v
-			continue
-		}
-		if !bitstream.FitsSigned(int64(int16(v-base)), deltaBits) {
-			return false
-		}
-	}
-	return true
-}
-
 func readUint(line []byte, off, size int) uint64 {
 	switch size {
 	case 2:
@@ -230,27 +156,27 @@ func (b *bdi) CompressInto(dst, line []byte) Encoded {
 		return e
 	}
 
+	// Configurations are tried in pattern order and only when they would
+	// beat the best so far, so every feasible trial is the new best; the
+	// trial always goes into the plan that is not holding the best.
+	var best *bdiPlan
 	bestBits := LineBits
-	var bestCfg bdiConfig
-	found := false
 	for _, cfg := range bdiConfigs {
 		if cfg.totalBits() >= bestBits {
-			continue // cannot improve; configs checked in pattern order
+			continue // cannot improve
 		}
-		if bdiFeasible(line, cfg) {
-			bestCfg = cfg
-			bestBits = cfg.totalBits()
-			found = true
+		trial := &b.plans[0]
+		if trial == best {
+			trial = &b.plans[1]
+		}
+		if tryBDIConfig(line, cfg, trial) {
+			best, bestBits = trial, cfg.totalBits()
 		}
 	}
-	if !found {
+	if best == nil {
 		return rawEncodedInto(BDI, dst, line, 9)
 	}
 
-	best := &b.plan
-	if !tryBDIConfig(line, bestCfg, best) {
-		panic(fmt.Sprintf("comp: BDI config %04b feasible but plan failed", bestCfg.prefix))
-	}
 	w.WriteBits(best.cfg.prefix, 4)
 	w.WriteBits(best.base, best.cfg.baseBytes*8)
 	for _, m := range best.mask[:best.nVals] {

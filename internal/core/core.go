@@ -183,7 +183,9 @@ type IntegrityObserver interface {
 // uses it to record phase spans on the trace timeline.
 type PhaseHook func(sampling bool, selected comp.Algorithm)
 
-// Adaptive is the paper's adaptive compression controller.
+// Adaptive is the paper's adaptive compression controller. NewAdaptive
+// builds it with the paper's fixed λ; NewDynamicAdaptive builds it in the
+// dynamic-λ mode (dynamic.go).
 type Adaptive struct {
 	cfg Config
 
@@ -207,6 +209,8 @@ type Adaptive struct {
 	// that running all codecs concurrently costs the slowest codec's
 	// latency.
 	maxCompressionCycles int
+
+	dyn dynamicLambda // zero unless built by NewDynamicAdaptive
 }
 
 // NewAdaptive builds an adaptive policy. A zero Config selects the paper's
@@ -230,6 +234,9 @@ func NewAdaptive(cfg Config) *Adaptive {
 
 // Name implements Policy.
 func (a *Adaptive) Name() string {
+	if a.dynamic() {
+		return "Adaptive λ=dynamic"
+	}
 	return fmt.Sprintf("Adaptive λ=%g", a.cfg.Lambda)
 }
 
@@ -287,8 +294,12 @@ func (a *Adaptive) ObserveIntegrity(ok bool) {
 // integrity failures.
 func (a *Adaptive) DegradedPhases() uint64 { return a.degradedPhases }
 
-// Process implements Policy.
+// Process implements Policy. In dynamic-λ mode, λ is recalibrated at the
+// boundary into each sampling phase, before the transfer is counted.
 func (a *Adaptive) Process(line []byte) Decision {
+	if a.dynamic() && a.processed%a.dyn.period == 0 && a.processed > 0 {
+		a.recalibrate()
+	}
 	a.processed++
 	if a.sampling {
 		return a.processSample(line)
@@ -398,8 +409,9 @@ func (a *Adaptive) processRunning(line []byte) Decision {
 }
 
 // RegisterMetrics exposes the controller's counters under prefix
-// ("ctrl2/transfers", "ctrl2/sampling_rounds", ...). The closures read the
-// same fields the accessors above read, so snapshot values always equal the
+// ("ctrl2/transfers", "ctrl2/sampling_rounds", ...), plus the λ
+// recalibration count in dynamic-λ mode. The closures read the same fields
+// the accessors above read, so snapshot values always equal the
 // hand-queried ones.
 func (a *Adaptive) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.CounterFunc(prefix+"/transfers", func() uint64 { return a.processed })
@@ -416,6 +428,13 @@ func (a *Adaptive) RegisterMetrics(reg *metrics.Registry, prefix string) {
 		return n
 	})
 	reg.GaugeFunc(prefix+"/lambda", func() float64 { return a.cfg.Lambda })
+	if a.dynamic() {
+		reg.CounterFunc(prefix+"/recalibrations", func() uint64 {
+			// lambdaHist starts with the initial λ; only later entries are
+			// recalibrations.
+			return uint64(len(a.dyn.lambdaHist) - 1)
+		})
+	}
 }
 
 // RegisterIntegrityMetrics exposes the degradation counter under prefix. It

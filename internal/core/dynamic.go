@@ -1,16 +1,11 @@
 package core
 
-import (
-	"fmt"
-	"math"
-
-	"mgpucompress/internal/metrics"
-)
+import "math"
 
 // This file implements the extension the paper leaves on the table in
 // Sec. V: "We select the lambda value statically ... thereby avoiding the
-// additional complexity of dynamic selection." DynamicAdaptive supplies
-// that dynamic selection.
+// additional complexity of dynamic selection." NewDynamicAdaptive builds an
+// adaptive controller in dynamic-λ mode, which supplies that selection.
 //
 // Eq. (1)'s λ is an exchange rate between codec cycles and payload bits: if
 // codec latency is fully exposed, one cycle costs the fabric's full
@@ -31,7 +26,7 @@ type CongestionObserver interface {
 	ObserveCongestion(queuedMessages int)
 }
 
-// DynamicConfig parameterizes DynamicAdaptive.
+// DynamicConfig parameterizes the dynamic-λ mode of NewDynamicAdaptive.
 type DynamicConfig struct {
 	// MaxLambda is λ when the link is completely idle. Default 32 (the
 	// largest value the paper sweeps).
@@ -58,100 +53,74 @@ func (c *DynamicConfig) fillDefaults() {
 	}
 }
 
-// DynamicAdaptive is an adaptive policy whose λ follows link congestion.
-type DynamicAdaptive struct {
-	cfg   DynamicConfig
-	inner *Adaptive
+// dynamicLambda is the dynamic-λ state of an adaptive controller. Its zero
+// value (period 0) is the paper's fixed λ.
+type dynamicLambda struct {
+	maxLambda   float64
+	sensitivity float64
+	// period is the sampling-plus-running phase length in transfers; λ is
+	// recalibrated at the boundary into each sampling phase.
+	period uint64
 
 	queueSum   float64
 	queueObs   uint64
-	transfers  int
-	lambdaHist []float64
+	lambdaHist []float64 // λ at start, then at each recalibration
 }
 
-// NewDynamicAdaptive builds the dynamic-λ policy.
-func NewDynamicAdaptive(cfg DynamicConfig) *DynamicAdaptive {
+// NewDynamicAdaptive builds an adaptive controller whose λ follows link
+// congestion. It starts at MaxLambda (an idle link) until it has observed
+// a phase of traffic.
+func NewDynamicAdaptive(cfg DynamicConfig) *Adaptive {
 	cfg.fillDefaults()
-	d := &DynamicAdaptive{cfg: cfg}
-	d.inner = NewAdaptive(Config{
-		Lambda:      cfg.MaxLambda, // idle until told otherwise
+	a := NewAdaptive(Config{
+		Lambda:      cfg.MaxLambda,
 		SampleCount: cfg.SampleCount,
 		RunLength:   cfg.RunLength,
 	})
-	d.lambdaHist = append(d.lambdaHist, cfg.MaxLambda)
-	return d
+	a.dyn = dynamicLambda{
+		maxLambda:   cfg.MaxLambda,
+		sensitivity: cfg.Sensitivity,
+		period:      uint64(cfg.SampleCount + cfg.RunLength),
+		lambdaHist:  []float64{cfg.MaxLambda},
+	}
+	return a
 }
 
-// Name implements Policy.
-func (d *DynamicAdaptive) Name() string { return "Adaptive λ=dynamic" }
+// dynamic reports whether the controller is in dynamic-λ mode.
+func (a *Adaptive) dynamic() bool { return a.dyn.period > 0 }
 
-// ObserveCongestion implements CongestionObserver.
-func (d *DynamicAdaptive) ObserveCongestion(queued int) {
-	d.queueSum += float64(queued)
-	d.queueObs++
+// ObserveCongestion implements CongestionObserver. It does nothing when λ
+// is fixed.
+func (a *Adaptive) ObserveCongestion(queued int) {
+	if !a.dynamic() {
+		return
+	}
+	a.dyn.queueSum += float64(queued)
+	a.dyn.queueObs++
 }
 
 // Lambda returns the λ currently in force.
-func (d *DynamicAdaptive) Lambda() float64 { return d.inner.cfg.Lambda }
+func (a *Adaptive) Lambda() float64 { return a.cfg.Lambda }
 
-// LambdaHistory returns λ at each completed recalibration, oldest first.
-func (d *DynamicAdaptive) LambdaHistory() []float64 {
-	return append([]float64(nil), d.lambdaHist...)
+// LambdaHistory returns the initial λ and then λ at each completed
+// recalibration, oldest first. It is empty when λ is fixed.
+func (a *Adaptive) LambdaHistory() []float64 {
+	return append([]float64(nil), a.dyn.lambdaHist...)
 }
 
-// Process implements Policy.
-func (d *DynamicAdaptive) Process(line []byte) Decision {
-	// Recalibrate λ at the boundary into each sampling phase.
-	period := d.cfg.SampleCount + d.cfg.RunLength
-	if d.transfers%period == 0 && d.transfers > 0 {
-		d.recalibrate()
-	}
-	d.transfers++
-	return d.inner.Process(line)
-}
-
-func (d *DynamicAdaptive) recalibrate() {
+// recalibrate sets λ from the mean queue depth observed since the last
+// recalibration.
+func (a *Adaptive) recalibrate() {
+	d := &a.dyn
 	avg := 0.0
 	if d.queueObs > 0 {
 		avg = d.queueSum / float64(d.queueObs)
 	}
-	lambda := d.cfg.MaxLambda / (1 + d.cfg.Sensitivity*avg)
+	lambda := d.maxLambda / (1 + d.sensitivity*avg)
 	if math.IsNaN(lambda) || lambda < 0 {
 		lambda = 0
 	}
-	d.inner.cfg.Lambda = lambda
+	a.cfg.Lambda = lambda
 	d.lambdaHist = append(d.lambdaHist, lambda)
 	d.queueSum, d.queueObs = 0, 0
-}
-
-// Selected exposes the inner controller's choice.
-func (d *DynamicAdaptive) Selected() (alg fmt.Stringer, sampling bool) {
-	a, s := d.inner.Selected()
-	return a, s
-}
-
-// SetPhaseHook forwards the phase observer to the inner controller.
-func (d *DynamicAdaptive) SetPhaseHook(h PhaseHook) { d.inner.SetPhaseHook(h) }
-
-// ObserveIntegrity forwards the transport's integrity signal to the inner
-// controller (IntegrityObserver).
-func (d *DynamicAdaptive) ObserveIntegrity(ok bool) { d.inner.ObserveIntegrity(ok) }
-
-// SetDegradeK forwards the degradation threshold to the inner controller.
-func (d *DynamicAdaptive) SetDegradeK(k int) { d.inner.SetDegradeK(k) }
-
-// RegisterIntegrityMetrics forwards to the inner controller.
-func (d *DynamicAdaptive) RegisterIntegrityMetrics(reg *metrics.Registry, prefix string) {
-	d.inner.RegisterIntegrityMetrics(reg, prefix)
-}
-
-// RegisterMetrics exposes the inner controller's counters plus the
-// dynamic-λ recalibration count under prefix.
-func (d *DynamicAdaptive) RegisterMetrics(reg *metrics.Registry, prefix string) {
-	d.inner.RegisterMetrics(reg, prefix)
-	reg.CounterFunc(prefix+"/recalibrations", func() uint64 {
-		// lambdaHist starts with the initial λ; only later entries are
-		// recalibrations.
-		return uint64(len(d.lambdaHist) - 1)
-	})
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mgpucompress/internal/comp"
+	"mgpucompress/internal/metrics"
 )
 
 func TestDynamicAdaptiveDefaults(t *testing.T) {
@@ -15,6 +16,42 @@ func TestDynamicAdaptiveDefaults(t *testing.T) {
 	}
 	if d.Name() == "" {
 		t.Error("no name")
+	}
+}
+
+// TestFixedLambdaIgnoresCongestion: the transport feeds every adaptive
+// controller its queue depth, and only the dynamic-λ mode may act on it.
+func TestFixedLambdaIgnoresCongestion(t *testing.T) {
+	a := NewAdaptive(Config{Lambda: DefaultLambda, SampleCount: 3, RunLength: 7})
+	line := ldrLine(1<<50, 3)
+	for i := 0; i < 50; i++ {
+		a.ObserveCongestion(20)
+		a.Process(line)
+	}
+	if a.Lambda() != DefaultLambda || a.Name() != "Adaptive λ=6" {
+		t.Errorf("fixed controller moved: λ = %v, name %q", a.Lambda(), a.Name())
+	}
+	if h := a.LambdaHistory(); len(h) != 0 {
+		t.Errorf("fixed controller has λ history %v", h)
+	}
+	reg := metrics.NewRegistry()
+	a.RegisterMetrics(reg, "ctrl")
+	if _, ok := reg.Snapshot().Get("ctrl/recalibrations"); ok {
+		t.Error("fixed controller registers ctrl/recalibrations")
+	}
+
+	d := NewDynamicAdaptive(DynamicConfig{SampleCount: 3, RunLength: 7})
+	for i := 0; i < 50; i++ {
+		d.ObserveCongestion(20)
+		d.Process(line)
+	}
+	reg = metrics.NewRegistry()
+	d.RegisterMetrics(reg, "ctrl")
+	if got := reg.Snapshot().Value("ctrl/recalibrations"); got != 4 {
+		t.Errorf("ctrl/recalibrations = %v after 50 transfers of period 10, want 4", got)
+	}
+	if d.Name() != "Adaptive λ=dynamic" {
+		t.Errorf("dynamic name %q", d.Name())
 	}
 }
 

@@ -106,8 +106,8 @@ func TestDegradationDoesNotRetriggerWhilePending(t *testing.T) {
 	}
 }
 
-// TestIntegrityMetricsAndDynamicForwarding: DynamicAdaptive forwards the
-// whole integrity surface to its inner controller.
+// TestIntegrityMetricsAndDynamicForwarding: a controller in dynamic-λ mode
+// keeps the whole integrity surface of the fixed-λ one.
 func TestIntegrityMetricsAndDynamicForwarding(t *testing.T) {
 	d := NewDynamicAdaptive(DynamicConfig{SampleCount: 2, RunLength: 4})
 	reg := metrics.NewRegistry()

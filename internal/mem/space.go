@@ -12,7 +12,6 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 )
 
 // Layout constants from Table VII.
@@ -26,12 +25,11 @@ const (
 // Space is the global interleaved physical address space shared by the
 // GPUs. Pages are interleaved so that consecutive 4 KB pages rotate first
 // across GPUs and then across each GPU's eight channels, utilizing all 32
-// controllers for streaming accesses.
+// controllers for streaming accesses. A Space belongs to one simulation,
+// which runs on one goroutine; it is not safe for concurrent use.
 type Space struct {
 	numGPUs int
-
-	mu    sync.RWMutex
-	pages map[uint64][]byte
+	pages   map[uint64][]byte
 
 	// bump allocators: one striped, one per GPU
 	nextPage    uint64
@@ -76,8 +74,6 @@ func (s *Space) GlobalChannelOf(addr uint64) int {
 // the base address. Striped buffers rotate across all GPUs at 4 KB
 // granularity, the default placement for shared data.
 func (s *Space) Alloc(size uint64) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	pages := (size + PageSize - 1) / PageSize
 	base := s.nextPage * PageSize
 	s.nextPage += pages
@@ -100,8 +96,6 @@ func (s *Space) AllocOnGPU(gpu int, size uint64) Buffer {
 	if gpu < 0 || gpu >= s.numGPUs {
 		panic(fmt.Sprintf("mem: AllocOnGPU(%d) out of range", gpu))
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	pages := (size + PageSize - 1) / PageSize
 	firstPage := s.nextGPUPage[gpu]
 	s.nextGPUPage[gpu] += pages * uint64(s.numGPUs)
@@ -125,15 +119,8 @@ func (s *Space) AllocStriped(size uint64) Buffer {
 
 func (s *Space) page(addr uint64, create bool) []byte {
 	id := addr / PageSize
-	s.mu.RLock()
 	p := s.pages[id]
-	s.mu.RUnlock()
-	if p != nil || !create {
-		return p
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if p = s.pages[id]; p == nil {
+	if p == nil && create {
 		p = make([]byte, PageSize)
 		s.pages[id] = p
 	}

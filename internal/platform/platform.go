@@ -41,10 +41,9 @@ type Config struct {
 	// no compression anywhere.
 	NewPolicy func(unit int) core.Policy
 	// NewRecorder builds the RDMA traffic observer for each compressing
-	// endpoint (same unit numbering as NewPolicy). Each unit's recorder is
-	// only ever invoked from that unit's partition and sees that unit's
-	// transfers in simulated order; merge them in unit order after the run
-	// for a deterministic total. Nil means no recording.
+	// endpoint (same unit numbering as NewPolicy). Each unit's recorder sees
+	// that unit's transfers in simulated order; merging the units in unit
+	// order keeps float totals bit-stable. Nil means no recording.
 	NewRecorder func(unit int) rdma.Recorder
 	// ArgBufferBytes sizes the per-GPU kernel-argument buffer.
 	ArgBufferBytes uint64
@@ -157,7 +156,7 @@ type Platform struct {
 	// same controller instance to several endpoints (the adaptive-global
 	// policy): a shared controller is registered once, under the first
 	// unit's prefix, instead of once per endpoint.
-	seenPolicies map[core.Policy]bool
+	seenPolicies map[*core.Adaptive]bool
 	cfg          Config
 }
 
@@ -213,37 +212,25 @@ func (p *Platform) partitionOf(unit int) *sim.Partition {
 }
 
 // instrumentPolicy registers an adaptive controller's metrics under
-// ctrl<unit> and, when tracing, tracks its phases as spans.
+// ctrl<unit>, hands it the fault profile's degradation threshold and, when
+// tracing, tracks its phases as spans. Other policies have nothing to
+// instrument.
 func (p *Platform) instrumentPolicy(unit int, pol core.Policy) {
-	type registrar interface {
-		RegisterMetrics(*metrics.Registry, string)
+	a, ok := pol.(*core.Adaptive)
+	if !ok || p.seenPolicies[a] {
+		return // not a controller, or a shared one already instrumented
 	}
-	type hooked interface {
-		SetPhaseHook(core.PhaseHook)
+	if p.seenPolicies == nil {
+		p.seenPolicies = make(map[*core.Adaptive]bool)
 	}
+	p.seenPolicies[a] = true
 	prefix := fmt.Sprintf("ctrl%d", unit)
-	if r, ok := pol.(registrar); ok {
-		if p.seenPolicies == nil {
-			p.seenPolicies = make(map[core.Policy]bool)
-		}
-		if p.seenPolicies[pol] {
-			return // shared controller, already instrumented
-		}
-		p.seenPolicies[pol] = true
-		r.RegisterMetrics(p.Metrics, prefix)
-	}
+	a.RegisterMetrics(p.Metrics, prefix)
 	if p.cfg.Fault.Enabled() {
-		type integrity interface {
-			RegisterIntegrityMetrics(*metrics.Registry, string)
-		}
-		if ir, ok := pol.(integrity); ok {
-			ir.RegisterIntegrityMetrics(p.Metrics, prefix)
-		}
-		if dk, ok := pol.(interface{ SetDegradeK(int) }); ok {
-			dk.SetDegradeK(p.cfg.Fault.Degrade())
-		}
+		a.RegisterIntegrityMetrics(p.Metrics, prefix)
+		a.SetDegradeK(p.cfg.Fault.Degrade())
 	}
-	if h, ok := pol.(hooked); ok && p.Spans != nil {
+	if p.Spans != nil {
 		t := &phaseTracker{
 			part:  p.partitionOf(unit),
 			spans: p.Spans,
@@ -251,7 +238,7 @@ func (p *Platform) instrumentPolicy(unit int, pol core.Policy) {
 			name:  "sampling", // adaptive controllers start sampling at t=0
 		}
 		p.phases = append(p.phases, t)
-		h.SetPhaseHook(t.transition)
+		a.SetPhaseHook(t.transition)
 	}
 }
 

@@ -196,10 +196,11 @@ type recorder struct {
 	scratch []byte // characterization encode buffer, reused across lines
 }
 
-// recorderSet is the per-unit sharding of the run's traffic accounting.
-// Totals are folded in unit order, which makes the float sums (energy,
-// entropy) a pure function of each unit's deterministic local stream —
-// independent of how the engine interleaves partitions.
+// recorderSet is the run's traffic accounting, one recorder per
+// compressing endpoint. Totals are folded in unit order: the simulation
+// runs on one goroutine, so determinism does not need that order, but it
+// fixes the float bits of the energy and entropy sums that the metric
+// snapshot pins.
 type recorderSet struct {
 	shards []*recorder
 }

@@ -88,10 +88,10 @@ func (t *Traffic) AddLine(line []byte, wireBytes int, compressed bool) {
 	t.PayloadBytes += uint64(wireBytes)
 }
 
-// Merge folds o into t. The runner shards traffic accounting per
-// compressing endpoint and merges the shards in unit order after the run;
-// the fixed order makes the float EntropySum total deterministic for any
-// degree of simulation parallelism.
+// Merge folds o into t. The runner keeps traffic accounting per
+// compressing endpoint and merges the units in unit order after the run;
+// that order fixes the float bits of the EntropySum total, which the
+// metric snapshot pins.
 func (t *Traffic) Merge(o *Traffic) {
 	t.RemoteReads += o.RemoteReads
 	t.RemoteWrites += o.RemoteWrites

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"sync"
 
 	"mgpucompress/internal/sim"
 )
@@ -36,18 +35,16 @@ type Span struct {
 // use; Cap bounds memory for long runs (0 = unbounded), and the Dropped
 // count survives JSON round trips just like Log's. Span sources on every
 // simulation partition (controller phases, RDMA guards) share one Recorder
-// per run. Record is safe for concurrent use.
+// per run; the run executes on one goroutine, and a Recorder is not safe for
+// concurrent use.
 type Recorder struct {
 	Cap     int
-	mu      sync.Mutex
 	spans   []Span
 	dropped uint64
 }
 
 // Record appends a span, dropping it if the recorder is full.
 func (r *Recorder) Record(s Span) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.Cap > 0 && len(r.spans) >= r.Cap {
 		r.dropped++
 		return
@@ -58,23 +55,17 @@ func (r *Recorder) Record(s Span) {
 // Clone returns a copy of the recorder that later records leave
 // unchanged.
 func (r *Recorder) Clone() *Recorder {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return &Recorder{Cap: r.Cap, spans: slices.Clip(r.spans), dropped: r.dropped}
 }
 
 // Spans returns the recorded spans in record order. Call it only after the
 // simulation has quiesced.
 func (r *Recorder) Spans() []Span {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.spans
 }
 
 // Dropped returns how many spans did not fit under Cap.
 func (r *Recorder) Dropped() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.dropped
 }
 
@@ -87,8 +78,6 @@ type recorderJSON struct {
 
 // MarshalJSON preserves the spans and the drop accounting.
 func (r *Recorder) MarshalJSON() ([]byte, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return json.Marshal(recorderJSON{Cap: r.Cap, Spans: r.spans, Dropped: r.dropped})
 }
 
