@@ -18,7 +18,9 @@ all: vet lint test
 # project's own determinism linter, the short test suite under the race
 # detector (the sweep engine is concurrent by design), the message-ownership
 # check (poison), and two determinism gates: the quickstart's -metrics-out snapshot and the files of a
-# `reproduce -only` run must be byte-identical across runs.
+# `reproduce -only` run (a static table, a figure, and the topology ablation
+# over all five topologies and adaptive-global) must be byte-identical across
+# runs.
 ci:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -45,9 +47,9 @@ ci:
 	cmp bin/metrics-a.json bin/metrics-b.json
 	@echo "metrics determinism gate: OK"
 	@rm -rf bin/only-a bin/only-b
-	go run ./cmd/reproduce -scale 1 -cus 2 -quiet -only table1,fig5 -out bin/only-a >/dev/null
-	go run ./cmd/reproduce -scale 1 -cus 2 -quiet -only table1,fig5 -out bin/only-b >/dev/null
-	for f in table1.txt fig5.txt summary.txt; do cmp bin/only-a/$$f bin/only-b/$$f || exit 1; done
+	go run ./cmd/reproduce -scale 1 -cus 2 -quiet -only table1,fig5,ablation_topology -out bin/only-a >/dev/null
+	go run ./cmd/reproduce -scale 1 -cus 2 -quiet -only table1,fig5,ablation_topology -out bin/only-b >/dev/null
+	for f in table1.txt fig5.txt ablation_topology.txt summary.txt; do cmp bin/only-a/$$f bin/only-b/$$f || exit 1; done
 	@echo "reproduce -only determinism gate: OK"
 
 # mgpulint: the determinism- and invariant-checking analyzers of
@@ -141,8 +143,10 @@ serve-load:
 reproduce:
 	go run ./cmd/reproduce -out results -scale 4
 
+ABLATIONS := ablation_sampling,ablation_onoff,ablation_link,ablation_extensions,ablation_topology,ablation_l15,ablation_scale,ablation_bandwidth
+
 ablations:
-	go run ./cmd/ablations -study all -scale 2
+	go run ./cmd/reproduce -scale 2 -out results/ablations -only $(ABLATIONS)
 
 examples:
 	go run ./examples/quickstart

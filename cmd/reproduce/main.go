@@ -1,12 +1,26 @@
-// Command reproduce regenerates the tables and figures of the paper and
-// writes each artifact to a results directory:
+// Command reproduce regenerates the tables and figures of the paper, and the
+// ablation studies beyond it, and writes each artifact to a results
+// directory:
 //
 //	reproduce -out results -scale 4
 //	reproduce -only table5,fig6 -scale 4
+//	reproduce -only ablation_topology,ablation_l15 -scale 2
 //
-// -only selects artifacts by name (default: all of them): table1, table3,
-// table5, table6, fig1_SC, fig1_FIR, fig5, fig6, fig7 and area. Each is
-// written to <name>.txt, alongside a summary.txt index. Only the
+// -only selects artifacts by name. The default is the paper's artifacts:
+// table1, table3, table5, table6, fig1_SC, fig1_FIR, fig5, fig6, fig7 and
+// area. The ablations are written only when named:
+//
+//	ablation_sampling    sampling-phase geometry sweep on SC (Sec. V choice)
+//	ablation_onoff       single-codec on/off mode on AES and MT (Sec. V)
+//	ablation_link        fabric energy classes on SC (Sec. II)
+//	ablation_extensions  BPC candidate set and dynamic λ on every benchmark
+//	ablation_topology    every fabric topology, per-link vs global codec
+//	                     selection on BS, MT and SC (ignores -topology)
+//	ablation_l15         remote cache (Arunkumar et al.) × compression
+//	ablation_scale       2/4/8-GPU sweep on SC (ignores -gpus)
+//	ablation_bandwidth   link-width sweep on SC
+//
+// Each is written to <name>.txt, alongside a summary.txt index. Only the
 // simulations the selected artifacts read are run, so -only table1,table3,area
 // simulates nothing.
 //

@@ -71,6 +71,52 @@ func TestOnlyMatchesFullRun(t *testing.T) {
 	}
 }
 
+// TestAblationArtifacts checks every ablation artifact on its own, then all
+// of them in one run: the combined run must write the same bytes.
+func TestAblationArtifacts(t *testing.T) {
+	dir := t.TempDir()
+	o := runner.ExpOptions{Scale: 1, CUsPerGPU: 2}
+	var names []string
+	for _, a := range runner.Ablations() {
+		names = append(names, a.Name)
+		t.Run(a.Name, func(t *testing.T) {
+			out := filepath.Join(dir, a.Name)
+			p, err := reproduce(append(small, "-out", out, "-only", a.Name)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Rendering must read only what the plan prefetched.
+			if want := len(runner.Plan([]runner.Artifact{a}, o)); p.Simulated != want {
+				t.Errorf("simulated %d jobs, plan has %d", p.Simulated, want)
+			}
+			files, err := os.ReadDir(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(files) != 2 || files[0].Name() != a.Name+".txt" || files[1].Name() != "summary.txt" {
+				t.Errorf("-only %s wrote %v, want the artifact and summary.txt", a.Name, files)
+			}
+		})
+	}
+	all := filepath.Join(dir, "all")
+	if _, err := reproduce(append(small, "-out", all, "-only", strings.Join(names, ","))...); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range names {
+		want, err := os.ReadFile(filepath.Join(dir, n, n+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(all, n+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s differs between the combined and the single run", n)
+		}
+	}
+}
+
 func TestStaticArtifactsSimulateNothing(t *testing.T) {
 	p, err := reproduce(append(small, "-out", t.TempDir(), "-only", "table1,table3,area")...)
 	if err != nil {
@@ -98,6 +144,7 @@ func TestInvalidConfigTouchesNothing(t *testing.T) {
 		{"-trace-out", "t.json"}, // together with -server
 		{"-only", "table1,bogus"},
 		{"-only", "fig5,"},
+		{"-only", "ablation_bogus"},
 	} {
 		t.Run(strings.Join(bad, " "), func(t *testing.T) {
 			dir := t.TempDir()

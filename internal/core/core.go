@@ -132,7 +132,9 @@ func encode(c comp.Compressor, line []byte) Decision {
 
 // Config parameterizes the adaptive policy.
 type Config struct {
-	// Lambda is λ in Eq. (1). Default 6.
+	// Lambda is λ in Eq. (1). Zero is λ=0, a valid setting (the Fig. 6
+	// "Adaptive λ=0" bar), not a default; pass DefaultLambda for the
+	// paper's λ=6. Negative values are clamped to 0.
 	Lambda float64
 	// SampleCount is the number of sampled transfers per phase (default 7).
 	SampleCount int
@@ -213,8 +215,9 @@ type Adaptive struct {
 	dyn dynamicLambda // zero unless built by NewDynamicAdaptive
 }
 
-// NewAdaptive builds an adaptive policy. A zero Config selects the paper's
-// defaults (λ=6, 7 samples, 300-transfer running phase, all three codecs).
+// NewAdaptive builds an adaptive policy. A zero Config selects λ=0 and the
+// paper's defaults for the rest (7 samples, 300-transfer running phase, all
+// three codecs); set Lambda to DefaultLambda for the paper's λ=6.
 func NewAdaptive(cfg Config) *Adaptive {
 	cfg.fillDefaults()
 	a := &Adaptive{

@@ -12,13 +12,78 @@ import (
 )
 
 // This file holds ablation studies for the design choices the paper makes
-// but does not sweep: the sampling-phase geometry (7 samples / 300-transfer
-// running phase), the single-codec on/off degenerate mode of Sec. V, and
-// the fabric integration level of Sec. II. Every study runs through the
-// sweep engine: each builds its job keys up front, fans them out across the
-// worker pool in one batch, and assembles rows in canonical order, so
-// studies sharing runs (e.g. the uncompressed baseline) simulate them once
-// per Sweep.
+// but does not sweep (the sampling-phase geometry of 7 samples per
+// 300-transfer running phase, the single-codec on/off degenerate mode of
+// Sec. V, the fabric integration level of Sec. II) and for the extensions.
+// Each study has a key function that lists its jobs up front; the study
+// method fans them out across the worker pool in one batch and assembles
+// rows in canonical order, so studies sharing runs (e.g. the uncompressed
+// baseline) simulate them once per Sweep. Ablations wraps every study as an
+// artifact whose Keys is that same key function.
+
+// ablationBench is the benchmark of the single-benchmark studies.
+const ablationBench = "SC"
+
+// Ablations lists every ablation artifact in writing order. They are not
+// part of the paper's Artifacts, so a default reproduction never runs them;
+// reproduce -only selects them by name.
+func Ablations() []Artifact {
+	onOff := []string{"AES", "MT"}
+	topology := []string{"BS", "MT", "SC"}
+	remoteCache := []string{"SC", "MT", "AES"}
+	gpuCounts := []int{2, 4, 8}
+	widths := []int{5, 10, 20, 40, 80, 160}
+	return []Artifact{
+		{"ablation_sampling",
+			func(o ExpOptions) []sweep.JobKey { return samplingKeys(ablationBench, o) },
+			func(s *Sweep, o ExpOptions) (string, error) {
+				rows, err := s.SamplingAblation(ablationBench, o)
+				return FormatSamplingAblation(ablationBench, rows), err
+			}},
+		{"ablation_onoff",
+			func(o ExpOptions) []sweep.JobKey { return onOffKeys(onOff, o) },
+			func(s *Sweep, o ExpOptions) (string, error) {
+				rows, err := s.OnOffAblation(onOff, o)
+				return FormatOnOffAblation(rows), err
+			}},
+		{"ablation_link",
+			func(o ExpOptions) []sweep.JobKey { return linkClassKeys(ablationBench, o) },
+			func(s *Sweep, o ExpOptions) (string, error) {
+				rows, err := s.LinkClassAblation(ablationBench, o)
+				return FormatLinkClassAblation(ablationBench, rows), err
+			}},
+		{"ablation_extensions",
+			func(o ExpOptions) []sweep.JobKey { return extensionKeys(Benchmarks(), o) },
+			func(s *Sweep, o ExpOptions) (string, error) {
+				rows, err := s.ExtensionAblation(Benchmarks(), o)
+				return FormatExtensionAblation(rows), err
+			}},
+		{"ablation_topology",
+			func(o ExpOptions) []sweep.JobKey { return topologyKeys(topology, o) },
+			func(s *Sweep, o ExpOptions) (string, error) {
+				rows, err := s.TopologyAblation(topology, o)
+				return FormatTopologyAblation(rows), err
+			}},
+		{"ablation_l15",
+			func(o ExpOptions) []sweep.JobKey { return remoteCacheKeys(remoteCache, o) },
+			func(s *Sweep, o ExpOptions) (string, error) {
+				rows, err := s.RemoteCacheAblation(remoteCache, o)
+				return FormatRemoteCacheAblation(rows), err
+			}},
+		{"ablation_scale",
+			func(o ExpOptions) []sweep.JobKey { return scalabilityKeys(ablationBench, o, gpuCounts) },
+			func(s *Sweep, o ExpOptions) (string, error) {
+				rows, err := s.ScalabilityAblation(ablationBench, o, gpuCounts)
+				return FormatScalabilityAblation(rows), err
+			}},
+		{"ablation_bandwidth",
+			func(o ExpOptions) []sweep.JobKey { return bandwidthKeys(ablationBench, o, widths) },
+			func(s *Sweep, o ExpOptions) (string, error) {
+				rows, err := s.BandwidthAblation(ablationBench, o, widths)
+				return FormatBandwidthAblation(ablationBench, rows), err
+			}},
+	}
+}
 
 // customAdaptiveKey builds the job key for a custom adaptive configuration.
 func customAdaptiveKey(bench string, o ExpOptions, cfg core.Config) sweep.JobKey {
@@ -58,15 +123,7 @@ var samplingGeometries = func() [][2]int {
 // 300 transfers "achieving a balance between sampling accuracy and
 // efficiency" (Sec. V); this quantifies that balance.
 func (s *Sweep) SamplingAblation(bench string, o ExpOptions) ([]SamplingAblationRow, error) {
-	keys := []sweep.JobKey{Key(bench, o.Options())}
-	for _, g := range samplingGeometries {
-		keys = append(keys, customAdaptiveKey(bench, o, core.Config{
-			Lambda:      core.DefaultLambda,
-			SampleCount: g[0],
-			RunLength:   g[1],
-		}))
-	}
-	ms, err := s.All(keys)
+	ms, err := s.All(samplingKeys(bench, o))
 	if err != nil {
 		return nil, err
 	}
@@ -82,6 +139,19 @@ func (s *Sweep) SamplingAblation(bench string, o ExpOptions) ([]SamplingAblation
 		})
 	}
 	return rows, nil
+}
+
+// samplingKeys lists the baseline, then one run per sampling geometry.
+func samplingKeys(bench string, o ExpOptions) []sweep.JobKey {
+	keys := []sweep.JobKey{Key(bench, o.Options())}
+	for _, g := range samplingGeometries {
+		keys = append(keys, customAdaptiveKey(bench, o, core.Config{
+			Lambda:      core.DefaultLambda,
+			SampleCount: g[0],
+			RunLength:   g[1],
+		}))
+	}
+	return keys
 }
 
 // FormatSamplingAblation renders the sweep.
@@ -112,27 +182,7 @@ var onOffAlgs = []comp.Algorithm{comp.FPC, comp.BDI, comp.CPackZ}
 // adaptive scheme pays for itself by switching the circuit off on
 // incompressible phases.
 func (s *Sweep) OnOffAblation(benches []string, o ExpOptions) ([]OnOffAblationRow, error) {
-	var keys []sweep.JobKey
-	for _, b := range benches {
-		keys = append(keys, Key(b, o.Options()))
-		for _, alg := range onOffAlgs {
-			staticOpts := o.Options()
-			switch alg {
-			case comp.FPC:
-				staticOpts.Policy = core.PolicyFPC
-			case comp.BDI:
-				staticOpts.Policy = core.PolicyBDI
-			case comp.CPackZ:
-				staticOpts.Policy = core.PolicyCPackZ
-			}
-			keys = append(keys, Key(b, staticOpts))
-			keys = append(keys, customAdaptiveKey(b, o, core.Config{
-				Lambda:     core.DefaultLambda,
-				Candidates: []comp.Compressor{comp.NewCompressor(alg)},
-			}))
-		}
-	}
-	ms, err := s.All(keys)
+	ms, err := s.All(onOffKeys(benches, o))
 	if err != nil {
 		return nil, err
 	}
@@ -154,6 +204,32 @@ func (s *Sweep) OnOffAblation(benches []string, o ExpOptions) ([]OnOffAblationRo
 		}
 	}
 	return rows, nil
+}
+
+// onOffKeys lists, per benchmark, the baseline and then each codec's static
+// and single-candidate adaptive runs: stride 1+2*len(onOffAlgs).
+func onOffKeys(benches []string, o ExpOptions) []sweep.JobKey {
+	var keys []sweep.JobKey
+	for _, b := range benches {
+		keys = append(keys, Key(b, o.Options()))
+		for _, alg := range onOffAlgs {
+			staticOpts := o.Options()
+			switch alg {
+			case comp.FPC:
+				staticOpts.Policy = core.PolicyFPC
+			case comp.BDI:
+				staticOpts.Policy = core.PolicyBDI
+			case comp.CPackZ:
+				staticOpts.Policy = core.PolicyCPackZ
+			}
+			keys = append(keys, Key(b, staticOpts))
+			keys = append(keys, customAdaptiveKey(b, o, core.Config{
+				Lambda:     core.DefaultLambda,
+				Candidates: []comp.Compressor{comp.NewCompressor(alg)},
+			}))
+		}
+	}
+	return keys
 }
 
 // FormatOnOffAblation renders the on/off comparison.
@@ -181,22 +257,12 @@ type LinkClassRow struct {
 // integration levels of Sec. II: the fabric transfer energy scales with
 // pJ/b while the codec overhead stays fixed, so savings grow with distance.
 func (s *Sweep) LinkClassAblation(bench string, o ExpOptions) ([]LinkClassRow, error) {
-	links := []energy.LinkClass{energy.MCM, energy.Board, energy.Node}
-	var keys []sweep.JobKey
-	for _, link := range links {
-		baseOpts := o.Options()
-		baseOpts.Link = link
-		keys = append(keys, Key(bench, baseOpts))
-		opts := o.Options()
-		opts.Link = link
-		keys = append(keys, adaptiveKey(bench, opts))
-	}
-	ms, err := s.All(keys)
+	ms, err := s.All(linkClassKeys(bench, o))
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]LinkClassRow, 0, len(links))
-	for i, link := range links {
+	rows := make([]LinkClassRow, 0, len(linkClasses))
+	for i, link := range linkClasses {
 		base, m := ms[2*i], ms[2*i+1]
 		rows = append(rows, LinkClassRow{
 			Link:          link,
@@ -206,6 +272,20 @@ func (s *Sweep) LinkClassAblation(bench string, o ExpOptions) ([]LinkClassRow, e
 		})
 	}
 	return rows, nil
+}
+
+// linkClasses are the swept fabric integration levels.
+var linkClasses = []energy.LinkClass{energy.MCM, energy.Board, energy.Node}
+
+// linkClassKeys lists the baseline and adaptive run per link class.
+func linkClassKeys(bench string, o ExpOptions) []sweep.JobKey {
+	var keys []sweep.JobKey
+	for _, link := range linkClasses {
+		opts := o.Options()
+		opts.Link = link
+		keys = append(keys, Key(bench, opts), adaptiveKey(bench, opts))
+	}
+	return keys
 }
 
 // FormatLinkClassAblation renders the link-class sweep.
@@ -236,19 +316,7 @@ type ExtensionRow struct {
 
 // ExtensionAblation measures the extensions on the given benchmarks.
 func (s *Sweep) ExtensionAblation(benches []string, o ExpOptions) ([]ExtensionRow, error) {
-	var keys []sweep.JobKey
-	for _, b := range benches {
-		keys = append(keys, Key(b, o.Options()))
-		keys = append(keys, adaptiveKey(b, o.Options()))
-		keys = append(keys, customAdaptiveKey(b, o, core.Config{
-			Lambda:     core.DefaultLambda,
-			Candidates: comp.ExtendedCompressors(),
-		}))
-		dynOpts := o.Options()
-		dynOpts.Policy = core.PolicyDynamic
-		keys = append(keys, Key(b, dynOpts))
-	}
-	ms, err := s.All(keys)
+	ms, err := s.All(extensionKeys(benches, o))
 	if err != nil {
 		return nil, err
 	}
@@ -268,6 +336,24 @@ func (s *Sweep) ExtensionAblation(benches []string, o ExpOptions) ([]ExtensionRo
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// extensionKeys lists, per benchmark, the baseline, adaptive λ=6, the
+// BPC-augmented candidate set and dynamic λ: stride 4.
+func extensionKeys(benches []string, o ExpOptions) []sweep.JobKey {
+	var keys []sweep.JobKey
+	for _, b := range benches {
+		keys = append(keys, Key(b, o.Options()))
+		keys = append(keys, adaptiveKey(b, o.Options()))
+		keys = append(keys, customAdaptiveKey(b, o, core.Config{
+			Lambda:     core.DefaultLambda,
+			Candidates: comp.ExtendedCompressors(),
+		}))
+		dynOpts := o.Options()
+		dynOpts.Policy = core.PolicyDynamic
+		keys = append(keys, Key(b, dynOpts))
+	}
+	return keys
 }
 
 // FormatExtensionAblation renders the extension comparison.
@@ -312,23 +398,12 @@ type TopologyRow struct {
 // Each topology also runs the shared global controller next to the per-link
 // one, so the rows compare the two codec-selection scopes.
 func (s *Sweep) TopologyAblation(benches []string, o ExpOptions) ([]TopologyRow, error) {
-	topos := fabric.Topologies()
-	var keys []sweep.JobKey
-	for _, b := range benches {
-		for _, topo := range topos {
-			opts := o.Options()
-			opts.Topology = topo
-			global := opts
-			global.Policy = core.PolicyAdaptiveGlobal
-			global.Lambda = core.DefaultLambda
-			keys = append(keys, Key(b, opts), adaptiveKey(b, opts), Key(b, global))
-		}
-	}
-	ms, err := s.All(keys)
+	ms, err := s.All(topologyKeys(benches, o))
 	if err != nil {
 		return nil, err
 	}
 	const stride = 3
+	topos := fabric.Topologies()
 	var rows []TopologyRow
 	for i, b := range benches {
 		for j, topo := range topos {
@@ -348,6 +423,23 @@ func (s *Sweep) TopologyAblation(benches []string, o ExpOptions) ([]TopologyRow,
 		}
 	}
 	return rows, nil
+}
+
+// topologyKeys lists, per benchmark and topology, the baseline, per-link
+// adaptive and adaptive-global runs: stride 3.
+func topologyKeys(benches []string, o ExpOptions) []sweep.JobKey {
+	var keys []sweep.JobKey
+	for _, b := range benches {
+		for _, topo := range fabric.Topologies() {
+			opts := o.Options()
+			opts.Topology = topo
+			global := opts
+			global.Policy = core.PolicyAdaptiveGlobal
+			global.Lambda = core.DefaultLambda
+			keys = append(keys, Key(b, opts), adaptiveKey(b, opts), Key(b, global))
+		}
+	}
+	return keys
 }
 
 // FormatTopologyAblation renders the topology comparison.
@@ -384,22 +476,7 @@ type RemoteCacheRow struct {
 // RemoteCacheAblation quantifies how the two bandwidth mechanisms compose:
 // the remote cache removes repeat transfers, compression shrinks the rest.
 func (s *Sweep) RemoteCacheAblation(benches []string, o ExpOptions) ([]RemoteCacheRow, error) {
-	variantKey := func(b string, policy core.PolicyID, rc bool) sweep.JobKey {
-		opts := o.Options()
-		opts.Policy = policy
-		opts.Lambda = core.DefaultLambda
-		opts.RemoteCache = rc
-		return Key(b, opts)
-	}
-	var keys []sweep.JobKey
-	for _, b := range benches {
-		keys = append(keys,
-			variantKey(b, core.PolicyNone, false),
-			variantKey(b, core.PolicyAdaptive, false),
-			variantKey(b, core.PolicyNone, true),
-			variantKey(b, core.PolicyAdaptive, true))
-	}
-	ms, err := s.All(keys)
+	ms, err := s.All(remoteCacheKeys(benches, o))
 	if err != nil {
 		return nil, err
 	}
@@ -419,6 +496,27 @@ func (s *Sweep) RemoteCacheAblation(benches []string, o ExpOptions) ([]RemoteCac
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// remoteCacheKeys lists, per benchmark, neither mechanism, compression,
+// the remote cache and both: stride 4.
+func remoteCacheKeys(benches []string, o ExpOptions) []sweep.JobKey {
+	variantKey := func(b string, policy core.PolicyID, rc bool) sweep.JobKey {
+		opts := o.Options()
+		opts.Policy = policy
+		opts.Lambda = core.DefaultLambda
+		opts.RemoteCache = rc
+		return Key(b, opts)
+	}
+	var keys []sweep.JobKey
+	for _, b := range benches {
+		keys = append(keys,
+			variantKey(b, core.PolicyNone, false),
+			variantKey(b, core.PolicyAdaptive, false),
+			variantKey(b, core.PolicyNone, true),
+			variantKey(b, core.PolicyAdaptive, true))
+	}
+	return keys
 }
 
 // FormatRemoteCacheAblation renders the composition study.
@@ -449,16 +547,7 @@ type ScalabilityRow struct {
 // ScalabilityAblation sweeps the GPU count: more GPUs mean a larger remote
 // fraction on the same shared bus, so compression's leverage grows.
 func (s *Sweep) ScalabilityAblation(bench string, o ExpOptions, gpuCounts []int) ([]ScalabilityRow, error) {
-	var keys []sweep.JobKey
-	for _, n := range gpuCounts {
-		baseOpts := o.Options()
-		baseOpts.NumGPUs = n
-		keys = append(keys, Key(bench, baseOpts))
-		opts := o.Options()
-		opts.NumGPUs = n
-		keys = append(keys, adaptiveKey(bench, opts))
-	}
-	ms, err := s.All(keys)
+	ms, err := s.All(scalabilityKeys(bench, o, gpuCounts))
 	if err != nil {
 		return nil, err
 	}
@@ -473,6 +562,17 @@ func (s *Sweep) ScalabilityAblation(bench string, o ExpOptions, gpuCounts []int)
 		})
 	}
 	return rows, nil
+}
+
+// scalabilityKeys lists the baseline and adaptive run per GPU count.
+func scalabilityKeys(bench string, o ExpOptions, gpuCounts []int) []sweep.JobKey {
+	var keys []sweep.JobKey
+	for _, n := range gpuCounts {
+		opts := o.Options()
+		opts.NumGPUs = n
+		keys = append(keys, Key(bench, opts), adaptiveKey(bench, opts))
+	}
+	return keys
 }
 
 // FormatScalabilityAblation renders the GPU-count sweep.
@@ -503,16 +603,7 @@ type BandwidthRow struct {
 // along that range link compression stops buying execution time (it always
 // buys energy).
 func (s *Sweep) BandwidthAblation(bench string, o ExpOptions, widths []int) ([]BandwidthRow, error) {
-	var keys []sweep.JobKey
-	for _, w := range widths {
-		baseOpts := o.Options()
-		baseOpts.FabricBytesPerCycle = w
-		keys = append(keys, Key(bench, baseOpts))
-		opts := o.Options()
-		opts.FabricBytesPerCycle = w
-		keys = append(keys, adaptiveKey(bench, opts))
-	}
-	ms, err := s.All(keys)
+	ms, err := s.All(bandwidthKeys(bench, o, widths))
 	if err != nil {
 		return nil, err
 	}
@@ -528,6 +619,17 @@ func (s *Sweep) BandwidthAblation(bench string, o ExpOptions, widths []int) ([]B
 		})
 	}
 	return rows, nil
+}
+
+// bandwidthKeys lists the baseline and adaptive run per link width.
+func bandwidthKeys(bench string, o ExpOptions, widths []int) []sweep.JobKey {
+	var keys []sweep.JobKey
+	for _, w := range widths {
+		opts := o.Options()
+		opts.FabricBytesPerCycle = w
+		keys = append(keys, Key(bench, opts), adaptiveKey(bench, opts))
+	}
+	return keys
 }
 
 // FormatBandwidthAblation renders the link-width sweep.

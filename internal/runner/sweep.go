@@ -33,11 +33,10 @@ type SweepConfig struct {
 	// It is applied when a job executes, after key normalization, so it
 	// never perturbs fingerprints (tracing is measurement-only).
 	Trace bool
-	// Run, when non-nil, replaces the local simulator as the job executor —
-	// the seam the -server client mode uses to execute jobs on a remote
-	// sweepd daemon while keeping the local memo cache, journaling and
-	// deterministic assembly order. It must honor the same contract as the
-	// simulator: the result is a pure function of the key.
+	// Run, when non-nil, replaces RunJob as the job executor while keeping
+	// the memo cache, journaling and deterministic assembly order; the
+	// repository benchmark uses it to time each job. It must honor RunJob's
+	// contract: the result is a pure function of the key.
 	Run func(sweep.JobKey) (*Result, error)
 }
 
@@ -270,8 +269,9 @@ func allSpecs() []policySpec {
 	return append(append([]policySpec{}, staticSpecs...), adaptiveSpecs...)
 }
 
-// Artifact is one output of the paper reproduction: its name (cmd/reproduce
-// writes it to Name+".txt"), the simulations it reads, and how to render it.
+// Artifact is one output of cmd/reproduce, a paper table or figure or an
+// ablation: its name (written to Name+".txt"), the simulations it reads, and
+// how to render it.
 type Artifact struct {
 	Name string
 	// Keys lists the jobs Render reads; nil for static artifacts.
@@ -279,7 +279,7 @@ type Artifact struct {
 	Render func(*Sweep, ExpOptions) (string, error)
 }
 
-// Artifacts lists every reproduction artifact in writing order.
+// Artifacts lists the paper's tables and figures in writing order.
 func Artifacts() []Artifact {
 	static := func(format func() string) func(*Sweep, ExpOptions) (string, error) {
 		return func(*Sweep, ExpOptions) (string, error) { return format(), nil }
@@ -349,17 +349,22 @@ func (s *Sweep) fig1Report(bench string, o ExpOptions) (string, error) {
 	return b.String(), nil
 }
 
-// ArtifactNames lists every artifact name in writing order.
+// allArtifacts lists the paper's artifacts, then the ablations.
+func allArtifacts() []Artifact { return append(Artifacts(), Ablations()...) }
+
+// ArtifactNames lists every artifact name, ablations included, in writing
+// order.
 func ArtifactNames() []string {
 	var names []string
-	for _, a := range Artifacts() {
+	for _, a := range allArtifacts() {
 		names = append(names, a.Name)
 	}
 	return names
 }
 
-// SelectArtifacts resolves a comma-separated list of artifact names ("" =
-// all) to artifacts in writing order, rejecting unknown names.
+// SelectArtifacts resolves a comma-separated list of artifact names to
+// artifacts in writing order, rejecting unknown names. "" selects the
+// paper's Artifacts; ablations are written only when named.
 func SelectArtifacts(list string) ([]Artifact, error) {
 	if list == "" {
 		return Artifacts(), nil
@@ -369,7 +374,7 @@ func SelectArtifacts(list string) ([]Artifact, error) {
 		want[n] = true
 	}
 	var out []Artifact
-	for _, a := range Artifacts() {
+	for _, a := range allArtifacts() {
 		if want[a.Name] {
 			out = append(out, a)
 			delete(want, a.Name)
@@ -383,18 +388,20 @@ func SelectArtifacts(list string) ([]Artifact, error) {
 	return out, nil
 }
 
-// Plan lists the simulations the artifacts read, as the subsequence of
-// ReproducePlan they need: prefetching it leaves rendering them pure cache
-// hits, and the full artifact list plans exactly ReproducePlan.
+// Plan lists the simulations the artifacts read, deduplicated: first the
+// subsequence of ReproducePlan they need, then their other jobs in artifact
+// order. Prefetching it leaves rendering them pure cache hits, and the
+// paper's artifact list plans exactly ReproducePlan.
 func Plan(arts []Artifact, o ExpOptions) []sweep.JobKey {
-	need := map[string]bool{}
+	var want []sweep.JobKey
 	for _, a := range arts {
-		if a.Keys == nil {
-			continue
+		if a.Keys != nil {
+			want = append(want, a.Keys(o)...)
 		}
-		for _, k := range a.Keys(o) {
-			need[k.Fingerprint()] = true
-		}
+	}
+	need := map[string]bool{}
+	for _, k := range want {
+		need[k.Fingerprint()] = true
 	}
 	var keys []sweep.JobKey
 	for _, k := range ReproducePlan(o) {
@@ -402,5 +409,5 @@ func Plan(arts []Artifact, o ExpOptions) []sweep.JobKey {
 			keys = append(keys, k)
 		}
 	}
-	return keys
+	return sweep.Dedup(append(keys, want...))
 }

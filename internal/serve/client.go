@@ -13,9 +13,9 @@ import (
 )
 
 // Client talks to a running sweepd daemon. It is what the -server flag of
-// cmd/reproduce and cmd/ablations wraps: submit batches, poll them to
-// completion, download result journals, and execute single jobs remotely
-// as a drop-in sweep-engine run function.
+// cmd/reproduce wraps: submit the whole plan as one batch, poll it to
+// completion and download its results journal. RunJob also executes single
+// jobs remotely.
 type Client struct {
 	// BaseURL is the daemon root, e.g. "http://127.0.0.1:8372".
 	BaseURL string
