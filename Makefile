@@ -143,10 +143,8 @@ serve-load:
 reproduce:
 	go run ./cmd/reproduce -out results -scale 4
 
-ABLATIONS := ablation_sampling,ablation_onoff,ablation_link,ablation_extensions,ablation_topology,ablation_l15,ablation_scale,ablation_bandwidth
-
 ablations:
-	go run ./cmd/reproduce -scale 2 -out results/ablations -only $(ABLATIONS)
+	go run ./cmd/ablations -scale 2
 
 examples:
 	go run ./examples/quickstart

@@ -27,18 +27,21 @@ func TestInvalidConfigTouchesNothing(t *testing.T) {
 		{"-cus", "-1"},
 		{"-fault-profile", "nonsense"},
 		{"-trace-out", "t.json"}, // together with -server
-		{"-study", "bogus"},
+		{"-only", "ablation_bogus"},
 	} {
 		t.Run(strings.Join(bad, " "), func(t *testing.T) {
-			metrics := filepath.Join(t.TempDir(), "m.json")
+			dir := t.TempDir()
+			out, metrics := filepath.Join(dir, "out"), filepath.Join(dir, "m.json")
 			fs := flag.NewFlagSet("ablations", flag.ContinueOnError)
 			fs.SetOutput(io.Discard)
-			args := append([]string{"-server", srv.URL, "-metrics-out", metrics}, bad...)
+			args := append([]string{"-out", out, "-server", srv.URL, "-metrics-out", metrics}, bad...)
 			if err := run(fs, args); err == nil {
 				t.Fatal("accepted an invalid configuration")
 			}
-			if _, err := os.Stat(metrics); !os.IsNotExist(err) {
-				t.Errorf("%s exists after a rejected configuration", metrics)
+			for _, p := range []string{out, metrics} {
+				if _, err := os.Stat(p); !os.IsNotExist(err) {
+					t.Errorf("%s exists after a rejected configuration", p)
+				}
 			}
 		})
 	}

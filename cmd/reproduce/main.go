@@ -35,221 +35,34 @@
 // daemon instead of simulating locally: the daemon dedupes it against every
 // job it has ever run, and the downloaded results journal replays into the
 // local cache, so artifacts come out byte-identical either way.
+//
+// The ablations command is this command with -only defaulting to every
+// ablation_* artifact and -out to results/ablations; both run
+// cli.Experiment.
 package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 	"os"
-	"path/filepath"
-	"runtime"
-	"strings"
-	"time"
 
 	"mgpucompress/internal/cli"
-	"mgpucompress/internal/runner"
-	"mgpucompress/internal/serve"
-	"mgpucompress/internal/sweep"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("reproduce: ")
-	c, err := parse(flag.CommandLine, os.Args[1:])
+	e, err := parse(flag.CommandLine, os.Args[1:])
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := run(c); err != nil {
+	if _, err := e.Run(); err != nil {
 		log.Fatal(err)
 	}
-}
-
-// config is a validated command line.
-type config struct {
-	out, resume string
-	quiet       bool
-	flags       *cli.Flags
-	opts        runner.ExpOptions
-	arts        []runner.Artifact
 }
 
 // parse reads and validates the command line without touching the file
 // system or the network.
-func parse(fs *flag.FlagSet, args []string) (config, error) {
-	c := config{flags: cli.BindSweep(fs)}
-	fs.StringVar(&c.out, "out", "results", "output directory")
-	fs.StringVar(&c.resume, "resume", "", "JSONL job journal: replayed if it exists, appended to as jobs finish")
-	fs.BoolVar(&c.quiet, "quiet", false, "suppress per-job progress lines")
-	only := fs.String("only", "", "comma-separated artifacts to write (default all): "+
-		strings.Join(runner.ArtifactNames(), ","))
-	if err := fs.Parse(args); err != nil {
-		return c, err
-	}
-	var err error
-	if c.opts, err = c.flags.Options(); err != nil {
-		return c, err
-	}
-	c.arts, err = runner.SelectArtifacts(*only)
-	return c, err
-}
-
-// run simulates the selected artifacts' plan, writes them and returns the
-// sweep counters.
-func run(c config) (sweep.Progress, error) {
-	if err := os.MkdirAll(c.out, 0o755); err != nil {
-		return sweep.Progress{}, err
-	}
-	scale := int(c.opts.Scale)
-	start := time.Now()
-
-	jobs := c.flags.Jobs
-	if jobs == 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	cfg := runner.SweepConfig{Jobs: jobs, Trace: c.flags.TraceOut != ""}
-
-	// The journal file doubles as resume input (read first) and sink
-	// (appended to as new jobs finish).
-	var journal *os.File
-	if c.resume != "" {
-		f, err := os.OpenFile(c.resume, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-		if err != nil {
-			return sweep.Progress{}, err
-		}
-		defer f.Close()
-		journal = f
-		cfg.Journal = f
-	}
-
-	plan := runner.Plan(c.arts, c.opts)
-	total := len(plan)
-	if !c.quiet {
-		cfg.OnProgress = func(p sweep.Progress) {
-			fmt.Printf("  [%d/%d] %d simulated, %d cache hits, %d resumed (%s)\n",
-				p.Completed, total, p.Simulated, p.CacheHits, p.Resumed,
-				p.Elapsed.Round(time.Millisecond))
-		}
-	}
-	s := runner.NewSweep(cfg)
-	if journal != nil {
-		loaded, err := s.Resume(journal)
-		if err != nil {
-			return sweep.Progress{}, fmt.Errorf("replaying %s: %w", c.resume, err)
-		}
-		if loaded > 0 {
-			fmt.Printf("resumed %d finished jobs from %s\n", loaded, c.resume)
-		}
-		// A journal killed mid-write ends with a partial line and no
-		// newline; terminate it so the first appended record stays intact.
-		if st, err := journal.Stat(); err == nil && st.Size() > 0 {
-			buf := make([]byte, 1)
-			if _, err := journal.ReadAt(buf, st.Size()-1); err == nil && buf[0] != '\n' {
-				if _, err := journal.Write([]byte("\n")); err != nil {
-					return sweep.Progress{}, fmt.Errorf("terminating %s: %w", c.resume, err)
-				}
-			}
-		}
-	}
-
-	// Phase 1: simulate the whole deduplicated plan at full parallelism —
-	// either locally or as one batch on a resident sweepd daemon. Even if an
-	// artifact later fails to assemble, every completed job has already been
-	// streamed to the journal (local) or the daemon's store (server) for the
-	// next attempt. A daemon rejects empty batches, so a static-only
-	// selection never contacts it.
-	if server := c.flags.Server; server != "" && total > 0 {
-		fmt.Printf("plan: %d unique jobs (scale %d, server %s)\n", total, scale, server)
-		if err := serverPrefetch(s, server, plan, c.quiet); err != nil {
-			return sweep.Progress{}, err
-		}
-	} else {
-		fmt.Printf("plan: %d unique jobs (scale %d, %d workers)\n", total, scale, jobs)
-		if err := s.Prefetch(plan); err != nil {
-			return sweep.Progress{}, err
-		}
-	}
-
-	// Phase 2: assemble artifacts — pure cache hits from here on.
-	var index []string
-	write := func(name, content string) error {
-		path := filepath.Join(c.out, name)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			return err
-		}
-		index = append(index, name)
-		fmt.Printf("wrote %s (%d bytes)\n", path, len(content))
-		return nil
-	}
-	for _, a := range c.arts {
-		content, err := a.Render(s, c.opts)
-		if err != nil {
-			return sweep.Progress{}, fmt.Errorf("%s: %w", a.Name, err)
-		}
-		if err := write(a.Name+".txt", content); err != nil {
-			return sweep.Progress{}, err
-		}
-	}
-
-	// The summary must stay byte-identical across -jobs values and reruns,
-	// so it carries job counts but no wall times; timing goes to stdout.
-	stats := s.Stats()
-	var sum strings.Builder
-	fmt.Fprintf(&sum, "reproduction artifacts (scale %d, %d unique jobs)\n", scale, total)
-	for _, n := range index {
-		fmt.Fprintf(&sum, "  %s\n", n)
-	}
-	if err := write("summary.txt", sum.String()); err != nil {
-		return sweep.Progress{}, err
-	}
-	if err := c.flags.WriteOutputs(s); err != nil {
-		return sweep.Progress{}, err
-	}
-	fmt.Printf("sweep: %s (total %s)\n", stats, time.Since(start).Round(time.Millisecond))
-	return stats, nil
-}
-
-// serverPrefetch runs the whole plan as one batch on a sweepd daemon and
-// replays the downloaded results journal into the local sweep, so artifact
-// assembly afterwards is pure cache hits — exactly like a local prefetch.
-// The daemon dedupes the batch against everything it has ever run, so a
-// re-submitted reproduction costs no simulation at all.
-func serverPrefetch(s *runner.Sweep, server string, plan []sweep.JobKey, quiet bool) error {
-	client := &serve.Client{BaseURL: server}
-	st, err := client.Submit(serve.BatchRequest{Tenant: "reproduce", Keys: plan})
-	if err != nil {
-		return fmt.Errorf("submitting to %s: %w", server, err)
-	}
-	fmt.Printf("submitted batch %s (%d jobs)\n", st.ID, st.Jobs)
-	var onProgress func(serve.BatchStatus)
-	if !quiet {
-		last := -1
-		onProgress = func(bs serve.BatchStatus) {
-			if bs.Completed != last {
-				last = bs.Completed
-				fmt.Printf("  [%d/%d] server batch %s\n", bs.Completed, bs.Jobs, bs.ID)
-			}
-		}
-	}
-	fin, err := client.Wait(st.ID, onProgress)
-	if err != nil {
-		return err
-	}
-	if fin.State != serve.StateDone {
-		return fmt.Errorf("server batch %s: %s: %s", fin.ID, fin.State, fin.Error)
-	}
-	if fin.Failed > 0 {
-		return fmt.Errorf("server batch %s: %d of %d jobs failed", fin.ID, fin.Failed, fin.Jobs)
-	}
-	rc, err := client.Results(fin.ID)
-	if err != nil {
-		return err
-	}
-	defer rc.Close()
-	loaded, err := s.Resume(rc)
-	if err != nil {
-		return fmt.Errorf("replaying server results: %w", err)
-	}
-	fmt.Printf("loaded %d results from %s\n", loaded, server)
-	return nil
+func parse(fs *flag.FlagSet, args []string) (cli.Experiment, error) {
+	return cli.ParseExperiment(fs, args, "results", "")
 }

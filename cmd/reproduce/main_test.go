@@ -26,7 +26,7 @@ func reproduce(args ...string) (sweep.Progress, error) {
 	if err != nil {
 		return sweep.Progress{}, err
 	}
-	return run(c)
+	return c.Run()
 }
 
 var small = []string{"-scale", "1", "-cus", "2", "-quiet"}

@@ -10,8 +10,8 @@
 // completion events over SSE. Every batch persists a manifest, a streamed
 // journal and a final results file under -data, so a killed daemon resumes
 // all in-flight batches at next start without resimulating finished jobs.
-// cmd/reproduce submits its whole plan, paper artifacts and ablations alike,
-// to a daemon as one batch with its -server flag.
+// cmd/reproduce and cmd/ablations submit their whole plan, paper artifacts
+// and ablations alike, to a daemon as one batch with their -server flag.
 package main
 
 import (

@@ -1,7 +1,8 @@
 // Package cli declares the flags the experiment commands share and
 // validates them at the flag boundary, before a command creates any file or
 // contacts a sweepd daemon. Each shared flag is declared here once, so every
-// command spells, documents and checks it the same way.
+// command spells, documents and checks it the same way. Experiment is the
+// driver of the two artifact-writing commands, reproduce and ablations.
 package cli
 
 import (

@@ -13,7 +13,7 @@ import (
 )
 
 // Client talks to a running sweepd daemon. It is what the -server flag of
-// cmd/reproduce wraps: submit the whole plan as one batch, poll it to
+// cmd/reproduce and cmd/ablations wrap: submit the whole plan as one batch, poll it to
 // completion and download its results journal. RunJob also executes single
 // jobs remotely.
 type Client struct {
