@@ -101,13 +101,15 @@ cover:
 # regressions pre-merge without turning ci into a fuzzing campaign. The codec
 # invariant is the round trip: CompressedBits runs the encoder itself, so
 # FuzzCompressedBits only checks the size probe's plumbing. FuzzEventQueue
-# checks the event queue's pop order against a sort oracle.
+# checks the event queue's pop order against a sort oracle, and
+# FuzzQuietTicker ghost tickers (Ticker.TickQuiet) against plain TickLater.
 fuzz-smoke:
 	go test ./internal/comp -run='^$$' -fuzz='^FuzzCodecRoundTrip$$' -fuzztime=10s
 	go test ./internal/comp -run='^$$' -fuzz='^FuzzCompressedBits$$' -fuzztime=10s
 	go test ./internal/bitstream -run='^$$' -fuzz='^FuzzWriteBitsDifferential$$' -fuzztime=10s
 	go test ./internal/bitstream -run='^$$' -fuzz='^FuzzReadBitsDifferential$$' -fuzztime=10s
 	go test ./internal/sim -run='^$$' -fuzz='^FuzzEventQueue$$' -fuzztime=10s
+	go test ./internal/sim -run='^$$' -fuzz='^FuzzQuietTicker$$' -fuzztime=10s
 
 # Every per-package Go benchmark with allocation reporting. Performance
 # claims use the repository benchmark instead (bash bench/run.sh, see

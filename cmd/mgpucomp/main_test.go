@@ -19,6 +19,8 @@ func TestInvalidConfigTouchesNothing(t *testing.T) {
 		{"-fault-profile", "nonsense"},
 		{"-policy", "bogus"},
 		{"-lambda", "-1"},
+		{"-lambda", "NaN"},
+		{"-lambda", "Inf"},
 		{"-jobs", "2"}, // single-run command: no sweep flags
 	} {
 		t.Run(strings.Join(bad, " "), func(t *testing.T) {

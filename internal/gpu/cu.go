@@ -110,6 +110,9 @@ func NewCU(name string, part *sim.Partition, cfg CUConfig) *CU {
 	}
 	c.ToL1 = sim.NewPort(c, name+".ToL1", cfg.PortBufferBytes)
 	c.ticker = sim.NewTicker(part, c)
+	if sim.Poison {
+		c.ticker.Check = c.checkQuiet
+	}
 	return c
 }
 
@@ -395,11 +398,18 @@ func (c *CU) nextWake(now sim.Time) sim.Time {
 	return next
 }
 
-// scheduleNext decides when the CU needs to run again.
+// scheduleNext decides when the CU needs to run again. An oversubscribed CU
+// whose resident slots are all taken, that is settled and whose wake is
+// still ahead re-arms with TickQuiet: until wake, every tick it would run is
+// quiet (see tick) unless a response, an assignment or a freed port touches
+// the ticker first.
 func (c *CU) scheduleNext(now sim.Time) {
-	if c.queue.Len() > 0 || c.wake <= now {
+	switch {
+	case c.queue.Len() > 0 && len(c.active) >= c.cfg.MaxResidentWGs && c.settled && c.wake > now:
+		c.ticker.TickQuiet(now, c.wake)
+	case c.queue.Len() > 0 || c.wake <= now:
 		c.ticker.TickLater(now)
-	} else if c.wake != sim.TimeInf {
+	case c.wake != sim.TimeInf:
 		c.ticker.TickAt(c.wake)
 	}
 	// Otherwise everything is waiting on memory or barriers; responses
@@ -407,10 +417,17 @@ func (c *CU) scheduleNext(now sim.Time) {
 }
 
 // checkQuiet runs, read-only, what a quiet tick skips, and panics if any
-// of it would have changed something: a ready wavefront, a releasable
-// barrier, a stream that ran out or a complete workgroup. Poison builds
-// call it on every quiet tick.
+// of it would have changed something: a buffered response, a free slot
+// with a workgroup waiting, a ready wavefront, a releasable barrier, a
+// stream that ran out or a complete workgroup. Poison builds call it on
+// every quiet tick, the ticker's ghost ticks included.
 func (c *CU) checkQuiet(now sim.Time) {
+	if c.ToL1.Buffered() != 0 {
+		panic(fmt.Sprintf("%s: quiet tick at %d skipped a buffered response", c.Name(), now))
+	}
+	if c.queue.Len() > 0 && len(c.active) < c.cfg.MaxResidentWGs {
+		panic(fmt.Sprintf("%s: quiet tick at %d skipped a workgroup activation", c.Name(), now))
+	}
 	for _, wg := range c.active {
 		releasable := wg.pendingWrites == 0
 		atBarrier := false

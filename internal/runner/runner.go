@@ -7,6 +7,7 @@ package runner
 
 import (
 	"fmt"
+	"math"
 
 	"mgpucompress/internal/comp"
 	"mgpucompress/internal/core"
@@ -81,8 +82,8 @@ func (o Options) Validate() error {
 	if !o.Policy.Valid() {
 		return fmt.Errorf("invalid policy %v", o.Policy)
 	}
-	if o.Lambda < 0 {
-		return fmt.Errorf("negative lambda %g", o.Lambda)
+	if err := validLambda(o.Lambda); err != nil {
+		return err
 	}
 	if o.CUsPerGPU < 0 {
 		return fmt.Errorf("negative CUs per GPU %d", o.CUsPerGPU)
@@ -115,8 +116,26 @@ func (o Options) Validate() error {
 	if o.Adaptive != nil && o.Policy != core.PolicyNone && o.Policy != core.PolicyAdaptive {
 		return fmt.Errorf("Adaptive config conflicts with policy %v", o.Policy)
 	}
+	if o.Adaptive != nil {
+		if err := validLambda(o.Adaptive.Lambda); err != nil {
+			return fmt.Errorf("Adaptive config: %w", err)
+		}
+	}
 	if err := o.Fault.Validate(); err != nil {
 		return fmt.Errorf("fault profile: %w", err)
+	}
+	return nil
+}
+
+// validLambda rejects a λ the controller cannot use: a negative one, and a
+// NaN or infinite one, which makes every candidate's penalty NaN (Inf×0
+// is NaN) so that no codec ever wins.
+func validLambda(l float64) error {
+	if math.IsNaN(l) || math.IsInf(l, 0) {
+		return fmt.Errorf("non-finite lambda %g", l)
+	}
+	if l < 0 {
+		return fmt.Errorf("negative lambda %g", l)
 	}
 	return nil
 }

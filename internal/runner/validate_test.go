@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"math"
 	"testing"
 
 	"mgpucompress/internal/core"
@@ -31,6 +32,19 @@ func TestOptionsValidate(t *testing.T) {
 		{"invalid policy", Options{Policy: core.PolicyID(99)}, true},
 		{"negative policy", Options{Policy: core.PolicyID(-1)}, true},
 		{"negative lambda", Options{Lambda: -0.5}, true},
+		{"NaN lambda", Options{Policy: core.PolicyAdaptive, Lambda: math.NaN()}, true},
+		{"+Inf lambda", Options{Policy: core.PolicyAdaptive, Lambda: math.Inf(1)}, true},
+		{"-Inf lambda", Options{Policy: core.PolicyAdaptive, Lambda: math.Inf(-1)}, true},
+		{"huge finite lambda", Options{Policy: core.PolicyAdaptive, Lambda: 1e18}, false},
+		{"adaptive config with negative lambda", Options{
+			Policy: core.PolicyAdaptive, Adaptive: &core.Config{Lambda: -1},
+		}, true},
+		{"adaptive config with NaN lambda", Options{
+			Policy: core.PolicyAdaptive, Adaptive: &core.Config{Lambda: math.NaN()},
+		}, true},
+		{"adaptive config with +Inf lambda", Options{
+			Policy: core.PolicyAdaptive, Adaptive: &core.Config{Lambda: math.Inf(1)},
+		}, true},
 		{"negative CUs", Options{CUsPerGPU: -2}, true},
 		{"single GPU", Options{NumGPUs: 1}, true},
 		{"negative series limit", Options{SeriesLimit: -1}, true},

@@ -209,6 +209,11 @@ func (s *Service[R]) finishBatch(b *batch) {
 		s.logf("batch %s: results: %v", b.id, err)
 	}
 
+	// Count the batch before its terminal event, so a client that has seen
+	// the batch finish also sees it counted.
+	if state == StateDone {
+		s.count(func() { s.batchesDone.Inc() })
+	}
 	s.mu.Lock()
 	b.state, b.err = state, terminalErr
 	b.closeJournal()
@@ -225,10 +230,6 @@ func (s *Service[R]) finishBatch(b *batch) {
 		delete(b.subs, ch)
 	}
 	s.mu.Unlock()
-
-	if state == StateDone {
-		s.count(func() { s.batchesDone.Inc() })
-	}
 	s.logf("batch %s: %s (%d jobs, %d failed)", b.id, state, st.Jobs, st.Failed)
 }
 

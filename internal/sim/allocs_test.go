@@ -129,3 +129,30 @@ func TestPoolTakeReleaseAllocationFree(t *testing.T) {
 		p.Release(b)
 	})
 }
+
+// TestQuietTickAllocationFree: once the ghost ring holds its tickers,
+// firing their promised-quiet ticks allocates nothing.
+func TestQuietTickAllocationFree(t *testing.T) {
+	e := NewEngine()
+	p := e.Partition(0)
+	for i := 0; i < 4; i++ {
+		var tk *Ticker
+		tk = NewTicker(p, handlerFunc(func(ev *Event) error {
+			tk.TickQuiet(ev.Time(), TimeInf)
+			return nil
+		}))
+		tk.TickAt(Time(i))
+	}
+	if err := e.RunUntil(3); err != nil {
+		t.Fatal(err)
+	}
+	before := e.EventCount()
+	assertNoAllocs(t, func() {
+		if err := e.RunUntil(e.Now() + 100); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if p.ghosts != 4 || e.EventCount()-before < 4*100 {
+		t.Fatalf("%d ghosts fired %d ticks; want 4 firing every cycle", p.ghosts, e.EventCount()-before)
+	}
+}

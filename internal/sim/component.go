@@ -32,11 +32,24 @@ func (c *ComponentBase) Name() string { return c.name }
 // each component runs at most once per cycle. Embed one per component and
 // call TickLater whenever there may be work to do.
 type Ticker struct {
-	Part      *Partition
-	Handler   Handler
-	Freq      Time // cycles between ticks; 1 = every cycle
+	Part    *Partition
+	Handler Handler
+	Freq    Time // cycles between ticks; 1 = every cycle
+	// Check, when set, runs on every ghost tick (see TickQuiet) in poison
+	// builds: a read-only assertion that the tick the ghost stands for
+	// would indeed have been quiet.
+	Check     func(now Time)
 	nextAsked Time
 	hasAsked  bool
+
+	// Ghost state (see TickQuiet): while ghost is set, the pending request
+	// (nextAsked, seq) lives in the partition's ghost ring, linked through
+	// prev and next, instead of in the event queue, and every tick before
+	// until is promised quiet.
+	ghost      bool
+	seq        uint64
+	until      Time
+	prev, next *Ticker
 }
 
 // NewTicker creates a Ticker driving handler h on partition p.
@@ -59,6 +72,9 @@ func (t *Ticker) TickNow(now Time) {
 // TickAt schedules a tick at an absolute cycle, unless an earlier or equal
 // tick is already pending.
 func (t *Ticker) TickAt(when Time) {
+	if t.ghost {
+		t.materialize()
+	}
 	if t.hasAsked && t.nextAsked <= when {
 		return
 	}
@@ -70,15 +86,59 @@ func (t *Ticker) TickAt(when Time) {
 	t.Part.ScheduleTick(when, tickerTrampoline{t})
 }
 
+// TickQuiet is TickLater(now) plus a promise: every tick before until is
+// quiet — the handler would change nothing but re-arm with TickLater —
+// unless the ticker is touched first (any TickAt, TickNow or TickLater, or
+// a stale earlier request firing at the pending tick's time). now must be
+// the partition's current time, as inside the handler.
+//
+// The request takes its sequence number and counts as scheduled exactly as
+// TickLater's would, but it becomes a ghost in the partition's ring instead
+// of a queue record. The partition fires each promised tick in its (time,
+// seq) slot with the same accounting a dispatched quiet tick has (clock,
+// handled count, the re-arm's sequence number and scheduled count) without
+// calling the handler, and the tick at until and later are ordinary
+// requests again. A touch first puts the pending request back on the queue
+// under its original key, so every run is the one TickLater would give.
+// It falls back to TickLater when Freq is not 1, when until is the next
+// cycle or earlier, when a request is already pending, or when now is not
+// the partition's time.
+func (t *Ticker) TickQuiet(now, until Time) {
+	p := t.Part
+	if t.Freq != 1 || now+1 >= until || t.hasAsked || now != p.now {
+		t.TickLater(now)
+		return
+	}
+	t.hasAsked, t.nextAsked = true, now+1
+	t.until = until
+	t.seq = p.nextSeq()
+	p.scheduled++
+	p.addGhost(t)
+}
+
+// materialize turns the ghost back into the queue record it stands for,
+// under its original (time, seq) key; the request was counted when it was
+// made.
+func (t *Ticker) materialize() {
+	t.Part.removeGhost(t)
+	t.Part.queue.push(t.nextAsked, t.seq, record{h: tickerTrampoline{t}})
+}
+
 // tickerTrampoline filters stale tick events: only the event matching the
 // live request fires the handler, and the pending flag is cleared first so
 // the handler can request the next tick from inside Handle.
 type tickerTrampoline struct{ t *Ticker }
 
 func (tt tickerTrampoline) Handle(e *Event) error {
-	if !tt.t.hasAsked || tt.t.nextAsked != e.Time() {
+	t := tt.t
+	if !t.hasAsked || t.nextAsked != e.Time() {
 		return nil // superseded or duplicate request; the live one handles it
 	}
-	tt.t.hasAsked = false
-	return tt.t.Handler.Handle(e)
+	if t.ghost {
+		// A stale request with an earlier seq stands in for the ghost due
+		// at the same time, which then fires as a stale record itself.
+		t.materialize()
+	}
+	t.hasAsked = false
+	return t.Handler.Handle(e)
 }

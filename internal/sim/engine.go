@@ -42,6 +42,17 @@
 // pushing and popping such a record is O(1), in front of a 4-ary heap that
 // holds only the records due past the wheel's span (see eventQueue). Both
 // keep the (time, seq) order, and a pop takes the earlier of their heads.
+//
+// Next to the queue, each partition keeps a ring of ghost ticks: requests a
+// Ticker made with TickQuiet, promising that its ticks until some time are
+// quiet. A ghost takes its sequence number and counts as scheduled like any
+// tick request, but it is fired in its (time, seq) slot by arithmetic —
+// clock, handled and scheduled counts, the re-arm's sequence number —
+// instead of a queue push, a pop and a handler call. Touching the ticker
+// first puts the ghost's record back on the queue under its original key,
+// so every run is the one plain TickLater re-arms would give. Head times
+// and pending counts include the ring, so window limits cannot tell the
+// difference either.
 package sim
 
 import (
@@ -186,6 +197,21 @@ func (q *eventQueue) headTime() Time {
 	return t
 }
 
+// head returns the (time, seq) key of the earliest pending record, or
+// TimeInf when the queue is empty.
+func (q *eventQueue) head() (Time, uint64) {
+	t, seq := TimeInf, uint64(0)
+	if q.occ != 0 {
+		var b *bucket
+		t, b = q.wheelHead()
+		seq = q.slots[b.head].seq
+	}
+	if len(q.keys) > 0 && q.keys[0].less(queueKey{time: t, seq: seq}) {
+		t, seq = q.keys[0].time, q.keys[0].seq
+	}
+	return t, seq
+}
+
 // push queues r at time t with sequence number seq; t must not be below the
 // cursor.
 func (q *eventQueue) push(t Time, seq uint64, r record) {
@@ -316,6 +342,15 @@ func (q *eventQueue) popFar() queueKey {
 	return top
 }
 
+// crossLink is a cross-partition link as the window scheduler scans it:
+// the endpoints' indices and the latency copied out of the Remote, which is
+// read only for its next-send bound.
+type crossLink struct {
+	src, dst int
+	latency  Time
+	r        *Remote
+}
+
 // Option configures an Engine at construction.
 type Option func(*Engine)
 
@@ -359,9 +394,9 @@ type Engine struct {
 
 	// Window-scheduling inputs, rebuilt by prepare at the start of each Run
 	// from the link graph (host code may add links between runs).
-	fixedLA Time      // nonzero: fixed window width (WithLookahead)
-	cross   []*Remote // cross-partition links only (src != dst)
-	dist    [][]Time  // all-pairs min cross-partition path latency (closure)
+	fixedLA Time        // nonzero: fixed window width (WithLookahead)
+	cross   []crossLink // cross-partition links only (src != dst)
+	dist    [][]Time    // all-pairs min cross-partition path latency (closure)
 
 	// Window-scheduling telemetry, derived from each window's job list (the
 	// partitions with work under its limit).
@@ -371,7 +406,8 @@ type Engine struct {
 	crossMsgs   uint64
 	evw         metrics.Distribution
 
-	jobs []*Partition // scratch: the current window's active partitions
+	jobs  []*Partition // scratch: the current window's active partitions
+	heads []Time       // scratch: each partition's head time, read once per window
 }
 
 // NewEngine creates an engine at time 0. With no options it has a single
@@ -440,7 +476,7 @@ func (e *Engine) EventCount() uint64 {
 func (e *Engine) Pending() int {
 	n := 0
 	for _, p := range e.parts {
-		n += p.queue.len()
+		n += p.Pending()
 	}
 	return n
 }
@@ -471,12 +507,18 @@ func (e *Engine) prepare() {
 		}
 		e.dist[i][i] = 0
 	}
+	if len(e.heads) != k {
+		e.heads = make([]Time, k)
+	}
+	if cap(e.cross) < len(e.remotes) {
+		e.cross = make([]crossLink, 0, len(e.remotes))
+	}
 	e.cross = e.cross[:0]
 	for _, r := range e.remotes {
 		if r.src == r.dst {
 			continue
 		}
-		e.cross = append(e.cross, r)
+		e.cross = append(e.cross, crossLink{src: r.src.idx, dst: r.dst.idx, latency: r.latency, r: r})
 		if r.latency < derived {
 			derived = r.latency
 		}
@@ -560,10 +602,16 @@ func (e *Engine) RunUntil(t Time) error {
 // land at or past the limit, never inside it. Every bound is at least
 // head+latency, so the adaptive window is never narrower than the fixed
 // one, and it grows without bound while traffic stays local.
+//
+// Each partition's head time is read once, into heads, which the link loop
+// here and runWindow's job selection and wideLimit then share: nothing
+// dispatches between them.
 func (e *Engine) nextWindow() (Time, bool) {
 	t := TimeInf
-	for _, p := range e.parts {
-		if h := p.queue.headTime(); h < t {
+	for i, p := range e.parts {
+		h := p.headTime()
+		e.heads[i] = h
+		if h < t {
 			t = h
 		}
 	}
@@ -575,14 +623,15 @@ func (e *Engine) nextWindow() (Time, bool) {
 		limit = satAdd(t, e.fixedLA)
 	} else {
 		limit = TimeInf
-		for _, r := range e.cross {
-			h := r.src.queue.headTime()
+		for i := range e.cross {
+			l := &e.cross[i]
+			h := e.heads[l.src]
 			if h == TimeInf {
 				continue
 			}
-			b := satAdd(h, r.latency)
-			if r.nextSend > b {
-				b = r.nextSend
+			b := satAdd(h, l.latency)
+			if ns := l.r.nextSend; ns > b {
+				b = ns
 			}
 			if b < limit {
 				limit = b
@@ -606,8 +655,8 @@ func (e *Engine) nextWindow() (Time, bool) {
 func (e *Engine) runWindow(limit Time) {
 	e.jobs = e.jobs[:0]
 	var before uint64
-	for _, p := range e.parts {
-		if p.queue.headTime() < limit {
+	for i, p := range e.parts {
+		if e.heads[i] < limit {
 			e.jobs = append(e.jobs, p)
 			before += p.handled
 		}
@@ -647,19 +696,20 @@ func (e *Engine) runWindow(limit Time) {
 // work and no emissions, p simply runs to completion in one window.
 func (e *Engine) wideLimit(p *Partition, limit Time) Time {
 	w := TimeInf
-	for _, r := range e.cross {
-		if r.src == p {
+	for i := range e.cross {
+		l := &e.cross[i]
+		if l.src == p.idx {
 			continue
 		}
-		h := r.src.queue.headTime()
+		h := e.heads[l.src]
 		if h == TimeInf {
 			continue
 		}
-		b := satAdd(h, r.latency)
-		if r.nextSend > b {
-			b = r.nextSend
+		b := satAdd(h, l.latency)
+		if ns := l.r.nextSend; ns > b {
+			b = ns
 		}
-		if b = satAdd(b, e.dist[r.dst.idx][p.idx]); b < w {
+		if b = satAdd(b, e.dist[l.dst][p.idx]); b < w {
 			w = b
 		}
 	}

@@ -40,6 +40,15 @@ type Partition struct {
 	curLimit Time
 	dynamic  bool
 
+	// ring is the front of the ghost ring: the tickers whose pending
+	// request is a promised-quiet tick (Ticker.TickQuiet), on a circular
+	// list through Ticker.prev/next in (nextAsked, seq) order; ghosts
+	// counts them. A ghost is inserted or re-keyed with the partition's
+	// newest sequence number at a time no earlier than any other ghost's,
+	// so the back of the ring is always its place.
+	ring   *Ticker
+	ghosts int
+
 	// locals holds the partition-local values created by Local; there are
 	// as many as packages that keep one, so a scan beats a map.
 	locals []local
@@ -71,8 +80,89 @@ func (p *Partition) Index() int { return p.idx }
 // Now returns the partition's current simulated time.
 func (p *Partition) Now() Time { return p.now }
 
-// Pending returns the number of events waiting in this partition's queue.
-func (p *Partition) Pending() int { return p.queue.len() }
+// Pending returns the number of events waiting in this partition's queue,
+// ghost ticks included.
+func (p *Partition) Pending() int { return p.queue.len() + p.ghosts }
+
+// headTime returns the time of the partition's earliest pending event,
+// ghost ticks included, or TimeInf when there is none.
+func (p *Partition) headTime() Time {
+	t := p.queue.headTime()
+	if p.ring != nil && p.ring.nextAsked < t {
+		t = p.ring.nextAsked
+	}
+	return t
+}
+
+// addGhost puts t at the back of the ghost ring.
+func (p *Partition) addGhost(t *Ticker) {
+	t.ghost = true
+	p.ghosts++
+	h := p.ring
+	if h == nil {
+		t.prev, t.next = t, t
+		p.ring = t
+		return
+	}
+	t.prev, t.next = h.prev, h
+	h.prev.next = t
+	h.prev = t
+}
+
+// removeGhost unlinks t from the ghost ring.
+func (p *Partition) removeGhost(t *Ticker) {
+	t.ghost = false
+	p.ghosts--
+	if t.next == t {
+		p.ring = nil
+	} else {
+		t.prev.next, t.next.prev = t.next, t.prev
+		if p.ring == t {
+			p.ring = t.next
+		}
+	}
+	t.prev, t.next = nil, nil
+}
+
+// fireGhosts fires, in order, the ghost ticks whose (time, seq) key comes
+// before both the queue's head and the window limit. Only an expiring
+// ghost pushes a record, so the head is read again only then.
+func (p *Partition) fireGhosts() {
+	ht, hs := p.queue.head()
+	for g := p.ring; g != nil && g.nextAsked < p.curLimit &&
+		(g.nextAsked < ht || g.nextAsked == ht && g.seq < hs); g = p.ring {
+		if p.fireGhost(g) {
+			ht, hs = p.queue.head()
+		}
+	}
+}
+
+// fireGhost fires the ring's front g at its time with exactly the
+// accounting of the quiet tick it stands for: the clock moves, the tick
+// counts as handled, and its TickLater re-arm takes the next sequence
+// number and counts as scheduled. The re-armed ghost goes to the back of
+// the ring, which the newest sequence number keeps sorted. At until the
+// re-arm is an ordinary TickAt, whose queue push fireGhost reports.
+func (p *Partition) fireGhost(g *Ticker) (pushed bool) {
+	t := g.nextAsked
+	p.now = t
+	p.queue.cursor = t
+	p.handled++
+	if Poison && g.Check != nil {
+		g.Check(t)
+	}
+	if t+1 >= g.until {
+		p.removeGhost(g)
+		g.hasAsked = false
+		g.TickAt(t + 1)
+		return true
+	}
+	g.nextAsked = t + 1
+	g.seq = p.nextSeq()
+	p.scheduled++
+	p.ring = g.next
+	return false
+}
 
 // nextSeq assigns the next partition-striped sequence number.
 func (p *Partition) nextSeq() uint64 {
@@ -142,10 +232,14 @@ func (p *Partition) Pause() { p.stopped = true }
 // partition-index order. The limit lives in curLimit and is re-read every
 // iteration: in a dynamic lone-partition window the partition's own Remote
 // emissions collapse it mid-window, which is what keeps running far ahead
-// of the other partitions conservative.
+// of the other partitions conservative. Ghost ticks due before the queue's
+// head fire first, in their (time, seq) slots.
 func (p *Partition) window(limit Time) {
 	p.curLimit = limit
 	for !p.stopped {
+		if p.ring != nil {
+			p.fireGhosts()
+		}
 		t, seq, r, ok := p.queue.pop(p.curLimit)
 		if !ok {
 			return
