@@ -16,7 +16,8 @@ all: vet lint test
 # Everything a pre-merge check needs: formatting, vet (including the
 # separate bench/ module, which root `go vet ./...` never compiles), the
 # project's own determinism linter, the short test suite under the race
-# detector (the sweep engine is concurrent by design), the message-ownership
+# detector (the sweep engine is concurrent by design), the bench module's
+# tests (its byte-identity oracle and -short smoke), the message-ownership
 # check (poison), and two determinism gates: the quickstart's -metrics-out snapshot and the files of a
 # `reproduce -only` run (a static table, a figure, and the topology ablation
 # over all five topologies and adaptive-global) must be byte-identical across
@@ -32,6 +33,7 @@ ci:
 	go build -o bin/mgpulint ./cmd/mgpulint
 	./bin/mgpulint -sarif bin/mgpulint.sarif -baseline lint-baseline.json ./...
 	go test -race -short ./...
+	cd bench && go test .
 	$(MAKE) poison
 	@if grep -rn "lint:ignore" $(HOT_PKGS); then \
 		echo "hot-path packages must not carry lint:ignore suppressions"; exit 1; \

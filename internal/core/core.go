@@ -17,6 +17,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"mgpucompress/internal/comp"
 	"mgpucompress/internal/metrics"
@@ -134,7 +135,7 @@ func encode(c comp.Compressor, line []byte) Decision {
 type Config struct {
 	// Lambda is λ in Eq. (1). Zero is λ=0, a valid setting (the Fig. 6
 	// "Adaptive λ=0" bar), not a default; pass DefaultLambda for the
-	// paper's λ=6. Negative values are clamped to 0.
+	// paper's λ=6. It must pass ValidateLambda.
 	Lambda float64
 	// SampleCount is the number of sampled transfers per phase (default 7).
 	SampleCount int
@@ -153,10 +154,22 @@ type Config struct {
 	DegradeK int
 }
 
-func (c *Config) fillDefaults() {
-	if c.Lambda < 0 {
-		c.Lambda = 0
+// ValidateLambda rejects a λ the controller cannot use: a negative one,
+// and a NaN or infinite one, which makes every candidate's penalty NaN
+// (Inf×0 is NaN) so that no codec ever wins.
+func ValidateLambda(l float64) error {
+	if !finite(l) {
+		return fmt.Errorf("non-finite lambda %g", l)
 	}
+	if l < 0 {
+		return fmt.Errorf("negative lambda %g", l)
+	}
+	return nil
+}
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+func (c *Config) fillDefaults() {
 	if c.SampleCount <= 0 {
 		c.SampleCount = DefaultSampleCount
 	}
@@ -217,8 +230,12 @@ type Adaptive struct {
 
 // NewAdaptive builds an adaptive policy. A zero Config selects λ=0 and the
 // paper's defaults for the rest (7 samples, 300-transfer running phase, all
-// three codecs); set Lambda to DefaultLambda for the paper's λ=6.
+// three codecs); set Lambda to DefaultLambda for the paper's λ=6. It
+// panics on a λ that ValidateLambda rejects.
 func NewAdaptive(cfg Config) *Adaptive {
+	if err := ValidateLambda(cfg.Lambda); err != nil {
+		panic(fmt.Sprintf("core: %v", err))
+	}
 	cfg.fillDefaults()
 	a := &Adaptive{
 		cfg:      cfg,
@@ -448,12 +465,15 @@ func (a *Adaptive) RegisterIntegrityMetrics(reg *metrics.Registry, prefix string
 	reg.CounterFunc(prefix+"/degraded_phases", func() uint64 { return a.degradedPhases })
 }
 
-// PolicyFactory validates id once and returns a constructor that builds
-// a fresh policy instance per compressing endpoint. Splitting validation
-// from construction lets callers surface the invalid-policy error where it
-// can propagate, instead of panicking inside a platform.Config.NewPolicy
-// closure that has no error path.
+// PolicyFactory validates id and λ once and returns a constructor that
+// builds a fresh policy instance per compressing endpoint. Splitting
+// validation from construction lets callers surface a configuration error
+// where it can propagate, instead of panicking inside a
+// platform.Config.NewPolicy closure that has no error path.
 func PolicyFactory(id PolicyID, lambda float64) (func() Policy, error) {
+	if err := ValidateLambda(lambda); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	switch id {
 	case PolicyNone:
 		return func() Policy { return Uncompressed{} }, nil

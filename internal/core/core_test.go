@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mgpucompress/internal/comp"
@@ -379,6 +381,44 @@ func TestPolicyFor(t *testing.T) {
 	}
 	if _, err := PolicyFactory(PolicyID(99), 6); err == nil {
 		t.Error("out-of-range policy accepted")
+	}
+}
+
+// TestInvalidLambdaRejected: a negative, NaN or infinite λ fails
+// ValidateLambda, PolicyFactory and NewAdaptive (by panicking), so no
+// caller gets a controller under which no codec wins.
+func TestInvalidLambdaRejected(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		lambda float64
+		err    string
+	}{
+		{"NaN", math.NaN(), "non-finite lambda NaN"},
+		{"+Inf", math.Inf(1), "non-finite lambda +Inf"},
+		{"-Inf", math.Inf(-1), "non-finite lambda -Inf"},
+		{"-1", -1, "negative lambda -1"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if err := ValidateLambda(c.lambda); err == nil || err.Error() != c.err {
+				t.Errorf("ValidateLambda = %v, want %q", err, c.err)
+			}
+			for id := PolicyID(0); id < policyCount; id++ {
+				if _, err := PolicyFactory(id, c.lambda); err == nil || !strings.Contains(err.Error(), c.err) {
+					t.Errorf("PolicyFactory(%v) = %v, want %q", id, err, c.err)
+				}
+			}
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(r.(string), c.err) {
+					t.Errorf("NewAdaptive panicked with %v, want %q", r, c.err)
+				}
+			}()
+			NewAdaptive(Config{Lambda: c.lambda})
+		})
+	}
+	for _, l := range []float64{0, DefaultLambda, math.MaxFloat64} {
+		if err := ValidateLambda(l); err != nil {
+			t.Errorf("ValidateLambda(%g) = %v", l, err)
+		}
 	}
 }
 

@@ -1,7 +1,5 @@
 package core
 
-import "math"
-
 // This file implements the extension the paper leaves on the table in
 // Sec. V: "We select the lambda value statically ... thereby avoiding the
 // additional complexity of dynamic selection." NewDynamicAdaptive builds an
@@ -69,8 +67,12 @@ type dynamicLambda struct {
 
 // NewDynamicAdaptive builds an adaptive controller whose λ follows link
 // congestion. It starts at MaxLambda (an idle link) until it has observed
-// a phase of traffic.
+// a phase of traffic. It panics on a NaN or infinite MaxLambda or
+// Sensitivity.
 func NewDynamicAdaptive(cfg DynamicConfig) *Adaptive {
+	if !finite(cfg.MaxLambda) || !finite(cfg.Sensitivity) {
+		panic("core: non-finite MaxLambda or Sensitivity")
+	}
 	cfg.fillDefaults()
 	a := NewAdaptive(Config{
 		Lambda:      cfg.MaxLambda,
@@ -117,9 +119,6 @@ func (a *Adaptive) recalibrate() {
 		avg = d.queueSum / float64(d.queueObs)
 	}
 	lambda := d.maxLambda / (1 + d.sensitivity*avg)
-	if math.IsNaN(lambda) || lambda < 0 {
-		lambda = 0
-	}
 	a.cfg.Lambda = lambda
 	d.lambdaHist = append(d.lambdaHist, lambda)
 	d.queueSum, d.queueObs = 0, 0

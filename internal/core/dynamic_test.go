@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -16,6 +17,31 @@ func TestDynamicAdaptiveDefaults(t *testing.T) {
 	}
 	if d.Name() == "" {
 		t.Error("no name")
+	}
+}
+
+// TestDynamicAdaptiveRejectsNonFinite: a NaN or infinite MaxLambda or
+// Sensitivity panics instead of defaulting or reaching recalibrate.
+func TestDynamicAdaptiveRejectsNonFinite(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  DynamicConfig
+	}{
+		{"NaN max", DynamicConfig{MaxLambda: math.NaN()}},
+		{"+Inf max", DynamicConfig{MaxLambda: math.Inf(1)}},
+		{"-Inf max", DynamicConfig{MaxLambda: math.Inf(-1)}},
+		{"NaN sensitivity", DynamicConfig{Sensitivity: math.NaN()}},
+		{"+Inf sensitivity", DynamicConfig{Sensitivity: math.Inf(1)}},
+		{"-Inf sensitivity", DynamicConfig{Sensitivity: math.Inf(-1)}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Error("NewDynamicAdaptive accepted a non-finite config")
+				}
+			}()
+			NewDynamicAdaptive(c.cfg)
+		})
 	}
 }
 

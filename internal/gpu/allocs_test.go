@@ -93,10 +93,10 @@ func TestCUReadContinuationsAllocationFree(t *testing.T) {
 	}
 }
 
-// TestCUQuietTickAllocationFree pins the tick of an oversubscribed CU
-// whose resident wavefronts all wait on memory at zero allocations: it
-// drains nothing, activates nothing and finds nothing due, so it only
-// re-arms.
+// TestCUQuietTickAllocationFree pins a full tick with nothing to do at
+// zero allocations: the tick of an oversubscribed CU whose resident
+// wavefronts all wait on memory drains, activates, issues and retires
+// nothing, so it only scans and re-arms.
 func TestCUQuietTickAllocationFree(t *testing.T) {
 	const wgs = 6 // more than DefaultCUConfig's 4 resident slots
 	prog := &chainProgram{waves: 2, reads: 4}

@@ -69,11 +69,11 @@ type CU struct {
 	ready []*Wave
 
 	// wake is the earliest busyUntil among resident wavefronts that are
-	// not done, waiting or at a barrier, as of the end of the last full
-	// tick: at or before that tick when one was ready, TimeInf when none is
-	// eligible. settled records that the last full tick's retireWGs ended
-	// no stream, so running it again changes nothing. Their zero values
-	// make the first tick a full one.
+	// not done, waiting or at a barrier, as of the end of the last tick: at
+	// or before that tick when one was ready, TimeInf when none is
+	// eligible. settled records that the last tick's retireWGs ended no
+	// stream, so running it again changes nothing; only then may
+	// scheduleNext promise quiet ticks with TickQuiet.
 	wake    sim.Time
 	settled bool
 
@@ -144,36 +144,28 @@ func (c *CU) NotifyPortFree(now sim.Time, _ *sim.Port) { c.ticker.TickNow(now) }
 // Handle implements sim.Handler.
 func (c *CU) Handle(e *sim.Event) error { return c.tick(e.Time()) }
 
-// tick runs one cycle of the CU. Wavefront and workgroup state changes
-// only in drainResponses, activateWGs and step, so a tick that drains and
-// activates nothing before wake (the quiet tick of an oversubscribed CU
-// whose resident wavefronts all wait on memory) would find no wavefront to
-// issue and nothing to retire: it skips the wavefront scans and re-arms
-// exactly as a full tick would.
+// tick runs one cycle of the CU, always in full. The quiet ticks of an
+// oversubscribed CU whose resident wavefronts all wait on memory are ghost
+// ticks (see scheduleNext); the few a touched ghost's stale record brings
+// here drain, activate, issue and retire nothing and re-arm the same way.
 func (c *CU) tick(now sim.Time) error {
-	drained := c.drainResponses(now)
-	activated := c.activateWGs(now)
-	if drained || activated || !c.settled || now >= c.wake {
-		c.issue(now)
-		c.settled = !c.retireWGs(now)
-		c.wake = c.nextWake(now)
-	} else if sim.Poison {
-		c.checkQuiet(now)
-	}
+	c.drainResponses(now)
+	c.activateWGs(now)
+	c.issue(now)
+	c.settled = !c.retireWGs(now)
+	c.wake = c.nextWake(now)
 	c.scheduleNext(now)
 	return nil
 }
 
 // drainResponses hands every arrived response to its wavefront or
-// workgroup and reports whether there was any.
-func (c *CU) drainResponses(now sim.Time) bool {
-	drained := false
+// workgroup.
+func (c *CU) drainResponses(now sim.Time) {
 	for {
 		msg := c.ToL1.Retrieve(now)
 		if msg == nil {
-			return drained
+			return
 		}
-		drained = true
 		switch rsp := msg.(type) {
 		case *mem.DataReady:
 			wf, ok := c.pendingReads[rsp.RspTo]
@@ -204,12 +196,9 @@ func (c *CU) drainResponses(now sim.Time) bool {
 	}
 }
 
-// activateWGs moves queued workgroups into free resident slots and reports
-// whether it moved any.
-func (c *CU) activateWGs(now sim.Time) bool {
-	activated := false
+// activateWGs moves queued workgroups into free resident slots.
+func (c *CU) activateWGs(now sim.Time) {
 	for len(c.active) < c.cfg.MaxResidentWGs && c.queue.Len() > 0 {
-		activated = true
 		inst := c.queue.Pop()
 		n := inst.kernel.Program.Waves(inst.id)
 		if n == 0 {
@@ -226,7 +215,6 @@ func (c *CU) activateWGs(now sim.Time) bool {
 		}
 		c.active = append(c.active, inst)
 	}
-	return activated
 }
 
 // newWave takes a recycled wavefront (or a new one) for wave i of inst.
@@ -400,9 +388,9 @@ func (c *CU) nextWake(now sim.Time) sim.Time {
 
 // scheduleNext decides when the CU needs to run again. An oversubscribed CU
 // whose resident slots are all taken, that is settled and whose wake is
-// still ahead re-arms with TickQuiet: until wake, every tick it would run is
-// quiet (see tick) unless a response, an assignment or a freed port touches
-// the ticker first.
+// still ahead re-arms with TickQuiet: until wake, every tick it would run
+// drains, activates, issues and retires nothing unless a response, an
+// assignment or a freed port touches the ticker first.
 func (c *CU) scheduleNext(now sim.Time) {
 	switch {
 	case c.queue.Len() > 0 && len(c.active) >= c.cfg.MaxResidentWGs && c.settled && c.wake > now:
@@ -416,11 +404,11 @@ func (c *CU) scheduleNext(now sim.Time) {
 	// re-tick via NotifyRecv.
 }
 
-// checkQuiet runs, read-only, what a quiet tick skips, and panics if any
+// checkQuiet runs, read-only, what a ghost tick skips, and panics if any
 // of it would have changed something: a buffered response, a free slot
 // with a workgroup waiting, a ready wavefront, a releasable barrier, a
-// stream that ran out or a complete workgroup. Poison builds call it on
-// every quiet tick, the ticker's ghost ticks included.
+// stream that ran out or a complete workgroup. Poison builds set it as the
+// ticker's Check hook, which runs on every ghost tick.
 func (c *CU) checkQuiet(now sim.Time) {
 	if c.ToL1.Buffered() != 0 {
 		panic(fmt.Sprintf("%s: quiet tick at %d skipped a buffered response", c.Name(), now))

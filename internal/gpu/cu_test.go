@@ -22,6 +22,12 @@ type memStub struct {
 	Top     *sim.Port
 	reads   int
 	writes  int
+
+	// ticker, when set, sends responses from a tick the way a cache does:
+	// a response due at t is queued in out and sent by a tick requested
+	// at t, after every record already queued for t.
+	ticker *sim.Ticker
+	out    sim.FIFO[sim.Msg]
 }
 
 func newMemStub(part *sim.Partition, latency sim.Time) *memStub {
@@ -36,12 +42,34 @@ func newMemStub(part *sim.Partition, latency sim.Time) *memStub {
 	return s
 }
 
+// sendFromTick makes the stub send its responses from ticks.
+func (s *memStub) sendFromTick() { s.ticker = sim.NewTicker(s.part, s) }
+
 // Handle sends the record's response once the stub latency has elapsed.
+// With a ticker it queues the response and requests a tick for this
+// cycle instead, and the tick (a record without a message) sends every
+// queued response.
 func (s *memStub) Handle(e *sim.Event) error {
-	if !s.Top.Send(e.Time(), e.Msg()) {
-		panic("memstub: send failed")
+	now := e.Time()
+	if s.ticker == nil {
+		s.send(now, e.Msg())
+		return nil
+	}
+	if m := e.Msg(); m != nil {
+		s.out.Push(m)
+		s.ticker.TickNow(now)
+		return nil
+	}
+	for s.out.Len() > 0 {
+		s.send(now, s.out.Pop())
 	}
 	return nil
+}
+
+func (s *memStub) send(now sim.Time, m sim.Msg) {
+	if !s.Top.Send(now, m) {
+		panic("memstub: send failed")
+	}
 }
 
 func (s *memStub) NotifyRecv(now sim.Time, p *sim.Port) {
@@ -384,44 +412,74 @@ func (oversubProgram) Next(w *Wave) {
 
 // TestCUOversubscribedRetireCycles runs more workgroups than the CU holds
 // against a slow memory, so every resident wavefront waits on memory while
-// workgroups queue: the CU ticks every cycle without progress. Each
+// workgroups queue: most of the CU's ticks are ghost ticks. Each
 // workgroup's retire cycle and the engine's event count are pinned; a tick
-// that skips work it should have done, or schedules differently, moves them.
+// that skips work it should have done, or schedules differently, moves
+// them. A memory that sends its responses from ticks, as a cache does,
+// lands them in the cycle of one of the CU's ghost ticks but after it, so
+// the touched ghost leaves a stale record that runs the handler on a tick
+// with nothing to do. Under poison, the ticker's Check hook must have
+// vetted the ghost ticks.
 func TestCUOversubscribedRetireCycles(t *testing.T) {
 	const wgs = 10
-	engine := sim.NewEngine()
-	part := engine.Partition(0)
-	cu := NewCU("CU", part, CUConfig{IssueWidth: 1, MaxResidentWGs: 4, PortBufferBytes: 8 * 1024})
-	stub := newMemStub(part, 120)
-	conn := sim.NewDirectConnection("conn", part, 1)
-	conn.Plug(cu.ToL1)
-	conn.Plug(stub.Top)
-	cu.SetL1(stub.Top)
-	retired := make([]sim.Time, wgs)
-	for i := range retired {
-		retired[i] = sim.TimeInf
-	}
-	cu.OnWGDone = func(wg int) { retired[wg] = engine.Now() }
-	k := &Kernel{Name: "oversub", NumWorkgroups: wgs, Program: oversubProgram{}}
-	for wg := 0; wg < wgs; wg++ {
-		cu.Assign(0, k, wg)
-	}
-	// A bounded run: a workgroup that never retires fails the check below
-	// instead of spinning forever.
-	if err := engine.RunUntil(100_000); err != nil {
-		t.Fatal(err)
-	}
-	want := []sim.Time{493, 496, 494, 495, 984, 985, 991, 994, 1477, 1476}
-	if !reflect.DeepEqual(retired, want) {
-		t.Errorf("retire cycles %v, want %v", retired, want)
-	}
-	if got, want := engine.EventCount(), uint64(1191); got != want {
-		t.Errorf("%d events handled, want %d", got, want)
-	}
-	if stub.reads != wgs*5 || stub.writes != wgs {
-		t.Errorf("%d reads and %d writes reached memory", stub.reads, stub.writes)
-	}
-	if err := cu.CheckQuiescent(); err != nil {
-		t.Error(err)
+	for _, c := range []struct {
+		name      string
+		fromTicks bool
+		retired   []sim.Time
+		events    uint64
+	}{
+		{"responses from records", false, []sim.Time{493, 496, 494, 495, 984, 985, 991, 994, 1477, 1476}, 1191},
+		{"responses from ticks", true, []sim.Time{490, 492, 492, 495, 982, 989, 986, 988, 1477, 1478}, 1330},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			engine := sim.NewEngine()
+			part := engine.Partition(0)
+			cu := NewCU("CU", part, CUConfig{IssueWidth: 1, MaxResidentWGs: 4, PortBufferBytes: 8 * 1024})
+			stub := newMemStub(part, 120)
+			if c.fromTicks {
+				stub.sendFromTick()
+			}
+			conn := sim.NewDirectConnection("conn", part, 1)
+			conn.Plug(cu.ToL1)
+			conn.Plug(stub.Top)
+			cu.SetL1(stub.Top)
+			checked := 0
+			if sim.Poison {
+				check := cu.ticker.Check
+				cu.ticker.Check = func(now sim.Time) {
+					checked++
+					check(now)
+				}
+			}
+			retired := make([]sim.Time, wgs)
+			for i := range retired {
+				retired[i] = sim.TimeInf
+			}
+			cu.OnWGDone = func(wg int) { retired[wg] = engine.Now() }
+			k := &Kernel{Name: "oversub", NumWorkgroups: wgs, Program: oversubProgram{}}
+			for wg := 0; wg < wgs; wg++ {
+				cu.Assign(0, k, wg)
+			}
+			// A bounded run: a workgroup that never retires fails the check
+			// below instead of spinning forever.
+			if err := engine.RunUntil(100_000); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(retired, c.retired) {
+				t.Errorf("retire cycles %v, want %v", retired, c.retired)
+			}
+			if got := engine.EventCount(); got != c.events {
+				t.Errorf("%d events handled, want %d", got, c.events)
+			}
+			if stub.reads != wgs*5 || stub.writes != wgs {
+				t.Errorf("%d reads and %d writes reached memory", stub.reads, stub.writes)
+			}
+			if err := cu.CheckQuiescent(); err != nil {
+				t.Error(err)
+			}
+			if sim.Poison && checked == 0 {
+				t.Error("no ghost tick ran the ticker's Check hook")
+			}
+		})
 	}
 }

@@ -7,7 +7,6 @@ package runner
 
 import (
 	"fmt"
-	"math"
 
 	"mgpucompress/internal/comp"
 	"mgpucompress/internal/core"
@@ -82,7 +81,7 @@ func (o Options) Validate() error {
 	if !o.Policy.Valid() {
 		return fmt.Errorf("invalid policy %v", o.Policy)
 	}
-	if err := validLambda(o.Lambda); err != nil {
+	if err := core.ValidateLambda(o.Lambda); err != nil {
 		return err
 	}
 	if o.CUsPerGPU < 0 {
@@ -117,25 +116,12 @@ func (o Options) Validate() error {
 		return fmt.Errorf("Adaptive config conflicts with policy %v", o.Policy)
 	}
 	if o.Adaptive != nil {
-		if err := validLambda(o.Adaptive.Lambda); err != nil {
+		if err := core.ValidateLambda(o.Adaptive.Lambda); err != nil {
 			return fmt.Errorf("Adaptive config: %w", err)
 		}
 	}
 	if err := o.Fault.Validate(); err != nil {
 		return fmt.Errorf("fault profile: %w", err)
-	}
-	return nil
-}
-
-// validLambda rejects a λ the controller cannot use: a negative one, and a
-// NaN or infinite one, which makes every candidate's penalty NaN (Inf×0
-// is NaN) so that no codec ever wins.
-func validLambda(l float64) error {
-	if math.IsNaN(l) || math.IsInf(l, 0) {
-		return fmt.Errorf("non-finite lambda %g", l)
-	}
-	if l < 0 {
-		return fmt.Errorf("negative lambda %g", l)
 	}
 	return nil
 }

@@ -32,9 +32,8 @@ func (c *ComponentBase) Name() string { return c.name }
 // each component runs at most once per cycle. Embed one per component and
 // call TickLater whenever there may be work to do.
 type Ticker struct {
-	Part    *Partition
-	Handler Handler
-	Freq    Time // cycles between ticks; 1 = every cycle
+	part    *Partition
+	handler Handler
 	// Check, when set, runs on every ghost tick (see TickQuiet) in poison
 	// builds: a read-only assertion that the tick the ghost stands for
 	// would indeed have been quiet.
@@ -54,13 +53,13 @@ type Ticker struct {
 
 // NewTicker creates a Ticker driving handler h on partition p.
 func NewTicker(p *Partition, h Handler) *Ticker {
-	return &Ticker{Part: p, Handler: h, Freq: 1}
+	return &Ticker{part: p, handler: h}
 }
 
 // TickLater schedules a tick for the next cycle if one is not already
 // pending.
 func (t *Ticker) TickLater(now Time) {
-	t.TickAt(now + t.Freq)
+	t.TickAt(now + 1)
 }
 
 // TickNow schedules a tick for the current cycle (used when reacting to a
@@ -83,7 +82,7 @@ func (t *Ticker) TickAt(when Time) {
 	// tickerTrampoline is a single-pointer struct, so converting it to
 	// Handler is a direct interface — together with the partition's reused
 	// Event this makes a tick request allocation-free.
-	t.Part.ScheduleTick(when, tickerTrampoline{t})
+	t.part.ScheduleTick(when, tickerTrampoline{t})
 }
 
 // TickQuiet is TickLater(now) plus a promise: every tick before until is
@@ -100,12 +99,11 @@ func (t *Ticker) TickAt(when Time) {
 // calling the handler, and the tick at until and later are ordinary
 // requests again. A touch first puts the pending request back on the queue
 // under its original key, so every run is the one TickLater would give.
-// It falls back to TickLater when Freq is not 1, when until is the next
-// cycle or earlier, when a request is already pending, or when now is not
-// the partition's time.
+// It falls back to TickLater when until is the next cycle or earlier, when
+// a request is already pending, or when now is not the partition's time.
 func (t *Ticker) TickQuiet(now, until Time) {
-	p := t.Part
-	if t.Freq != 1 || now+1 >= until || t.hasAsked || now != p.now {
+	p := t.part
+	if now+1 >= until || t.hasAsked || now != p.now {
 		t.TickLater(now)
 		return
 	}
@@ -120,8 +118,8 @@ func (t *Ticker) TickQuiet(now, until Time) {
 // under its original (time, seq) key; the request was counted when it was
 // made.
 func (t *Ticker) materialize() {
-	t.Part.removeGhost(t)
-	t.Part.queue.push(t.nextAsked, t.seq, record{h: tickerTrampoline{t}})
+	t.part.removeGhost(t)
+	t.part.queue.push(t.nextAsked, t.seq, record{h: tickerTrampoline{t}})
 }
 
 // tickerTrampoline filters stale tick events: only the event matching the
@@ -140,5 +138,5 @@ func (tt tickerTrampoline) Handle(e *Event) error {
 		t.materialize()
 	}
 	t.hasAsked = false
-	return t.Handler.Handle(e)
+	return t.handler.Handle(e)
 }

@@ -398,23 +398,20 @@ func randomQuietScenario(script []byte) func(t testing.TB, h *quietHarness) {
 }
 
 // TestQuietTickerFallsBack: TickQuiet is plain TickLater when the promise
-// covers no tick (until is the next cycle), when the ticker ticks less
-// often than every cycle, and when a request is already pending.
+// covers no tick (until is the next cycle) and when a request is already
+// pending.
 func TestQuietTickerFallsBack(t *testing.T) {
 	for _, c := range []struct {
 		name    string
-		freq    Time
 		until   Time
 		pending bool
 	}{
-		{"until next cycle", 1, 1, false},
-		{"freq 2", 2, 100, false},
-		{"request pending", 1, 100, true},
+		{"until next cycle", 1, false},
+		{"request pending", 100, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			p := NewEngine().Partition(0)
 			tk := NewTicker(p, handlerFunc(func(*Event) error { return nil }))
-			tk.Freq = c.freq
 			if c.pending {
 				tk.TickAt(5)
 			}
@@ -422,12 +419,8 @@ func TestQuietTickerFallsBack(t *testing.T) {
 			if p.ghosts != 0 || tk.ghost {
 				t.Fatal("TickQuiet made a ghost")
 			}
-			want := c.freq
-			if c.pending {
-				want = 1
-			}
-			if !tk.hasAsked || tk.nextAsked != want {
-				t.Fatalf("pending request at %d (asked %t), want %d", tk.nextAsked, tk.hasAsked, want)
+			if !tk.hasAsked || tk.nextAsked != 1 {
+				t.Fatalf("pending request at %d (asked %t), want 1", tk.nextAsked, tk.hasAsked)
 			}
 		})
 	}
