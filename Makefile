@@ -102,12 +102,16 @@ cover:
 # seconds of new exploration per target: enough to catch encoder/bitstream
 # regressions pre-merge without turning ci into a fuzzing campaign. The codec
 # invariant is the round trip: CompressedBits runs the encoder itself, so
-# FuzzCompressedBits only checks the size probe's plumbing. FuzzEventQueue
-# checks the event queue's pop order against a sort oracle, and
-# FuzzQuietTicker ghost tickers (Ticker.TickQuiet) against plain TickLater.
+# FuzzCompressedBits only checks the size probe's plumbing.
+# FuzzDecompressGarbage feeds every decoder the RDMA receive path dispatches
+# to arbitrary bitstreams, which must neither panic nor decode to a line of
+# the wrong size. FuzzEventQueue checks the event queue's pop order against a
+# sort oracle, and FuzzQuietTicker ghost tickers (Ticker.TickQuiet) against
+# plain TickLater.
 fuzz-smoke:
 	go test ./internal/comp -run='^$$' -fuzz='^FuzzCodecRoundTrip$$' -fuzztime=10s
 	go test ./internal/comp -run='^$$' -fuzz='^FuzzCompressedBits$$' -fuzztime=10s
+	go test ./internal/comp -run='^$$' -fuzz='^FuzzDecompressGarbage$$' -fuzztime=10s
 	go test ./internal/bitstream -run='^$$' -fuzz='^FuzzWriteBitsDifferential$$' -fuzztime=10s
 	go test ./internal/bitstream -run='^$$' -fuzz='^FuzzReadBitsDifferential$$' -fuzztime=10s
 	go test ./internal/sim -run='^$$' -fuzz='^FuzzEventQueue$$' -fuzztime=10s
@@ -115,8 +119,7 @@ fuzz-smoke:
 
 # Every per-package Go benchmark with allocation reporting. Performance
 # claims use the repository benchmark instead (bash bench/run.sh, see
-# bench/README.md); the committed BENCH_PR*.json files are historical
-# records.
+# bench/README.md).
 bench:
 	go test -run='^$$' -bench=. -benchmem ./...
 

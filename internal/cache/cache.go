@@ -81,7 +81,6 @@ func readRequest(r *mem.ReadReq) request { return request{r.Src, r.ID, r.Addr, r
 // it. Entries live from a miss to its fill inside one cache and are
 // recycled through the cache's free list.
 type mshrEntry struct {
-	lineAddr uint64
 	// waiters are the reads to answer, in arrival order. A new entry backs
 	// them with first, so a miss that never coalesces needs no slice.
 	waiters []request
@@ -107,10 +106,12 @@ type Cache struct {
 	// bank, DRAM channel, or the RDMA engine).
 	Router func(addr uint64) *sim.Port
 
-	sets     []set
-	numSets  int
-	mshr     map[uint64]*mshrEntry // keyed by bottom ReadReq ID
-	mshrLine map[uint64]*mshrEntry // keyed by line address
+	sets    []set
+	numSets int
+	// mshr holds the outstanding fetches keyed by line address: a miss
+	// coalesces with its line's entry, and a fill finds it by the Addr the
+	// level below echoes (fetches are line-aligned, one per line at a time).
+	mshr     map[uint64]*mshrEntry
 	freeMSHR []*mshrEntry
 	// writes tracks forwarded writes by bottom ID.
 	writes map[uint64]request
@@ -155,7 +156,6 @@ func New(name string, part *sim.Partition, space *mem.Space, cfg Config) *Cache 
 		numSets:       numSets,
 		sets:          make([]set, numSets),
 		mshr:          make(map[uint64]*mshrEntry),
-		mshrLine:      make(map[uint64]*mshrEntry),
 		writes:        make(map[uint64]request),
 		passthrough:   make(map[uint64]request),
 	}
@@ -321,7 +321,7 @@ func (c *Cache) handleRead(now sim.Time, req *mem.ReadReq) bool {
 		return true
 	}
 
-	if entry, ok := c.mshrLine[la]; ok {
+	if entry, ok := c.mshr[la]; ok {
 		// Coalesce with the outstanding fetch.
 		c.Coalesced++
 		entry.waiters = append(entry.waiters, readRequest(req))
@@ -329,7 +329,7 @@ func (c *Cache) handleRead(now sim.Time, req *mem.ReadReq) bool {
 		return true
 	}
 
-	if len(c.mshrLine) >= c.cfg.MaxMSHR {
+	if len(c.mshr) >= c.cfg.MaxMSHR {
 		return false // back-pressure
 	}
 	dst := c.Router(la)
@@ -340,10 +340,8 @@ func (c *Cache) handleRead(now sim.Time, req *mem.ReadReq) bool {
 	}
 	c.Misses++
 	entry := c.takeMSHR()
-	entry.lineAddr = la
 	entry.waiters = append(entry.waiters, readRequest(req))
-	c.mshr[fetch.ID] = entry
-	c.mshrLine[la] = entry
+	c.mshr[la] = entry
 	c.retire(now)
 	return true
 }
@@ -382,9 +380,9 @@ func (c *Cache) processBottom(now sim.Time) bool {
 			c.msgs.Release(c.Bottom.Retrieve(now))
 			return true
 		}
-		entry, ok := c.mshr[rsp.RspTo]
+		entry, ok := c.mshr[rsp.Addr]
 		if !ok {
-			panic(fmt.Sprintf("%s: fill for unknown request %d", c.Name(), rsp.RspTo))
+			panic(fmt.Sprintf("%s: fill for line %#x (response to request %d) matches no MSHR", c.Name(), rsp.Addr, rsp.RspTo))
 		}
 		// Answer the waiters in arrival order, one per call; the fill stays
 		// at the head of Bottom until all of them have a response.
@@ -401,9 +399,8 @@ func (c *Cache) processBottom(now sim.Time) bool {
 		if entry.served < len(entry.waiters) {
 			return true // stay on this fill next iteration
 		}
-		c.install(entry.lineAddr)
-		delete(c.mshr, rsp.RspTo)
-		delete(c.mshrLine, entry.lineAddr)
+		c.install(rsp.Addr)
+		delete(c.mshr, rsp.Addr)
 		c.releaseMSHR(entry)
 		c.msgs.Release(c.Bottom.Retrieve(now))
 		return true
@@ -448,9 +445,9 @@ func (c *Cache) releaseMSHR(e *mshrEntry) {
 // CheckQuiescent reports an error if the cache still tracks an outstanding
 // fetch, write or forwarded read.
 func (c *Cache) CheckQuiescent() error {
-	if n := len(c.mshr) + len(c.mshrLine) + len(c.writes) + len(c.passthrough); n != 0 {
-		return fmt.Errorf("%s: %d MSHRs (%d lines), %d writes and %d forwarded reads outstanding",
-			c.Name(), len(c.mshr), len(c.mshrLine), len(c.writes), len(c.passthrough))
+	if n := len(c.mshr) + len(c.writes) + len(c.passthrough); n != 0 {
+		return fmt.Errorf("%s: %d MSHRs, %d writes and %d forwarded reads outstanding",
+			c.Name(), len(c.mshr), len(c.writes), len(c.passthrough))
 	}
 	return nil
 }

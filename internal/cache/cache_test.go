@@ -2,7 +2,9 @@ package cache
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mgpucompress/internal/mem"
@@ -464,5 +466,23 @@ func TestCacheRejectedForwardReleasesIt(t *testing.T) {
 				t.Error(err)
 			}
 		})
+	}
+}
+
+// TestCacheFillWithoutMSHRPanics: a fill whose line has no MSHR (and that
+// answers no forwarded read) means the level below answered a fetch this
+// cache never made, so it panics and names the line.
+func TestCacheFillWithoutMSHRPanics(t *testing.T) {
+	b := newBench(t, L1Config())
+	fill := b.msgs.DataReady(b.dram.Top, b.cache.Bottom, 99, 0x1240, 64)
+	send(t, b.engine, b.dram.Top, fill)
+	defer func() {
+		r := recover()
+		if r == nil || !strings.Contains(fmt.Sprint(r), "line 0x1240") {
+			t.Errorf("fill with no MSHR: recovered %v, want a panic naming line 0x1240", r)
+		}
+	}()
+	if err := b.engine.Run(); err != nil {
+		t.Fatal(err)
 	}
 }

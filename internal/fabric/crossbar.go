@@ -125,7 +125,7 @@ func (c *Crossbar) schedule(now sim.Time) {
 		bytes := msg.Meta().Bytes
 		done := now + c.transmit(bytes)
 		ep.outBusy = done
-		c.byPort[msg.Meta().Dst].inBusy = done
+		c.endpointOf(msg.Meta().Dst).inBusy = done
 		c.part.Schedule(done, xbarDone{c}, msg, int(now))
 		c.outCredit(now, ep, bytes)
 	}

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -245,6 +246,22 @@ func TestBusUnpluggedPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Error("unplugged destination did not panic")
+		}
+	}()
+	nodes[0].port.Send(0, pkt(stranger.port, 20, 1))
+}
+
+// TestBusRejectsPortOfAnotherFabric: a port attached to a different fabric
+// instance is not attached to this one, so sending to it panics.
+func TestBusRejectsPortOfAnotherFabric(t *testing.T) {
+	engine, _, nodes := setup(t, 2, DefaultConfig(), true)
+	other := NewBus("other", engine.Partition(0), DefaultConfig())
+	stranger := newNode("z", 4*1024, true)
+	other.Attach(stranger.port, engine.Partition(0))
+	defer func() {
+		r := recover()
+		if r == nil || !strings.Contains(fmt.Sprint(r), "not attached") {
+			t.Errorf("send to another fabric's port: recovered %v, want a \"not attached\" panic", r)
 		}
 	}()
 	nodes[0].port.Send(0, pkt(stranger.port, 20, 1))

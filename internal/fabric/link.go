@@ -10,7 +10,7 @@ import (
 )
 
 // hub is the partition-resident half every topology shares: the endpoint
-// table, the credit bookkeeping, the round-robin injection pick, the
+// list, the credit bookkeeping, the round-robin injection pick, the
 // completion accounting and its metrics, and the fault-aware hand-off of
 // completed transfers back to the owning partitions. The concrete fabric
 // (Bus, Crossbar, SwitchFabric) embeds it and supplies only the arbitration
@@ -20,7 +20,9 @@ import (
 // All hub state is touched only from hub-partition event handlers (or from
 // Attach, before the simulation starts). Endpoint ports live in other
 // partitions and are reached exclusively through sim.Remote links, so the
-// fabric never reads another partition's mutable state mid-window.
+// fabric never reads another partition's mutable state mid-window; the one
+// thing it reads off a destination port, the connection Attach plugged into
+// it (see endpointOf), does not change while the simulation runs.
 type hub struct {
 	sim.ComponentBase
 	part *sim.Partition
@@ -28,7 +30,6 @@ type hub struct {
 	arb  arbiter // the concrete fabric
 
 	endpoints []*endpoint
-	byPort    map[*sim.Port]*endpoint
 
 	// pendingFaults counts fault-delayed deliveries scheduled but not yet
 	// fired. While any are outstanding the fabric must not raise next-send
@@ -107,7 +108,6 @@ func newHub(name string, part *sim.Partition, cfg Config) hub {
 		ComponentBase: sim.NewComponentBase(name),
 		part:          part,
 		cfg:           cfg,
-		byPort:        make(map[*sim.Port]*endpoint),
 	}
 }
 
@@ -133,8 +133,17 @@ func (h *hub) Attach(p *sim.Port, owner *sim.Partition) {
 	link.toHub = h.part.Engine().Link(owner, h.part, h.cfg.LinkLatency)
 	ep.link = link
 	h.endpoints = append(h.endpoints, ep)
-	h.byPort[p] = ep
 	p.SetConnection(link)
+}
+
+// endpointOf returns the endpoint port p is attached through. Attach plugs
+// the endpoint's link into the port, so the port's own connection leads to
+// it; a port attached to another fabric, or to none, panics.
+func (h *hub) endpointOf(p *sim.Port) *endpoint {
+	if l, ok := p.Connection().(*fabricLink); ok && l.hub == h {
+		return l.ep
+	}
+	panic(fmt.Sprintf("fabric %s: destination port %s not attached", h.Name(), p.Name()))
 }
 
 // reserve claims n bytes of the destination's input credit; it reports
@@ -172,7 +181,7 @@ func (h *hub) pick(now sim.Time, eps []*endpoint, rr *int) (*endpoint, sim.Msg) 
 			continue
 		}
 		msg := ep.queue.Peek()
-		dst := h.byPort[msg.Meta().Dst]
+		dst := h.endpointOf(msg.Meta().Dst)
 		if dst.inBusy > now || !dst.reserve(msg.Meta().Bytes) {
 			continue // head-of-line blocked; try another endpoint
 		}
@@ -205,7 +214,7 @@ func (h *hub) deliver(now, start sim.Time, msg sim.Msg) {
 	if inj := h.cfg.Fault; inj != nil {
 		out := inj.Apply(msg)
 		if out.Msg == nil {
-			h.byPort[meta.Dst].refund(meta.Bytes)
+			h.endpointOf(meta.Dst).refund(meta.Bytes)
 			return // dropped; the RDMA guard's timeout recovers
 		}
 		if out.Delay > 0 {
@@ -221,7 +230,7 @@ func (h *hub) deliver(now, start sim.Time, msg sim.Msg) {
 // handOff ships a message across the egress wire to the destination's
 // owner partition, where the link delivers it into the port buffer.
 func (h *hub) handOff(now sim.Time, msg sim.Msg) {
-	ep := h.byPort[msg.Meta().Dst]
+	ep := h.endpointOf(msg.Meta().Dst)
 	ep.toOwner.Schedule(now+h.cfg.LinkLatency, linkDeliver{ep.link}, msg, 0)
 }
 
@@ -336,7 +345,7 @@ func (h *hub) CheckQuiescent() error {
 // implements sim.Connection for exactly one port: sends cross to the hub
 // over a Remote, deliveries and credits come back the same way. Its only
 // references into the hub are the immutable configuration and the
-// Attach-time port table.
+// endpoint lookup, which reads nothing but the destination port's link.
 type fabricLink struct {
 	hub   *hub
 	part  *sim.Partition
@@ -372,9 +381,7 @@ func (l *fabricLink) Send(now sim.Time, m sim.Msg) bool {
 	if meta.Dst == nil {
 		panic(fmt.Sprintf("fabric %s: message %d has no destination", l.hub.Name(), meta.ID))
 	}
-	if _, ok := l.hub.byPort[meta.Dst]; !ok {
-		panic(fmt.Sprintf("fabric %s: destination port %s not attached", l.hub.Name(), meta.Dst.Name()))
-	}
+	l.hub.endpointOf(meta.Dst) // panics unless the destination is attached here
 	n := meta.Bytes
 	if n <= 0 {
 		panic(fmt.Sprintf("fabric %s: message %d has no size", l.hub.Name(), meta.ID))

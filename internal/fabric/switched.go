@@ -47,19 +47,18 @@ type SwitchFabric struct {
 	hostSw   int
 	sws      []*swNode
 	links    []*swLink
-	next     [][]int // next[s][d] = next switch on the route from s to d
-	swOf     []int   // GPU node -> switch
-	parent   []int   // tree only: switch -> parent switch (-1 at the root)
+	route    [][]*swLink // route[s][d] = link out of s toward d (nil when s == d)
+	swOf     []int       // GPU node -> switch
+	parent   []int       // tree only: switch -> parent switch (-1 at the root)
 
 	hopCount     uint64 // inter-switch transmissions
 	bytesByClass [energy.Node + 1]uint64
 }
 
-// swNode is one switch: its attached endpoints (injection arbitration state)
-// and its outgoing links keyed by neighbor switch.
+// swNode is one switch: its attached endpoints (injection arbitration
+// state). Its outgoing links are reached through SwitchFabric.route.
 type swNode struct {
 	id     int
-	out    map[int]*swLink
 	eps    []*endpoint
 	nextRR int
 }
@@ -136,7 +135,7 @@ func (s *SwitchFabric) build() {
 	total := count + 1
 	s.sws = make([]*swNode, total)
 	for i := range s.sws {
-		s.sws[i] = &swNode{id: i, out: make(map[int]*swLink)}
+		s.sws[i] = &swNode{id: i}
 	}
 
 	switch s.topo {
@@ -178,11 +177,15 @@ func (s *SwitchFabric) build() {
 	// The host switch hangs off the anchor over a board-class link.
 	s.connect(s.hostSw, s.anchor, energy.Board)
 
-	s.next = make([][]int, total)
-	for a := 0; a < total; a++ {
-		s.next[a] = make([]int, total)
+	s.route = make([][]*swLink, total)
+	for a := range s.route {
+		s.route[a] = make([]*swLink, total)
+	}
+	for _, l := range s.links {
 		for d := 0; d < total; d++ {
-			s.next[a][d] = s.hop(a, d)
+			if s.hop(l.from, d) == l.to {
+				s.route[l.from][d] = l
+			}
 		}
 	}
 }
@@ -191,8 +194,6 @@ func (s *SwitchFabric) build() {
 func (s *SwitchFabric) connect(a, b int, class energy.LinkClass) {
 	ab := &swLink{idx: len(s.links), from: a, to: b, class: class}
 	ba := &swLink{idx: len(s.links) + 1, from: b, to: a, class: class}
-	s.sws[a].out[b] = ab
-	s.sws[b].out[a] = ba
 	s.links = append(s.links, ab, ba)
 }
 
@@ -249,7 +250,7 @@ func (s *SwitchFabric) hop(a, d int) int {
 // the endpoint's dedicated credit link and binds the endpoint to its switch.
 func (s *SwitchFabric) Attach(p *sim.Port, owner *sim.Partition) {
 	s.hub.Attach(p, owner)
-	ep := s.byPort[p]
+	ep := s.endpointOf(p)
 	ep.creditOut = s.part.Engine().Link(s.part, owner, s.cfg.LinkLatency)
 	node := owner.Index()
 	if owner == s.part || node >= s.gpuNodes {
@@ -301,13 +302,13 @@ func (s *SwitchFabric) inject(now sim.Time, sw *swNode) {
 // forward moves a message one step: onto the next inter-switch link toward
 // its destination switch, or onto the destination endpoint's egress wire.
 func (s *SwitchFabric) forward(now sim.Time, at int, msg sim.Msg) {
-	dst := s.byPort[msg.Meta().Dst]
+	dst := s.endpointOf(msg.Meta().Dst)
 	if dst.sw == at {
 		dst.egrQueue.Push(msg)
 		s.pumpEgress(now, dst)
 		return
 	}
-	l := s.sws[at].out[s.next[at][dst.sw]]
+	l := s.route[at][dst.sw]
 	l.queue.Push(msg)
 	s.pumpLink(now, l)
 }
@@ -364,7 +365,7 @@ type egressDone struct{ s *SwitchFabric }
 
 func (r egressDone) Handle(e *sim.Event) error {
 	s, msg, now := r.s, e.Msg(), e.Time()
-	ep := s.byPort[msg.Meta().Dst]
+	ep := s.endpointOf(msg.Meta().Dst)
 	s.deliver(now, sim.Time(e.Arg()), msg)
 	ep.egrInFlight = false
 	s.pumpEgress(now, ep)
@@ -377,7 +378,7 @@ func (s *SwitchFabric) Hops(a, b int) int {
 	from, to := s.swOf[a], s.swOf[b]
 	h := 0
 	for from != to {
-		from = s.next[from][to]
+		from = s.route[from][to].to
 		h++
 	}
 	return h

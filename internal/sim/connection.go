@@ -33,12 +33,7 @@ func (d directDeliverer) Handle(e *Event) error {
 	dst := m.Meta().Dst
 	if !dst.CanAccept(m.Meta().Bytes) {
 		// Destination full: park the message; resume on NotifyBufferFree.
-		q := d.c.parked[dst]
-		if q == nil {
-			q = new(FIFO[Msg])
-			d.c.parked[dst] = q
-		}
-		q.Push(m)
+		dst.parked.Push(m)
 		return nil
 	}
 	dst.Deliver(e.Time(), m)
@@ -52,27 +47,17 @@ type DirectConnection struct {
 	name    string
 	part    *Partition
 	latency Time
-	ports   map[*Port]bool
-	parked  map[*Port]*FIFO[Msg] // created on a port's first park, then reused
 }
 
 // NewDirectConnection creates a direct connection on partition p with the
 // given one-way latency in cycles, fixed for the connection's lifetime.
 func NewDirectConnection(name string, p *Partition, latency Time) *DirectConnection {
-	return &DirectConnection{
-		name:    name,
-		part:    p,
-		latency: latency,
-		ports:   make(map[*Port]bool),
-		parked:  make(map[*Port]*FIFO[Msg]),
-	}
+	return &DirectConnection{name: name, part: p, latency: latency}
 }
 
-// Plug attaches a port.
-func (c *DirectConnection) Plug(p *Port) {
-	c.ports[p] = true
-	p.SetConnection(c)
-}
+// Plug attaches a port. The port's connection field is the one record of
+// the attachment: re-plugging it elsewhere detaches it from c.
+func (c *DirectConnection) Plug(p *Port) { p.SetConnection(c) }
 
 // Partition returns the partition this connection schedules on.
 func (c *DirectConnection) Partition() *Partition { return c.part }
@@ -94,7 +79,7 @@ func (c *DirectConnection) Send(now Time, m Msg) bool {
 	if dst == nil {
 		panic(fmt.Sprintf("sim: %s: message %d has no destination", c.name, m.Meta().ID))
 	}
-	if !c.ports[dst] {
+	if dst.conn != c {
 		panic(fmt.Sprintf("sim: %s: destination port %s is not plugged in", c.name, dst.Name()))
 	}
 	m.Meta().SendTime = now
@@ -102,14 +87,11 @@ func (c *DirectConnection) Send(now Time, m Msg) bool {
 	return true
 }
 
-// NotifyBufferFree drains parked messages for the port in FIFO order. The
+// NotifyBufferFree drains the port's parked messages in FIFO order. The
 // queue's length and head are re-read every iteration because Deliver can
 // re-enter this method via the receiving component.
 func (c *DirectConnection) NotifyBufferFree(now Time, port *Port) {
-	q := c.parked[port]
-	if q == nil {
-		return
-	}
+	q := &port.parked
 	for q.Len() > 0 {
 		m := q.Peek()
 		if !port.CanAccept(m.Meta().Bytes) {

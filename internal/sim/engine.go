@@ -53,6 +53,16 @@
 // so every run is the one plain TickLater re-arms would give. Head times
 // and pending counts include the ring, so window limits cannot tell the
 // difference either.
+//
+// # Ports and connections
+//
+// A port holds the one connection plugged into it, and that field is the
+// only record of the attachment: a DirectConnection keeps no port set and
+// refuses a send to a destination plugged in elsewhere, and the fabric finds
+// a destination's endpoint through the port's link. Messages a
+// DirectConnection cannot deliver because the destination buffer is full
+// wait on the destination port, which resumes them in order as Retrieve
+// frees space.
 package sim
 
 import (
@@ -376,7 +386,7 @@ func WithLookahead(t Time) Option {
 	if t == 0 {
 		panic("sim: WithLookahead needs a nonzero window")
 	}
-	return func(e *Engine) { e.explicitLA = t }
+	return func(e *Engine) { e.fixedLA = t }
 }
 
 // Engine drives the simulation: it owns the partitions, the cross-partition
@@ -384,16 +394,15 @@ func WithLookahead(t Time) Option {
 // on the Engine itself. Run/RunUntil must be called from host code (outside
 // event handlers), one call at a time.
 type Engine struct {
-	parts   []*Partition
-	remotes []*Remote
+	parts []*Partition
 
-	npart      int
-	explicitLA Time
-	maxTime    Time
-	running    bool
+	npart   int
+	maxTime Time
+	running bool
 
-	// Window-scheduling inputs, rebuilt by prepare at the start of each Run
-	// from the link graph (host code may add links between runs).
+	// Window-scheduling inputs. Link appends to cross; prepare rebuilds dist
+	// from it at the start of each Run (host code may add links between runs)
+	// and checks fixedLA against the cheapest link.
 	fixedLA Time        // nonzero: fixed window width (WithLookahead)
 	cross   []crossLink // cross-partition links only (src != dst)
 	dist    [][]Time    // all-pairs min cross-partition path latency (closure)
@@ -446,7 +455,9 @@ func (e *Engine) Link(src, dst *Partition, minLatency Time) *Remote {
 		panic("sim: cross-partition link needs a nonzero minimum latency")
 	}
 	r := &Remote{src: src, dst: dst, latency: minLatency}
-	e.remotes = append(e.remotes, r)
+	if src != dst {
+		e.cross = append(e.cross, crossLink{src: src.idx, dst: dst.idx, latency: minLatency, r: r})
+	}
 	return r
 }
 
@@ -485,11 +496,11 @@ func (e *Engine) Pending() int {
 // Events at exactly the deadline still run.
 func (e *Engine) SetMaxTime(t Time) { e.maxTime = t }
 
-// prepare rebuilds the window scheduler's link-graph summaries: the list of
-// cross-partition links (cross) and the all-pairs shortest-path closure over
-// them (dist), both with saturating arithmetic. dist bounds how soon any
-// causal chain starting at one partition can reach another, which is what
-// lets a lone partition run far ahead of the fixed window. K is small (GPU
+// prepare rebuilds the window scheduler's link-graph summary: the all-pairs
+// shortest-path closure over the cross-partition links (dist), with
+// saturating arithmetic. dist bounds how soon any causal chain starting at
+// one partition can reach another, which is what lets a lone partition run
+// far ahead of the fixed window. K is small (GPU
 // count plus one), so the Floyd–Warshall closure is negligible next to a
 // single window's work.
 func (e *Engine) prepare() {
@@ -510,20 +521,12 @@ func (e *Engine) prepare() {
 	if len(e.heads) != k {
 		e.heads = make([]Time, k)
 	}
-	if cap(e.cross) < len(e.remotes) {
-		e.cross = make([]crossLink, 0, len(e.remotes))
-	}
-	e.cross = e.cross[:0]
-	for _, r := range e.remotes {
-		if r.src == r.dst {
-			continue
+	for _, l := range e.cross {
+		if l.latency < derived {
+			derived = l.latency
 		}
-		e.cross = append(e.cross, crossLink{src: r.src.idx, dst: r.dst.idx, latency: r.latency, r: r})
-		if r.latency < derived {
-			derived = r.latency
-		}
-		if r.latency < e.dist[r.src.idx][r.dst.idx] {
-			e.dist[r.src.idx][r.dst.idx] = r.latency
+		if l.latency < e.dist[l.src][l.dst] {
+			e.dist[l.src][l.dst] = l.latency
 		}
 	}
 	for m := 0; m < k; m++ {
@@ -538,12 +541,8 @@ func (e *Engine) prepare() {
 			}
 		}
 	}
-	e.fixedLA = 0
-	if e.explicitLA != 0 {
-		if e.explicitLA > derived {
-			panic(fmt.Sprintf("sim: explicit lookahead %d exceeds minimum link latency %d", e.explicitLA, derived))
-		}
-		e.fixedLA = e.explicitLA
+	if e.fixedLA > derived {
+		panic(fmt.Sprintf("sim: explicit lookahead %d exceeds minimum link latency %d", e.fixedLA, derived))
 	}
 }
 

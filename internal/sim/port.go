@@ -13,6 +13,7 @@ type Port struct {
 	capBytes  int
 	usedBytes int
 	buf       FIFO[Msg]
+	parked    FIFO[Msg] // DirectConnection deliveries waiting for buf space
 }
 
 // NewPort creates a port owned by comp with an incoming buffer of capBytes.

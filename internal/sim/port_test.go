@@ -168,6 +168,26 @@ func TestDirectConnectionUnpluggedDestinationPanics(t *testing.T) {
 	srcPort.Send(0, &testMsg{MsgMeta: MsgMeta{Dst: dstPort, Bytes: 1}})
 }
 
+// TestDirectConnectionSendToRepluggedPortPanics: a port plugged into a second
+// connection has left the first, so sending to it over the first panics.
+func TestDirectConnectionSendToRepluggedPortPanics(t *testing.T) {
+	e := NewEngine()
+	src := newStubComponent("src")
+	dst := newStubComponent("dst")
+	srcPort := NewPort(src, "src.out", 0)
+	dstPort := NewPort(dst, "dst.in", 0)
+	first := NewDirectConnection("first", e.Partition(0), 1)
+	first.Plug(srcPort)
+	first.Plug(dstPort)
+	NewDirectConnection("second", e.Partition(0), 1).Plug(dstPort)
+	defer func() {
+		if recover() == nil {
+			t.Error("send to a port re-plugged into another connection did not panic")
+		}
+	}()
+	srcPort.Send(0, &testMsg{MsgMeta: MsgMeta{Dst: dstPort, Bytes: 1}})
+}
+
 // eagerSink records payloads in arrival order (its port holds one message,
 // so the head is the arrival); once drain is set it retrieves each arrival
 // from inside NotifyRecv, re-entering the connection's NotifyBufferFree from
@@ -206,8 +226,8 @@ func TestDirectConnectionReentrantResumeKeepsFIFO(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if dstPort.Buffered() != 1 || conn.parked[dstPort].Len() != n-1 {
-		t.Fatalf("buffered %d, parked %d; want 1 and %d", dstPort.Buffered(), conn.parked[dstPort].Len(), n-1)
+	if dstPort.Buffered() != 1 || dstPort.parked.Len() != n-1 {
+		t.Fatalf("buffered %d, parked %d; want 1 and %d", dstPort.Buffered(), dstPort.parked.Len(), n-1)
 	}
 	dst.drain = true
 	dstPort.Retrieve(e.Now())
@@ -219,7 +239,7 @@ func TestDirectConnectionReentrantResumeKeepsFIFO(t *testing.T) {
 			t.Fatalf("received %v, want send order", dst.got)
 		}
 	}
-	if conn.parked[dstPort].Len() != 0 || dstPort.Buffered() != 0 {
+	if dstPort.parked.Len() != 0 || dstPort.Buffered() != 0 {
 		t.Fatal("messages left behind after the re-entrant drain")
 	}
 }
