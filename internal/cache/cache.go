@@ -22,7 +22,6 @@ import (
 type Config struct {
 	SizeBytes  int
 	Ways       int
-	LineSize   int
 	HitLatency sim.Time
 	// IssueWidth is the number of requests the cache can start per cycle.
 	IssueWidth int
@@ -41,7 +40,6 @@ func L1Config() Config {
 	return Config{
 		SizeBytes:       16 * 1024,
 		Ways:            4,
-		LineSize:        mem.LineSize,
 		HitLatency:      1,
 		IssueWidth:      4,
 		MaxMSHR:         16,
@@ -54,7 +52,6 @@ func L2Config() Config {
 	return Config{
 		SizeBytes:       256 * 1024,
 		Ways:            16,
-		LineSize:        mem.LineSize,
 		HitLatency:      20,
 		IssueWidth:      4,
 		MaxMSHR:         32,
@@ -137,15 +134,12 @@ func (c *Cache) RegisterMetrics(reg *metrics.Registry, prefix string) {
 
 // New builds a cache bound to the functional space.
 func New(name string, part *sim.Partition, space *mem.Space, cfg Config) *Cache {
-	if cfg.LineSize == 0 {
-		cfg.LineSize = mem.LineSize
-	}
 	if cfg.IssueWidth <= 0 {
 		cfg.IssueWidth = 4
 	}
-	numSets := cfg.SizeBytes / cfg.Ways / cfg.LineSize
+	numSets := cfg.SizeBytes / cfg.Ways / mem.LineSize
 	if numSets <= 0 {
-		panic(fmt.Sprintf("cache %s: bad geometry %d/%d/%d", name, cfg.SizeBytes, cfg.Ways, cfg.LineSize))
+		panic(fmt.Sprintf("cache %s: bad geometry %d/%d/%d", name, cfg.SizeBytes, cfg.Ways, mem.LineSize))
 	}
 	c := &Cache{
 		ComponentBase: sim.NewComponentBase(name),
@@ -165,10 +159,10 @@ func New(name string, part *sim.Partition, space *mem.Space, cfg Config) *Cache 
 	return c
 }
 
-func (c *Cache) lineAddr(addr uint64) uint64 { return addr &^ uint64(c.cfg.LineSize-1) }
+func (c *Cache) lineAddr(addr uint64) uint64 { return addr &^ (mem.LineSize - 1) }
 
 func (c *Cache) setOf(lineAddr uint64) *set {
-	return &c.sets[(lineAddr/uint64(c.cfg.LineSize))%uint64(c.numSets)]
+	return &c.sets[(lineAddr/mem.LineSize)%uint64(c.numSets)]
 }
 
 // lookup reports whether the line is present and refreshes LRU order.
@@ -333,7 +327,7 @@ func (c *Cache) handleRead(now sim.Time, req *mem.ReadReq) bool {
 		return false // back-pressure
 	}
 	dst := c.Router(la)
-	fetch := c.msgs.ReadReq(c.Bottom, dst, la, c.cfg.LineSize)
+	fetch := c.msgs.ReadReq(c.Bottom, dst, la, mem.LineSize)
 	c.part.AssignMsgID(fetch)
 	if !c.send(now, c.Bottom, fetch) {
 		return false

@@ -3,6 +3,7 @@ package gpu
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mgpucompress/internal/mem"
@@ -22,6 +23,9 @@ type memStub struct {
 	Top     *sim.Port
 	reads   int
 	writes  int
+	// drop, when positive, is the number of the read (counting from 1)
+	// whose response the stub loses.
+	drop int
 
 	// ticker, when set, sends responses from a tick the way a cache does:
 	// a response due at t is queued in out and sent by a tick requested
@@ -82,6 +86,10 @@ func (s *memStub) NotifyRecv(now sim.Time, p *sim.Port) {
 		switch req := m.(type) {
 		case *mem.ReadReq:
 			s.reads++
+			if s.reads == s.drop {
+				s.msgs.Release(m)
+				continue
+			}
 			d := s.msgs.DataReady(s.Top, req.Src, req.ID, req.Addr, req.N)
 			s.space.ReadInto(req.Addr, d.Data)
 			rsp = d
@@ -481,5 +489,32 @@ func TestCUOversubscribedRetireCycles(t *testing.T) {
 				t.Error("no ghost tick ran the ticker's Check hook")
 			}
 		})
+	}
+}
+
+// TestCULostResponseStallsRun: an oversubscribed CU whose resident
+// workgroup waits on a response the memory lost promises quiet ticks
+// forever while another workgroup queues. A run without a deadline must
+// fail with a stall rather than spin.
+func TestCULostResponseStallsRun(t *testing.T) {
+	engine := sim.NewEngine()
+	part := engine.Partition(0)
+	cu := NewCU("CU", part, CUConfig{IssueWidth: 1, MaxResidentWGs: 1, PortBufferBytes: 8 * 1024})
+	stub := newMemStub(part, 120)
+	stub.drop = 1
+	conn := sim.NewDirectConnection("conn", part, 1)
+	conn.Plug(cu.ToL1)
+	conn.Plug(stub.Top)
+	cu.SetL1(stub.Top)
+	k := &Kernel{Name: "oversub", NumWorkgroups: 2, Program: oversubProgram{}}
+	for wg := 0; wg < 2; wg++ {
+		cu.Assign(0, k, wg)
+	}
+	err := engine.Run()
+	if err == nil || !strings.Contains(err.Error(), "stalled") || !strings.Contains(err.Error(), "1 tickers") {
+		t.Fatalf("run with a lost response returned %v, want a stall of 1 ticker", err)
+	}
+	if cu.CheckQuiescent() == nil {
+		t.Error("the CU does not report the lost read")
 	}
 }

@@ -12,21 +12,19 @@ import (
 // 16 B/cycle/channel, i.e. a 64 B line every 4 cycles, with ~120 cycles of
 // access latency.
 type DRAMConfig struct {
-	AccessLatency    sim.Time // cycles from dequeue to data
-	CyclesPerLine    sim.Time // minimum spacing between line services
-	MaxPendingWrites int      // writes buffered before back-pressure
-	MaxPendingReads  int
-	PortBufferBytes  int
+	AccessLatency   sim.Time // cycles from dequeue to data
+	CyclesPerLine   sim.Time // minimum spacing between line services
+	MaxInflight     int      // requests in service before back-pressure
+	PortBufferBytes int
 }
 
 // DefaultDRAMConfig returns the R9 Nano-like defaults.
 func DefaultDRAMConfig() DRAMConfig {
 	return DRAMConfig{
-		AccessLatency:    120,
-		CyclesPerLine:    4,
-		MaxPendingWrites: 64,
-		MaxPendingReads:  64,
-		PortBufferBytes:  16 * 1024,
+		AccessLatency:   120,
+		CyclesPerLine:   4,
+		MaxInflight:     64,
+		PortBufferBytes: 16 * 1024,
 	}
 }
 
@@ -102,16 +100,12 @@ func (d *DRAM) tick(now sim.Time) {
 			return
 		}
 		switch msg.(type) {
-		case *ReadReq:
-			if d.inflight >= d.cfg.MaxPendingReads {
-				return
-			}
-		case *WriteReq:
-			if d.inflight >= d.cfg.MaxPendingWrites {
-				return
-			}
+		case *ReadReq, *WriteReq:
 		default:
 			panic(fmt.Sprintf("%s: unexpected message %T", d.Name(), msg))
+		}
+		if d.inflight >= d.cfg.MaxInflight {
+			return
 		}
 		d.Top.Retrieve(now)
 		d.inflight++

@@ -139,7 +139,7 @@ func TestDRAMInflightLimitBackpressure(t *testing.T) {
 	cfg := DefaultDRAMConfig()
 	cfg.AccessLatency = 100
 	cfg.CyclesPerLine = 1
-	cfg.MaxPendingReads = 2
+	cfg.MaxInflight = 2
 	engine, _, dram, req := buildDRAMTestbench(t, cfg)
 
 	for i := 0; i < 6; i++ {

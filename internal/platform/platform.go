@@ -79,7 +79,6 @@ func RemoteCacheConfig() cache.Config {
 	return cache.Config{
 		SizeBytes:       128 * 1024,
 		Ways:            8,
-		LineSize:        mem.LineSize,
 		HitLatency:      8,
 		IssueWidth:      4,
 		MaxMSHR:         32,

@@ -323,6 +323,46 @@ func TestStaleResponsesDroppedOnlyWithGuard(t *testing.T) {
 	}
 }
 
+// TestResponseOfWrongKindIsError: a WriteACK that names a pending read and
+// a DataReady that names a pending write are errors, with the guard on or
+// off, and leave the request pending.
+func TestResponseOfWrongKindIsError(t *testing.T) {
+	for _, guard := range []bool{false, true} {
+		b := newWireBench(core.NewStatic(comp.BDI), guard)
+		b.read(t, comp.LineSize)
+		b.write(t, compressibleLine())
+		var readID, writeID uint64
+		for id, r := range b.e.pending {
+			if _, ok := r.wire.(*ReadReq); ok {
+				readID = id
+			} else {
+				writeID = id
+			}
+		}
+		if readID == 0 || writeID == 0 {
+			t.Fatalf("guard %t: pending %v, want one read and one write", guard, b.e.pending)
+		}
+		if err := b.e.handleWire(0, &WriteACK{RspTo: readID}); err == nil {
+			t.Errorf("guard %t: WriteACK for a pending read accepted", guard)
+		}
+		dr := &DataReady{RspTo: writeID, Payload: Payload{Alg: comp.None, RawLen: comp.LineSize,
+			Enc: comp.Encoded{Bits: comp.LineBits, Data: compressibleLine()}}}
+		dr.Payload.CRC = PayloadCRC(dr.Payload)
+		if err := b.e.handleWire(0, dr); err == nil {
+			t.Errorf("guard %t: DataReady for a pending write accepted", guard)
+		}
+		if _, ok := b.e.pending[readID]; !ok {
+			t.Errorf("guard %t: the read left the pending table", guard)
+		}
+		if _, ok := b.e.pending[writeID]; !ok {
+			t.Errorf("guard %t: the write left the pending table", guard)
+		}
+		if b.e.StaleDrops != 0 {
+			t.Errorf("guard %t: %d responses dropped as stale", guard, b.e.StaleDrops)
+		}
+	}
+}
+
 // integrityPolicy records the integrity signal an engine feeds its policy.
 type integrityPolicy struct {
 	core.Uncompressed

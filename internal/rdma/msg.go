@@ -28,56 +28,36 @@ type ReadReq struct {
 func (m *ReadReq) Meta() *sim.MsgMeta { return &m.MsgMeta }
 
 // Payload is a possibly-compressed line carried by DataReady and WriteReq
-// messages.
+// messages. Enc.Data always holds the bytes that travel on the fabric: the
+// encoded bitstream, or, when Alg is comp.None, a raw copy of the line.
 type Payload struct {
-	// Alg is the Comp Alg field: comp.None means Raw holds the bytes and
-	// the receiver bypasses the decompressor.
+	// Alg is the Comp Alg field: comp.None means the receiver bypasses the
+	// decompressor and copies Enc.Data.
 	Alg comp.Algorithm
-	// Enc is the compressed encoding (valid when Alg != comp.None).
+	// Enc is the encoding that ships; its size is the payload's wire size.
 	Enc comp.Encoded
-	// Raw holds the uncompressed bytes (valid when Alg == comp.None).
-	Raw []byte
 	// RawLen is the original payload length in bytes.
 	RawLen int
-	// CRC is the CRC32C of the wire data, computed by the sender when the
+	// CRC is the CRC32C of Enc.Data, computed by the sender when the
 	// reliability guard is enabled (0 otherwise). It models the 4-byte
 	// trailer; receivers recompute and compare before accepting.
 	CRC uint32
 }
 
 // WireBytes is the payload's size on the fabric.
-func (p Payload) WireBytes() int {
-	if p.Alg == comp.None {
-		return len(p.Raw)
-	}
-	return p.Enc.WireBytes()
-}
-
-// wireData returns the bytes that travel on the fabric: the encoded
-// bitstream for compressed payloads, the raw line otherwise.
-func (p Payload) wireData() []byte {
-	if p.Alg == comp.None {
-		return p.Raw
-	}
-	return p.Enc.Data
-}
+func (p Payload) WireBytes() int { return p.Enc.WireBytes() }
 
 // corrupt flips one wire-data bit chosen by pick, replacing the payload's
 // data with a modified clone so the sender's retransmission copy stays
 // intact. It reports false when there is no data to corrupt.
 func (p *Payload) corrupt(pick uint64) bool {
-	data := p.wireData()
-	if len(data) == 0 {
+	if len(p.Enc.Data) == 0 {
 		return false
 	}
-	clone := append([]byte(nil), data...)
+	clone := append([]byte(nil), p.Enc.Data...)
 	bit := pick % uint64(len(clone)*8)
 	clone[bit/8] ^= 1 << (bit % 8)
-	if p.Alg == comp.None {
-		p.Raw = clone
-	} else {
-		p.Enc.Data = clone
-	}
+	p.Enc.Data = clone
 	return true
 }
 

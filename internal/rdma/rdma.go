@@ -90,17 +90,15 @@ type Engine struct {
 	// upstream of it and is drained strictly in order.
 	outQueue sim.FIFO[sim.Msg]
 
-	// decoding parks the pending reads whose responses are decompressing;
+	// pending tracks this engine's remote requests by wire request ID, by
+	// value: a remote request costs one allocation, its wire message.
+	pending map[uint64]request
+	// decoding parks the answered reads whose responses are decompressing;
 	// the decompression record carries the slot.
-	decoding sim.Slab[pendingRead]
-
-	// request tracking, by value: a remote request costs one allocation,
-	// its wire message
-	pendingReads  map[uint64]pendingRead  // wire ReadReq ID -> original local request
-	pendingWrites map[uint64]pendingWrite // wire WriteReq ID -> original
-	// incoming remote requests forwarded into local L2
-	serviceReads  map[uint64]*ReadReq  // local L2 ReadReq ID -> wire request
-	serviceWrites map[uint64]*WriteReq // local L2 WriteReq ID -> wire request
+	decoding sim.Slab[request]
+	// serving maps the local L2 request ID of each incoming remote request
+	// forwarded into the L2 to where its answer goes.
+	serving map[uint64]served
 
 	// Stats
 	ReadsSent    uint64
@@ -139,17 +137,21 @@ type origin struct {
 	addr uint64
 }
 
-type pendingRead struct {
+// request is a remote request in flight: the local request it answers,
+// when it left, how many times it has been sent, and its wire message, whose
+// type (*ReadReq or *WriteReq) is the request's kind.
+type request struct {
 	req      origin
 	issued   sim.Time
-	wire     *ReadReq
 	attempts int
+	wire     sim.Msg
 }
 
-type pendingWrite struct {
-	req      origin
-	wire     *WriteReq
-	attempts int
+// served is where the answer to an incoming remote request goes: the
+// requester's fabric port and its wire request ID.
+type served struct {
+	dst *sim.Port
+	id  uint64
 }
 
 // RegisterMetrics exposes the engine's counters under prefix (e.g.
@@ -196,10 +198,8 @@ func New(name string, part *sim.Partition, gpu int, policy core.Policy, rec Reco
 		GPU:           gpu,
 		Policy:        policy,
 		Rec:           rec,
-		pendingReads:  make(map[uint64]pendingRead),
-		pendingWrites: make(map[uint64]pendingWrite),
-		serviceReads:  make(map[uint64]*ReadReq),
-		serviceWrites: make(map[uint64]*WriteReq),
+		pending:       make(map[uint64]request),
+		serving:       make(map[uint64]served),
 	}
 	e.ToL1 = sim.NewPort(e, name+".ToL1", 8*1024)
 	e.ToFabric = sim.NewPort(e, name+".ToFabric", 4*1024) // paper: 4 KB input buffer
@@ -295,46 +295,49 @@ func (e *Engine) drainOutQueue(now sim.Time) {
 	}
 }
 
-// handleLocal processes a request from this GPU's L1s destined for a remote
-// GPU, and releases it.
+// handleLocal turns a request from this GPU's L1s, destined for a remote
+// GPU, into its wire request, and releases it.
 func (e *Engine) handleLocal(now sim.Time, msg sim.Msg) error {
+	var wire sim.Msg
+	var addr uint64
+	cycles := 0
 	switch req := msg.(type) {
 	case *mem.ReadReq:
-		owner := e.OwnerOf(req.Addr)
-		wire := &ReadReq{Addr: req.Addr, N: req.N}
-		wire.Src, wire.Dst = e.ToFabric, e.RemotePort(owner)
-		wire.Bytes = mem.ReadReqHeaderBytes
-		e.part.AssignMsgID(wire)
-		e.pendingReads[wire.ID] = pendingRead{req: origin{req.Src, req.ID, req.Addr}, issued: now, wire: wire, attempts: 1}
-		e.msgs.Release(req)
+		w := &ReadReq{Addr: req.Addr, N: req.N}
+		w.Bytes = mem.ReadReqHeaderBytes
+		wire, addr = w, req.Addr
 		e.ReadsSent++
 		e.Rec.RemoteRead(e.GPU)
 		e.Rec.Header(mem.ReadReqHeaderBytes)
-		e.outQueue.Push(wire)
-		e.drainOutQueue(now)
-		e.scheduleTimeout(now, wire, 1)
-		return nil
 	case *mem.WriteReq:
-		owner := e.OwnerOf(req.Addr)
 		payload, d := e.compress(req.Data)
-		wire := &WriteReq{Addr: req.Addr, Payload: payload}
-		wire.Src, wire.Dst = e.ToFabric, e.RemotePort(owner)
-		wire.Bytes = mem.WriteReqHeaderBytes + payload.WireBytes()
-		if e.Guard != nil {
-			wire.Payload.CRC = PayloadCRC(wire.Payload)
-			wire.Bytes += CRCTrailerBytes
-		}
-		e.part.AssignMsgID(wire)
-		e.pendingWrites[wire.ID] = pendingWrite{req: origin{req.Src, req.ID, req.Addr}, wire: wire, attempts: 1}
-		e.msgs.Release(req)
+		w := &WriteReq{Addr: req.Addr, Payload: payload}
+		e.seal(&w.MsgMeta, &w.Payload, mem.WriteReqHeaderBytes)
+		wire, addr, cycles = w, req.Addr, d.CompressionCycles
 		e.WritesSent++
 		e.Rec.RemoteWrite(e.GPU)
 		e.Rec.Header(mem.WriteReqHeaderBytes)
-		e.scheduleSend(now, wire, d.CompressionCycles)
-		e.scheduleTimeout(now, wire, 1)
-		return nil
 	default:
 		return fmt.Errorf("%s: unexpected local message %T", e.Name(), msg)
+	}
+	m := wire.Meta()
+	m.Src, m.Dst = e.ToFabric, e.RemotePort(e.OwnerOf(addr))
+	e.part.AssignMsgID(wire)
+	local := msg.Meta()
+	e.pending[m.ID] = request{req: origin{local.Src, local.ID, addr}, issued: now, attempts: 1, wire: wire}
+	e.msgs.Release(msg)
+	e.scheduleSend(now, wire, cycles)
+	e.scheduleTimeout(now, wire, 1)
+	return nil
+}
+
+// seal charges a payload-bearing wire message its header and payload bytes
+// and, under the guard, checksums the payload and charges the CRC trailer.
+func (e *Engine) seal(m *sim.MsgMeta, p *Payload, headerBytes int) {
+	m.Bytes = headerBytes + p.WireBytes()
+	if e.Guard != nil {
+		p.CRC = PayloadCRC(*p)
+		m.Bytes += CRCTrailerBytes
 	}
 }
 
@@ -357,9 +360,6 @@ func (e *Engine) compress(data []byte) (Payload, core.Decision) {
 		// so traffic accounting is complete.
 		e.Rec.Payload(data, d)
 	}
-	if d.Alg == comp.None {
-		return Payload{Alg: comp.None, Raw: d.Enc.Data, RawLen: len(data)}, d
-	}
 	return Payload{Alg: d.Alg, Enc: d.Enc, RawLen: len(data)}, d
 }
 
@@ -381,18 +381,15 @@ func (e *Engine) handleWire(now sim.Time, msg sim.Msg) error {
 		e.ReadsServed++
 		local := e.msgs.ReadReq(e.ToL2, e.L2Router(wire.Addr), wire.Addr, wire.N)
 		e.part.AssignMsgID(local)
-		e.serviceReads[local.ID] = wire
+		e.serving[local.ID] = served{wire.Src, wire.ID}
 		if !e.ToL2.Send(now, local) {
 			return fmt.Errorf("%s: L2 rejected forwarded read", e.Name())
 		}
 		return nil
 	case *WriteReq:
-		if e.Guard != nil && PayloadCRC(wire.Payload) != wire.Payload.CRC {
-			// Reject the corrupt payload; the writer retransmits on NACK
-			// (or, failing that, on timeout) and attributes the failure to
-			// the codec named in the header.
-			e.CRCErrors++
-			e.sendNACK(now, wire.Meta().Src, wire.ID, wire.Payload.Alg)
+		if e.rejects(now, wire.Src, wire.ID, &wire.Payload) {
+			// The writer retransmits on the NACK (or, failing that, on
+			// timeout).
 			return nil
 		}
 		// Decompress (if needed), then forward the write into local L2.
@@ -404,47 +401,32 @@ func (e *Engine) handleWire(now sim.Time, msg sim.Msg) error {
 		return e.deliverWrite(now, wire)
 	case *DataReady:
 		// Response to one of our outgoing reads.
-		pr, ok := e.pendingReads[wire.RspTo]
+		r, ok, err := e.answered(wire, wire.RspTo)
 		if !ok {
-			if e.Guard != nil {
-				// Duplicate response: a timeout retransmitted the request
-				// and both replies arrived. The first one won.
-				e.StaleDrops++
-				return nil
-			}
-			return fmt.Errorf("%s: DataReady for unknown request %d", e.Name(), wire.RspTo)
+			return err
 		}
-		if e.Guard != nil && PayloadCRC(wire.Payload) != wire.Payload.CRC {
-			// Corrupt response: discard it, tell the responder (which
-			// compressed the payload) so it can attribute the failure, and
-			// retransmit our request.
-			e.CRCErrors++
-			e.sendNACK(now, wire.Meta().Src, wire.RspTo, wire.Payload.Alg)
-			return e.retransmitRead(now, wire.RspTo)
+		if e.rejects(now, wire.Src, wire.RspTo, &wire.Payload) {
+			// Corrupt response: discard it and retransmit our request.
+			return e.retransmit(now, wire.RspTo)
 		}
-		delete(e.pendingReads, wire.RspTo)
+		delete(e.pending, wire.RspTo)
 		if cycles := decompressionCycles(wire.Payload.Alg); cycles > 0 {
-			e.part.Schedule(now+sim.Time(cycles), decompressed{e}, wire, e.decoding.Put(pr))
+			e.part.Schedule(now+sim.Time(cycles), decompressed{e}, wire, e.decoding.Put(r))
 			return nil
 		}
-		return e.deliverRead(now, wire, pr)
+		return e.deliverRead(now, wire, r)
 	case *WriteACK:
-		pw, ok := e.pendingWrites[wire.RspTo]
+		r, ok, err := e.answered(wire, wire.RspTo)
 		if !ok {
-			if e.Guard != nil {
-				e.StaleDrops++
-				return nil
-			}
-			return fmt.Errorf("%s: WriteACK for unknown request %d", e.Name(), wire.RspTo)
+			return err
 		}
-		delete(e.pendingWrites, wire.RspTo)
-		if e.Guard != nil && pw.wire.Payload.Alg != comp.None {
+		delete(e.pending, wire.RspTo)
+		if e.Guard != nil && r.wire.(*WriteReq).Payload.Alg != comp.None {
 			// A compressed write completed cleanly: reset the controller's
 			// consecutive-failure count.
 			e.observeIntegrity(true)
 		}
-		orig := pw.req
-		ack := e.msgs.WriteACK(e.ToL1, orig.src, orig.id, orig.addr)
+		ack := e.msgs.WriteACK(e.ToL1, r.req.src, r.req.id, r.req.addr)
 		e.part.AssignMsgID(ack)
 		if !e.ToL1.Send(now, ack) {
 			return fmt.Errorf("%s: L1 rejected ack", e.Name())
@@ -459,10 +441,11 @@ func (e *Engine) handleWire(now sim.Time, msg sim.Msg) error {
 			// a codec-attributed integrity failure.
 			e.observeIntegrity(false)
 		}
-		if _, ok := e.pendingWrites[wire.RspTo]; ok {
-			return e.retransmitWrite(now, wire.RspTo)
+		if _, ok := e.pending[wire.RspTo]; ok {
+			return e.retransmit(now, wire.RspTo)
 		}
-		// Read-path NACK: informational only — the requester already
+		// Read-path NACK: it names the requester's read, not a request of
+		// ours, and is informational only — the requester already
 		// retransmitted its ReadReq, and this engine kept no state for the
 		// rejected DataReady.
 		return nil
@@ -471,16 +454,44 @@ func (e *Engine) handleWire(now sim.Time, msg sim.Msg) error {
 	}
 }
 
-// sendNACK rejects payload RspTo back to its sender, naming the Comp Alg of
-// the rejected payload for failure attribution.
-func (e *Engine) sendNACK(now sim.Time, dst *sim.Port, rspTo uint64, alg comp.Algorithm) {
-	n := &NACK{RspTo: rspTo, Alg: alg}
-	n.Src, n.Dst = e.ToFabric, dst
+// answered returns the pending request that the DataReady or WriteACK rsp
+// answers. It reports false, with no error, for a response the guard drops
+// as stale: a timeout retransmitted the request, both replies arrived and
+// the first one won. An unknown request without the guard, or a response of
+// the wrong kind, is an error.
+func (e *Engine) answered(rsp sim.Msg, rspTo uint64) (request, bool, error) {
+	r, ok := e.pending[rspTo]
+	if !ok {
+		if e.Guard != nil {
+			e.StaleDrops++
+			return r, false, nil
+		}
+		return r, false, fmt.Errorf("%s: %T for unknown request %d", e.Name(), rsp, rspTo)
+	}
+	_, read := r.wire.(*ReadReq)
+	if _, data := rsp.(*DataReady); data != read {
+		return r, false, fmt.Errorf("%s: %T answers %T %d", e.Name(), rsp, r.wire, rspTo)
+	}
+	return r, true, nil
+}
+
+// rejects reports whether an incoming payload fails the guard's CRC check.
+// A rejected payload is counted and NACKed back to its sender under rspTo,
+// naming its Comp Alg so the compressing endpoint can attribute the
+// failure.
+func (e *Engine) rejects(now sim.Time, src *sim.Port, rspTo uint64, p *Payload) bool {
+	if e.Guard == nil || PayloadCRC(*p) == p.CRC {
+		return false
+	}
+	e.CRCErrors++
+	n := &NACK{RspTo: rspTo, Alg: p.Alg}
+	n.Src, n.Dst = e.ToFabric, src
 	n.Bytes = NACKHeaderBytes
 	e.part.AssignMsgID(n)
 	e.NACKsSent++
 	e.outQueue.Push(n)
 	e.drainOutQueue(now)
+	return true
 }
 
 // observeIntegrity feeds the policy's integrity signal (when it cares).
@@ -508,119 +519,81 @@ func (e *Engine) scheduleTimeout(now sim.Time, wire sim.Msg, attempt int) {
 // timeout — the request completed, or a NACK already retransmitted it — is
 // a no-op.
 func (e *Engine) handleTimeout(now sim.Time, wire sim.Msg, attempt int) error {
-	if e.Guard == nil {
-		return nil
-	}
 	id := wire.Meta().ID
-	if _, write := wire.(*WriteReq); write {
-		pw, ok := e.pendingWrites[id]
-		if !ok || pw.attempts != attempt {
-			return nil
-		}
-		e.TimeoutsFired++
-		return e.retransmitWrite(now, id)
-	}
-	pr, ok := e.pendingReads[id]
-	if !ok || pr.attempts != attempt {
+	if r, ok := e.pending[id]; !ok || r.attempts != attempt {
 		return nil
 	}
 	e.TimeoutsFired++
-	return e.retransmitRead(now, id)
+	return e.retransmit(now, id)
 }
 
-// retransmitRead re-sends the wire ReadReq for a still-pending read.
+// retransmit re-sends the wire request of a still-pending remote request.
 // Retransmissions appear in the fabric byte counters and the guard stats,
 // not in the logical traffic/* accounting: they are transport overhead, not
-// new transfers.
-func (e *Engine) retransmitRead(now sim.Time, id uint64) error {
-	pr := e.pendingReads[id]
-	if pr.attempts >= e.Guard.MaxAttempts {
-		return fmt.Errorf("%s: remote read %#x: retry budget exhausted after %d attempts",
-			e.Name(), pr.wire.Addr, pr.attempts)
+// new transfers. A write's payload was encoded and checksummed on first
+// send, so its retransmission costs no compression latency.
+func (e *Engine) retransmit(now sim.Time, id uint64) error {
+	r := e.pending[id]
+	kind := "read"
+	if _, write := r.wire.(*WriteReq); write {
+		kind = "write"
 	}
-	pr.attempts++
-	e.pendingReads[id] = pr
+	if r.attempts >= e.Guard.MaxAttempts {
+		return fmt.Errorf("%s: remote %s %#x: retry budget exhausted after %d attempts",
+			e.Name(), kind, r.req.addr, r.attempts)
+	}
+	r.attempts++
+	e.pending[id] = r
 	e.Retries++
-	e.recordRetrySpan(now, "retry:read", pr.wire.Addr, pr.attempts)
-	e.outQueue.Push(pr.wire)
+	if e.Spans != nil {
+		e.Spans.Record(trace.Span{
+			Track: e.Name(), Name: fmt.Sprintf("retry:%s @%#x #%d", kind, r.req.addr, r.attempts),
+			Cat: "fault", Start: now, End: now + 1,
+		})
+	}
+	e.outQueue.Push(r.wire)
 	e.drainOutQueue(now)
-	e.scheduleTimeout(now, pr.wire, pr.attempts)
+	e.scheduleTimeout(now, r.wire, r.attempts)
 	return nil
 }
 
-// retransmitWrite re-sends the wire WriteReq for a still-pending write. The
-// payload was already encoded and checksummed on first send, so the
-// retransmission costs no additional compression latency.
-func (e *Engine) retransmitWrite(now sim.Time, id uint64) error {
-	pw := e.pendingWrites[id]
-	if pw.attempts >= e.Guard.MaxAttempts {
-		return fmt.Errorf("%s: remote write %#x: retry budget exhausted after %d attempts",
-			e.Name(), pw.wire.Addr, pw.attempts)
-	}
-	pw.attempts++
-	e.pendingWrites[id] = pw
-	e.Retries++
-	e.recordRetrySpan(now, "retry:write", pw.wire.Addr, pw.attempts)
-	e.outQueue.Push(pw.wire)
-	e.drainOutQueue(now)
-	e.scheduleTimeout(now, pw.wire, pw.attempts)
-	return nil
-}
-
-// recordRetrySpan marks one retransmission on the trace timeline.
-func (e *Engine) recordRetrySpan(now sim.Time, name string, addr uint64, attempt int) {
-	if e.Spans == nil {
-		return
-	}
-	e.Spans.Record(trace.Span{
-		Track: e.Name(), Name: fmt.Sprintf("%s @%#x #%d", name, addr, attempt),
-		Cat: "fault", Start: now, End: now + 1,
-	})
-}
-
-// deliverWrite forwards an incoming write into the local L2. A compressed
-// payload is decoded straight into the line the request carries; a raw one
-// is copied there.
+// deliverWrite forwards an incoming write into the local L2.
 func (e *Engine) deliverWrite(now sim.Time, wire *WriteReq) error {
-	var local *mem.WriteReq
-	if wire.Payload.Alg == comp.None {
-		local = e.msgs.WriteReq(e.ToL2, e.L2Router(wire.Addr), wire.Addr, len(wire.Payload.Raw))
-		copy(local.Data, wire.Payload.Raw)
-	} else {
-		local = e.msgs.WriteReq(e.ToL2, e.L2Router(wire.Addr), wire.Addr, comp.LineSize)
-		if err := comp.DecodeInto(local.Data, wire.Payload.Enc); err != nil {
-			return fmt.Errorf("%s: write payload: %w", e.Name(), err)
-		}
+	local := e.msgs.WriteReq(e.ToL2, e.L2Router(wire.Addr), wire.Addr, wire.Payload.RawLen)
+	if err := unpack(local.Data, wire.Payload); err != nil {
+		return fmt.Errorf("%s: write payload: %w", e.Name(), err)
 	}
 	e.part.AssignMsgID(local)
-	e.serviceWrites[local.ID] = wire
+	e.serving[local.ID] = served{wire.Src, wire.ID}
 	if !e.ToL2.Send(now, local) {
 		return fmt.Errorf("%s: L2 rejected forwarded write", e.Name())
 	}
 	return nil
 }
 
-// deliverRead returns the response to the pending read pr to the requesting
-// L1. A compressed payload is decoded straight into the line the response
-// carries; a raw one is copied there.
-func (e *Engine) deliverRead(now sim.Time, wire *DataReady, pr pendingRead) error {
-	orig := pr.req
-	var rsp *mem.DataReady
-	if wire.Payload.Alg == comp.None {
-		rsp = e.msgs.DataReady(e.ToL1, orig.src, orig.id, orig.addr, len(wire.Payload.Raw))
-		copy(rsp.Data, wire.Payload.Raw)
-	} else {
-		rsp = e.msgs.DataReady(e.ToL1, orig.src, orig.id, orig.addr, comp.LineSize)
-		if err := comp.DecodeInto(rsp.Data, wire.Payload.Enc); err != nil {
-			return fmt.Errorf("%s: read payload: %w", e.Name(), err)
-		}
+// deliverRead returns the response to the answered read r to the
+// requesting L1.
+func (e *Engine) deliverRead(now sim.Time, wire *DataReady, r request) error {
+	rsp := e.msgs.DataReady(e.ToL1, r.req.src, r.req.id, r.req.addr, wire.Payload.RawLen)
+	if err := unpack(rsp.Data, wire.Payload); err != nil {
+		return fmt.Errorf("%s: read payload: %w", e.Name(), err)
 	}
-	e.ReadLatency.Add(float64(now - pr.issued))
+	e.ReadLatency.Add(float64(now - r.issued))
 	e.part.AssignMsgID(rsp)
 	if !e.ToL1.Send(now, rsp) {
 		return fmt.Errorf("%s: L1 rejected response", e.Name())
 	}
 	return nil
+}
+
+// unpack writes the payload's line into dst, which holds RawLen bytes: a
+// compressed payload is decoded straight into it, a raw one copied.
+func unpack(dst []byte, p Payload) error {
+	if p.Alg == comp.None {
+		copy(dst, p.Enc.Data)
+		return nil
+	}
+	return comp.DecodeInto(dst, p.Enc)
 }
 
 func decompressionCycles(alg comp.Algorithm) int {
@@ -632,33 +605,29 @@ func decompressionCycles(alg comp.Algorithm) int {
 func (e *Engine) handleL2Response(now sim.Time, msg sim.Msg) error {
 	switch rsp := msg.(type) {
 	case *mem.DataReady:
-		wireReq, ok := e.serviceReads[rsp.RspTo]
+		to, ok := e.serving[rsp.RspTo]
 		if !ok {
 			return fmt.Errorf("%s: L2 data for unknown request %d", e.Name(), rsp.RspTo)
 		}
-		delete(e.serviceReads, rsp.RspTo)
+		delete(e.serving, rsp.RspTo)
 		payload, d := e.compress(rsp.Data)
-		out := &DataReady{RspTo: wireReq.ID, Addr: rsp.Addr, Payload: payload}
+		out := &DataReady{RspTo: to.id, Addr: rsp.Addr, Payload: payload}
 		e.msgs.Release(rsp)
-		out.Src, out.Dst = e.ToFabric, wireReq.Src
-		out.Bytes = mem.DataReadyHeaderBytes + payload.WireBytes()
-		if e.Guard != nil {
-			out.Payload.CRC = PayloadCRC(out.Payload)
-			out.Bytes += CRCTrailerBytes
-		}
+		out.Src, out.Dst = e.ToFabric, to.dst
+		e.seal(&out.MsgMeta, &out.Payload, mem.DataReadyHeaderBytes)
 		e.part.AssignMsgID(out)
 		e.Rec.Header(mem.DataReadyHeaderBytes)
 		e.scheduleSend(now, out, d.CompressionCycles)
 		return nil
 	case *mem.WriteACK:
-		wireReq, ok := e.serviceWrites[rsp.RspTo]
+		to, ok := e.serving[rsp.RspTo]
 		if !ok {
 			return fmt.Errorf("%s: L2 ack for unknown request %d", e.Name(), rsp.RspTo)
 		}
-		delete(e.serviceWrites, rsp.RspTo)
+		delete(e.serving, rsp.RspTo)
 		e.msgs.Release(rsp)
-		out := &WriteACK{RspTo: wireReq.ID}
-		out.Src, out.Dst = e.ToFabric, wireReq.Src
+		out := &WriteACK{RspTo: to.id}
+		out.Src, out.Dst = e.ToFabric, to.dst
 		out.Bytes = mem.WriteACKHeaderBytes
 		e.part.AssignMsgID(out)
 		e.Rec.Header(mem.WriteACKHeaderBytes)
@@ -674,11 +643,9 @@ func (e *Engine) handleL2Response(now sim.Time, msg sim.Msg) error {
 // request, a request it serves, or a response being decompressed, or still
 // parks a wire message for the fabric.
 func (e *Engine) CheckQuiescent() error {
-	n := len(e.pendingReads) + len(e.pendingWrites) + len(e.serviceReads) + len(e.serviceWrites) +
-		e.decoding.Len() + e.outQueue.Len()
-	if n != 0 {
-		return fmt.Errorf("%s: %d reads and %d writes pending, %d reads and %d writes in service, %d responses decoding, %d wire messages parked",
-			e.Name(), len(e.pendingReads), len(e.pendingWrites), len(e.serviceReads), len(e.serviceWrites), e.decoding.Len(), e.outQueue.Len())
+	if n := len(e.pending) + len(e.serving) + e.decoding.Len() + e.outQueue.Len(); n != 0 {
+		return fmt.Errorf("%s: %d requests pending, %d in service, %d responses decoding, %d wire messages parked",
+			e.Name(), len(e.pending), len(e.serving), e.decoding.Len(), e.outQueue.Len())
 	}
 	return nil
 }

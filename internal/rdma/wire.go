@@ -192,8 +192,5 @@ const CRCTrailerBytes = 4
 // crcTable is the Castagnoli polynomial table shared by all engines.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// PayloadCRC computes the CRC32C of the payload's wire bytes (the encoded
-// bitstream for compressed payloads, the raw line otherwise).
-func PayloadCRC(p Payload) uint32 {
-	return crc32.Checksum(p.wireData(), crcTable)
-}
+// PayloadCRC computes the CRC32C of the payload's wire bytes.
+func PayloadCRC(p Payload) uint32 { return crc32.Checksum(p.Enc.Data, crcTable) }

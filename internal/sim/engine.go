@@ -563,9 +563,9 @@ func (e *Engine) Run() error {
 	e.prepare()
 
 	for {
-		limit, ok := e.nextWindow()
+		limit, ok, err := e.nextWindow()
 		if !ok {
-			return nil
+			return err
 		}
 		e.runWindow(limit)
 		if err := e.windowError(); err != nil {
@@ -589,7 +589,10 @@ func (e *Engine) RunUntil(t Time) error {
 }
 
 // nextWindow computes the exclusive upper bound of the next window, or
-// reports false when nothing runnable remains under the deadline.
+// reports false when nothing runnable remains under the deadline. Without a
+// deadline, a run whose queues are all empty and whose ghosts are all
+// promised quiet forever can never end; nextWindow reports false with a
+// stall error for it.
 //
 // Adaptive rule (default): the window is bounded per cross link, not per
 // simulated cycle. A link whose source's head event is at time h carries
@@ -605,17 +608,22 @@ func (e *Engine) RunUntil(t Time) error {
 // Each partition's head time is read once, into heads, which the link loop
 // here and runWindow's job selection and wideLimit then share: nothing
 // dispatches between them.
-func (e *Engine) nextWindow() (Time, bool) {
-	t := TimeInf
+func (e *Engine) nextWindow() (Time, bool, error) {
+	t, live, forever := TimeInf, false, 0
 	for i, p := range e.parts {
 		h := p.headTime()
 		e.heads[i] = h
 		if h < t {
 			t = h
 		}
+		live = live || p.queue.len() != 0 || p.forever != p.ghosts
+		forever += p.forever
 	}
 	if t == TimeInf || t > e.maxTime {
-		return 0, false
+		return 0, false, nil
+	}
+	if !live && e.maxTime == TimeInf {
+		return 0, false, stallError(e.Now(), forever)
 	}
 	var limit Time
 	if e.fixedLA != 0 {
@@ -640,7 +648,7 @@ func (e *Engine) nextWindow() (Time, bool) {
 	if e.maxTime != TimeInf && limit > e.maxTime {
 		limit = e.maxTime + 1 // events at exactly the deadline still run
 	}
-	return limit, true
+	return limit, true, nil
 }
 
 // runWindow advances every partition with work under the limit, in

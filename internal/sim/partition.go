@@ -45,9 +45,11 @@ type Partition struct {
 	// list through Ticker.prev/next in (nextAsked, seq) order; ghosts
 	// counts them. A ghost is inserted or re-keyed with the partition's
 	// newest sequence number at a time no earlier than any other ghost's,
-	// so the back of the ring is always its place.
-	ring   *Ticker
-	ghosts int
+	// so the back of the ring is always its place. forever counts the
+	// ghosts promised quiet until TimeInf, which only a touch can end.
+	ring    *Ticker
+	ghosts  int
+	forever int
 
 	// locals holds the partition-local values created by Local; there are
 	// as many as packages that keep one, so a scan beats a map.
@@ -98,6 +100,9 @@ func (p *Partition) headTime() Time {
 func (p *Partition) addGhost(t *Ticker) {
 	t.ghost = true
 	p.ghosts++
+	if t.until == TimeInf {
+		p.forever++
+	}
 	h := p.ring
 	if h == nil {
 		t.prev, t.next = t, t
@@ -113,6 +118,9 @@ func (p *Partition) addGhost(t *Ticker) {
 func (p *Partition) removeGhost(t *Ticker) {
 	t.ghost = false
 	p.ghosts--
+	if t.until == TimeInf {
+		p.forever--
+	}
 	if t.next == t {
 		p.ring = nil
 	} else {
@@ -126,15 +134,29 @@ func (p *Partition) removeGhost(t *Ticker) {
 
 // fireGhosts fires, in order, the ghost ticks whose (time, seq) key comes
 // before both the queue's head and the window limit. Only an expiring
-// ghost pushes a record, so the head is read again only then.
-func (p *Partition) fireGhosts() {
+// ghost pushes a record, so the head is read again only then. It fires
+// nothing and reports a stall when the window has no limit, the queue is
+// empty and every ghost is promised quiet forever: no record could ever
+// arrive to end the window.
+func (p *Partition) fireGhosts() (stalled bool) {
 	ht, hs := p.queue.head()
+	if ht == TimeInf && p.curLimit == TimeInf && p.forever == p.ghosts {
+		return true
+	}
 	for g := p.ring; g != nil && g.nextAsked < p.curLimit &&
 		(g.nextAsked < ht || g.nextAsked == ht && g.seq < hs); g = p.ring {
 		if p.fireGhost(g) {
 			ht, hs = p.queue.head()
 		}
 	}
+	return false
+}
+
+// stallError is the error of a run without a deadline that can never end:
+// n tickers wait forever on a touch, and nothing is queued that could
+// deliver one.
+func stallError(now Time, n int) error {
+	return fmt.Errorf("sim: stalled at cycle %d: %d tickers wait forever with no event queued", now, n)
 }
 
 // fireGhost fires the ring's front g at its time with exactly the
@@ -233,12 +255,15 @@ func (p *Partition) Pause() { p.stopped = true }
 // iteration: in a dynamic lone-partition window the partition's own Remote
 // emissions collapse it mid-window, which is what keeps running far ahead
 // of the other partitions conservative. Ghost ticks due before the queue's
-// head fire first, in their (time, seq) slots.
+// head fire first, in their (time, seq) slots. A window without a limit
+// whose ghosts would spin forever fails with a stall instead.
 func (p *Partition) window(limit Time) {
 	p.curLimit = limit
 	for !p.stopped {
-		if p.ring != nil {
-			p.fireGhosts()
+		if p.ring != nil && p.fireGhosts() {
+			p.err = stallError(p.now, p.ghosts)
+			p.errTime, p.errSeq = TimeInf, 0
+			return
 		}
 		t, seq, r, ok := p.queue.pop(p.curLimit)
 		if !ok {
