@@ -107,7 +107,9 @@ cover:
 # to arbitrary bitstreams, which must neither panic nor decode to a line of
 # the wrong size. FuzzEventQueue checks the event queue's pop order against a
 # sort oracle, and FuzzQuietTicker ghost tickers (Ticker.TickQuiet) against
-# plain TickLater.
+# plain TickLater. FuzzCacheForwarding mixes cacheable reads, bypassed reads
+# and writes through one cache and requires exactly one answer of the right
+# kind per request.
 fuzz-smoke:
 	go test ./internal/comp -run='^$$' -fuzz='^FuzzCodecRoundTrip$$' -fuzztime=10s
 	go test ./internal/comp -run='^$$' -fuzz='^FuzzCompressedBits$$' -fuzztime=10s
@@ -116,6 +118,7 @@ fuzz-smoke:
 	go test ./internal/bitstream -run='^$$' -fuzz='^FuzzReadBitsDifferential$$' -fuzztime=10s
 	go test ./internal/sim -run='^$$' -fuzz='^FuzzEventQueue$$' -fuzztime=10s
 	go test ./internal/sim -run='^$$' -fuzz='^FuzzQuietTicker$$' -fuzztime=10s
+	go test ./internal/cache -run='^$$' -fuzz='^FuzzCacheForwarding$$' -fuzztime=10s
 
 # Every per-package Go benchmark with allocation reporting. Performance
 # claims use the repository benchmark instead (bash bench/run.sh, see

@@ -63,26 +63,21 @@ type set struct {
 	tags []uint64 // line-aligned addresses; LRU order, front = most recent
 }
 
-// request is what the cache keeps of a request it has retrieved and
-// released: the fields its response needs.
-type request struct {
-	src  *sim.Port
-	id   uint64
-	addr uint64
-	n    int
-}
-
-func readRequest(r *mem.ReadReq) request { return request{r.Src, r.ID, r.Addr, r.N} }
-
 // mshrEntry tracks one outstanding line fetch and the reads waiting for
 // it. Entries live from a miss to its fill inside one cache and are
 // recycled through the cache's free list.
 type mshrEntry struct {
 	// waiters are the reads to answer, in arrival order. A new entry backs
 	// them with first, so a miss that never coalesces needs no slice.
-	waiters []request
+	waiters []mem.ReplyTo
 	served  int // waiters already answered
-	first   [1]request
+	first   [1]mem.ReplyTo
+}
+
+// forwardEntry is whom to answer for a write or a bypassed read passed down.
+type forwardEntry struct {
+	to    mem.ReplyTo
+	write bool
 }
 
 // Cache is a set-associative, write-through, no-write-allocate cache.
@@ -110,10 +105,8 @@ type Cache struct {
 	// level below echoes (fetches are line-aligned, one per line at a time).
 	mshr     map[uint64]*mshrEntry
 	freeMSHR []*mshrEntry
-	// writes tracks forwarded writes by bottom ID.
-	writes map[uint64]request
-	// passthrough tracks forwarded non-cacheable reads by bottom ID.
-	passthrough map[uint64]request
+	// forwarded holds the requests passed down, keyed by forwarded ID.
+	forwarded map[uint64]forwardEntry
 
 	// Stats
 	Hits, Misses, Coalesced uint64
@@ -150,8 +143,7 @@ func New(name string, part *sim.Partition, space *mem.Space, cfg Config) *Cache 
 		numSets:       numSets,
 		sets:          make([]set, numSets),
 		mshr:          make(map[uint64]*mshrEntry),
-		writes:        make(map[uint64]request),
-		passthrough:   make(map[uint64]request),
+		forwarded:     make(map[uint64]forwardEntry),
 	}
 	c.Top = sim.NewPort(c, name+".Top", cfg.PortBufferBytes)
 	c.Bottom = sim.NewPort(c, name+".Bottom", cfg.PortBufferBytes)
@@ -291,16 +283,8 @@ func (c *Cache) retire(now sim.Time) {
 func (c *Cache) handleRead(now sim.Time, req *mem.ReadReq) bool {
 	if c.cfg.Cacheable != nil && !c.cfg.Cacheable(req.Addr) {
 		// Forward without allocation (e.g. remote address at L1 → RDMA).
-		dst := c.Router(req.Addr)
-		fwd := c.msgs.ReadReq(c.Bottom, dst, req.Addr, req.N)
-		c.part.AssignMsgID(fwd)
-		if !c.send(now, c.Bottom, fwd) {
-			return false
-		}
-		c.Bypassed++
-		c.passthrough[fwd.ID] = readRequest(req)
-		c.retire(now)
-		return true
+		fwd := c.msgs.ReadReq(c.Bottom, c.Router(req.Addr), req.Addr, req.N)
+		return c.forward(now, fwd, forwardEntry{to: req.ReplyTo()}, &c.Bypassed)
 	}
 
 	la := c.lineAddr(req.Addr)
@@ -318,7 +302,7 @@ func (c *Cache) handleRead(now sim.Time, req *mem.ReadReq) bool {
 	if entry, ok := c.mshr[la]; ok {
 		// Coalesce with the outstanding fetch.
 		c.Coalesced++
-		entry.waiters = append(entry.waiters, readRequest(req))
+		entry.waiters = append(entry.waiters, req.ReplyTo())
 		c.retire(now)
 		return true
 	}
@@ -334,7 +318,7 @@ func (c *Cache) handleRead(now sim.Time, req *mem.ReadReq) bool {
 	}
 	c.Misses++
 	entry := c.takeMSHR()
-	entry.waiters = append(entry.waiters, readRequest(req))
+	entry.waiters = append(entry.waiters, req.ReplyTo())
 	c.mshr[la] = entry
 	c.retire(now)
 	return true
@@ -343,16 +327,48 @@ func (c *Cache) handleRead(now sim.Time, req *mem.ReadReq) bool {
 func (c *Cache) handleWrite(now sim.Time, req *mem.WriteReq) bool {
 	// Write-through, no-write-allocate: always forward; keep the tag if
 	// present (the line stays valid because data lives in the space).
-	dst := c.Router(req.Addr)
-	fwd := c.msgs.WriteReq(c.Bottom, dst, req.Addr, len(req.Data))
+	fwd := c.msgs.WriteReq(c.Bottom, c.Router(req.Addr), req.Addr, len(req.Data))
 	copy(fwd.Data, req.Data)
+	return c.forward(now, fwd, forwardEntry{to: req.ReplyTo(), write: true}, &c.WritesSeen)
+}
+
+// forward sends fwd, the cache's copy of the request at the head of Top,
+// below, counts it in *n, records f under fwd's ID and retires the request.
+// It reports false, with fwd released, if the level below turns fwd away.
+func (c *Cache) forward(now sim.Time, fwd sim.Msg, f forwardEntry, n *uint64) bool {
 	c.part.AssignMsgID(fwd)
 	if !c.send(now, c.Bottom, fwd) {
 		return false
 	}
-	c.WritesSeen++
-	c.writes[fwd.ID] = request{src: req.Src, id: req.ID, addr: req.Addr}
+	*n++
+	c.forwarded[fwd.Meta().ID] = f
 	c.retire(now)
+	return true
+}
+
+// answer passes rsp, the response at the head of Bottom to the request
+// forwarded as rspTo, up to f's requester, then drops the entry and retires
+// rsp. A response of the wrong kind for f panics.
+func (c *Cache) answer(now sim.Time, rsp sim.Msg, rspTo uint64, f forwardEntry) bool {
+	data, read := rsp.(*mem.DataReady)
+	if read == f.write {
+		panic(fmt.Sprintf("%s: %T answers forwarded request %d at %#x (a write: %t)",
+			c.Name(), rsp, rspTo, f.to.Addr, f.write))
+	}
+	var up sim.Msg
+	if read {
+		d := c.msgs.DataReady(c.Top, f.to.Src, f.to.ID, f.to.Addr, len(data.Data))
+		copy(d.Data, data.Data)
+		up = d
+	} else {
+		up = c.msgs.WriteACK(c.Top, f.to.Src, f.to.ID, f.to.Addr)
+	}
+	c.part.AssignMsgID(up)
+	if !c.send(now, c.Top, up) {
+		return false
+	}
+	delete(c.forwarded, rspTo)
+	c.msgs.Release(c.Bottom.Retrieve(now))
 	return true
 }
 
@@ -363,16 +379,8 @@ func (c *Cache) processBottom(now sim.Time) bool {
 	}
 	switch rsp := msg.(type) {
 	case *mem.DataReady:
-		if orig, ok := c.passthrough[rsp.RspTo]; ok {
-			up := c.msgs.DataReady(c.Top, orig.src, orig.id, orig.addr, len(rsp.Data))
-			copy(up.Data, rsp.Data)
-			c.part.AssignMsgID(up)
-			if !c.send(now, c.Top, up) {
-				return false
-			}
-			delete(c.passthrough, rsp.RspTo)
-			c.msgs.Release(c.Bottom.Retrieve(now))
-			return true
+		if f, ok := c.forwarded[rsp.RspTo]; ok {
+			return c.answer(now, rsp, rsp.RspTo, f)
 		}
 		entry, ok := c.mshr[rsp.Addr]
 		if !ok {
@@ -382,8 +390,8 @@ func (c *Cache) processBottom(now sim.Time) bool {
 		// at the head of Bottom until all of them have a response.
 		if entry.served < len(entry.waiters) {
 			w := entry.waiters[entry.served]
-			up := c.msgs.DataReady(c.Top, w.src, w.id, w.addr, w.n)
-			c.space.ReadInto(w.addr, up.Data)
+			up := c.msgs.DataReady(c.Top, w.Src, w.ID, w.Addr, w.N)
+			c.space.ReadInto(w.Addr, up.Data)
 			c.part.AssignMsgID(up)
 			if !c.send(now, c.Top, up) {
 				return false
@@ -399,18 +407,11 @@ func (c *Cache) processBottom(now sim.Time) bool {
 		c.msgs.Release(c.Bottom.Retrieve(now))
 		return true
 	case *mem.WriteACK:
-		pw, ok := c.writes[rsp.RspTo]
+		f, ok := c.forwarded[rsp.RspTo]
 		if !ok {
 			panic(fmt.Sprintf("%s: ack for unknown write %d", c.Name(), rsp.RspTo))
 		}
-		up := c.msgs.WriteACK(c.Top, pw.src, pw.id, pw.addr)
-		c.part.AssignMsgID(up)
-		if !c.send(now, c.Top, up) {
-			return false
-		}
-		delete(c.writes, rsp.RspTo)
-		c.msgs.Release(c.Bottom.Retrieve(now))
-		return true
+		return c.answer(now, rsp, rsp.RspTo, f)
 	default:
 		panic(fmt.Sprintf("%s: unexpected bottom message %T", c.Name(), msg))
 	}
@@ -437,11 +438,11 @@ func (c *Cache) releaseMSHR(e *mshrEntry) {
 }
 
 // CheckQuiescent reports an error if the cache still tracks an outstanding
-// fetch, write or forwarded read.
+// fetch or forwarded request.
 func (c *Cache) CheckQuiescent() error {
-	if n := len(c.mshr) + len(c.writes) + len(c.passthrough); n != 0 {
-		return fmt.Errorf("%s: %d MSHRs, %d writes and %d forwarded reads outstanding",
-			c.Name(), len(c.mshr), len(c.writes), len(c.passthrough))
+	if n := len(c.mshr) + len(c.forwarded); n != 0 {
+		return fmt.Errorf("%s: %d MSHRs and %d forwarded requests outstanding",
+			c.Name(), len(c.mshr), len(c.forwarded))
 	}
 	return nil
 }

@@ -384,9 +384,6 @@ func (s *SwitchFabric) Hops(a, b int) int {
 	return h
 }
 
-// Switches returns the switch count, host switch included.
-func (s *SwitchFabric) Switches() int { return len(s.sws) }
-
 // EnergyPJ implements Fabric: per-hop bytes priced by the class of the link
 // they crossed, in fixed class order (deterministic float sum).
 func (s *SwitchFabric) EnergyPJ() float64 {

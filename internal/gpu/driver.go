@@ -163,7 +163,6 @@ type Driver struct {
 	assignments [][]int
 	pendingAcks int
 	pendingDone int
-	launchErr   error
 
 	// Spans, when non-nil, receives one kernel-track span per launch.
 	Spans *trace.Recorder
@@ -264,7 +263,6 @@ func (d *Driver) Launch(k *Kernel) error {
 	d.seq++
 	d.kernel = k
 	d.pendingDone = numGPUs
-	d.launchErr = nil
 	d.KernelsLaunched++
 
 	now := d.part.Now()
@@ -296,7 +294,7 @@ func (d *Driver) Launch(k *Kernel) error {
 			End:   d.part.Engine().Now(),
 		})
 	}
-	return d.launchErr
+	return nil
 }
 
 // writeArgs writes the argument block into each GPU's argument buffer via

@@ -74,6 +74,21 @@ type WriteACK struct {
 // Meta implements sim.Msg.
 func (m *WriteACK) Meta() *sim.MsgMeta { return &m.MsgMeta }
 
+// ReplyTo is what a component keeps of a request it retrieved and released:
+// the fields its answer needs. Take it before the release.
+type ReplyTo struct {
+	Src  *sim.Port
+	ID   uint64
+	Addr uint64
+	N    int
+}
+
+// ReplyTo returns the fields the read's answer needs.
+func (m *ReadReq) ReplyTo() ReplyTo { return ReplyTo{m.Src, m.ID, m.Addr, m.N} }
+
+// ReplyTo returns the fields the write's acknowledgment needs.
+func (m *WriteReq) ReplyTo() ReplyTo { return ReplyTo{m.Src, m.ID, m.Addr, len(m.Data)} }
+
 // Pool hands out the memory-hierarchy messages of one partition. Memory
 // messages travel only on a partition's DirectConnections, so every
 // message is taken and released on the partition that owns the pool, and

@@ -97,8 +97,8 @@ type Engine struct {
 	// the decompression record carries the slot.
 	decoding sim.Slab[request]
 	// serving maps the local L2 request ID of each incoming remote request
-	// forwarded into the L2 to where its answer goes.
-	serving map[uint64]served
+	// to its requester's fabric port (Src) and wire request ID (ID).
+	serving map[uint64]mem.ReplyTo
 
 	// Stats
 	ReadsSent    uint64
@@ -129,29 +129,14 @@ type GuardConfig struct {
 	MaxAttempts int
 }
 
-// origin is what the engine keeps of a local request it has retrieved and
-// released: the fields its response needs.
-type origin struct {
-	src  *sim.Port
-	id   uint64
-	addr uint64
-}
-
 // request is a remote request in flight: the local request it answers,
 // when it left, how many times it has been sent, and its wire message, whose
 // type (*ReadReq or *WriteReq) is the request's kind.
 type request struct {
-	req      origin
+	req      mem.ReplyTo
 	issued   sim.Time
 	attempts int
 	wire     sim.Msg
-}
-
-// served is where the answer to an incoming remote request goes: the
-// requester's fabric port and its wire request ID.
-type served struct {
-	dst *sim.Port
-	id  uint64
 }
 
 // RegisterMetrics exposes the engine's counters under prefix (e.g.
@@ -199,7 +184,7 @@ func New(name string, part *sim.Partition, gpu int, policy core.Policy, rec Reco
 		Policy:        policy,
 		Rec:           rec,
 		pending:       make(map[uint64]request),
-		serving:       make(map[uint64]served),
+		serving:       make(map[uint64]mem.ReplyTo),
 	}
 	e.ToL1 = sim.NewPort(e, name+".ToL1", 8*1024)
 	e.ToFabric = sim.NewPort(e, name+".ToFabric", 4*1024) // paper: 4 KB input buffer
@@ -299,13 +284,13 @@ func (e *Engine) drainOutQueue(now sim.Time) {
 // GPU, into its wire request, and releases it.
 func (e *Engine) handleLocal(now sim.Time, msg sim.Msg) error {
 	var wire sim.Msg
-	var addr uint64
+	var to mem.ReplyTo
 	cycles := 0
 	switch req := msg.(type) {
 	case *mem.ReadReq:
 		w := &ReadReq{Addr: req.Addr, N: req.N}
 		w.Bytes = mem.ReadReqHeaderBytes
-		wire, addr = w, req.Addr
+		wire, to = w, req.ReplyTo()
 		e.ReadsSent++
 		e.Rec.RemoteRead(e.GPU)
 		e.Rec.Header(mem.ReadReqHeaderBytes)
@@ -313,7 +298,7 @@ func (e *Engine) handleLocal(now sim.Time, msg sim.Msg) error {
 		payload, d := e.compress(req.Data)
 		w := &WriteReq{Addr: req.Addr, Payload: payload}
 		e.seal(&w.MsgMeta, &w.Payload, mem.WriteReqHeaderBytes)
-		wire, addr, cycles = w, req.Addr, d.CompressionCycles
+		wire, to, cycles = w, req.ReplyTo(), d.CompressionCycles
 		e.WritesSent++
 		e.Rec.RemoteWrite(e.GPU)
 		e.Rec.Header(mem.WriteReqHeaderBytes)
@@ -321,10 +306,9 @@ func (e *Engine) handleLocal(now sim.Time, msg sim.Msg) error {
 		return fmt.Errorf("%s: unexpected local message %T", e.Name(), msg)
 	}
 	m := wire.Meta()
-	m.Src, m.Dst = e.ToFabric, e.RemotePort(e.OwnerOf(addr))
+	m.Src, m.Dst = e.ToFabric, e.RemotePort(e.OwnerOf(to.Addr))
 	e.part.AssignMsgID(wire)
-	local := msg.Meta()
-	e.pending[m.ID] = request{req: origin{local.Src, local.ID, addr}, issued: now, attempts: 1, wire: wire}
+	e.pending[m.ID] = request{req: to, issued: now, attempts: 1, wire: wire}
 	e.msgs.Release(msg)
 	e.scheduleSend(now, wire, cycles)
 	e.scheduleTimeout(now, wire, 1)
@@ -381,7 +365,7 @@ func (e *Engine) handleWire(now sim.Time, msg sim.Msg) error {
 		e.ReadsServed++
 		local := e.msgs.ReadReq(e.ToL2, e.L2Router(wire.Addr), wire.Addr, wire.N)
 		e.part.AssignMsgID(local)
-		e.serving[local.ID] = served{wire.Src, wire.ID}
+		e.serving[local.ID] = mem.ReplyTo{Src: wire.Src, ID: wire.ID}
 		if !e.ToL2.Send(now, local) {
 			return fmt.Errorf("%s: L2 rejected forwarded read", e.Name())
 		}
@@ -426,7 +410,7 @@ func (e *Engine) handleWire(now sim.Time, msg sim.Msg) error {
 			// consecutive-failure count.
 			e.observeIntegrity(true)
 		}
-		ack := e.msgs.WriteACK(e.ToL1, r.req.src, r.req.id, r.req.addr)
+		ack := e.msgs.WriteACK(e.ToL1, r.req.Src, r.req.ID, r.req.Addr)
 		e.part.AssignMsgID(ack)
 		if !e.ToL1.Send(now, ack) {
 			return fmt.Errorf("%s: L1 rejected ack", e.Name())
@@ -540,14 +524,14 @@ func (e *Engine) retransmit(now sim.Time, id uint64) error {
 	}
 	if r.attempts >= e.Guard.MaxAttempts {
 		return fmt.Errorf("%s: remote %s %#x: retry budget exhausted after %d attempts",
-			e.Name(), kind, r.req.addr, r.attempts)
+			e.Name(), kind, r.req.Addr, r.attempts)
 	}
 	r.attempts++
 	e.pending[id] = r
 	e.Retries++
 	if e.Spans != nil {
 		e.Spans.Record(trace.Span{
-			Track: e.Name(), Name: fmt.Sprintf("retry:%s @%#x #%d", kind, r.req.addr, r.attempts),
+			Track: e.Name(), Name: fmt.Sprintf("retry:%s @%#x #%d", kind, r.req.Addr, r.attempts),
 			Cat: "fault", Start: now, End: now + 1,
 		})
 	}
@@ -564,7 +548,7 @@ func (e *Engine) deliverWrite(now sim.Time, wire *WriteReq) error {
 		return fmt.Errorf("%s: write payload: %w", e.Name(), err)
 	}
 	e.part.AssignMsgID(local)
-	e.serving[local.ID] = served{wire.Src, wire.ID}
+	e.serving[local.ID] = mem.ReplyTo{Src: wire.Src, ID: wire.ID}
 	if !e.ToL2.Send(now, local) {
 		return fmt.Errorf("%s: L2 rejected forwarded write", e.Name())
 	}
@@ -574,7 +558,7 @@ func (e *Engine) deliverWrite(now sim.Time, wire *WriteReq) error {
 // deliverRead returns the response to the answered read r to the
 // requesting L1.
 func (e *Engine) deliverRead(now sim.Time, wire *DataReady, r request) error {
-	rsp := e.msgs.DataReady(e.ToL1, r.req.src, r.req.id, r.req.addr, wire.Payload.RawLen)
+	rsp := e.msgs.DataReady(e.ToL1, r.req.Src, r.req.ID, r.req.Addr, wire.Payload.RawLen)
 	if err := unpack(rsp.Data, wire.Payload); err != nil {
 		return fmt.Errorf("%s: read payload: %w", e.Name(), err)
 	}
@@ -611,9 +595,9 @@ func (e *Engine) handleL2Response(now sim.Time, msg sim.Msg) error {
 		}
 		delete(e.serving, rsp.RspTo)
 		payload, d := e.compress(rsp.Data)
-		out := &DataReady{RspTo: to.id, Addr: rsp.Addr, Payload: payload}
+		out := &DataReady{RspTo: to.ID, Addr: rsp.Addr, Payload: payload}
 		e.msgs.Release(rsp)
-		out.Src, out.Dst = e.ToFabric, to.dst
+		out.Src, out.Dst = e.ToFabric, to.Src
 		e.seal(&out.MsgMeta, &out.Payload, mem.DataReadyHeaderBytes)
 		e.part.AssignMsgID(out)
 		e.Rec.Header(mem.DataReadyHeaderBytes)
@@ -626,8 +610,8 @@ func (e *Engine) handleL2Response(now sim.Time, msg sim.Msg) error {
 		}
 		delete(e.serving, rsp.RspTo)
 		e.msgs.Release(rsp)
-		out := &WriteACK{RspTo: to.id}
-		out.Src, out.Dst = e.ToFabric, to.dst
+		out := &WriteACK{RspTo: to.ID}
+		out.Src, out.Dst = e.ToFabric, to.Src
 		out.Bytes = mem.WriteACKHeaderBytes
 		e.part.AssignMsgID(out)
 		e.Rec.Header(mem.WriteACKHeaderBytes)

@@ -198,7 +198,7 @@ func (b *wireBench) write(t *testing.T, data []byte) {
 // l2 hands the engine its L2's answer to a remote request it serves.
 func (b *wireBench) l2(t *testing.T, rsp sim.Msg) {
 	t.Helper()
-	b.e.serving[99] = served{b.peer, 7}
+	b.e.serving[99] = mem.ReplyTo{Src: b.peer, ID: 7}
 	b.engine.Partition(0).AssignMsgID(rsp)
 	if err := b.e.handleL2Response(b.engine.Now(), rsp); err != nil {
 		t.Fatal(err)

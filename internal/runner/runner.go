@@ -328,12 +328,6 @@ func Run(abbrev string, opts Options) (*Result, error) {
 	reg := metrics.NewRegistry()
 	spans := &trace.Recorder{}
 
-	link := opts.Link
-	if link == energy.OnChip {
-		// The zero value selects the paper's MCM fabric (Sec. VII-B).
-		link = energy.MCM
-	}
-
 	cfg := platform.DefaultConfig()
 	cfg.Metrics = reg
 	cfg.Spans = spans
@@ -345,8 +339,9 @@ func Run(abbrev string, opts Options) (*Result, error) {
 	}
 	// The fabric prices endpoint links (and, on the single-hop fabrics,
 	// every transfer) at the selected class; switched topologies layer
-	// board/node tiers on their long hops via Fabric.EnergyPJ.
-	cfg.Fabric.BaseClass = link
+	// board/node tiers on their long hops via Fabric.EnergyPJ. The zero
+	// value, OnChip, is platform.Build's MCM default.
+	cfg.Fabric.BaseClass = opts.Link
 	if opts.RemoteCache {
 		rc := platform.RemoteCacheConfig()
 		cfg.RemoteCache = &rc
