@@ -109,7 +109,9 @@ cover:
 # sort oracle, and FuzzQuietTicker ghost tickers (Ticker.TickQuiet) against
 # plain TickLater. FuzzCacheForwarding mixes cacheable reads, bypassed reads
 # and writes through one cache and requires exactly one answer of the right
-# kind per request.
+# kind per request. FuzzPolicyRoundTrip runs every policy (none, each static
+# codec, adaptive sampling and running) on a line and a dst prefix: the
+# prefix stays, the payload is appended to it, and it decodes to the line.
 fuzz-smoke:
 	go test ./internal/comp -run='^$$' -fuzz='^FuzzCodecRoundTrip$$' -fuzztime=10s
 	go test ./internal/comp -run='^$$' -fuzz='^FuzzCompressedBits$$' -fuzztime=10s
@@ -119,6 +121,7 @@ fuzz-smoke:
 	go test ./internal/sim -run='^$$' -fuzz='^FuzzEventQueue$$' -fuzztime=10s
 	go test ./internal/sim -run='^$$' -fuzz='^FuzzQuietTicker$$' -fuzztime=10s
 	go test ./internal/cache -run='^$$' -fuzz='^FuzzCacheForwarding$$' -fuzztime=10s
+	go test ./internal/core -run='^$$' -fuzz='^FuzzPolicyRoundTrip$$' -fuzztime=10s
 
 # Every per-package Go benchmark with allocation reporting. Performance
 # claims use the repository benchmark instead (bash bench/run.sh, see

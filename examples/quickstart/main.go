@@ -52,7 +52,7 @@ func main() {
 	adaptive := core.NewAdaptive(core.Config{Lambda: 6, SampleCount: 7, RunLength: 20})
 	feed := func(line []byte, n int) {
 		for i := 0; i < n; i++ {
-			adaptive.Process(line)
+			adaptive.Process(nil, line)
 		}
 		alg, sampling := adaptive.Selected()
 		fmt.Printf("  after %2d transfers: selected %-8v (sampling=%v)\n", n, alg, sampling)

@@ -59,8 +59,11 @@ func (d Decision) WireBytes() int { return d.Enc.WireBytes() }
 type Policy interface {
 	// Name identifies the policy in reports (e.g. "BDI", "Adaptive λ=6").
 	Name() string
-	// Process handles one 64-byte line transfer.
-	Process(line []byte) Decision
+	// Process handles one 64-byte line transfer. It appends the bytes that
+	// ship to dst and returns them as Decision.Enc.Data, the extended dst:
+	// CompressInto's contract, so a caller that passes buf[:0] of a buffer
+	// it owns gets its payload there without an allocation.
+	Process(dst, line []byte) Decision
 }
 
 // Uncompressed is the baseline policy: every line ships raw.
@@ -72,18 +75,18 @@ func (Uncompressed) Name() string { return "None" }
 // Process implements Policy. It also takes payloads shorter than a line,
 // which no codec can encode: the transport ships those raw whatever its
 // policy is.
-func (Uncompressed) Process(line []byte) Decision {
-	return Decision{Alg: comp.None, Enc: rawLine(line)}
+func (Uncompressed) Process(dst, line []byte) Decision {
+	return Decision{Alg: comp.None, Enc: rawLine(dst, line)}
 }
 
 // rawLine is the raw encoding every policy ships when it bypasses the
-// codecs: a copy of the payload, sized at 8 bits per byte (LineBits for a
-// whole line).
-func rawLine(line []byte) comp.Encoded {
+// codecs: the payload appended to dst, sized at 8 bits per byte (LineBits
+// for a whole line).
+func rawLine(dst, line []byte) comp.Encoded {
 	return comp.Encoded{
 		Alg:          comp.None,
 		Bits:         len(line) * 8,
-		Data:         append([]byte(nil), line...),
+		Data:         append(dst, line...),
 		Uncompressed: true,
 	}
 }
@@ -108,17 +111,18 @@ func NewStatic(alg comp.Algorithm) *Static {
 func (s *Static) Name() string { return s.c.Algorithm().String() }
 
 // Process implements Policy.
-func (s *Static) Process(line []byte) Decision { return encode(s.c, line) }
+func (s *Static) Process(dst, line []byte) Decision { return encode(s.c, dst, line) }
 
-// encode is the decision of a policy that runs the single codec c on line:
+// encode is the decision of a policy that runs the single codec c on line,
+// appending the shipped bytes to dst:
 // the compression latency and energy are spent either way, and the line
 // ships compressed (paying c's decompression) unless c could not shrink it,
 // in which case it ships raw and the receiver bypasses the decompressor.
-func encode(c comp.Compressor, line []byte) Decision {
+func encode(c comp.Compressor, dst, line []byte) Decision {
 	cost := c.Cost()
 	d := Decision{
 		Alg:               c.Algorithm(),
-		Enc:               c.Compress(line),
+		Enc:               c.CompressInto(dst, line),
 		CompressionCycles: cost.CompressionCycles,
 		CodecEnergyPJ:     cost.CompressionEnergyPJ(),
 	}
@@ -316,18 +320,18 @@ func (a *Adaptive) DegradedPhases() uint64 { return a.degradedPhases }
 
 // Process implements Policy. In dynamic-λ mode, λ is recalibrated at the
 // boundary into each sampling phase, before the transfer is counted.
-func (a *Adaptive) Process(line []byte) Decision {
+func (a *Adaptive) Process(dst, line []byte) Decision {
 	if a.dynamic() && a.processed%a.dyn.period == 0 && a.processed > 0 {
 		a.recalibrate()
 	}
 	a.processed++
 	if a.sampling {
-		return a.processSample(line)
+		return a.processSample(dst, line)
 	}
-	return a.processRunning(line)
+	return a.processRunning(dst, line)
 }
 
-func (a *Adaptive) processSample(line []byte) Decision {
+func (a *Adaptive) processSample(dst, line []byte) Decision {
 	nCand := len(a.cfg.Candidates)
 
 	// Run every candidate on this transfer; all compressors run
@@ -335,8 +339,7 @@ func (a *Adaptive) processSample(line []byte) Decision {
 	// compressor, and every compressor burns its compression energy. The
 	// penalty function consumes only the compressed size, so each candidate
 	// is probed with CompressedBits (its own encoder, run into the codec's
-	// scratch) and only the winner is encoded into storage that ships:
-	// Compress on every candidate would allocate a losing bitstream each.
+	// scratch) and only the winner is encoded, into dst.
 	energy := 0.0
 	bestIdx := nCand // bypass
 	bestBits := comp.LineBits
@@ -358,11 +361,11 @@ func (a *Adaptive) processSample(line []byte) Decision {
 	d := Decision{Sampling: true, CompressionCycles: a.maxCompressionCycles, CodecEnergyPJ: energy}
 	if bestIdx == nCand || bestBits == comp.LineBits {
 		d.Alg = comp.None
-		d.Enc = rawLine(line)
+		d.Enc = rawLine(dst, line)
 	} else {
 		winner := a.cfg.Candidates[bestIdx]
 		d.Alg = winner.Algorithm()
-		d.Enc = winner.Compress(line)
+		d.Enc = winner.CompressInto(dst, line)
 		d.DecompressionCycles = winner.Cost().DecompressionCycles
 		d.CodecEnergyPJ += winner.Cost().DecompressionEnergyPJ()
 	}
@@ -409,13 +412,13 @@ func (a *Adaptive) closeSamplingPhase() {
 	}
 }
 
-func (a *Adaptive) processRunning(line []byte) Decision {
+func (a *Adaptive) processRunning(dst, line []byte) Decision {
 	var d Decision
 	if a.selected == len(a.cfg.Candidates) {
 		// Bypass: the compression circuitry is off for this phase.
-		d = Decision{Alg: comp.None, Enc: rawLine(line)}
+		d = Decision{Alg: comp.None, Enc: rawLine(dst, line)}
 	} else {
-		d = encode(a.cfg.Candidates[a.selected], line)
+		d = encode(a.cfg.Candidates[a.selected], dst, line)
 	}
 	a.phasePos++
 	if a.phasePos >= a.cfg.RunLength {

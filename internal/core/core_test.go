@@ -42,7 +42,7 @@ func TestUncompressedPolicy(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	line := randLine(rng)
-	d := p.Process(line)
+	d := p.Process(nil, line)
 	if d.Alg != comp.None || d.Enc.Bits != comp.LineBits {
 		t.Errorf("raw policy produced alg=%v bits=%d", d.Alg, d.Enc.Bits)
 	}
@@ -56,7 +56,7 @@ func TestUncompressedPolicy(t *testing.T) {
 
 func TestStaticPolicyCompressibleLine(t *testing.T) {
 	p := NewStatic(comp.BDI)
-	d := p.Process(ldrLine(1<<40, 3))
+	d := p.Process(nil, ldrLine(1<<40, 3))
 	if d.Alg != comp.BDI {
 		t.Fatalf("Alg = %v, want BDI", d.Alg)
 	}
@@ -81,7 +81,7 @@ func TestStaticPolicyIncompressibleLineBypassesDecompression(t *testing.T) {
 	p := NewStatic(comp.BDI)
 	var d Decision
 	for i := 0; i < 10; i++ { // random lines are incompressible for BDI
-		d = p.Process(randLine(rng))
+		d = p.Process(nil, randLine(rng))
 		if d.Alg == comp.None {
 			break
 		}
@@ -133,7 +133,7 @@ func TestAdaptiveDefaults(t *testing.T) {
 func TestAdaptiveSelectsBDIOnLowDynamicRange(t *testing.T) {
 	a := NewAdaptive(Config{Lambda: 6})
 	for i := 0; i < DefaultSampleCount; i++ {
-		a.Process(ldrLine(1<<50, 7))
+		a.Process(nil, ldrLine(1<<50, 7))
 	}
 	alg, sampling := a.Selected()
 	if sampling {
@@ -148,14 +148,14 @@ func TestAdaptiveSelectsBypassOnRandomData(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := NewAdaptive(Config{Lambda: 6})
 	for i := 0; i < DefaultSampleCount; i++ {
-		a.Process(randLine(rng))
+		a.Process(nil, randLine(rng))
 	}
 	alg, _ := a.Selected()
 	if alg != comp.None {
 		t.Errorf("selected %v on incompressible data, want bypass", alg)
 	}
 	// During the running phase the bypass must not charge codec costs.
-	d := a.Process(randLine(rng))
+	d := a.Process(nil, randLine(rng))
 	if d.Sampling {
 		t.Error("running-phase decision marked as sampling")
 	}
@@ -168,7 +168,7 @@ func TestAdaptivePhaseCycle(t *testing.T) {
 	a := NewAdaptive(Config{SampleCount: 3, RunLength: 5, Lambda: 6})
 	var sampled, ran int
 	for i := 0; i < 3+5+3+5; i++ {
-		d := a.Process(zeroLine())
+		d := a.Process(nil, zeroLine())
 		if d.Sampling {
 			sampled++
 		} else {
@@ -185,7 +185,7 @@ func TestAdaptivePhaseCycle(t *testing.T) {
 
 func TestAdaptiveSamplingLatencyIsMaxOfCandidates(t *testing.T) {
 	a := NewAdaptive(Config{Lambda: 6})
-	d := a.Process(zeroLine())
+	d := a.Process(nil, zeroLine())
 	// C-Pack+Z has the slowest compressor: 16 cycles.
 	if d.CompressionCycles != 16 {
 		t.Errorf("sampling latency = %d, want 16 (slowest candidate)", d.CompressionCycles)
@@ -197,7 +197,7 @@ func TestAdaptiveSamplingLatencyIsMaxOfCandidates(t *testing.T) {
 
 func TestAdaptiveSamplingEnergyIncludesLosers(t *testing.T) {
 	a := NewAdaptive(Config{Lambda: 6})
-	d := a.Process(zeroLine())
+	d := a.Process(nil, zeroLine())
 	var compSum float64
 	for _, c := range comp.AllCompressors() {
 		compSum += c.Cost().CompressionEnergyPJ()
@@ -224,7 +224,7 @@ func TestAdaptiveLambdaZeroPrefersBestRatio(t *testing.T) {
 	}
 	a := NewAdaptive(Config{Lambda: 0})
 	for i := 0; i < DefaultSampleCount; i++ {
-		a.Process(line)
+		a.Process(nil, line)
 	}
 	alg, _ := a.Selected()
 	if alg != bestAlg {
@@ -257,8 +257,8 @@ func TestAdaptiveLargeLambdaPrefersFastCodec(t *testing.T) {
 	small := NewAdaptive(Config{Lambda: 0})
 	large := NewAdaptive(Config{Lambda: 32})
 	for i := 0; i < DefaultSampleCount; i++ {
-		small.Process(line)
-		large.Process(line)
+		small.Process(nil, line)
+		large.Process(nil, line)
 	}
 	if alg, _ := small.Selected(); alg != comp.FPC {
 		t.Errorf("λ=0 selected %v, want FPC (fpc=%d bits, bdi=%d bits)", alg, fp.Bits, bd.Bits)
@@ -274,12 +274,12 @@ func TestAdaptiveRunningPhaseFallbackToRaw(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := NewAdaptive(Config{SampleCount: 3, RunLength: 10, Lambda: 6})
 	for i := 0; i < 3; i++ {
-		a.Process(ldrLine(1<<50, 1))
+		a.Process(nil, ldrLine(1<<50, 1))
 	}
 	if alg, _ := a.Selected(); alg != comp.BDI {
 		t.Fatalf("setup: selected %v", alg)
 	}
-	d := a.Process(randLine(rng))
+	d := a.Process(nil, randLine(rng))
 	if d.Alg != comp.None {
 		t.Errorf("incompressible running-phase line shipped as %v", d.Alg)
 	}
@@ -301,7 +301,7 @@ func TestAdaptiveSingleCandidateOnOff(t *testing.T) {
 		Candidates:  []comp.Compressor{comp.NewBDI()},
 	})
 	for i := 0; i < 3; i++ {
-		a.Process(randLine(rng))
+		a.Process(nil, randLine(rng))
 	}
 	if alg, _ := a.Selected(); alg != comp.None {
 		t.Errorf("on/off controller selected %v on random data, want off", alg)
@@ -309,10 +309,10 @@ func TestAdaptiveSingleCandidateOnOff(t *testing.T) {
 	// Run through the running phase and the next sampling phase with
 	// compressible data: should switch on.
 	for i := 0; i < 4; i++ {
-		a.Process(randLine(rng))
+		a.Process(nil, randLine(rng))
 	}
 	for i := 0; i < 3; i++ {
-		a.Process(ldrLine(1<<50, 2))
+		a.Process(nil, ldrLine(1<<50, 2))
 	}
 	if alg, _ := a.Selected(); alg != comp.BDI {
 		t.Errorf("on/off controller selected %v on compressible data, want BDI", alg)
@@ -325,9 +325,9 @@ func TestAdaptiveVotingMajorityWins(t *testing.T) {
 	a := NewAdaptive(Config{SampleCount: 7, RunLength: 5, Lambda: 6})
 	for i := 0; i < 7; i++ {
 		if i < 4 {
-			a.Process(ldrLine(1<<50, 3))
+			a.Process(nil, ldrLine(1<<50, 3))
 		} else {
-			a.Process(randLine(rng))
+			a.Process(nil, randLine(rng))
 		}
 	}
 	if alg, _ := a.Selected(); alg != comp.BDI {
@@ -348,7 +348,7 @@ func TestAdaptiveDecisionRoundTrips(t *testing.T) {
 	}
 	for i := 0; i < 2000; i++ {
 		line := gens[rng.Intn(len(gens))]()
-		d := a.Process(line)
+		d := a.Process(nil, line)
 		var got []byte
 		if d.Alg == comp.None {
 			got = d.Enc.Data
@@ -447,8 +447,8 @@ func TestAdaptiveVoteTieBreakByPenalty(t *testing.T) {
 	bdiLine := ldrLine(1<<50, 3)
 
 	a := NewAdaptive(Config{Lambda: 0, SampleCount: 2, RunLength: 5})
-	a.Process(fpcLine) // FPC wins this sample
-	a.Process(bdiLine) // BDI wins this sample
+	a.Process(nil, fpcLine) // FPC wins this sample
+	a.Process(nil, bdiLine) // BDI wins this sample
 	alg, sampling := a.Selected()
 	if sampling {
 		t.Fatal("sampling did not close")
@@ -462,7 +462,7 @@ func TestAdaptiveVoteTieBreakByPenalty(t *testing.T) {
 
 func TestAdaptiveSelectionHistoryIsCopied(t *testing.T) {
 	a := NewAdaptive(Config{SampleCount: 1, RunLength: 1})
-	a.Process(zeroLine())
+	a.Process(nil, zeroLine())
 	h := a.SelectionHistory()
 	if len(h) != 1 {
 		t.Fatalf("history = %v", h)

@@ -52,7 +52,7 @@ func TestFixedLambdaIgnoresCongestion(t *testing.T) {
 	line := ldrLine(1<<50, 3)
 	for i := 0; i < 50; i++ {
 		a.ObserveCongestion(20)
-		a.Process(line)
+		a.Process(nil, line)
 	}
 	if a.Lambda() != DefaultLambda || a.Name() != "Adaptive λ=6" {
 		t.Errorf("fixed controller moved: λ = %v, name %q", a.Lambda(), a.Name())
@@ -69,7 +69,7 @@ func TestFixedLambdaIgnoresCongestion(t *testing.T) {
 	d := NewDynamicAdaptive(DynamicConfig{SampleCount: 3, RunLength: 7})
 	for i := 0; i < 50; i++ {
 		d.ObserveCongestion(20)
-		d.Process(line)
+		d.Process(nil, line)
 	}
 	reg = metrics.NewRegistry()
 	d.RegisterMetrics(reg, "ctrl")
@@ -87,18 +87,18 @@ func TestDynamicLambdaDropsUnderCongestion(t *testing.T) {
 	// Phase 1: no congestion observed -> λ stays at max after recalibration.
 	for i := 0; i < 10; i++ {
 		d.ObserveCongestion(0)
-		d.Process(line)
+		d.Process(nil, line)
 	}
-	d.Process(line) // crosses the period boundary, triggers recalibration
+	d.Process(nil, line) // crosses the period boundary, triggers recalibration
 	if d.Lambda() != 32 {
 		t.Errorf("idle link λ = %v, want 32", d.Lambda())
 	}
 	// Phase 2: deep queues -> λ collapses toward 0.
 	for i := 0; i < 10; i++ {
 		d.ObserveCongestion(20)
-		d.Process(line)
+		d.Process(nil, line)
 	}
-	d.Process(line)
+	d.Process(nil, line)
 	if d.Lambda() > 3 {
 		t.Errorf("congested link λ = %v, want ≈32/21", d.Lambda())
 	}
@@ -112,14 +112,14 @@ func TestDynamicLambdaRecovers(t *testing.T) {
 	line := zeroLine()
 	for i := 0; i < 11; i++ {
 		d.ObserveCongestion(50)
-		d.Process(line)
+		d.Process(nil, line)
 	}
 	low := d.Lambda()
 	for i := 0; i < 10; i++ {
 		d.ObserveCongestion(0)
-		d.Process(line)
+		d.Process(nil, line)
 	}
-	d.Process(line)
+	d.Process(nil, line)
 	if d.Lambda() <= low {
 		t.Errorf("λ did not recover: %v -> %v", low, d.Lambda())
 	}
@@ -139,7 +139,7 @@ func TestDynamicAdaptiveDecisionsRoundTrip(t *testing.T) {
 			line = zeroLine()
 		}
 		d.ObserveCongestion(rng.Intn(10))
-		dec := d.Process(line)
+		dec := d.Process(nil, line)
 		var got []byte
 		if dec.Alg == comp.None {
 			got = dec.Enc.Data

@@ -19,12 +19,12 @@ func ExampleAdaptive() {
 		binary.LittleEndian.PutUint64(ldr[i*8:], 1<<42+uint64(i*7))
 	}
 	for i := 0; i < 7; i++ {
-		ctl.Process(ldr)
+		ctl.Process(nil, ldr)
 	}
 	alg, _ := ctl.Selected()
 	fmt.Println("after sampling low-dynamic-range data:", alg)
 
-	d := ctl.Process(ldr)
+	d := ctl.Process(nil, ldr)
 	fmt.Printf("running phase ships %d-byte payloads tagged %v\n", d.WireBytes(), d.Alg)
 	// Output:
 	// after sampling low-dynamic-range data: BDI

@@ -11,11 +11,11 @@ import (
 // phase, returning the running-phase decisions.
 func phase(a *Adaptive, cfg Config, line []byte) []Decision {
 	for i := 0; i < cfg.SampleCount; i++ {
-		a.Process(line)
+		a.Process(nil, line)
 	}
 	out := make([]Decision, 0, cfg.RunLength)
 	for i := 0; i < cfg.RunLength; i++ {
-		out = append(out, a.Process(line))
+		out = append(out, a.Process(nil, line))
 	}
 	return out
 }

@@ -7,24 +7,25 @@ import (
 	"mgpucompress/internal/sim"
 )
 
-// ipacket is an injectable, corruptible test message; plain packet traffic
-// (no marker) must never be touched by the injector.
+// ipacket is an injectable, corruptible test message that counts its
+// releases; plain packet traffic (no marker) must never be touched by the
+// injector.
 type ipacket struct {
 	sim.MsgMeta
-	payload []byte
+	payload  []byte
+	released int
 }
 
 func (p *ipacket) Meta() *sim.MsgMeta { return &p.MsgMeta }
 func (p *ipacket) FaultInjectable()   {}
-func (p *ipacket) CorruptCopy(pick uint64) (sim.Msg, bool) {
+func (p *ipacket) Release()           { p.released++ }
+func (p *ipacket) Corrupt(pick uint64) bool {
 	if len(p.payload) == 0 {
-		return nil, false
+		return false
 	}
-	c := *p
-	c.payload = append([]byte(nil), p.payload...)
-	bit := pick % uint64(len(c.payload)*8)
-	c.payload[bit/8] ^= 1 << (bit % 8)
-	return &c, true
+	bit := pick % uint64(len(p.payload)*8)
+	p.payload[bit/8] ^= 1 << (bit % 8)
+	return true
 }
 
 func ipkt(dst *sim.Port, payload []byte) *ipacket {
@@ -41,7 +42,8 @@ func TestBusFaultDropsInjectableOnly(t *testing.T) {
 	cfg.Fault = fault.NewInjector(fault.Profile{DropRate: 1}, 1)
 	engine, bus, nodes := setup(t, 2, cfg, true)
 
-	nodes[0].port.Send(0, ipkt(nodes[1].port, make([]byte, 20)))
+	dropped := ipkt(nodes[1].port, make([]byte, 20))
+	nodes[0].port.Send(0, dropped)
 	nodes[0].port.Send(0, pkt(nodes[1].port, 20, 7))
 	if err := engine.Run(); err != nil {
 		t.Fatal(err)
@@ -57,8 +59,8 @@ func TestBusFaultDropsInjectableOnly(t *testing.T) {
 	if bus.TotalMessages() != 2 || bus.TotalBytes() != 40 {
 		t.Errorf("stats = %d msgs / %d bytes, want 2 / 40", bus.TotalMessages(), bus.TotalBytes())
 	}
-	if cfg.Fault.Dropped != 1 {
-		t.Errorf("Dropped = %d", cfg.Fault.Dropped)
+	if cfg.Fault.Dropped != 1 || dropped.released != 1 {
+		t.Errorf("Dropped = %d, released %d times", cfg.Fault.Dropped, dropped.released)
 	}
 }
 
@@ -85,14 +87,16 @@ func TestBusFaultDelaysDelivery(t *testing.T) {
 	}
 }
 
-// TestBusFaultCorruptionDeliversCopy: the receiver gets a one-bit-flipped
-// copy; the sender's original is intact.
+// TestBusFaultCorruptionDeliversCopy: the receiver gets the transmitted
+// message itself with one bit flipped; a transmission is a copy of its own,
+// so corruption is in place.
 func TestBusFaultCorruptionDeliversCopy(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Fault = fault.NewInjector(fault.Profile{CorruptRate: 1}, 1)
 	engine, _, nodes := setup(t, 2, cfg, true)
 
-	orig := ipkt(nodes[1].port, []byte{0xFF, 0x00, 0xFF, 0x00})
+	want := []byte{0xFF, 0x00, 0xFF, 0x00}
+	orig := ipkt(nodes[1].port, append([]byte(nil), want...))
 	nodes[0].port.Send(0, orig)
 	if err := engine.Run(); err != nil {
 		t.Fatal(err)
@@ -101,16 +105,13 @@ func TestBusFaultCorruptionDeliversCopy(t *testing.T) {
 		t.Fatal("message lost")
 	}
 	got, ok := nodes[1].received[0].(*ipacket)
-	if !ok || got == orig {
-		t.Fatal("receiver did not get a distinct copy")
-	}
-	if string(orig.payload) != "\xff\x00\xff\x00" {
-		t.Error("sender's original payload mutated")
+	if !ok || got != orig || got.released != 0 {
+		t.Fatal("receiver did not get the transmitted message")
 	}
 	diff := 0
 	for i := range got.payload {
 		for b := 0; b < 8; b++ {
-			if (got.payload[i]^orig.payload[i])>>b&1 == 1 {
+			if (got.payload[i]^want[i])>>b&1 == 1 {
 				diff++
 			}
 		}

@@ -197,8 +197,10 @@ func (h *hub) pick(now sim.Time, eps []*endpoint, rr *int) (*endpoint, sim.Msg) 
 // injector (when configured) and hands the survivor off toward its
 // destination. The input credit was reserved by pick: a dropped message
 // refunds it, a delayed one keeps the reservation until the retry fires.
+// The injector releases what it drops, so the refund reads nothing of it.
 func (h *hub) deliver(now, start sim.Time, msg sim.Msg) {
 	meta := msg.Meta()
+	dst, bytes := meta.Dst, meta.Bytes
 	h.messages++
 	h.bytes += uint64(meta.Bytes)
 	if h.cfg.Trace != nil {
@@ -213,16 +215,15 @@ func (h *hub) deliver(now, start sim.Time, msg sim.Msg) {
 	}
 	if inj := h.cfg.Fault; inj != nil {
 		out := inj.Apply(msg)
-		if out.Msg == nil {
-			h.endpointOf(meta.Dst).refund(meta.Bytes)
-			return // dropped; the RDMA guard's timeout recovers
+		if out.Dropped {
+			h.endpointOf(dst).refund(bytes)
+			return // the RDMA guard's timeout recovers
 		}
 		if out.Delay > 0 {
 			h.pendingFaults++
-			h.part.Schedule(now+out.Delay, faultDeliver{h}, out.Msg, 0)
+			h.part.Schedule(now+out.Delay, faultDeliver{h}, msg, 0)
 			return
 		}
-		msg = out.Msg
 	}
 	h.handOff(now, msg)
 }

@@ -15,24 +15,28 @@ type Injectable interface {
 	sim.Msg
 	// FaultInjectable is a marker; it does nothing.
 	FaultInjectable()
+	// Release hands the message back to its sender's pool. The injector
+	// calls it on a message it drops: nothing else will see the message
+	// again.
+	Release()
 }
 
-// Corruptible is implemented by payload-bearing injectable messages. The
-// injector never mutates the original message — the sender still holds it
-// for retransmission — so corruption produces a modified copy.
+// Corruptible is implemented by payload-bearing injectable messages. Each
+// transmission is a message of its own (the sender retransmits from a copy
+// it keeps off the fabric), so corruption is in place.
 type Corruptible interface {
 	Injectable
-	// CorruptCopy returns a copy of the message with one payload bit,
-	// chosen by pick, flipped. It reports false when the message carries no
-	// payload bits.
-	CorruptCopy(pick uint64) (sim.Msg, bool)
+	// Corrupt flips one payload bit, chosen by pick, in place. It reports
+	// false when the message carries no payload bits.
+	Corrupt(pick uint64) bool
 }
 
-// Outcome is the injector's verdict on one delivery.
+// Outcome is the injector's verdict on one delivery. A message that is not
+// dropped is delivered, corrupted in place or not.
 type Outcome struct {
-	// Msg is the message to deliver: the original, or a corrupted copy.
-	// Nil means the message was dropped.
-	Msg sim.Msg
+	// Dropped reports that the message was dropped and released: the
+	// caller must not touch it again.
+	Dropped bool
 	// Delay, when nonzero, postpones delivery by that many cycles.
 	Delay sim.Time
 }
@@ -90,8 +94,9 @@ func (i *Injector) link(src, dst string) *rand.Rand {
 // outcome, so the stream position depends only on the link's delivery
 // sequence, never on which faults happened to fire.
 func (i *Injector) Apply(msg sim.Msg) Outcome {
-	if _, ok := msg.(Injectable); !ok {
-		return Outcome{Msg: msg}
+	inj, ok := msg.(Injectable)
+	if !ok {
+		return Outcome{}
 	}
 	rng := i.link(msg.Meta().Src.Name(), msg.Meta().Dst.Name())
 	fDrop := rng.Float64()
@@ -101,19 +106,17 @@ func (i *Injector) Apply(msg sim.Msg) Outcome {
 
 	if fDrop < i.profile.DropRate {
 		i.Dropped++
-		return Outcome{}
+		inj.Release()
+		return Outcome{Dropped: true}
 	}
-	out := Outcome{Msg: msg}
+	var out Outcome
 	if fDelay < i.profile.DelayRate && i.profile.DelayCycles > 0 {
 		i.Delayed++
 		out.Delay = sim.Time(i.profile.DelayCycles)
 	}
 	if fCorrupt < i.profile.CorruptRate {
-		if c, ok := msg.(Corruptible); ok {
-			if bad, ok := c.CorruptCopy(pick); ok {
-				i.Corrupted++
-				out.Msg = bad
-			}
+		if c, ok := msg.(Corruptible); ok && c.Corrupt(pick) {
+			i.Corrupted++
 		}
 	}
 	return out

@@ -8,23 +8,24 @@ import (
 	"mgpucompress/internal/sim"
 )
 
-// injMsg is a minimal injectable, corruptible message.
+// injMsg is a minimal injectable, corruptible message that counts its
+// releases.
 type injMsg struct {
 	sim.MsgMeta
-	payload []byte
+	payload  []byte
+	released int
 }
 
 func (m *injMsg) Meta() *sim.MsgMeta { return &m.MsgMeta }
 func (m *injMsg) FaultInjectable()   {}
-func (m *injMsg) CorruptCopy(pick uint64) (sim.Msg, bool) {
+func (m *injMsg) Release()           { m.released++ }
+func (m *injMsg) Corrupt(pick uint64) bool {
 	if len(m.payload) == 0 {
-		return nil, false
+		return false
 	}
-	c := *m
-	c.payload = append([]byte(nil), m.payload...)
-	bit := pick % uint64(len(c.payload)*8)
-	c.payload[bit/8] ^= 1 << (bit % 8)
-	return &c, true
+	bit := pick % uint64(len(m.payload)*8)
+	m.payload[bit/8] ^= 1 << (bit % 8)
+	return true
 }
 
 // plainMsg is ordinary control traffic: no Injectable marker.
@@ -138,7 +139,7 @@ func TestApplyDeterminism(t *testing.T) {
 		for k := 0; k < 400; k++ {
 			out := inj.Apply(newInj(src, dst, []byte{0xAA, 0xBB, 0xCC, 0xDD}))
 			switch {
-			case out.Msg == nil:
+			case out.Dropped:
 				fates = append(fates, "drop")
 			case out.Delay > 0:
 				fates = append(fates, "delay")
@@ -189,12 +190,12 @@ func TestNonInjectablePassThrough(t *testing.T) {
 				m := &plainMsg{}
 				m.Src, m.Dst = src, dst
 				out := inj.Apply(m)
-				if out.Msg != m || out.Delay != 0 {
+				if out.Dropped || out.Delay != 0 {
 					t.Fatal("non-injectable message perturbed")
 				}
 			}
 			out := inj.Apply(newInj(src, dst, []byte{1, 2, 3, 4}))
-			drops = append(drops, out.Msg == nil)
+			drops = append(drops, out.Dropped)
 		}
 		if inj.Injected() != inj.Corrupted+inj.Dropped+inj.Delayed {
 			t.Fatal("Injected() is not the sum of its parts")
@@ -210,21 +211,19 @@ func TestNonInjectablePassThrough(t *testing.T) {
 	}
 }
 
-// TestCorruptionClonesPayload: the delivered message is a modified copy; the
-// sender's original — held for retransmission — stays intact.
+// TestCorruptionClonesPayload: corruption flips exactly one bit of the
+// delivered message in place. The message is the transmission's own: the
+// sender retransmits from a copy it keeps off the fabric.
 func TestCorruptionClonesPayload(t *testing.T) {
 	src, dst := testPorts()
 	inj := NewInjector(Profile{CorruptRate: 1}, 1)
 	orig := newInj(src, dst, []byte{0x55, 0x55, 0x55, 0x55})
 	want := append([]byte(nil), orig.payload...)
 	out := inj.Apply(orig)
-	if out.Msg == nil || out.Msg == sim.Msg(orig) {
-		t.Fatal("corruption did not produce a distinct copy")
+	if out.Dropped || orig.released != 0 {
+		t.Fatal("a corrupted message was dropped or released")
 	}
-	if string(orig.payload) != string(want) {
-		t.Fatal("original payload mutated")
-	}
-	got := out.Msg.(*injMsg).payload
+	got := orig.payload
 	diff := 0
 	for i := range got {
 		for b := 0; b < 8; b++ {
@@ -256,7 +255,7 @@ func TestPerLinkStreams(t *testing.T) {
 				inj.Apply(newInj(srcC, dstC, []byte{9}))
 			}
 			o := inj.Apply(newInj(srcA, dstA, []byte{1}))
-			out = append(out, o.Msg == nil)
+			out = append(out, o.Dropped)
 		}
 		return out
 	}
@@ -274,7 +273,11 @@ func TestRegisterMetrics(t *testing.T) {
 	inj := NewInjector(Profile{DropRate: 1}, 3)
 	reg := metrics.NewRegistry()
 	inj.RegisterMetrics(reg, "fault")
-	inj.Apply(newInj(src, dst, []byte{1}))
+	dropped := newInj(src, dst, []byte{1})
+	inj.Apply(dropped)
+	if dropped.released != 1 {
+		t.Errorf("dropped message released %d times, want 1", dropped.released)
+	}
 	snap := reg.Snapshot()
 	want := map[string]uint64{
 		"fault/injected": 1, "fault/dropped": 1, "fault/corrupted": 0, "fault/delayed": 0,

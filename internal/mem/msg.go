@@ -161,12 +161,6 @@ func lineData(line *[LineSize]byte, n int) []byte {
 	return line[:n:n]
 }
 
-// Poison values a poison build writes into a released message.
-const (
-	poisonByte = 0xDB
-	poisonWord = 0xDBDBDBDBDBDBDBDB
-)
-
 // Release returns m, a message of this pool, once its receiver has handled
 // it. It panics if m is not live or not a memory message. In a poison
 // build it first overwrites m's ID, address, response ID and data.
@@ -174,34 +168,28 @@ func (p *Pool) Release(m sim.Msg) {
 	switch m := m.(type) {
 	case *ReadReq:
 		if sim.Poison {
-			m.ID, m.Addr = poisonWord, poisonWord
+			m.ID, m.Addr = sim.PoisonWord, sim.PoisonWord
 		}
 		p.reads.Release(m)
 	case *WriteReq:
 		if sim.Poison {
-			m.ID, m.Addr = poisonWord, poisonWord
-			poisonBytes(m.Data)
+			m.ID, m.Addr = sim.PoisonWord, sim.PoisonWord
+			sim.PoisonBytes(m.Data)
 		}
 		p.writes.Release(m)
 	case *DataReady:
 		if sim.Poison {
-			m.ID, m.Addr, m.RspTo = poisonWord, poisonWord, poisonWord
-			poisonBytes(m.Data)
+			m.ID, m.Addr, m.RspTo = sim.PoisonWord, sim.PoisonWord, sim.PoisonWord
+			sim.PoisonBytes(m.Data)
 		}
 		p.data.Release(m)
 	case *WriteACK:
 		if sim.Poison {
-			m.ID, m.Addr, m.RspTo = poisonWord, poisonWord, poisonWord
+			m.ID, m.Addr, m.RspTo = sim.PoisonWord, sim.PoisonWord, sim.PoisonWord
 		}
 		p.acks.Release(m)
 	default:
 		panic(fmt.Sprintf("mem: release of %T, not a memory message", m))
-	}
-}
-
-func poisonBytes(data []byte) {
-	for i := range data {
-		data[i] = poisonByte
 	}
 }
 

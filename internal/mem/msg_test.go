@@ -108,7 +108,7 @@ func TestPoolReleaseTwicePanics(t *testing.T) {
 	msgs, src, dst := testPool()
 	d := msgs.DataReady(src, dst, 7, 0x40, LineSize)
 	msgs.Release(d)
-	if sim.Poison && (d.Data[0] != poisonByte || d.Addr != poisonWord || d.RspTo != poisonWord) {
+	if sim.Poison && (d.Data[0] != sim.PoisonByte || d.Addr != sim.PoisonWord || d.RspTo != sim.PoisonWord) {
 		t.Errorf("released message not poisoned: %+v", d)
 	}
 	defer func() {

@@ -526,11 +526,12 @@ func (p *Platform) ExecCycles() sim.Time { return p.Engine.Now() }
 // drains the traffic still queued when the last kernel completed (stale
 // timeouts and duplicate requests and responses of the fault path), then
 // checks that no partition still has an event queued, that every memory
-// message was released exactly once, that no cache, CU, DRAM channel or
-// RDMA engine still tracks a request or parks a wire message, and that the
-// fabric holds no message and has every credit back. Draining
-// moves counters and feeds the trace recorders, so take the run's snapshot,
-// trace and results first. The check reads state and registers nothing.
+// message and every RDMA wire message was released exactly once, that no
+// cache, CU, DRAM channel or RDMA engine still tracks a request or parks a
+// wire message, and that the fabric holds no message and has every credit
+// back. Draining moves counters and feeds the trace recorders, so take the
+// run's snapshot, trace and results first. The check reads state and
+// registers nothing.
 func (p *Platform) CheckQuiescent() error {
 	if err := p.Engine.Run(); err != nil {
 		return fmt.Errorf("platform: draining stale traffic: %w", err)

@@ -1,6 +1,7 @@
 package rdma
 
 import (
+	"errors"
 	"fmt"
 
 	"mgpucompress/internal/comp"
@@ -21,7 +22,9 @@ type Recorder interface {
 	// RemoteWrite is called when a write request leaves gpu.
 	RemoteWrite(gpu int)
 	// Payload is called for every payload-bearing transfer entering the
-	// fabric, with the original bytes and the policy's decision.
+	// fabric, with the original bytes and the policy's decision. Both are
+	// borrowed: d.Enc.Data lives in a pooled wire message, so a recorder
+	// that keeps the bytes copies them.
 	Payload(line []byte, d core.Decision)
 	// Header is called with the header bytes of every wire message.
 	Header(bytes int)
@@ -56,6 +59,8 @@ type Engine struct {
 	part   *sim.Partition
 	ticker *sim.Ticker
 	msgs   *mem.Pool
+	// wires is the pool of the wire messages this engine sends.
+	wires wirePool
 
 	GPU    int
 	Policy core.Policy
@@ -91,10 +96,11 @@ type Engine struct {
 	outQueue sim.FIFO[sim.Msg]
 
 	// pending tracks this engine's remote requests by wire request ID, by
-	// value: a remote request costs one allocation, its wire message.
+	// value.
 	pending map[uint64]request
-	// decoding parks the answered reads whose responses are decompressing;
-	// the decompression record carries the slot.
+	// decoding parks, while an incoming payload decompresses, the answered
+	// read (for its latency) or the requester of the served write; the
+	// decompression record carries the slot.
 	decoding sim.Slab[request]
 	// serving maps the local L2 request ID of each incoming remote request
 	// to its requester's fabric port (Src) and wire request ID (ID).
@@ -130,13 +136,16 @@ type GuardConfig struct {
 }
 
 // request is a remote request in flight: the local request it answers,
-// when it left, how many times it has been sent, and its wire message, whose
-// type (*ReadReq or *WriteReq) is the request's kind.
+// when it left, how many times it has been sent, when its live timeout is
+// due (guard only), and the retained copy of its wire message, whose type
+// (*ReadReq or *WriteReq) is the request's kind. The retained copy never
+// goes on the fabric: each transmission is a copy of it.
 type request struct {
 	req      mem.ReplyTo
 	issued   sim.Time
 	attempts int
-	wire     sim.Msg
+	due      sim.Time
+	wire     wireMsg
 }
 
 // RegisterMetrics exposes the engine's counters under prefix (e.g.
@@ -212,31 +221,33 @@ func (r delayedSend) Handle(ev *sim.Event) error {
 	return nil
 }
 
-// decompressed finishes decompression of the record's incoming payload: a
-// *WriteReq is forwarded into the local L2, and a *DataReady answers the
-// pending read parked in slot Arg of the decoding table.
+// decompressed delivers the record's decoded line once the decompression
+// latency has elapsed: a *mem.WriteReq into the local L2, a *mem.DataReady
+// to the requesting L1, for the request parked in slot Arg of the decoding
+// table.
 type decompressed struct{ e *Engine }
 
 func (r decompressed) Handle(ev *sim.Event) error {
-	switch wire := ev.Msg().(type) {
-	case *WriteReq:
-		return r.e.deliverWrite(ev.Time(), wire)
-	case *DataReady:
-		return r.e.deliverRead(ev.Time(), wire, r.e.decoding.Take(ev.Arg()))
+	req := r.e.decoding.Take(ev.Arg())
+	switch local := ev.Msg().(type) {
+	case *mem.WriteReq:
+		return r.e.deliverWrite(ev.Time(), local, req.req)
+	case *mem.DataReady:
+		return r.e.deliverRead(ev.Time(), local, req)
 	default:
-		return fmt.Errorf("%s: unexpected decompressed message %T", r.e.Name(), wire)
+		return fmt.Errorf("%s: unexpected decompressed message %T", r.e.Name(), local)
 	}
 }
 
-// retryTimeout fires when the guarded request whose wire message the record
-// carries has waited long enough for its response. The attempt number in
-// Arg pins the timeout to one transmission: a retransmission in the
-// meantime (e.g. NACK-triggered) bumps the pending entry's attempt count,
-// turning the old timeout into a no-op.
+// retryTimeout fires when the guarded request whose wire request ID is Arg
+// has waited long enough for its response. The pending entry remembers when
+// its live timeout is due; backoff makes those times strictly increase per
+// request, so a timeout of an earlier transmission (one superseded by, for
+// example, a NACK-triggered retry) finds another due time and is a no-op.
 type retryTimeout struct{ e *Engine }
 
 func (r retryTimeout) Handle(ev *sim.Event) error {
-	return r.e.handleTimeout(ev.Time(), ev.Msg(), ev.Arg())
+	return r.e.handleTimeout(ev.Time(), uint64(ev.Arg()))
 }
 
 func (e *Engine) tick(now sim.Time) error {
@@ -253,6 +264,7 @@ func (e *Engine) tick(now sim.Time) error {
 			if err := e.handleWire(now, msg); err != nil {
 				return err
 			}
+			msg.(wireMsg).Release()
 			progress = true
 		}
 		if msg := e.ToL2.Retrieve(now); msg != nil {
@@ -281,22 +293,25 @@ func (e *Engine) drainOutQueue(now sim.Time) {
 }
 
 // handleLocal turns a request from this GPU's L1s, destined for a remote
-// GPU, into its wire request, and releases it.
+// GPU, into its wire request, and releases it. The pending entry retains
+// the wire request; its first transmission is a copy.
 func (e *Engine) handleLocal(now sim.Time, msg sim.Msg) error {
-	var wire sim.Msg
+	var wire wireMsg
 	var to mem.ReplyTo
 	cycles := 0
 	switch req := msg.(type) {
 	case *mem.ReadReq:
-		w := &ReadReq{Addr: req.Addr, N: req.N}
+		w := e.wires.readReq()
+		w.Addr, w.N = req.Addr, req.N
 		w.Bytes = mem.ReadReqHeaderBytes
 		wire, to = w, req.ReplyTo()
 		e.ReadsSent++
 		e.Rec.RemoteRead(e.GPU)
 		e.Rec.Header(mem.ReadReqHeaderBytes)
 	case *mem.WriteReq:
-		payload, d := e.compress(req.Data)
-		w := &WriteReq{Addr: req.Addr, Payload: payload}
+		w := e.wires.writeReq()
+		w.Addr = req.Addr
+		d := e.compress(&w.Payload, w.line[:0], req.Data)
 		e.seal(&w.MsgMeta, &w.Payload, mem.WriteReqHeaderBytes)
 		wire, to, cycles = w, req.ReplyTo(), d.CompressionCycles
 		e.WritesSent++
@@ -308,10 +323,11 @@ func (e *Engine) handleLocal(now sim.Time, msg sim.Msg) error {
 	m := wire.Meta()
 	m.Src, m.Dst = e.ToFabric, e.RemotePort(e.OwnerOf(to.Addr))
 	e.part.AssignMsgID(wire)
-	e.pending[m.ID] = request{req: to, issued: now, attempts: 1, wire: wire}
+	r := request{req: to, issued: now, attempts: 1, wire: wire}
 	e.msgs.Release(msg)
-	e.scheduleSend(now, wire, cycles)
-	e.scheduleTimeout(now, wire, 1)
+	e.scheduleSend(now, e.wires.transmission(wire), cycles)
+	r.due = e.scheduleTimeout(now, m.ID, 1)
+	e.pending[m.ID] = r
 	return nil
 }
 
@@ -325,11 +341,13 @@ func (e *Engine) seal(m *sim.MsgMeta, p *Payload, headerBytes int) {
 	}
 }
 
-// compress runs the policy over a payload. Payloads that are not a whole
-// cache line bypass the codecs (they cannot be encoded by the line-based
-// algorithms) and ship raw. The payload never aliases data, which belongs
-// to a message released once this returns.
-func (e *Engine) compress(data []byte) (Payload, core.Decision) {
+// compress runs the policy over data into p, encoding it into dst, which is
+// line[:0] of the wire message that carries p. Payloads that are not a
+// whole cache line bypass the codecs (they cannot be encoded by the
+// line-based algorithms) and ship raw; one longer than a line outgrows dst
+// and is the only payload that allocates. The payload never aliases data,
+// which belongs to a message released once this returns.
+func (e *Engine) compress(p *Payload, dst, data []byte) core.Decision {
 	policy := e.Policy
 	if policy == nil || len(data) != comp.LineSize {
 		policy = core.Uncompressed{}
@@ -338,13 +356,14 @@ func (e *Engine) compress(data []byte) (Payload, core.Decision) {
 		// depth of this engine's fabric output queue.
 		obs.ObserveCongestion(e.outQueue.Len())
 	}
-	d := policy.Process(data)
+	d := policy.Process(dst, data)
 	if e.Policy != nil {
 		// A compressing endpoint records every transfer, raw ones included,
 		// so traffic accounting is complete.
 		e.Rec.Payload(data, d)
 	}
-	return Payload{Alg: d.Alg, Enc: d.Enc, RawLen: len(data)}, d
+	*p = Payload{Alg: d.Alg, Enc: d.Enc, RawLen: len(data)}
+	return d
 }
 
 // scheduleSend queues the wire message after the compression latency.
@@ -357,7 +376,9 @@ func (e *Engine) scheduleSend(now sim.Time, msg sim.Msg, compressionCycles int) 
 	e.part.Schedule(now+sim.Time(compressionCycles), delayedSend{e}, msg, 0)
 }
 
-// handleWire processes a message arriving from the fabric.
+// handleWire processes a message arriving from the fabric. It keeps
+// nothing of the message once it returns (an incoming payload is decoded
+// into a memory message right away) and does not release it: tick does.
 func (e *Engine) handleWire(now sim.Time, msg sim.Msg) error {
 	switch wire := msg.(type) {
 	case *ReadReq:
@@ -376,13 +397,19 @@ func (e *Engine) handleWire(now sim.Time, msg sim.Msg) error {
 			// timeout).
 			return nil
 		}
-		// Decompress (if needed), then forward the write into local L2.
+		// Decode the line now and forward the write into local L2 once the
+		// decompression latency (if any) has elapsed.
 		e.WritesServed++
+		local := e.msgs.WriteReq(e.ToL2, e.L2Router(wire.Addr), wire.Addr, wire.Payload.RawLen)
+		if err := unpack(local.Data, wire.Payload); err != nil {
+			return fmt.Errorf("%s: write payload: %w", e.Name(), err)
+		}
+		to := mem.ReplyTo{Src: wire.Src, ID: wire.ID}
 		if cycles := decompressionCycles(wire.Payload.Alg); cycles > 0 {
-			e.part.Schedule(now+sim.Time(cycles), decompressed{e}, wire, 0)
+			e.part.Schedule(now+sim.Time(cycles), decompressed{e}, local, e.decoding.Put(request{req: to}))
 			return nil
 		}
-		return e.deliverWrite(now, wire)
+		return e.deliverWrite(now, local, to)
 	case *DataReady:
 		// Response to one of our outgoing reads.
 		r, ok, err := e.answered(wire, wire.RspTo)
@@ -393,19 +420,24 @@ func (e *Engine) handleWire(now sim.Time, msg sim.Msg) error {
 			// Corrupt response: discard it and retransmit our request.
 			return e.retransmit(now, wire.RspTo)
 		}
-		delete(e.pending, wire.RspTo)
+		e.complete(wire.RspTo, &r)
+		rsp := e.msgs.DataReady(e.ToL1, r.req.Src, r.req.ID, r.req.Addr, wire.Payload.RawLen)
+		if err := unpack(rsp.Data, wire.Payload); err != nil {
+			return fmt.Errorf("%s: read payload: %w", e.Name(), err)
+		}
 		if cycles := decompressionCycles(wire.Payload.Alg); cycles > 0 {
-			e.part.Schedule(now+sim.Time(cycles), decompressed{e}, wire, e.decoding.Put(r))
+			e.part.Schedule(now+sim.Time(cycles), decompressed{e}, rsp, e.decoding.Put(r))
 			return nil
 		}
-		return e.deliverRead(now, wire, r)
+		return e.deliverRead(now, rsp, r)
 	case *WriteACK:
 		r, ok, err := e.answered(wire, wire.RspTo)
 		if !ok {
 			return err
 		}
-		delete(e.pending, wire.RspTo)
-		if e.Guard != nil && r.wire.(*WriteReq).Payload.Alg != comp.None {
+		compressed := r.wire.(*WriteReq).Payload.Alg != comp.None
+		e.complete(wire.RspTo, &r)
+		if e.Guard != nil && compressed {
 			// A compressed write completed cleanly: reset the controller's
 			// consecutive-failure count.
 			e.observeIntegrity(true)
@@ -459,6 +491,14 @@ func (e *Engine) answered(rsp sim.Msg, rspTo uint64) (request, bool, error) {
 	return r, true, nil
 }
 
+// complete ends the answered request id, whose entry is r: it leaves the
+// pending table and its retained wire message is released.
+func (e *Engine) complete(id uint64, r *request) {
+	delete(e.pending, id)
+	r.wire.Release()
+	r.wire = nil
+}
+
 // rejects reports whether an incoming payload fails the guard's CRC check.
 // A rejected payload is counted and NACKed back to its sender under rspTo,
 // naming its Comp Alg so the compressing endpoint can attribute the
@@ -468,7 +508,8 @@ func (e *Engine) rejects(now sim.Time, src *sim.Port, rspTo uint64, p *Payload) 
 		return false
 	}
 	e.CRCErrors++
-	n := &NACK{RspTo: rspTo, Alg: p.Alg}
+	n := e.wires.nack()
+	n.RspTo, n.Alg = rspTo, p.Alg
 	n.Src, n.Dst = e.ToFabric, src
 	n.Bytes = NACKHeaderBytes
 	e.part.AssignMsgID(n)
@@ -486,36 +527,38 @@ func (e *Engine) observeIntegrity(ok bool) {
 }
 
 // scheduleTimeout arms the retransmit timer for transmission `attempt` of
-// the guarded request wire, with exponential backoff. No-op without a
-// guard.
-func (e *Engine) scheduleTimeout(now sim.Time, wire sim.Msg, attempt int) {
+// the guarded request id, with exponential backoff, and returns when it is
+// due. No-op without a guard.
+func (e *Engine) scheduleTimeout(now sim.Time, id uint64, attempt int) sim.Time {
 	if e.Guard == nil {
-		return
+		return 0
 	}
 	shift := attempt - 1
 	if shift > 10 {
 		shift = 10 // backoff cap; MaxAttempts bounds attempts anyway
 	}
-	e.part.Schedule(now+e.Guard.TimeoutCycles<<shift, retryTimeout{e}, wire, attempt)
+	due := now + e.Guard.TimeoutCycles<<shift
+	e.part.Schedule(due, retryTimeout{e}, nil, int(id))
+	return due
 }
 
 // handleTimeout retransmits a request whose response never arrived. A stale
 // timeout — the request completed, or a NACK already retransmitted it — is
 // a no-op.
-func (e *Engine) handleTimeout(now sim.Time, wire sim.Msg, attempt int) error {
-	id := wire.Meta().ID
-	if r, ok := e.pending[id]; !ok || r.attempts != attempt {
+func (e *Engine) handleTimeout(now sim.Time, id uint64) error {
+	if r, ok := e.pending[id]; !ok || r.due != now {
 		return nil
 	}
 	e.TimeoutsFired++
 	return e.retransmit(now, id)
 }
 
-// retransmit re-sends the wire request of a still-pending remote request.
-// Retransmissions appear in the fabric byte counters and the guard stats,
-// not in the logical traffic/* accounting: they are transport overhead, not
-// new transfers. A write's payload was encoded and checksummed on first
-// send, so its retransmission costs no compression latency.
+// retransmit sends a new copy of the retained wire request of a
+// still-pending remote request. Retransmissions appear in the fabric byte
+// counters and the guard stats, not in the logical traffic/* accounting:
+// they are transport overhead, not new transfers. A write's payload was
+// encoded and checksummed on first send, so its retransmission costs no
+// compression latency.
 func (e *Engine) retransmit(now sim.Time, id uint64) error {
 	r := e.pending[id]
 	kind := "read"
@@ -527,7 +570,6 @@ func (e *Engine) retransmit(now sim.Time, id uint64) error {
 			e.Name(), kind, r.req.Addr, r.attempts)
 	}
 	r.attempts++
-	e.pending[id] = r
 	e.Retries++
 	if e.Spans != nil {
 		e.Spans.Record(trace.Span{
@@ -535,33 +577,27 @@ func (e *Engine) retransmit(now sim.Time, id uint64) error {
 			Cat: "fault", Start: now, End: now + 1,
 		})
 	}
-	e.outQueue.Push(r.wire)
+	e.outQueue.Push(e.wires.transmission(r.wire))
 	e.drainOutQueue(now)
-	e.scheduleTimeout(now, r.wire, r.attempts)
+	r.due = e.scheduleTimeout(now, id, r.attempts)
+	e.pending[id] = r
 	return nil
 }
 
-// deliverWrite forwards an incoming write into the local L2.
-func (e *Engine) deliverWrite(now sim.Time, wire *WriteReq) error {
-	local := e.msgs.WriteReq(e.ToL2, e.L2Router(wire.Addr), wire.Addr, wire.Payload.RawLen)
-	if err := unpack(local.Data, wire.Payload); err != nil {
-		return fmt.Errorf("%s: write payload: %w", e.Name(), err)
-	}
+// deliverWrite forwards the decoded line of an incoming write into the
+// local L2; to names the remote writer.
+func (e *Engine) deliverWrite(now sim.Time, local *mem.WriteReq, to mem.ReplyTo) error {
 	e.part.AssignMsgID(local)
-	e.serving[local.ID] = mem.ReplyTo{Src: wire.Src, ID: wire.ID}
+	e.serving[local.ID] = to
 	if !e.ToL2.Send(now, local) {
 		return fmt.Errorf("%s: L2 rejected forwarded write", e.Name())
 	}
 	return nil
 }
 
-// deliverRead returns the response to the answered read r to the
-// requesting L1.
-func (e *Engine) deliverRead(now sim.Time, wire *DataReady, r request) error {
-	rsp := e.msgs.DataReady(e.ToL1, r.req.Src, r.req.ID, r.req.Addr, wire.Payload.RawLen)
-	if err := unpack(rsp.Data, wire.Payload); err != nil {
-		return fmt.Errorf("%s: read payload: %w", e.Name(), err)
-	}
+// deliverRead returns rsp, the decoded response to the answered read r, to
+// the requesting L1.
+func (e *Engine) deliverRead(now sim.Time, rsp *mem.DataReady, r request) error {
 	e.ReadLatency.Add(float64(now - r.issued))
 	e.part.AssignMsgID(rsp)
 	if !e.ToL1.Send(now, rsp) {
@@ -594,8 +630,9 @@ func (e *Engine) handleL2Response(now sim.Time, msg sim.Msg) error {
 			return fmt.Errorf("%s: L2 data for unknown request %d", e.Name(), rsp.RspTo)
 		}
 		delete(e.serving, rsp.RspTo)
-		payload, d := e.compress(rsp.Data)
-		out := &DataReady{RspTo: to.ID, Addr: rsp.Addr, Payload: payload}
+		out := e.wires.dataReady()
+		d := e.compress(&out.Payload, out.line[:0], rsp.Data)
+		out.RspTo, out.Addr = to.ID, rsp.Addr
 		e.msgs.Release(rsp)
 		out.Src, out.Dst = e.ToFabric, to.Src
 		e.seal(&out.MsgMeta, &out.Payload, mem.DataReadyHeaderBytes)
@@ -610,7 +647,8 @@ func (e *Engine) handleL2Response(now sim.Time, msg sim.Msg) error {
 		}
 		delete(e.serving, rsp.RspTo)
 		e.msgs.Release(rsp)
-		out := &WriteACK{RspTo: to.ID}
+		out := e.wires.writeACK()
+		out.RspTo = to.ID
 		out.Src, out.Dst = e.ToFabric, to.Src
 		out.Bytes = mem.WriteACKHeaderBytes
 		e.part.AssignMsgID(out)
@@ -624,12 +662,17 @@ func (e *Engine) handleL2Response(now sim.Time, msg sim.Msg) error {
 }
 
 // CheckQuiescent reports an error if the engine still tracks a remote
-// request, a request it serves, or a response being decompressed, or still
-// parks a wire message for the fabric.
+// request, a request it serves, or a payload being decompressed, still
+// parks a wire message for the fabric, or sent a wire message that was
+// never released.
 func (e *Engine) CheckQuiescent() error {
+	var errs []error
 	if n := len(e.pending) + len(e.serving) + e.decoding.Len() + e.outQueue.Len(); n != 0 {
-		return fmt.Errorf("%s: %d requests pending, %d in service, %d responses decoding, %d wire messages parked",
-			e.Name(), len(e.pending), len(e.serving), e.decoding.Len(), e.outQueue.Len())
+		errs = append(errs, fmt.Errorf("%s: %d requests pending, %d in service, %d payloads decoding, %d wire messages parked",
+			e.Name(), len(e.pending), len(e.serving), e.decoding.Len(), e.outQueue.Len()))
 	}
-	return nil
+	if err := e.wires.checkQuiescent(); err != nil {
+		errs = append(errs, fmt.Errorf("%s wire messages: %w", e.Name(), err))
+	}
+	return errors.Join(errs...)
 }

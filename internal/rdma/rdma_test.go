@@ -14,13 +14,16 @@ import (
 )
 
 // l1stub plays the role of a GPU's L1 complex: it fires remote requests at
-// the RDMA engine and records responses.
+// the RDMA engine and records responses, or, when discard is set, counts
+// them and releases them into it.
 type l1stub struct {
 	sim.ComponentBase
-	port  *sim.Port
-	reads map[uint64]*mem.DataReady
-	acks  map[uint64]*mem.WriteACK
-	times map[uint64]sim.Time
+	port    *sim.Port
+	reads   map[uint64]*mem.DataReady
+	acks    map[uint64]*mem.WriteACK
+	times   map[uint64]sim.Time
+	discard *mem.Pool
+	got     int
 }
 
 func newL1Stub(name string) *l1stub {
@@ -41,6 +44,11 @@ func (s *l1stub) NotifyRecv(now sim.Time, p *sim.Port) {
 		m := p.Retrieve(now)
 		if m == nil {
 			return
+		}
+		if s.discard != nil {
+			s.got++
+			s.discard.Release(m)
+			continue
 		}
 		switch rsp := m.(type) {
 		case *mem.DataReady:
@@ -403,6 +411,26 @@ func TestCheckQuiescentParkedWireMessage(t *testing.T) {
 		t.Errorf("a parked wire message passed the check (%v)", err)
 	}
 	e.outQueue.Pop()
+	tb.checkQuiescent(t)
+}
+
+// TestCheckQuiescentUnreleasedWireMessage: after a completed round trip,
+// every wire message is back in its pool; one taken and never released
+// fails the run-end check until it is.
+func TestCheckQuiescentUnreleasedWireMessage(t *testing.T) {
+	tb := newTestbed(t, func(int) core.Policy { return core.NewStatic(comp.BDI) })
+	tb.read(0, remoteAddr(tb.space))
+	tb.write(0, remoteAddr(tb.space), compressibleLine())
+	if err := tb.engine.Run(); err != nil {
+		t.Fatal(err)
+	}
+	tb.checkQuiescent(t)
+	e := tb.rdmas[1]
+	ack := e.wires.writeACK()
+	if err := e.CheckQuiescent(); err == nil || !strings.Contains(err.Error(), "1 WriteACK and 0 NACK never released") {
+		t.Errorf("an unreleased wire message passed the check (%v)", err)
+	}
+	ack.Release()
 	tb.checkQuiescent(t)
 }
 

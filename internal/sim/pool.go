@@ -60,3 +60,18 @@ func (p *Pool[T, P]) Release(v P) {
 
 // Live returns the number of values taken and not yet released.
 func (p *Pool[T, P]) Live() int { return p.live }
+
+// Poison values a poison build writes into a released message before its
+// pool quarantines it: PoisonWord into IDs and addresses, PoisonByte into
+// every byte of its data.
+const (
+	PoisonByte = 0xDB
+	PoisonWord = 0xDBDBDBDBDBDBDBDB
+)
+
+// PoisonBytes overwrites data with PoisonByte.
+func PoisonBytes(data []byte) {
+	for i := range data {
+		data[i] = PoisonByte
+	}
+}

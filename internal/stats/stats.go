@@ -17,26 +17,41 @@ import (
 // ByteEntropy computes the Shannon entropy of data at byte granularity,
 // normalized to [0, 1] (bits of entropy per byte, divided by 8). This is
 // the entropy measure of Table V and Fig. 1b/1d.
-//
-// It runs once per transferred line, so it counts into 32-bit counters
-// (data is shorter than 4 GiB) and marks the byte values it sees in a
-// 256-bit mask, then visits only those values, in ascending order: the
-// terms are summed in the same order as a scan over all 256 counts.
 func ByteEntropy(data []byte) float64 {
-	if len(data) == 0 {
-		return 0
-	}
-	var counts [256]uint32
-	var seen [4]uint64
+	var c byteCounts
+	c.count(data)
+	return c.entropy(len(data), nil)
+}
+
+// byteCounts is one pass over a line: it runs once per transferred line, so
+// it counts into 32-bit counters (data is shorter than 4 GiB) and marks the
+// byte values it sees in a 256-bit mask, so that readers visit only those
+// values, in ascending order.
+type byteCounts struct {
+	counts [256]uint32
+	seen   [4]uint64
+}
+
+func (c *byteCounts) count(data []byte) {
 	for _, b := range data {
-		counts[b]++
-		seen[b>>6] |= 1 << (b & 63)
+		c.counts[b]++
+		c.seen[b>>6] |= 1 << (b & 63)
 	}
-	n := float64(len(data))
+}
+
+// entropy is ByteEntropy of the n counted bytes; when hist is not nil, it
+// also adds the counts into hist. Visiting the seen values in ascending
+// order sums the terms in the same order as a scan over all 256 counts, so
+// the float bits match that scan's.
+func (c *byteCounts) entropy(n int, hist *[256]uint64) float64 {
 	h := 0.0
-	for w, word := range seen {
+	for w, word := range c.seen {
 		for ; word != 0; word &= word - 1 {
-			p := float64(counts[w<<6|bits.TrailingZeros64(word)]) / n
+			v := w<<6 | bits.TrailingZeros64(word)
+			if hist != nil {
+				hist[v] += uint64(c.counts[v])
+			}
+			p := float64(c.counts[v]) / float64(n)
 			h -= p * math.Log2(p)
 		}
 	}
@@ -75,11 +90,10 @@ type Traffic struct {
 // AddLine records one payload-bearing transfer: the line's entropy, its raw
 // size, and its on-wire size after policy processing.
 func (t *Traffic) AddLine(line []byte, wireBytes int, compressed bool) {
-	t.EntropySum += ByteEntropy(line)
+	var c byteCounts
+	c.count(line)
+	t.EntropySum += c.entropy(len(line), &t.ByteCounts)
 	t.EntropyLines++
-	for _, b := range line {
-		t.ByteCounts[b]++
-	}
 	t.Lines++
 	if compressed {
 		t.CompressedLines++

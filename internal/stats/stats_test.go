@@ -99,6 +99,42 @@ func TestByteEntropyMatchesReference(t *testing.T) {
 	}
 }
 
+// TestAddLineMatchesReference pins AddLine's one counting pass to the two
+// it replaces: EntropySum gains refByteEntropy of the line bit for bit, and
+// ByteCounts a plain count of its bytes, on random, patterned and short
+// lines.
+func TestAddLineMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var lines [][]byte
+	for i := 0; i < 64; i++ {
+		random := make([]byte, comp.LineSize)
+		rng.Read(random)
+		patterned := make([]byte, comp.LineSize)
+		for j := range patterned {
+			patterned[j] = byte(j % (1 + i%8) * 17)
+		}
+		short := make([]byte, i%9)
+		rng.Read(short)
+		lines = append(lines, random, patterned, short)
+	}
+	var got Traffic
+	var wantSum float64
+	var wantCounts [256]uint64
+	for _, line := range lines {
+		got.AddLine(line, len(line), false)
+		wantSum += refByteEntropy(line)
+		for _, b := range line {
+			wantCounts[b]++
+		}
+		if math.Float64bits(got.EntropySum) != math.Float64bits(wantSum) {
+			t.Fatalf("line %x: EntropySum %v, reference %v", line, got.EntropySum, wantSum)
+		}
+		if got.ByteCounts != wantCounts {
+			t.Fatalf("line %x: ByteCounts differ from a plain count", line)
+		}
+	}
+}
+
 // Property: entropy is always in [0, 1] and invariant under permutation.
 func TestByteEntropyBoundsProperty(t *testing.T) {
 	f := func(data []byte) bool {
