@@ -81,10 +81,13 @@ race:
 # that keeps using a message (or borrowed read data) after its release
 # computes garbage and fails Verify, and the golden digests show any change
 # in simulated behaviour; the run-end check matrix (TestRunEndsQuiescent)
-# runs in this build too.
+# runs in this build too. The build also cross-checks two activity-
+# proportional shortcuts against the full scans they replace: the engine's
+# per-partition window limit against every cross link, and the fabric's
+# skipped injection scans against its queues.
 poison:
 	go test -tags poison -short ./internal/sim ./internal/mem ./internal/cache ./internal/rdma \
-		./internal/gpu ./internal/workloads ./internal/runner ./internal/platform
+		./internal/gpu ./internal/workloads ./internal/runner ./internal/platform ./internal/fabric
 
 # Coverage with a floor: the short suite must keep total statement coverage
 # at or above COVER_FLOOR so new subsystems land with their tests.
@@ -106,8 +109,10 @@ cover:
 # FuzzDecompressGarbage feeds every decoder the RDMA receive path dispatches
 # to arbitrary bitstreams, which must neither panic nor decode to a line of
 # the wrong size. FuzzEventQueue checks the event queue's pop order against a
-# sort oracle, and FuzzQuietTicker ghost tickers (Ticker.TickQuiet) against
-# plain TickLater. FuzzCacheForwarding mixes cacheable reads, bypassed reads
+# sort oracle, FuzzQuietTicker ghost tickers (Ticker.TickQuiet) against
+# plain TickLater, and FuzzWindowBound the engine's per-partition window
+# limit against a scan of every cross link under random heads and next-send
+# promises. FuzzCacheForwarding mixes cacheable reads, bypassed reads
 # and writes through one cache and requires exactly one answer of the right
 # kind per request. FuzzPolicyRoundTrip runs every policy (none, each static
 # codec, adaptive sampling and running) on a line and a dst prefix: the
@@ -120,6 +125,7 @@ fuzz-smoke:
 	go test ./internal/bitstream -run='^$$' -fuzz='^FuzzReadBitsDifferential$$' -fuzztime=10s
 	go test ./internal/sim -run='^$$' -fuzz='^FuzzEventQueue$$' -fuzztime=10s
 	go test ./internal/sim -run='^$$' -fuzz='^FuzzQuietTicker$$' -fuzztime=10s
+	go test ./internal/sim -run='^$$' -fuzz='^FuzzWindowBound$$' -fuzztime=10s
 	go test ./internal/cache -run='^$$' -fuzz='^FuzzCacheForwarding$$' -fuzztime=10s
 	go test ./internal/core -run='^$$' -fuzz='^FuzzPolicyRoundTrip$$' -fuzztime=10s
 

@@ -84,7 +84,6 @@ func New(name string, part *sim.Partition, cfg Config) Fabric {
 // number of cycles the bus would charge.
 type Crossbar struct {
 	hub
-	nextRR int
 }
 
 // NewCrossbar creates the switch on the hub partition part. The
@@ -109,7 +108,7 @@ func (c *Crossbar) admit(now sim.Time, _ *endpoint) { c.schedule(now) }
 func (c *Crossbar) refunded(now sim.Time)           { c.schedule(now) }
 
 // linkCount implements arbiter: one output link per endpoint.
-func (c *Crossbar) linkCount() int { return len(c.endpoints) }
+func (c *Crossbar) linkCount() int { return len(c.all.eps) }
 
 // inNetwork implements arbiter: transfers on the links are not counted.
 func (c *Crossbar) inNetwork() int { return 0 }
@@ -118,7 +117,7 @@ func (c *Crossbar) inNetwork() int { return 0 }
 // input link are both free, scanning sources round-robin.
 func (c *Crossbar) schedule(now sim.Time) {
 	for {
-		ep, msg := c.pick(now, c.endpoints, &c.nextRR)
+		ep, msg := c.pick(now, &c.all)
 		if ep == nil {
 			return
 		}

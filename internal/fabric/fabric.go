@@ -124,8 +124,7 @@ func MeshDims(nodes int) (w, h int, err error) {
 // transmission at a time.
 type Bus struct {
 	hub
-	nextRR int
-	busy   bool
+	busy bool
 }
 
 // NewBus creates the fabric on the hub partition part. The configuration
@@ -167,7 +166,7 @@ func (b *Bus) arbitrate(now sim.Time) {
 	if b.busy {
 		return
 	}
-	ep, msg := b.pick(now, b.endpoints, &b.nextRR)
+	ep, msg := b.pick(now, &b.all)
 	if ep == nil {
 		return
 	}
@@ -188,7 +187,7 @@ func (b *Bus) arbitrate(now sim.Time) {
 	// horizon.
 	if b.pendingFaults == 0 {
 		horizon := done + b.cfg.LinkLatency
-		for _, other := range b.endpoints {
+		for _, other := range b.all.eps {
 			other.toOwner.SetNextSend(horizon)
 		}
 	}

@@ -3,6 +3,7 @@ package fabric
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"mgpucompress/internal/metrics"
 	"mgpucompress/internal/sim"
@@ -29,10 +30,13 @@ type hub struct {
 	cfg  Config
 	arb  arbiter // the concrete fabric
 
-	endpoints []*endpoint
+	// all holds every attached endpoint, in attach order. The bus and the
+	// crossbar arbitrate it as their one round-robin group; a switched
+	// fabric moves each endpoint's counting to its switch's group.
+	all rrGroup
 
 	// pendingFaults counts fault-delayed deliveries scheduled but not yet
-	// fired. While any are outstanding the fabric must not raise next-send
+	// fired. While any are outstanding the bus must not raise next-send
 	// bounds on its egress links: a delayed delivery may land earlier than
 	// the busy horizon of a later transfer.
 	pendingFaults int
@@ -57,6 +61,22 @@ type arbiter interface {
 	inNetwork() int
 }
 
+// rrGroup is one round-robin injection group: the endpoints that arbitrate
+// together, where the next scan starts, and how many messages wait in their
+// ingress queues (linkIngress counts one in, a successful pick counts it
+// out).
+type rrGroup struct {
+	eps    []*endpoint
+	next   int
+	queued int
+}
+
+// join adds ep to the group, which ep's ingress then counts against.
+func (g *rrGroup) join(ep *endpoint) {
+	ep.grp = g
+	g.eps = append(g.eps, ep)
+}
+
 // endpoint is the hub-side view of one attached port: its ingress queue
 // (messages that crossed the wire from the owner and await arbitration) and
 // the input-credit counter mirroring the destination buffer.
@@ -65,6 +85,7 @@ type endpoint struct {
 	link    *fabricLink
 	toOwner *sim.Remote
 	queue   sim.FIFO[sim.Msg]
+	grp     *rrGroup
 	// inCredit tracks how many bytes of the port's input buffer the hub may
 	// still claim; -1 means the buffer is unbounded. Credits are reserved
 	// when a transfer claims the fabric and returned by the owner-side link
@@ -77,23 +98,15 @@ type endpoint struct {
 
 	// Switched-fabric state (unused by bus and crossbar).
 	//
-	// creditOut, when non-nil, carries output-buffer credits on a dedicated
-	// hub-to-owner link. Switched fabrics publish next-send promises on
-	// toOwner while an egress transmission is in flight; credits for the
-	// endpoint's own ingress traffic are emitted at injection time and may
-	// legitimately precede that horizon, so they must ride a link the
-	// promise does not cover.
-	creditOut *sim.Remote
 	// sw is the switch this endpoint hangs off.
 	sw int
 	// egrInFlight and egrQueue serialize the endpoint's egress wire:
 	// messages that reached the destination switch wait here for the
 	// switch-to-owner link, which moves BytesPerCycle like every other
 	// link. The flag (not a busy-until time) keeps the wire occupied until
-	// the completion event has actually fired: an event landing at exactly
-	// the completion time must not start the next transmission first, or
-	// its next-send promise would overtake the completed message's
-	// hand-off.
+	// the completion event has actually fired: a message reaching the
+	// switch at exactly the completion time waits for the completed
+	// message's hand-off instead of starting its transmission first.
 	egrInFlight bool
 	egrQueue    sim.FIFO[sim.Msg]
 }
@@ -132,7 +145,7 @@ func (h *hub) Attach(p *sim.Port, owner *sim.Partition) {
 	}
 	link.toHub = h.part.Engine().Link(owner, h.part, h.cfg.LinkLatency)
 	ep.link = link
-	h.endpoints = append(h.endpoints, ep)
+	h.all.join(ep)
 	p.SetConnection(link)
 }
 
@@ -167,16 +180,23 @@ func (ep *endpoint) refund(n int) {
 }
 
 // pick is the one round-robin injection scan of every fabric. Starting at
-// eps[*rr] it skips empty queues and heads that cannot go now — the
+// g.eps[g.next] it skips empty queues and heads that cannot go now — the
 // source's output link or the destination's input link still transmitting
 // (crossbar only), or the destination's input credit not covering the
 // message — and claims the first head that can: its credit is reserved,
-// it leaves the queue, and *rr moves past its endpoint. It returns nil when
-// no head can go.
-func (h *hub) pick(now sim.Time, eps []*endpoint, rr *int) (*endpoint, sim.Msg) {
-	n := len(eps)
+// it leaves the queue, and g.next moves past its endpoint. It returns nil
+// when no head can go, at once when nothing is queued (poison builds check
+// that every queue is then empty): a scan that finds nothing changes nothing.
+func (h *hub) pick(now sim.Time, g *rrGroup) (*endpoint, sim.Msg) {
+	if g.queued == 0 {
+		if sim.Poison && slices.ContainsFunc(g.eps, func(ep *endpoint) bool { return ep.queue.Len() != 0 }) {
+			panic(fmt.Sprintf("fabric %s: an injection group counts nothing queued but holds messages", h.Name()))
+		}
+		return nil, nil
+	}
+	n := len(g.eps)
 	for i := 0; i < n; i++ {
-		ep := eps[(*rr+i)%n]
+		ep := g.eps[(g.next+i)%n]
 		if ep.queue.Len() == 0 || ep.outBusy > now {
 			continue
 		}
@@ -186,7 +206,8 @@ func (h *hub) pick(now sim.Time, eps []*endpoint, rr *int) (*endpoint, sim.Msg) 
 			continue // head-of-line blocked; try another endpoint
 		}
 		ep.queue.Pop()
-		*rr = (*rr + i + 1) % n
+		g.queued--
+		g.next = (g.next + i + 1) % n
 		return ep, msg
 	}
 	return nil, nil
@@ -248,15 +269,9 @@ func (h *hub) transmit(bytes int) sim.Time {
 
 // outCredit returns output-buffer space to the source link once its message
 // has claimed the fabric (the classic "output queue drains at arbitration"
-// semantics, now with the wire latency made explicit). Switched fabrics
-// route the credit over the endpoint's dedicated credit link so it is never
-// constrained by an egress next-send promise on toOwner.
+// semantics, now with the wire latency made explicit).
 func (h *hub) outCredit(now sim.Time, ep *endpoint, bytes int) {
-	r := ep.toOwner
-	if ep.creditOut != nil {
-		r = ep.creditOut
-	}
-	r.Schedule(now+h.cfg.LinkLatency, outCreditReturn{ep.link}, nil, bytes)
+	ep.toOwner.Schedule(now+h.cfg.LinkLatency, outCreditReturn{ep.link}, nil, bytes)
 }
 
 // RegisterMetrics implements Fabric. The links gauge is read lazily, so
@@ -297,7 +312,7 @@ func (h *hub) EnergyPJ() float64 {
 // delivered, in endpoint queues or in the network (tests and debugging).
 func (h *hub) QueuedMessages() int {
 	n := h.arb.inNetwork()
-	for _, ep := range h.endpoints {
+	for _, ep := range h.all.eps {
 		n += ep.queue.Len() + ep.egrQueue.Len()
 	}
 	return n
@@ -316,7 +331,7 @@ func (h *hub) CheckQuiescent() error {
 		errs = append(errs, fmt.Errorf("%d fault-delayed deliveries outstanding", h.pendingFaults))
 	}
 	var wires, credits, outstanding int
-	for _, ep := range h.endpoints {
+	for _, ep := range h.all.eps {
 		if ep.egrInFlight {
 			wires++
 		}
@@ -331,7 +346,7 @@ func (h *hub) CheckQuiescent() error {
 		errs = append(errs, fmt.Errorf("%d egress wires still transmitting", wires))
 	}
 	if credits != 0 {
-		errs = append(errs, fmt.Errorf("input credits of %d of %d endpoints not returned", credits, len(h.endpoints)))
+		errs = append(errs, fmt.Errorf("input credits of %d of %d endpoints not returned", credits, len(h.all.eps)))
 	}
 	if outstanding != 0 {
 		errs = append(errs, fmt.Errorf("%d output buffers not credited back", outstanding))
@@ -419,11 +434,12 @@ func (l *fabricLink) reconcile(now sim.Time) {
 // messages ride in the record's Msg and byte counts in its Arg.
 
 // linkIngress lands a message from the owner-side link in the endpoint's
-// ingress queue and runs arbitration.
+// ingress queue, counts it in the endpoint's group and runs arbitration.
 type linkIngress struct{ ep *endpoint }
 
 func (r linkIngress) Handle(e *sim.Event) error {
 	r.ep.queue.Push(e.Msg())
+	r.ep.grp.queued++
 	r.ep.link.hub.arb.admit(e.Time(), r.ep)
 	return nil
 }

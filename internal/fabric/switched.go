@@ -21,20 +21,16 @@ import (
 //     like the bus. A message claims its *destination's* input credit
 //     end-to-end at injection, so intermediate hops never block on credits
 //     and the in-network queues cannot deadlock. Output-buffer credit is
-//     returned to the source at injection time over the endpoint's dedicated
-//     credit link.
+//     returned to the source at injection time over the endpoint's
+//     hub-to-owner link.
 //   - Hops: every inter-switch link transmits one message at a time at
 //     BytesPerCycle, FIFO per link; disjoint links proceed concurrently.
 //     Routing is table-driven: shortest direction for the ring (ties go
 //     clockwise), dimension-ordered X-then-Y for the mesh, up-to-the-common-
 //     ancestor-then-down for the tree.
 //   - Egress: the switch-to-owner wire of the destination endpoint is a
-//     serializing link too. While a transmission occupies it, the fabric
-//     publishes a next-send promise (done + LinkLatency) on that endpoint's
-//     delivery link — the bus's promise plumbing extended to switch egress
-//     — letting the engine widen windows past the busy stretch.
-//     Promises are suppressed while fault-delayed deliveries are
-//     outstanding, exactly like the bus.
+//     serializing link too. It promises no next-send bound: output credits
+//     leave on the same hub-to-owner link at any time.
 //   - Energy: each hop charges bits moved times the pJ/bit of the link's
 //     class — egress wires at Config.BaseClass, ring/mesh/host links at the
 //     Board tier, tree links at Board (leaf level) or Node (upper levels) —
@@ -45,7 +41,7 @@ type SwitchFabric struct {
 	gpuNodes int
 	anchor   int // switch the host switch hangs off
 	hostSw   int
-	sws      []*swNode
+	sws      []rrGroup // switch -> the injection group of its endpoints
 	links    []*swLink
 	route    [][]*swLink // route[s][d] = link out of s toward d (nil when s == d)
 	swOf     []int       // GPU node -> switch
@@ -53,14 +49,6 @@ type SwitchFabric struct {
 
 	hopCount     uint64 // inter-switch transmissions
 	bytesByClass [energy.Node + 1]uint64
-}
-
-// swNode is one switch: its attached endpoints (injection arbitration
-// state). Its outgoing links are reached through SwitchFabric.route.
-type swNode struct {
-	id     int
-	eps    []*endpoint
-	nextRR int
 }
 
 // swLink is one directed inter-switch link: FIFO queue, single transmission
@@ -133,10 +121,7 @@ func (s *SwitchFabric) build() {
 	}
 	s.hostSw = count
 	total := count + 1
-	s.sws = make([]*swNode, total)
-	for i := range s.sws {
-		s.sws[i] = &swNode{id: i}
-	}
+	s.sws = make([]rrGroup, total)
 
 	switch s.topo {
 	case TopologyRing:
@@ -246,34 +231,36 @@ func (s *SwitchFabric) hop(a, d int) int {
 	panic("unreachable")
 }
 
-// Attach implements Fabric. On top of the shared hub attachment it creates
-// the endpoint's dedicated credit link and binds the endpoint to its switch.
+// Attach implements Fabric. On top of the shared hub attachment it binds
+// the endpoint to its switch, whose injection group it arbitrates in.
 func (s *SwitchFabric) Attach(p *sim.Port, owner *sim.Partition) {
 	s.hub.Attach(p, owner)
 	ep := s.endpointOf(p)
-	ep.creditOut = s.part.Engine().Link(s.part, owner, s.cfg.LinkLatency)
 	node := owner.Index()
 	if owner == s.part || node >= s.gpuNodes {
 		ep.sw = s.hostSw
 	} else {
 		ep.sw = s.swOf[node]
 	}
-	s.sws[ep.sw].eps = append(s.sws[ep.sw].eps, ep)
+	s.sws[ep.sw].join(ep)
 }
 
-func (s *SwitchFabric) admit(now sim.Time, ep *endpoint) { s.inject(now, s.sws[ep.sw]) }
+func (s *SwitchFabric) admit(now sim.Time, ep *endpoint) { s.inject(now, ep.sw) }
 
-// refunded re-runs injection on every switch, in switch order: a refund can
-// unblock a head-of-line message at any switch.
+// refunded re-runs injection on every switch with queued messages, in
+// switch order: a refund can unblock a head-of-line message at any switch.
+// Poison builds visit the idle switches too, so pick checks their queues.
 func (s *SwitchFabric) refunded(now sim.Time) {
-	for _, sw := range s.sws {
-		s.inject(now, sw)
+	for sw := range s.sws {
+		if s.sws[sw].queued != 0 || sim.Poison {
+			s.inject(now, sw)
+		}
 	}
 }
 
 // linkCount implements arbiter: the inter-switch links plus the endpoint
 // egress wires.
-func (s *SwitchFabric) linkCount() int { return len(s.links) + len(s.endpoints) }
+func (s *SwitchFabric) linkCount() int { return len(s.links) + len(s.all.eps) }
 
 // inNetwork implements arbiter: messages queued on inter-switch links.
 func (s *SwitchFabric) inNetwork() int {
@@ -288,14 +275,14 @@ func (s *SwitchFabric) inNetwork() int {
 // switch's endpoints, end-to-end destination credit reserved up front,
 // output credit returned to the source immediately. Injection itself is
 // instantaneous — contention is modelled at the link level.
-func (s *SwitchFabric) inject(now sim.Time, sw *swNode) {
+func (s *SwitchFabric) inject(now sim.Time, sw int) {
 	for {
-		ep, msg := s.pick(now, sw.eps, &sw.nextRR)
+		ep, msg := s.pick(now, &s.sws[sw])
 		if ep == nil {
 			return
 		}
 		s.outCredit(now, ep, msg.Meta().Bytes)
-		s.forward(now, sw.id, msg)
+		s.forward(now, sw, msg)
 	}
 }
 
@@ -327,12 +314,7 @@ func (s *SwitchFabric) pumpLink(now sim.Time, l *swLink) {
 	s.part.Schedule(l.busyUntil, hopDone{s}, msg, l.idx)
 }
 
-// pumpEgress starts the next transmission on an idle egress wire and, while
-// it is committed, publishes the next-send horizon on the endpoint's
-// delivery link: the in-flight delivery lands at exactly done+LinkLatency
-// (finish hands off at done), so the bound is tight. Suppressed while a
-// fault-delayed delivery is outstanding, since it may land inside the
-// horizon of a later transmission.
+// pumpEgress starts the next transmission on an idle egress wire.
 func (s *SwitchFabric) pumpEgress(now sim.Time, ep *endpoint) {
 	if ep.egrInFlight || ep.egrQueue.Len() == 0 {
 		return
@@ -341,9 +323,6 @@ func (s *SwitchFabric) pumpEgress(now sim.Time, ep *endpoint) {
 	done := now + s.transmit(msg.Meta().Bytes)
 	ep.egrInFlight = true
 	s.bytesByClass[s.cfg.BaseClass] += uint64(msg.Meta().Bytes)
-	if s.pendingFaults == 0 {
-		ep.toOwner.SetNextSend(done + s.cfg.LinkLatency)
-	}
 	s.part.Schedule(done, egressDone{s}, msg, int(now))
 }
 

@@ -23,10 +23,12 @@
 // before h plus its cheapest outgoing link, so the window limit is the
 // minimum of those bounds over every partition with pending work — idle and
 // locally-busy stretches execute in one window instead of one window per
-// minimum link latency. When a single partition has work under the limit the
-// engine widens its window dynamically as far as the other partitions'
-// queued events (and the lone partition's own emissions, reflected through
-// the link graph) allow.
+// minimum link latency. Each partition's bound costs O(1) while one of its
+// cheapest links carries no next-send promise, so a window's limit costs a
+// pass over the partitions, not over the links. When a single partition has
+// work under the limit the engine widens its window dynamically as far as
+// the other partitions' queued events (and the lone partition's own
+// emissions, reflected through the link graph) allow.
 //
 // Event order inside a partition is the (time, seq) total order. Sequence
 // numbers are partition-striped and assigned by the emitting partition — for
@@ -66,9 +68,11 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"mgpucompress/internal/metrics"
 )
@@ -354,7 +358,8 @@ func (q *eventQueue) popFar() queueKey {
 
 // crossLink is a cross-partition link as the window scheduler scans it:
 // the endpoints' indices and the latency copied out of the Remote, which is
-// read only for its next-send bound.
+// read only for its next-send bound. prepare sorts the list by source, so
+// each partition's links are one range of it.
 type crossLink struct {
 	src, dst int
 	latency  Time
@@ -400,9 +405,10 @@ type Engine struct {
 	maxTime Time
 	running bool
 
-	// Window-scheduling inputs. Link appends to cross; prepare rebuilds dist
-	// from it at the start of each Run (host code may add links between runs)
-	// and checks fixedLA against the cheapest link.
+	// Window-scheduling inputs. Link appends to cross; prepare sorts it by
+	// source, rebuilds dist and each partition's link summary from it at the
+	// start of each Run (host code may add links between runs, never during
+	// one) and checks fixedLA against the cheapest link.
 	fixedLA Time        // nonzero: fixed window width (WithLookahead)
 	cross   []crossLink // cross-partition links only (src != dst)
 	dist    [][]Time    // all-pairs min cross-partition path latency (closure)
@@ -446,10 +452,15 @@ func (e *Engine) Partitions() int { return len(e.parts) }
 // is what the window scheduler's adaptive limits are computed from. A link
 // with src == dst is a convenience for components wired symmetrically against
 // local and remote peers; it enforces the same latency floor but adds no
-// synchronization.
+// synchronization. Links are declared from host code before or between
+// runs: the window scheduler summarizes them when Run starts, so Link
+// panics while Run is in progress.
 func (e *Engine) Link(src, dst *Partition, minLatency Time) *Remote {
 	if src.eng != e || dst.eng != e {
 		panic("sim: Link across engines")
+	}
+	if e.running {
+		panic("sim: Link while the engine runs")
 	}
 	if src != dst && minLatency == 0 {
 		panic("sim: cross-partition link needs a nonzero minimum latency")
@@ -496,7 +507,10 @@ func (e *Engine) Pending() int {
 // Events at exactly the deadline still run.
 func (e *Engine) SetMaxTime(t Time) { e.maxTime = t }
 
-// prepare rebuilds the window scheduler's link-graph summary: the all-pairs
+// prepare rebuilds the window scheduler's link-graph summary. It sorts the
+// cross links by source in place and records each partition's range of
+// them, its cheapest outgoing latency and how many links at that latency
+// are still unpromised (see nextWindow). It also builds the all-pairs
 // shortest-path closure over the cross-partition links (dist), with
 // saturating arithmetic. dist bounds how soon any causal chain starting at
 // one partition can reach another, which is what lets a lone partition run
@@ -504,6 +518,23 @@ func (e *Engine) SetMaxTime(t Time) { e.maxTime = t }
 // count plus one), so the Floyd–Warshall closure is negligible next to a
 // single window's work.
 func (e *Engine) prepare() {
+	slices.SortStableFunc(e.cross, func(a, b crossLink) int { return cmp.Compare(a.src, b.src) })
+	for _, p := range e.parts {
+		p.linkLo, p.linkHi, p.minLat, p.open = 0, 0, TimeInf, 0
+	}
+	for i, l := range e.cross {
+		p := e.parts[l.src]
+		if p.linkHi == p.linkLo {
+			p.linkLo = i
+		}
+		p.linkHi = i + 1
+		if l.latency < p.minLat {
+			p.minLat, p.open = l.latency, 0
+		}
+		if l.latency == p.minLat && l.r.nextSend == 0 {
+			p.open++
+		}
+	}
 	k := len(e.parts)
 	derived := TimeInf
 	if len(e.dist) != k {
@@ -605,16 +636,32 @@ func (e *Engine) RunUntil(t Time) error {
 // head+latency, so the adaptive window is never narrower than the fixed
 // one, and it grows without bound while traffic stays local.
 //
-// Each partition's head time is read once, into heads, which the link loop
+// The minimum is taken per source partition. No link of a source with head
+// h bounds below h plus its cheapest latency minLat, and an unpromised link
+// at minLat bounds exactly there; so while the source has one (open > 0),
+// its bound is h+minLat without a look at its links. Only a source whose
+// cheapest links all carry promises scans its own range (sourceBound).
+//
+// Each partition's head time is read once, into heads, which the bound
 // here and runWindow's job selection and wideLimit then share: nothing
 // dispatches between them.
 func (e *Engine) nextWindow() (Time, bool, error) {
-	t, live, forever := TimeInf, false, 0
+	adaptive := e.fixedLA == 0
+	t, limit, live, forever := TimeInf, TimeInf, false, 0
 	for i, p := range e.parts {
 		h := p.headTime()
 		e.heads[i] = h
 		if h < t {
 			t = h
+		}
+		if adaptive && h != TimeInf {
+			b := satAdd(h, p.minLat)
+			if p.open == 0 {
+				b = e.sourceBound(p, h)
+			}
+			if b < limit {
+				limit = b
+			}
 		}
 		live = live || p.queue.len() != 0 || p.forever != p.ghosts
 		forever += p.forever
@@ -625,30 +672,48 @@ func (e *Engine) nextWindow() (Time, bool, error) {
 	if !live && e.maxTime == TimeInf {
 		return 0, false, stallError(e.Now(), forever)
 	}
-	var limit Time
-	if e.fixedLA != 0 {
+	if !adaptive {
 		limit = satAdd(t, e.fixedLA)
-	} else {
-		limit = TimeInf
-		for i := range e.cross {
-			l := &e.cross[i]
-			h := e.heads[l.src]
-			if h == TimeInf {
-				continue
-			}
-			b := satAdd(h, l.latency)
-			if ns := l.r.nextSend; ns > b {
-				b = ns
-			}
-			if b < limit {
-				limit = b
-			}
+	} else if Poison {
+		if ref := e.linkLimit(); ref != limit {
+			panic(fmt.Sprintf("sim: per-partition window limit %d, all-links limit %d", limit, ref))
 		}
 	}
 	if e.maxTime != TimeInf && limit > e.maxTime {
 		limit = e.maxTime + 1 // events at exactly the deadline still run
 	}
 	return limit, true, nil
+}
+
+// sourceBound returns the earliest time anything p emits over its cross
+// links can land, given its head time h: the minimum over its own links of
+// max(h+latency, nextSend).
+func (e *Engine) sourceBound(p *Partition, h Time) Time {
+	b := TimeInf
+	for i := p.linkLo; i < p.linkHi; i++ {
+		l := &e.cross[i]
+		lb := satAdd(h, l.latency)
+		if ns := l.r.nextSend; ns > lb {
+			lb = ns
+		}
+		if lb < b {
+			b = lb
+		}
+	}
+	return b
+}
+
+// linkLimit is the adaptive limit with every source scanning its own links,
+// the O(1) bound of an unpromised cheapest link never taken. Poison builds
+// check nextWindow's limit against it.
+func (e *Engine) linkLimit() Time {
+	limit := TimeInf
+	for i, p := range e.parts {
+		if h := e.heads[i]; h != TimeInf {
+			limit = min(limit, e.sourceBound(p, h))
+		}
+	}
+	return limit
 }
 
 // runWindow advances every partition with work under the limit, in

@@ -40,6 +40,15 @@ type Partition struct {
 	curLimit Time
 	dynamic  bool
 
+	// The partition's outgoing cross links, as the window scheduler reads
+	// them (Engine.prepare): Engine.cross[linkLo:linkHi], the cheapest
+	// latency minLat among them (TimeInf when there are none), and open,
+	// the number of links at minLat that carry no next-send promise yet.
+	// Remote.SetNextSend counts a link out of open when it first promises.
+	linkLo, linkHi int
+	minLat         Time
+	open           int
+
 	// ring is the front of the ghost ring: the tickers whose pending
 	// request is a promised-quiet tick (Ticker.TickQuiet), on a circular
 	// list through Ticker.prev/next in (nextAsked, seq) order; ghosts

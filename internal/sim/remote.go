@@ -33,9 +33,13 @@ func (r *Remote) Dst() *Partition { return r.dst }
 // same-cycle delivery could refill it). Lowering is ignored: bounds only
 // ratchet up, and Schedule panics on an emission that breaks one.
 func (r *Remote) SetNextSend(t Time) {
-	if t > r.nextSend {
-		r.nextSend = t
+	if t <= r.nextSend {
+		return
 	}
+	if r.nextSend == 0 && r.src != r.dst && r.latency == r.src.minLat {
+		r.src.open--
+	}
+	r.nextSend = t
 }
 
 // Schedule sends a record for h, carrying msg and arg, across the link to

@@ -39,10 +39,23 @@ func (c *byteCounts) count(data []byte) {
 	}
 }
 
+// lineTerms[c] is the entropy term p*log2(p) of a byte value seen c times
+// in a full line, p = c/LineSize, computed with the same expression
+// byteCounts.entropy evaluates for other lengths, so either path gives the
+// same bits.
+var lineTerms = func() (t [comp.LineSize + 1]float64) {
+	for c := 1; c <= comp.LineSize; c++ {
+		p := float64(c) / float64(comp.LineSize)
+		t[c] = p * math.Log2(p)
+	}
+	return t
+}()
+
 // entropy is ByteEntropy of the n counted bytes; when hist is not nil, it
 // also adds the counts into hist. Visiting the seen values in ascending
 // order sums the terms in the same order as a scan over all 256 counts, so
-// the float bits match that scan's.
+// the float bits match that scan's. A full line, the length every transfer
+// carries, reads its terms from lineTerms instead of calling Log2.
 func (c *byteCounts) entropy(n int, hist *[256]uint64) float64 {
 	h := 0.0
 	for w, word := range c.seen {
@@ -50,6 +63,10 @@ func (c *byteCounts) entropy(n int, hist *[256]uint64) float64 {
 			v := w<<6 | bits.TrailingZeros64(word)
 			if hist != nil {
 				hist[v] += uint64(c.counts[v])
+			}
+			if n == comp.LineSize {
+				h -= lineTerms[c.counts[v]]
+				continue
 			}
 			p := float64(c.counts[v]) / float64(n)
 			h -= p * math.Log2(p)

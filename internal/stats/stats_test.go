@@ -102,7 +102,8 @@ func TestByteEntropyMatchesReference(t *testing.T) {
 // TestAddLineMatchesReference pins AddLine's one counting pass to the two
 // it replaces: EntropySum gains refByteEntropy of the line bit for bit, and
 // ByteCounts a plain count of its bytes, on random, patterned and short
-// lines.
+// lines, and on full lines where one byte value occurs exactly c times for
+// every c in 1..64, so every entry of the full-line term table is read.
 func TestAddLineMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var lines [][]byte
@@ -116,6 +117,14 @@ func TestAddLineMatchesReference(t *testing.T) {
 		short := make([]byte, i%9)
 		rng.Read(short)
 		lines = append(lines, random, patterned, short)
+	}
+	for c := 1; c <= comp.LineSize; c++ {
+		line := make([]byte, comp.LineSize)
+		for j := c; j < len(line); j++ {
+			line[j] = byte(1 + rng.Intn(255)) // never 0, so 0 occurs c times
+		}
+		rng.Shuffle(len(line), func(i, j int) { line[i], line[j] = line[j], line[i] })
+		lines = append(lines, line)
 	}
 	var got Traffic
 	var wantSum float64
