@@ -19,9 +19,10 @@ all: vet lint test
 # detector (the sweep engine is concurrent by design), the bench module's
 # tests (its byte-identity oracle and -short smoke), the message-ownership
 # check (poison), and two determinism gates: the quickstart's -metrics-out snapshot and the files of a
-# `reproduce -only` run (a static table, a figure, and the topology ablation
-# over all five topologies and adaptive-global) must be byte-identical across
-# runs.
+# `reproduce -only` run (a static table, the characterization table and the
+# Fig. 1 series that the runner's payload observer feeds, a figure, and the
+# topology ablation over all five topologies and adaptive-global) must be
+# byte-identical across runs.
 ci:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -49,9 +50,9 @@ ci:
 	cmp bin/metrics-a.json bin/metrics-b.json
 	@echo "metrics determinism gate: OK"
 	@rm -rf bin/only-a bin/only-b
-	go run ./cmd/reproduce -scale 1 -cus 2 -quiet -only table1,fig5,ablation_topology -out bin/only-a >/dev/null
-	go run ./cmd/reproduce -scale 1 -cus 2 -quiet -only table1,fig5,ablation_topology -out bin/only-b >/dev/null
-	for f in table1.txt fig5.txt ablation_topology.txt summary.txt; do cmp bin/only-a/$$f bin/only-b/$$f || exit 1; done
+	go run ./cmd/reproduce -scale 1 -cus 2 -quiet -only table1,table5,fig1_SC,fig5,ablation_topology -out bin/only-a >/dev/null
+	go run ./cmd/reproduce -scale 1 -cus 2 -quiet -only table1,table5,fig1_SC,fig5,ablation_topology -out bin/only-b >/dev/null
+	for f in table1.txt table5.txt fig1_SC.txt fig5.txt ablation_topology.txt summary.txt; do cmp bin/only-a/$$f bin/only-b/$$f || exit 1; done
 	@echo "reproduce -only determinism gate: OK"
 
 # mgpulint: the determinism- and invariant-checking analyzers of

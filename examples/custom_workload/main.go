@@ -87,6 +87,11 @@ func run(policy string) {
 
 	fmt.Printf("%-9s exec %8d cycles  fabric %8d bytes  bus util %.0f%%\n",
 		policy, p.ExecCycles(), p.Bus.TotalBytes(), 100*p.Bus.Utilization(p.ExecCycles()))
+	// The run-end audit drains leftover traffic, which moves counters, so
+	// it runs after the numbers above are read.
+	if err := p.CheckQuiescent(); err != nil {
+		log.Fatal(err)
+	}
 }
 
 func jacobiCell(cur []uint32, i int) uint32 {

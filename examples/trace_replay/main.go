@@ -72,6 +72,11 @@ func main() {
 		}
 		fmt.Printf("%-9s %d workgroups   exec %8d cycles   fabric %8d bytes\n",
 			policy, rp.Workgroups(), p.ExecCycles(), p.Bus.TotalBytes())
+		// The run-end audit drains leftover traffic, which moves counters,
+		// so it runs after the numbers above are read.
+		if err := p.CheckQuiescent(); err != nil {
+			log.Fatal(err)
+		}
 	}
 }
 

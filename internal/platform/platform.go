@@ -20,6 +20,7 @@ import (
 	"mgpucompress/internal/metrics"
 	"mgpucompress/internal/rdma"
 	"mgpucompress/internal/sim"
+	"mgpucompress/internal/stats"
 	"mgpucompress/internal/trace"
 )
 
@@ -40,11 +41,11 @@ type Config struct {
 	// endpoint: GPUs 0..NumGPUs-1 and the host (index NumGPUs). Nil means
 	// no compression anywhere.
 	NewPolicy func(unit int) core.Policy
-	// NewRecorder builds the RDMA traffic observer for each compressing
-	// endpoint (same unit numbering as NewPolicy). Each unit's recorder sees
-	// that unit's transfers in simulated order; merging the units in unit
-	// order keeps float totals bit-stable. Nil means no recording.
-	NewRecorder func(unit int) rdma.Recorder
+	// Recorder, when non-nil, observes every payload that any RDMA engine
+	// puts on the fabric, in simulated order. It is measurement-only: the
+	// engines keep the traffic ledger themselves (Platform.Traffic and
+	// Platform.CodecEnergyPJ), so a run needs no recorder to report it.
+	Recorder rdma.Recorder
 	// ArgBufferBytes sizes the per-GPU kernel-argument buffer.
 	ArgBufferBytes uint64
 	// RemoteCache, when non-nil, inserts a per-GPU cache for REMOTE data
@@ -291,9 +292,6 @@ func Build(cfg Config) (*Platform, Partitions) {
 	if cfg.ArgBufferBytes == 0 {
 		cfg.ArgBufferBytes = base.ArgBufferBytes
 	}
-	if cfg.NewRecorder == nil {
-		cfg.NewRecorder = func(int) rdma.Recorder { return rdma.NopRecorder{} }
-	}
 	// The switched topologies size their switch graph from the GPU count;
 	// the fabric maps owner-partition indices 0..NumGPUs-1 to GPU nodes and
 	// the hub partition to the host switch, so Nodes always mirrors NumGPUs.
@@ -351,8 +349,7 @@ func Build(cfg Config) (*Platform, Partitions) {
 	}
 
 	// Host RDMA: carries the driver's kernel-argument writes.
-	p.HostRDMA = rdma.New("Host.RDMA", p.Parts.Hub, cfg.NumGPUs,
-		policy(cfg.NumGPUs), cfg.NewRecorder(cfg.NumGPUs))
+	p.HostRDMA = rdma.New("Host.RDMA", p.Parts.Hub, policy(cfg.NumGPUs), cfg.Recorder)
 	p.HostRDMA.OwnerOf = p.Space.GPUOf
 	p.HostRDMA.L2Router = func(addr uint64) *sim.Port {
 		panic(fmt.Sprintf("platform: request for address %#x routed into the host", addr))
@@ -417,7 +414,7 @@ func (p *Platform) buildGPU(g int, policy core.Policy) *Device {
 	mpfx := fmt.Sprintf("gpu%d", g)
 	dev := &Device{Index: g}
 
-	dev.RDMA = rdma.New(name+".RDMA", part, g, policy, cfg.NewRecorder(g))
+	dev.RDMA = rdma.New(name+".RDMA", part, policy, cfg.Recorder)
 	dev.RDMA.OwnerOf = p.Space.GPUOf
 	dev.RDMA.RegisterMetrics(p.Metrics, mpfx+"/rdma")
 	p.enableGuard(dev.RDMA, mpfx+"/rdma")
@@ -507,6 +504,27 @@ func (p *Platform) enableGuard(e *rdma.Engine, prefix string) {
 	}
 	e.Spans = p.cfg.Spans
 	e.RegisterGuardMetrics(p.Metrics, prefix)
+}
+
+// Traffic merges the RDMA engines' traffic ledgers: GPUs in index order,
+// then the host. The fixed order fixes the float bits of the entropy sum.
+func (p *Platform) Traffic() stats.Traffic {
+	var t stats.Traffic
+	for _, dev := range p.GPUs {
+		t.Merge(&dev.RDMA.Traffic)
+	}
+	t.Merge(&p.HostRDMA.Traffic)
+	return t
+}
+
+// CodecEnergyPJ sums the codec energy the RDMA engines' policies spent, in
+// the same order as Traffic.
+func (p *Platform) CodecEnergyPJ() float64 {
+	e := 0.0
+	for _, dev := range p.GPUs {
+		e += dev.RDMA.CodecEnergyPJ
+	}
+	return e + p.HostRDMA.CodecEnergyPJ
 }
 
 // TotalCUs returns the number of CUs across all GPUs.

@@ -95,7 +95,7 @@ func TestPlatformCopyKernelMovesDataCorrectly(t *testing.T) {
 func TestPlatformGeneratesRemoteTraffic(t *testing.T) {
 	rec := &countingRecorder{}
 	cfg := testConfig()
-	cfg.NewRecorder = func(int) rdma.Recorder { return rec }
+	cfg.Recorder = rec
 	p, _ := Build(cfg)
 	const lines = 64
 	src := p.Space.AllocStriped(lines * mem.LineSize)
@@ -105,8 +105,14 @@ func TestPlatformGeneratesRemoteTraffic(t *testing.T) {
 	}
 	// With data striped across 4 GPUs and workgroups round-robin across
 	// all CUs, roughly 3/4 of accesses are remote.
-	if rec.reads == 0 || rec.writes == 0 {
-		t.Errorf("no remote traffic recorded: %d reads, %d writes", rec.reads, rec.writes)
+	traffic := p.Traffic()
+	if traffic.RemoteReads == 0 || traffic.RemoteWrites == 0 {
+		t.Errorf("no remote traffic counted: %d reads, %d writes", traffic.RemoteReads, traffic.RemoteWrites)
+	}
+	// The one shared observer sees every payload the engines count, the
+	// host's kernel-argument writes included.
+	if rec.payloads == 0 || uint64(rec.payloads) != traffic.Lines {
+		t.Errorf("observer saw %d payloads, engines counted %d lines", rec.payloads, traffic.Lines)
 	}
 	if p.Bus.TotalBytes() == 0 {
 		t.Error("nothing crossed the fabric")
@@ -118,13 +124,10 @@ func TestPlatformGeneratesRemoteTraffic(t *testing.T) {
 }
 
 type countingRecorder struct {
-	reads, writes, payloads int
+	payloads int
 }
 
-func (r *countingRecorder) RemoteRead(int)                { r.reads++ }
-func (r *countingRecorder) RemoteWrite(int)               { r.writes++ }
 func (r *countingRecorder) Payload([]byte, core.Decision) { r.payloads++ }
-func (r *countingRecorder) Header(int)                    {}
 
 var _ rdma.Recorder = (*countingRecorder)(nil)
 
@@ -370,8 +373,6 @@ func TestPlatformRemoteCacheExtension(t *testing.T) {
 	cfg := testConfig()
 	rc := RemoteCacheConfig()
 	cfg.RemoteCache = &rc
-	rec := &countingRecorder{}
-	cfg.NewRecorder = func(int) rdma.Recorder { return rec }
 	p, _ := Build(cfg)
 
 	// A buffer on GPU 3, read repeatedly by workgroups running everywhere.
@@ -395,8 +396,8 @@ func TestPlatformRemoteCacheExtension(t *testing.T) {
 	// 16 WGs × 8 reads = 128 accesses; 12 WGs run on GPUs 0-2 (remote).
 	// With the remote cache, each remote GPU fetches the line roughly once,
 	// so far fewer than 96 remote reads cross the fabric.
-	if rec.reads > 24 {
-		t.Errorf("remote reads = %d; remote cache not absorbing re-reads", rec.reads)
+	if reads := p.Traffic().RemoteReads; reads > 24 {
+		t.Errorf("remote reads = %d; remote cache not absorbing re-reads", reads)
 	}
 	hits := uint64(0)
 	for _, dev := range p.GPUs {

@@ -116,8 +116,8 @@ func (p *Platform) directStats() Stats {
 			s.WGsRetired += cu.WGsRetired
 			s.MemOpsIssued += cu.MemReadsIssued + cu.MemWritesIssued
 		}
-		s.RDMAReadsSent += dev.RDMA.ReadsSent
-		s.RDMAWritesSent += dev.RDMA.WritesSent
+		s.RDMAReadsSent += dev.RDMA.Traffic.RemoteReads
+		s.RDMAWritesSent += dev.RDMA.Traffic.RemoteWrites
 		s.RDMAReadsServed += dev.RDMA.ReadsServed
 		s.RDMAWritesServed += dev.RDMA.WritesServed
 		if dev.RemoteCache != nil {
@@ -127,8 +127,8 @@ func (p *Platform) directStats() Stats {
 		}
 	}
 	// The host RDMA's kernel-argument writes are served by GPU RDMAs too.
-	s.RDMAReadsSent += p.HostRDMA.ReadsSent
-	s.RDMAWritesSent += p.HostRDMA.WritesSent
+	s.RDMAReadsSent += p.HostRDMA.Traffic.RemoteReads
+	s.RDMAWritesSent += p.HostRDMA.Traffic.RemoteWrites
 	s.RDMAReadsServed += p.HostRDMA.ReadsServed
 	s.RDMAWritesServed += p.HostRDMA.WritesServed
 	return s

@@ -32,7 +32,7 @@ func newGuardedTestbed(t *testing.T, policy func(int) core.Policy, prof fault.Pr
 		g := g
 		tb.drams[g] = mem.NewDRAM("DRAM", tb.part, tb.space, mem.DefaultDRAMConfig())
 		tb.l1s[g] = newL1Stub("L1")
-		tb.rdmas[g] = New("RDMA", tb.part, g, policy(g), tb.rec)
+		tb.rdmas[g] = New("RDMA", tb.part, policy(g), tb.rec)
 		tb.rdmas[g].OwnerOf = tb.space.GPUOf
 		tb.rdmas[g].L2Router = func(uint64) *sim.Port { return tb.drams[g].Top }
 		tb.rdmas[g].RemotePort = func(gpu int) *sim.Port { return tb.rdmas[gpu].ToFabric }
@@ -291,7 +291,7 @@ func TestGuardRetrySpansRecorded(t *testing.T) {
 
 func TestStaleResponsesDroppedOnlyWithGuard(t *testing.T) {
 	mk := func(guard bool) *Engine {
-		e := New("R", sim.NewEngine().Partition(0), 0, nil, nil)
+		e := New("R", sim.NewEngine().Partition(0), nil, nil)
 		if guard {
 			e.Guard = &GuardConfig{TimeoutCycles: 128, MaxAttempts: 3}
 		}
@@ -375,7 +375,7 @@ func (p *integrityPolicy) ObserveIntegrity(ok bool) { p.signals = append(p.signa
 // as ObserveIntegrity(false); a raw-payload NACK carries no codec blame.
 func TestNACKFeedsIntegritySignal(t *testing.T) {
 	pol := &integrityPolicy{}
-	e := New("R", sim.NewEngine().Partition(0), 0, pol, nil)
+	e := New("R", sim.NewEngine().Partition(0), pol, nil)
 	e.Guard = &GuardConfig{TimeoutCycles: 128, MaxAttempts: 3}
 
 	if err := e.handleWire(0, &NACK{RspTo: 77, Alg: comp.BDI}); err != nil {

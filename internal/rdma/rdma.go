@@ -13,37 +13,23 @@ import (
 	"mgpucompress/internal/trace"
 )
 
-// Recorder observes traffic at the compression points. The experiment
-// runner implements it to build Tables V/VI and Figures 1/5/6/7.
+// Recorder observes the payloads entering the fabric. The engine keeps its
+// own traffic ledger; a recorder only observes, for measurements that need
+// the bytes themselves (the runner's Table V/VI characterization and the
+// Fig. 1 series).
 type Recorder interface {
-	// RemoteRead is called when a read request leaves gpu for a remote
-	// owner.
-	RemoteRead(gpu int)
-	// RemoteWrite is called when a write request leaves gpu.
-	RemoteWrite(gpu int)
 	// Payload is called for every payload-bearing transfer entering the
 	// fabric, with the original bytes and the policy's decision. Both are
 	// borrowed: d.Enc.Data lives in a pooled wire message, so a recorder
 	// that keeps the bytes copies them.
 	Payload(line []byte, d core.Decision)
-	// Header is called with the header bytes of every wire message.
-	Header(bytes int)
 }
 
 // NopRecorder discards all observations.
 type NopRecorder struct{}
 
-// RemoteRead implements Recorder.
-func (NopRecorder) RemoteRead(int) {}
-
-// RemoteWrite implements Recorder.
-func (NopRecorder) RemoteWrite(int) {}
-
 // Payload implements Recorder.
 func (NopRecorder) Payload([]byte, core.Decision) {}
-
-// Header implements Recorder.
-func (NopRecorder) Header(int) {}
 
 // Engine is the per-GPU RDMA engine. It faces three ways:
 //
@@ -62,7 +48,6 @@ type Engine struct {
 	// wires is the pool of the wire messages this engine sends.
 	wires wirePool
 
-	GPU    int
 	Policy core.Policy
 	Rec    Recorder
 
@@ -106,9 +91,16 @@ type Engine struct {
 	// to its requester's fabric port (Src) and wire request ID (ID).
 	serving map[uint64]mem.ReplyTo
 
+	// Traffic is the ledger of what this engine puts on the fabric: remote
+	// reads and writes issued, the header bytes of every request and
+	// response it sends, and every payload line with its on-wire size.
+	// Retransmissions and NACKs are transport overhead and stay out of it
+	// (the fabric and guard counters see them). CodecEnergyPJ is the codec
+	// energy of the policy's decisions on those payloads.
+	Traffic       stats.Traffic
+	CodecEnergyPJ float64
+
 	// Stats
-	ReadsSent    uint64
-	WritesSent   uint64
 	ReadsServed  uint64
 	WritesServed uint64
 	// ReadLatency records, per completed remote read, the cycles from the
@@ -152,8 +144,8 @@ type request struct {
 // "gpu2/rdma", "host/rdma"), plus the output-queue depth and the remote
 // read-latency distribution.
 func (e *Engine) RegisterMetrics(reg *metrics.Registry, prefix string) {
-	reg.CounterFunc(prefix+"/reads_sent", func() uint64 { return e.ReadsSent })
-	reg.CounterFunc(prefix+"/writes_sent", func() uint64 { return e.WritesSent })
+	reg.CounterFunc(prefix+"/reads_sent", func() uint64 { return e.Traffic.RemoteReads })
+	reg.CounterFunc(prefix+"/writes_sent", func() uint64 { return e.Traffic.RemoteWrites })
 	reg.CounterFunc(prefix+"/reads_served", func() uint64 { return e.ReadsServed })
 	reg.CounterFunc(prefix+"/writes_served", func() uint64 { return e.WritesServed })
 	reg.GaugeFunc(prefix+"/queue_depth", func() float64 { return float64(e.outQueue.Len()) })
@@ -180,8 +172,8 @@ func (e *Engine) RegisterGuardMetrics(reg *metrics.Registry, prefix string) {
 	reg.CounterFunc(prefix+"/timeouts", func() uint64 { return e.TimeoutsFired })
 }
 
-// New creates an RDMA engine for the given GPU index.
-func New(name string, part *sim.Partition, gpu int, policy core.Policy, rec Recorder) *Engine {
+// New creates an RDMA engine on part. A nil rec observes nothing.
+func New(name string, part *sim.Partition, policy core.Policy, rec Recorder) *Engine {
 	if rec == nil {
 		rec = NopRecorder{}
 	}
@@ -189,7 +181,6 @@ func New(name string, part *sim.Partition, gpu int, policy core.Policy, rec Reco
 		ComponentBase: sim.NewComponentBase(name),
 		part:          part,
 		msgs:          mem.PoolOf(part),
-		GPU:           gpu,
 		Policy:        policy,
 		Rec:           rec,
 		pending:       make(map[uint64]request),
@@ -305,18 +296,16 @@ func (e *Engine) handleLocal(now sim.Time, msg sim.Msg) error {
 		w.Addr, w.N = req.Addr, req.N
 		w.Bytes = mem.ReadReqHeaderBytes
 		wire, to = w, req.ReplyTo()
-		e.ReadsSent++
-		e.Rec.RemoteRead(e.GPU)
-		e.Rec.Header(mem.ReadReqHeaderBytes)
+		e.Traffic.RemoteReads++
+		e.Traffic.HeaderBytes += mem.ReadReqHeaderBytes
 	case *mem.WriteReq:
 		w := e.wires.writeReq()
 		w.Addr = req.Addr
 		d := e.compress(&w.Payload, w.line[:0], req.Data)
 		e.seal(&w.MsgMeta, &w.Payload, mem.WriteReqHeaderBytes)
 		wire, to, cycles = w, req.ReplyTo(), d.CompressionCycles
-		e.WritesSent++
-		e.Rec.RemoteWrite(e.GPU)
-		e.Rec.Header(mem.WriteReqHeaderBytes)
+		e.Traffic.RemoteWrites++
+		e.Traffic.HeaderBytes += mem.WriteReqHeaderBytes
 	default:
 		return fmt.Errorf("%s: unexpected local message %T", e.Name(), msg)
 	}
@@ -357,11 +346,11 @@ func (e *Engine) compress(p *Payload, dst, data []byte) core.Decision {
 		obs.ObserveCongestion(e.outQueue.Len())
 	}
 	d := policy.Process(dst, data)
-	if e.Policy != nil {
-		// A compressing endpoint records every transfer, raw ones included,
-		// so traffic accounting is complete.
-		e.Rec.Payload(data, d)
-	}
+	// Every transfer is counted, raw ones included, so traffic accounting
+	// is complete.
+	e.Traffic.AddLine(data, d.WireBytes(), d.Alg != comp.None)
+	e.CodecEnergyPJ += d.CodecEnergyPJ
+	e.Rec.Payload(data, d)
 	*p = Payload{Alg: d.Alg, Enc: d.Enc, RawLen: len(data)}
 	return d
 }
@@ -637,7 +626,7 @@ func (e *Engine) handleL2Response(now sim.Time, msg sim.Msg) error {
 		out.Src, out.Dst = e.ToFabric, to.Src
 		e.seal(&out.MsgMeta, &out.Payload, mem.DataReadyHeaderBytes)
 		e.part.AssignMsgID(out)
-		e.Rec.Header(mem.DataReadyHeaderBytes)
+		e.Traffic.HeaderBytes += mem.DataReadyHeaderBytes
 		e.scheduleSend(now, out, d.CompressionCycles)
 		return nil
 	case *mem.WriteACK:
@@ -652,7 +641,7 @@ func (e *Engine) handleL2Response(now sim.Time, msg sim.Msg) error {
 		out.Src, out.Dst = e.ToFabric, to.Src
 		out.Bytes = mem.WriteACKHeaderBytes
 		e.part.AssignMsgID(out)
-		e.Rec.Header(mem.WriteACKHeaderBytes)
+		e.Traffic.HeaderBytes += mem.WriteACKHeaderBytes
 		e.outQueue.Push(out)
 		e.drainOutQueue(now)
 		return nil

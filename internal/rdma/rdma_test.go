@@ -11,6 +11,7 @@ import (
 	"mgpucompress/internal/fabric"
 	"mgpucompress/internal/mem"
 	"mgpucompress/internal/sim"
+	"mgpucompress/internal/stats"
 )
 
 // l1stub plays the role of a GPU's L1 complex: it fires remote requests at
@@ -65,19 +66,14 @@ func (s *l1stub) NotifyPortFree(sim.Time, *sim.Port) {}
 
 // recorder captures Recorder callbacks for assertions.
 type recorder struct {
-	reads, writes int
-	payloads      []core.Decision
-	lines         [][]byte
-	headerBytes   int
+	payloads []core.Decision
+	lines    [][]byte
 }
 
-func (r *recorder) RemoteRead(int)  { r.reads++ }
-func (r *recorder) RemoteWrite(int) { r.writes++ }
 func (r *recorder) Payload(line []byte, d core.Decision) {
 	r.lines = append(r.lines, append([]byte(nil), line...))
 	r.payloads = append(r.payloads, d)
 }
-func (r *recorder) Header(n int) { r.headerBytes += n }
 
 // testbed wires two GPUs' RDMA engines over a bus, each backed by one DRAM
 // channel standing in for the local L2 complex.
@@ -106,7 +102,7 @@ func newTestbed(t *testing.T, policy func(gpu int) core.Policy) *testbed {
 		g := g
 		tb.drams[g] = mem.NewDRAM("DRAM", tb.part, tb.space, mem.DefaultDRAMConfig())
 		tb.l1s[g] = newL1Stub("L1")
-		tb.rdmas[g] = New("RDMA", tb.part, g, policy(g), tb.rec)
+		tb.rdmas[g] = New("RDMA", tb.part, policy(g), tb.rec)
 		tb.rdmas[g].OwnerOf = tb.space.GPUOf
 		tb.rdmas[g].L2Router = func(uint64) *sim.Port { return tb.drams[g].Top }
 		tb.rdmas[g].RemotePort = func(gpu int) *sim.Port { return tb.rdmas[gpu].ToFabric }
@@ -134,6 +130,15 @@ func (tb *testbed) write(g int, addr uint64, data []byte) uint64 {
 	w := mem.PoolOf(tb.part).WriteReq(tb.l1s[g].port, tb.rdmas[g].ToL1, addr, len(data))
 	copy(w.Data, data)
 	return tb.send(g, w)
+}
+
+// traffic merges both engines' traffic ledgers.
+func (tb *testbed) traffic() stats.Traffic {
+	var t stats.Traffic
+	for _, e := range tb.rdmas {
+		t.Merge(&e.Traffic)
+	}
+	return t
 }
 
 func (tb *testbed) send(g int, m sim.Msg) uint64 {
@@ -176,18 +181,19 @@ func TestRemoteReadRoundTrip(t *testing.T) {
 	if !bytes.Equal(rsp.Data, want) {
 		t.Errorf("data mismatch:\n got %x\nwant %x", rsp.Data, want)
 	}
-	if tb.rec.reads != 1 {
-		t.Errorf("recorded %d remote reads", tb.rec.reads)
+	traffic := tb.traffic()
+	if traffic.RemoteReads != 1 || tb.rdmas[0].Traffic.RemoteReads != 1 {
+		t.Errorf("counted %d remote reads", traffic.RemoteReads)
 	}
-	if len(tb.rec.payloads) != 1 {
-		t.Fatalf("recorded %d payloads", len(tb.rec.payloads))
+	if len(tb.rec.payloads) != 1 || traffic.Lines != 1 {
+		t.Fatalf("recorded %d payloads, counted %d lines", len(tb.rec.payloads), traffic.Lines)
 	}
 	if tb.rec.payloads[0].Alg != comp.BDI {
 		t.Errorf("payload compressed with %v, want BDI", tb.rec.payloads[0].Alg)
 	}
 	// Header accounting: ReadReq (16) + DataReady (4).
-	if tb.rec.headerBytes != 20 {
-		t.Errorf("header bytes = %d, want 20", tb.rec.headerBytes)
+	if traffic.HeaderBytes != 20 {
+		t.Errorf("header bytes = %d, want 20", traffic.HeaderBytes)
 	}
 }
 
@@ -206,14 +212,15 @@ func TestRemoteWriteRoundTrip(t *testing.T) {
 	if got := tb.space.Read(addr, comp.LineSize); !bytes.Equal(got, data) {
 		t.Error("remote write not applied")
 	}
-	if tb.rec.writes != 1 {
-		t.Errorf("recorded %d remote writes", tb.rec.writes)
+	traffic := tb.traffic()
+	if traffic.RemoteWrites != 1 || tb.rdmas[0].Traffic.RemoteWrites != 1 {
+		t.Errorf("counted %d remote writes", traffic.RemoteWrites)
 	}
 	if tb.rec.payloads[0].Alg != comp.BDI {
 		t.Errorf("write payload alg = %v", tb.rec.payloads[0].Alg)
 	}
-	if tb.rec.headerBytes != 20 { // WriteReq 16 + WriteACK 4
-		t.Errorf("header bytes = %d, want 20", tb.rec.headerBytes)
+	if traffic.HeaderBytes != 20 { // WriteReq 16 + WriteACK 4
+		t.Errorf("header bytes = %d, want 20", traffic.HeaderBytes)
 	}
 }
 
@@ -488,15 +495,12 @@ func TestHeterogeneousPoliciesPerGPU(t *testing.T) {
 
 func TestNopRecorder(t *testing.T) {
 	var r NopRecorder
-	r.RemoteRead(0)
-	r.RemoteWrite(0)
 	r.Payload(nil, core.Decision{})
-	r.Header(4)
 	// New must substitute a NopRecorder when given nil.
 	engine := sim.NewEngine()
-	e := New("R", engine.Partition(0), 0, nil, nil)
+	e := New("R", engine.Partition(0), nil, nil)
 	if e.Rec == nil {
 		t.Fatal("nil recorder not substituted")
 	}
-	e.Rec.Header(1) // must not panic
+	e.Rec.Payload(nil, core.Decision{}) // must not panic
 }

@@ -163,7 +163,7 @@ func newWireBench(policy core.Policy, guard bool) *wireBench {
 	engine := sim.NewEngine()
 	part := engine.Partition(0)
 	b := &wireBench{engine: engine, fabric: &captureConn{part: part}, msgs: mem.PoolOf(part)}
-	b.e = New("R", part, 0, policy, nil)
+	b.e = New("R", part, policy, nil)
 	if guard {
 		b.e.Guard = &GuardConfig{TimeoutCycles: 1 << 40, MaxAttempts: 3}
 	}

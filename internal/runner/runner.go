@@ -15,7 +15,6 @@ import (
 	"mgpucompress/internal/fault"
 	"mgpucompress/internal/metrics"
 	"mgpucompress/internal/platform"
-	"mgpucompress/internal/rdma"
 	"mgpucompress/internal/stats"
 	"mgpucompress/internal/trace"
 	"mgpucompress/internal/workloads"
@@ -190,121 +189,59 @@ func (m *Result) CodecRatio(alg comp.Algorithm) float64 {
 	return float64(m.Traffic.UncompressedPayloadBytes) / float64(cs.CompressedBytes)
 }
 
-// recorder implements rdma.Recorder for one compressing endpoint. Each
-// unit gets its own shard, touched only from that unit's partition.
-type recorder struct {
+// characterizer is the run's measurement-only payload observer: it runs
+// every codec on every transferred line for the PerCodec ratios and pattern
+// histograms (Characterize) and feeds the Fig. 1 series (SeriesLimit). Its
+// sums are integers, so one observer serves every endpoint.
+type characterizer struct {
 	codecs  []comp.Compressor
-	traffic stats.Traffic
-	energy  float64
 	per     map[comp.Algorithm]*CodecStats
 	series  *stats.Series
 	scratch []byte // characterization encode buffer, reused across lines
 }
 
-// recorderSet is the run's traffic accounting, one recorder per
-// compressing endpoint. Totals are folded in unit order: the simulation
-// runs on one goroutine, so determinism does not need that order, but it
-// fixes the float bits of the energy and entropy sums that the metric
-// snapshot pins.
-type recorderSet struct {
-	shards []*recorder
-}
-
-func newRecorderSet(opts Options, units int) *recorderSet {
-	s := &recorderSet{}
-	// SeriesLimit captures the run's transfer stream in execution order, so
-	// every shard feeds one shared series sink.
-	var series *stats.Series
+func newCharacterizer(opts Options) *characterizer {
+	c := &characterizer{}
+	if opts.Characterize {
+		c.codecs = comp.AllCompressors()
+		c.per = make(map[comp.Algorithm]*CodecStats, len(c.codecs))
+		for _, codec := range c.codecs {
+			c.per[codec.Algorithm()] = &CodecStats{}
+		}
+	}
 	if opts.SeriesLimit > 0 {
-		series = stats.NewSeries(opts.SeriesLimit)
+		c.series = stats.NewSeries(opts.SeriesLimit)
 	}
-	for u := 0; u < units; u++ {
-		r := &recorder{per: make(map[comp.Algorithm]*CodecStats), series: series}
-		if opts.Characterize {
-			r.codecs = comp.AllCompressors()
-			for _, c := range r.codecs {
-				r.per[c.Algorithm()] = &CodecStats{}
-			}
-		}
-		s.shards = append(s.shards, r)
-	}
-	return s
+	return c
 }
 
-// forUnit hands out the unit's shard to the platform.
-func (s *recorderSet) forUnit(unit int) *recorder { return s.shards[unit] }
-
-// traffic merges the shards' traffic accounting in unit order.
-func (s *recorderSet) trafficTotal() stats.Traffic {
-	var t stats.Traffic
-	for _, r := range s.shards {
-		t.Merge(&r.traffic)
+func (c *characterizer) Payload(line []byte, _ core.Decision) {
+	if len(line) != comp.LineSize {
+		return
 	}
-	return t
+	for _, codec := range c.codecs {
+		// Characterization needs sizes and pattern histograms but never
+		// ships the encoding, so the bitstream lands in a reused buffer.
+		enc := codec.CompressInto(c.scratch[:0], line)
+		c.scratch = enc.Data
+		cs := c.per[codec.Algorithm()]
+		cs.CompressedBytes += uint64(enc.WireBytes())
+		cs.Patterns.Add(enc.Patterns)
+	}
+	if c.series != nil {
+		c.series.Observe(line)
+	}
 }
 
-// energyTotal merges codec energy in unit order (float sum: the fixed
-// order keeps it deterministic).
-func (s *recorderSet) energyTotal() float64 {
-	e := 0.0
-	for _, r := range s.shards {
-		e += r.energy
-	}
-	return e
-}
-
-// perTotal merges the characterization results in unit order.
-func (s *recorderSet) perTotal() map[comp.Algorithm]*CodecStats {
-	total := make(map[comp.Algorithm]*CodecStats)
-	for _, r := range s.shards {
-		for alg, cs := range r.per {
-			t, ok := total[alg]
-			if !ok {
-				t = &CodecStats{}
-				total[alg] = t
-			}
-			t.CompressedBytes += cs.CompressedBytes
-			t.Patterns.Add(cs.Patterns)
-		}
-	}
-	return total
-}
-
-func (s *recorderSet) series() *stats.Series { return s.shards[0].series }
-
-// registerMetrics publishes the merged traffic accounting under
+// registerTraffic publishes the engines' merged traffic ledger under
 // "traffic/*" so the snapshot carries the paper's Table V quantities.
-// Snapshots are taken after the run, so the lazy merge is race-free.
-func (s *recorderSet) registerMetrics(reg *metrics.Registry) {
-	reg.CounterFunc("traffic/remote_reads", func() uint64 { return s.trafficTotal().RemoteReads })
-	reg.CounterFunc("traffic/remote_writes", func() uint64 { return s.trafficTotal().RemoteWrites })
-	reg.CounterFunc("traffic/header_bytes", func() uint64 { return s.trafficTotal().HeaderBytes })
-	reg.CounterFunc("traffic/payload_bytes", func() uint64 { return s.trafficTotal().PayloadBytes })
-	reg.CounterFunc("traffic/uncompressed_payload_bytes", func() uint64 { return s.trafficTotal().UncompressedPayloadBytes })
-	reg.CounterFunc("traffic/messages", func() uint64 { return s.trafficTotal().Messages })
-}
-
-func (r *recorder) RemoteRead(int)  { r.traffic.RemoteReads++ }
-func (r *recorder) RemoteWrite(int) { r.traffic.RemoteWrites++ }
-func (r *recorder) Header(n int)    { r.traffic.HeaderBytes += uint64(n) }
-
-func (r *recorder) Payload(line []byte, d core.Decision) {
-	r.traffic.AddLine(line, d.WireBytes(), d.Alg != comp.None)
-	r.energy += d.CodecEnergyPJ
-	if len(line) == comp.LineSize {
-		for _, c := range r.codecs {
-			// Characterization needs sizes and pattern histograms but never
-			// ships the encoding, so the bitstream lands in a reused buffer.
-			enc := c.CompressInto(r.scratch[:0], line)
-			r.scratch = enc.Data
-			cs := r.per[c.Algorithm()]
-			cs.CompressedBytes += uint64(enc.WireBytes())
-			cs.Patterns.Add(enc.Patterns)
-		}
-		if r.series != nil {
-			r.series.Observe(line)
-		}
-	}
+func registerTraffic(reg *metrics.Registry, p *platform.Platform) {
+	reg.CounterFunc("traffic/remote_reads", func() uint64 { return p.Traffic().RemoteReads })
+	reg.CounterFunc("traffic/remote_writes", func() uint64 { return p.Traffic().RemoteWrites })
+	reg.CounterFunc("traffic/header_bytes", func() uint64 { return p.Traffic().HeaderBytes })
+	reg.CounterFunc("traffic/payload_bytes", func() uint64 { return p.Traffic().PayloadBytes })
+	reg.CounterFunc("traffic/uncompressed_payload_bytes", func() uint64 { return p.Traffic().UncompressedPayloadBytes })
+	reg.CounterFunc("traffic/messages", func() uint64 { return p.Traffic().Messages })
 }
 
 // Run executes the named workload under the options and returns the result.
@@ -357,9 +294,11 @@ func Run(abbrev string, opts Options) (*Result, error) {
 		traceLog = &trace.Log{Cap: 1 << 20}
 		cfg.Fabric.Trace = traceLog
 	}
-	recs := newRecorderSet(opts, cfg.NumGPUs+1)
-	recs.registerMetrics(reg)
-	cfg.NewRecorder = func(unit int) rdma.Recorder { return recs.forUnit(unit) }
+	var char *characterizer
+	if opts.Characterize || opts.SeriesLimit > 0 {
+		char = newCharacterizer(opts)
+		cfg.Recorder = char
+	}
 	if opts.Fault.Enabled() {
 		cfg.Fault = opts.Fault
 		// Faults must be a pure function of the job fingerprint: reuse the
@@ -389,7 +328,8 @@ func Run(abbrev string, opts Options) (*Result, error) {
 	// base class (bit-identical to the pre-topology arithmetic), switched
 	// ones sum per-hop, per-class bytes.
 	reg.GaugeFunc("energy/fabric_pj", p.Bus.EnergyPJ)
-	reg.GaugeFunc("energy/codec_pj", func() float64 { return recs.energyTotal() })
+	reg.GaugeFunc("energy/codec_pj", p.CodecEnergyPJ)
+	registerTraffic(reg, p)
 
 	stage := func(name string, fn func(*platform.Platform) error) error {
 		start := p.Engine.Now()
@@ -416,12 +356,16 @@ func Run(abbrev string, opts Options) (*Result, error) {
 		Policy:        opts.Policy.String(),
 		ExecCycles:    uint64(p.ExecCycles()),
 		FabricBytes:   p.Bus.TotalBytes(),
-		Traffic:       recs.trafficTotal(),
-		CodecEnergyPJ: recs.energyTotal(),
-		PerCodec:      recs.perTotal(),
-		Series:        recs.series(),
+		Traffic:       p.Traffic(),
+		CodecEnergyPJ: p.CodecEnergyPJ(),
 		TraceLog:      traceLog,
 		Spans:         spans,
+	}
+	if char != nil {
+		m.PerCodec, m.Series = char.per, char.series
+		// The run-end check drains stale traffic; the observer stops here,
+		// so the result keeps what the run itself transferred.
+		char.codecs, char.series = nil, nil
 	}
 	m.FabricEnergyPJ = p.Bus.EnergyPJ()
 	for _, dev := range p.GPUs {
@@ -436,10 +380,6 @@ func Run(abbrev string, opts Options) (*Result, error) {
 	// The run-end check drains stale traffic, which still feeds the live
 	// recorders; the result keeps what the run itself recorded.
 	m.TraceLog, m.Spans = traceLog.Clone(), spans.Clone()
-	if m.Series != nil {
-		series := *m.Series
-		m.Series = &series
-	}
 	if err := p.CheckQuiescent(); err != nil {
 		return nil, fmt.Errorf("runner: %s: %w", abbrev, err)
 	}

@@ -119,9 +119,9 @@ func (t *Traffic) AddLine(line []byte, wireBytes int, compressed bool) {
 	t.PayloadBytes += uint64(wireBytes)
 }
 
-// Merge folds o into t. The runner keeps traffic accounting per
-// compressing endpoint and merges the units in unit order after the run;
-// that order fixes the float bits of the EntropySum total, which the
+// Merge folds o into t. Each RDMA engine keeps its own traffic ledger and
+// the platform merges them in a fixed order (GPUs in index order, then the
+// host); that order fixes the float bits of the EntropySum total, which the
 // metric snapshot pins.
 func (t *Traffic) Merge(o *Traffic) {
 	t.RemoteReads += o.RemoteReads

@@ -6,7 +6,6 @@ import (
 	"mgpucompress/internal/comp"
 	"mgpucompress/internal/core"
 	"mgpucompress/internal/platform"
-	"mgpucompress/internal/rdma"
 	"mgpucompress/internal/stats"
 )
 
@@ -124,24 +123,12 @@ func TestBSLaunchesManyKernels(t *testing.T) {
 	}
 }
 
-// entropyRecorder measures the entropy of the payloads on the wire.
-type entropyRecorder struct {
-	traffic stats.Traffic
-}
-
-func (r *entropyRecorder) RemoteRead(int)  { r.traffic.RemoteReads++ }
-func (r *entropyRecorder) RemoteWrite(int) { r.traffic.RemoteWrites++ }
-func (r *entropyRecorder) Payload(line []byte, d core.Decision) {
-	r.traffic.AddLine(line, d.WireBytes(), d.Alg != comp.None)
-}
-func (r *entropyRecorder) Header(n int) { r.traffic.HeaderBytes += uint64(n) }
-
-func runWithRecorder(t *testing.T, w Workload) *entropyRecorder {
+// runTraffic runs w to completion and returns the traffic the RDMA engines
+// put on the fabric.
+func runTraffic(t *testing.T, w Workload) stats.Traffic {
 	t.Helper()
-	rec := &entropyRecorder{}
 	cfg := platform.DefaultConfig()
 	cfg.CUsPerGPU = 2
-	cfg.NewRecorder = func(int) rdma.Recorder { return rec }
 	p, _ := platform.Build(cfg)
 	if err := w.Setup(p); err != nil {
 		t.Fatal(err)
@@ -152,7 +139,7 @@ func runWithRecorder(t *testing.T, w Workload) *entropyRecorder {
 	if err := w.Verify(p); err != nil {
 		t.Fatal(err)
 	}
-	return rec
+	return p.Traffic()
 }
 
 // The entropy ordering of Table V: BS < KM < MT < GD/FIR/SC < AES.
@@ -166,8 +153,8 @@ func TestWorkloadEntropyOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := runWithRecorder(t, w)
-		entropy[abbrev] = rec.traffic.Entropy()
+		traffic := runTraffic(t, w)
+		entropy[abbrev] = traffic.Entropy()
 	}
 	if entropy["AES"] < 0.8 {
 		t.Errorf("AES entropy = %.2f, want ≈1 (paper: 0.96)", entropy["AES"])
@@ -186,15 +173,15 @@ func TestWorkloadReadWriteShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("characterization is slow")
 	}
-	aes := runWithRecorder(t, NewAES(ScaleTiny))
-	if aes.traffic.RemoteReads < 5*aes.traffic.RemoteWrites {
+	aes := runTraffic(t, NewAES(ScaleTiny))
+	if aes.RemoteReads < 5*aes.RemoteWrites {
 		t.Errorf("AES reads/writes = %d/%d, want read-dominated",
-			aes.traffic.RemoteReads, aes.traffic.RemoteWrites)
+			aes.RemoteReads, aes.RemoteWrites)
 	}
-	mt := runWithRecorder(t, NewMT(ScaleTiny))
-	ratio := float64(mt.traffic.RemoteReads) / float64(mt.traffic.RemoteWrites)
+	mt := runTraffic(t, NewMT(ScaleTiny))
+	ratio := float64(mt.RemoteReads) / float64(mt.RemoteWrites)
 	if ratio < 0.7 || ratio > 1.4 {
 		t.Errorf("MT reads/writes = %d/%d, want ≈1",
-			mt.traffic.RemoteReads, mt.traffic.RemoteWrites)
+			mt.RemoteReads, mt.RemoteWrites)
 	}
 }
