@@ -18,7 +18,9 @@ all: vet lint test
 # project's own determinism linter, the short test suite under the race
 # detector (the sweep engine is concurrent by design), the bench module's
 # tests (its byte-identity oracle and -short smoke), the message-ownership
-# check (poison), and two determinism gates: the quickstart's -metrics-out snapshot and the files of a
+# check (poison), the two examples that call platform.Build directly (each
+# ends in the run-end quiescence check), and two determinism gates: the
+# quickstart's -metrics-out snapshot and the files of a
 # `reproduce -only` run (a static table, the characterization table and the
 # Fig. 1 series that the runner's payload observer feeds, a figure, and the
 # topology ablation over all five topologies and adaptive-global) must be
@@ -49,6 +51,9 @@ ci:
 	go run ./examples/quickstart -metrics-out bin/metrics-b.json >/dev/null
 	cmp bin/metrics-a.json bin/metrics-b.json
 	@echo "metrics determinism gate: OK"
+	go run ./examples/custom_workload >/dev/null
+	go run ./examples/trace_replay >/dev/null
+	@echo "platform.Build examples gate: OK"
 	@rm -rf bin/only-a bin/only-b
 	go run ./cmd/reproduce -scale 1 -cus 2 -quiet -only table1,table5,fig1_SC,fig5,ablation_topology -out bin/only-a >/dev/null
 	go run ./cmd/reproduce -scale 1 -cus 2 -quiet -only table1,table5,fig1_SC,fig5,ablation_topology -out bin/only-b >/dev/null

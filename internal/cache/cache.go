@@ -125,15 +125,19 @@ func (c *Cache) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.CounterFunc(prefix+"/bypassed", func() uint64 { return c.Bypassed })
 }
 
-// New builds a cache bound to the functional space.
+// New builds a cache bound to the functional space. A config that cannot
+// run (no sets, no issue slot, no MSHR) is a wiring bug and panics.
 func New(name string, part *sim.Partition, space *mem.Space, cfg Config) *Cache {
-	if cfg.IssueWidth <= 0 {
-		cfg.IssueWidth = 4
-	}
-	numSets := cfg.SizeBytes / cfg.Ways / mem.LineSize
-	if numSets <= 0 {
+	if cfg.Ways <= 0 || cfg.SizeBytes/cfg.Ways/mem.LineSize <= 0 {
 		panic(fmt.Sprintf("cache %s: bad geometry %d/%d/%d", name, cfg.SizeBytes, cfg.Ways, mem.LineSize))
 	}
+	if cfg.IssueWidth <= 0 {
+		panic(fmt.Sprintf("cache %s: IssueWidth %d must be positive", name, cfg.IssueWidth))
+	}
+	if cfg.MaxMSHR <= 0 {
+		panic(fmt.Sprintf("cache %s: MaxMSHR %d must be positive", name, cfg.MaxMSHR))
+	}
+	numSets := cfg.SizeBytes / cfg.Ways / mem.LineSize
 	c := &Cache{
 		ComponentBase: sim.NewComponentBase(name),
 		part:          part,

@@ -486,3 +486,35 @@ func TestCacheFillWithoutMSHRPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNewRejectsBadConfig: a config New cannot run fails at construction
+// with a panic that names the field, instead of a fallback or a deadlock
+// far from the cause.
+func TestNewRejectsBadConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config)
+		want string // panic substring; "" = must build
+	}{
+		{"L1", func(*Config) {}, ""},
+		{"zero ways", func(c *Config) { c.Ways = 0 }, "bad geometry"},
+		{"negative ways", func(c *Config) { c.Ways = -4 }, "bad geometry"},
+		{"smaller than a set", func(c *Config) { c.SizeBytes = mem.LineSize }, "bad geometry"},
+		{"zero issue width", func(c *Config) { c.IssueWidth = 0 }, "IssueWidth"},
+		{"negative issue width", func(c *Config) { c.IssueWidth = -1 }, "IssueWidth"},
+		{"zero MSHRs", func(c *Config) { c.MaxMSHR = 0 }, "MaxMSHR"},
+		{"negative MSHRs", func(c *Config) { c.MaxMSHR = -2 }, "MaxMSHR"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := L1Config()
+			tc.mut(&cfg)
+			defer func() {
+				r := recover()
+				if got := fmt.Sprint(r); (r == nil) != (tc.want == "") || !strings.Contains(got, tc.want) {
+					t.Errorf("New recovered %v, want a panic containing %q", r, tc.want)
+				}
+			}()
+			New("L1", sim.NewEngine().Partition(0), mem.NewSpace(2), cfg)
+		})
+	}
+}

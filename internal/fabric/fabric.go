@@ -48,10 +48,9 @@ type Config struct {
 	Nodes int
 	// BaseClass is the energy class of the endpoint egress links (the
 	// switch-to-GPU wires), and the class of every transfer on the
-	// single-hop bus and crossbar fabrics. The zero value (OnChip) is
-	// normalized to the paper's MCM class by platform.Build; switched
-	// topologies price their long inter-switch hops at Board/Node tiers on
-	// top of this (see SwitchFabric).
+	// single-hop bus and crossbar fabrics (DefaultConfig: the paper's MCM
+	// class); switched topologies price their long inter-switch hops at
+	// Board/Node tiers on top of this (see SwitchFabric).
 	BaseClass energy.LinkClass
 	// Trace, when non-nil, records every completed transfer for offline
 	// timeline analysis.
@@ -72,9 +71,9 @@ func DefaultConfig() Config {
 // Validate reports the first configuration error. It replaces the silent
 // normalization the constructors used to apply (LinkLatency below the
 // engine's one-cycle latency floor, unknown topologies falling back
-// to the bus at higher layers): platform.Build calls it after per-field
-// defaulting, so a partially-set Config is rejected loudly instead of being
-// quietly replaced, and every fabric constructor panics on its error.
+// to the bus at higher layers): platform.Config.Validate calls it, so a
+// partially-set Config is rejected loudly instead of being quietly
+// replaced, and every fabric constructor panics on its error.
 func (c Config) Validate() error {
 	switch c.Topology {
 	case "", TopologyBus, TopologyCrossbar:

@@ -92,13 +92,14 @@ func (c *CU) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.CounterFunc(prefix+"/compute_cycles", func() uint64 { return c.ComputeCycles })
 }
 
-// NewCU builds a compute unit.
+// NewCU builds a compute unit. A config that cannot run (no issue slot, no
+// resident workgroup) is a wiring bug and panics.
 func NewCU(name string, part *sim.Partition, cfg CUConfig) *CU {
 	if cfg.IssueWidth <= 0 {
-		cfg.IssueWidth = 1
+		panic(fmt.Sprintf("cu %s: IssueWidth %d must be positive", name, cfg.IssueWidth))
 	}
 	if cfg.MaxResidentWGs <= 0 {
-		cfg.MaxResidentWGs = 4
+		panic(fmt.Sprintf("cu %s: MaxResidentWGs %d must be positive", name, cfg.MaxResidentWGs))
 	}
 	c := &CU{
 		ComponentBase: sim.NewComponentBase(name),

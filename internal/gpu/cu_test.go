@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -516,5 +517,33 @@ func TestCULostResponseStallsRun(t *testing.T) {
 	}
 	if cu.CheckQuiescent() == nil {
 		t.Error("the CU does not report the lost read")
+	}
+}
+
+// TestNewCURejectsBadConfig: a config NewCU cannot run fails at
+// construction with a panic that names the field, instead of a fallback.
+func TestNewCURejectsBadConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mut  func(*CUConfig)
+		want string // panic substring; "" = must build
+	}{
+		{"default", func(*CUConfig) {}, ""},
+		{"zero issue width", func(c *CUConfig) { c.IssueWidth = 0 }, "IssueWidth"},
+		{"negative issue width", func(c *CUConfig) { c.IssueWidth = -1 }, "IssueWidth"},
+		{"zero resident workgroups", func(c *CUConfig) { c.MaxResidentWGs = 0 }, "MaxResidentWGs"},
+		{"negative resident workgroups", func(c *CUConfig) { c.MaxResidentWGs = -4 }, "MaxResidentWGs"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultCUConfig()
+			tc.mut(&cfg)
+			defer func() {
+				r := recover()
+				if got := fmt.Sprint(r); (r == nil) != (tc.want == "") || !strings.Contains(got, tc.want) {
+					t.Errorf("NewCU recovered %v, want a panic containing %q", r, tc.want)
+				}
+			}()
+			NewCU("CU", sim.NewEngine().Partition(0), cfg)
+		})
 	}
 }

@@ -228,41 +228,58 @@ func (d *Driver) NotifyRecv(now sim.Time, p *sim.Port) {
 	}
 }
 
+// Placement is the rule Launch deals a grid's workgroups to GPUs by
+// (Sec. VI-A): round-robin over all CUs of all GPUs, GPU 0's CUs first, so
+// workgroup wg goes to the GPU owning global CU wg mod (GPUs × CUsPerGPU).
+// Workloads use it to place each workgroup's output in its own GPU's
+// memory.
+type Placement struct {
+	GPUs, CUsPerGPU int
+}
+
+// Of returns the GPU that runs workgroup wg and wg's rank among that GPU's
+// workgroups: the order in which the GPU's command processor receives it.
+func (pl Placement) Of(wg int) (gpu, rank int) {
+	total := pl.GPUs * pl.CUsPerGPU
+	cu := wg % total
+	return cu / pl.CUsPerGPU, wg/total*pl.CUsPerGPU + cu%pl.CUsPerGPU
+}
+
+// Ranks returns the ranks each GPU spans for a grid of n workgroups: every
+// rank Of returns is below it. It counts whole rounds of CUsPerGPU, so the
+// last, partial round is rounded up.
+func (pl Placement) Ranks(n int) int {
+	total := pl.GPUs * pl.CUsPerGPU
+	return (n + total - 1) / total * pl.CUsPerGPU
+}
+
 // Launch starts a kernel across all GPUs and runs the engine until it
 // completes. It must be called from host code (outside event handlers).
+// Every GPU must have the same number of CUs.
 func (d *Driver) Launch(k *Kernel) error {
 	if err := k.Validate(); err != nil {
 		return err
 	}
-	numGPUs := len(d.CPPorts)
-	totalCUs := 0
-	cusPerGPU := make([]int, numGPUs)
+	pl := Placement{GPUs: len(d.CPPorts)}
 	for g, port := range d.CPPorts {
-		cp := port.Component().(*CommandProcessor)
-		cusPerGPU[g] = len(cp.CUs)
-		totalCUs += len(cp.CUs)
+		n := len(port.Component().(*CommandProcessor).CUs)
+		if g > 0 && n != pl.CUsPerGPU {
+			return fmt.Errorf("gpu: GPU %d has %d CUs, GPU 0 has %d", g, n, pl.CUsPerGPU)
+		}
+		pl.CUsPerGPU = n
 	}
-	if totalCUs == 0 {
+	if pl.CUsPerGPU == 0 {
 		return fmt.Errorf("gpu: no CUs available")
 	}
-
-	// Round-robin workgroups across all CUs of all GPUs (Sec. VI-A): the
-	// CU for workgroup i is i mod totalCUs; its GPU gets the workgroup.
-	d.assignments = make([][]int, numGPUs)
-	cuToGPU := make([]int, 0, totalCUs)
-	for g := 0; g < numGPUs; g++ {
-		for i := 0; i < cusPerGPU[g]; i++ {
-			cuToGPU = append(cuToGPU, g)
-		}
-	}
+	d.assignments = make([][]int, pl.GPUs)
 	for wg := 0; wg < k.NumWorkgroups; wg++ {
-		g := cuToGPU[wg%totalCUs]
+		g, _ := pl.Of(wg)
 		d.assignments[g] = append(d.assignments[g], wg)
 	}
 
 	d.seq++
 	d.kernel = k
-	d.pendingDone = numGPUs
+	d.pendingDone = pl.GPUs
 	d.KernelsLaunched++
 
 	now := d.part.Now()

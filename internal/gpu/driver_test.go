@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"strings"
 	"testing"
 
 	"mgpucompress/internal/mem"
@@ -34,6 +35,25 @@ func TestDriverNoCUs(t *testing.T) {
 		Program: &testProgram{}})
 	if err == nil {
 		t.Error("launch with zero CUs accepted")
+	}
+}
+
+// Placement deals workgroups over equal GPUs; Launch rejects GPUs whose CU
+// counts differ instead of placing against GPU 0's count.
+func TestDriverRejectsUnequalCUCounts(t *testing.T) {
+	engine := sim.NewEngine()
+	part := engine.Partition(0)
+	d := NewDriver("Driver", part, mem.NewSpace(4))
+	for g, cus := range []int{2, 1} {
+		cp := NewCommandProcessor("CP", part, g)
+		for i := 0; i < cus; i++ {
+			cp.CUs = append(cp.CUs, NewCU("CU", part, DefaultCUConfig()))
+		}
+		d.CPPorts = append(d.CPPorts, cp.ToFabric)
+	}
+	err := d.Launch(&Kernel{Name: "k", NumWorkgroups: 3, Program: &testProgram{}})
+	if err == nil || !strings.Contains(err.Error(), "GPU 1 has 1 CUs") {
+		t.Errorf("Launch = %v, want an error naming GPU 1's CU count", err)
 	}
 }
 

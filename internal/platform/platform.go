@@ -1,8 +1,10 @@
-// Package platform assembles the full simulated system of Fig. 3: four
-// R9 Nano-class GPUs (compute units, private L1 vector caches, eight L2
-// banks and eight DRAM channels each, and an RDMA engine) around a shared
-// PCIe-like bus fabric, plus the host driver and its own RDMA engine for
-// kernel argument traffic.
+// Package platform assembles the full simulated system of Fig. 3: a
+// configurable number of R9 Nano-class GPUs (compute units, private L1
+// vector caches, eight L2 banks and eight DRAM channels each, and an RDMA
+// engine) on a configurable inter-GPU fabric (the paper's shared PCIe-like
+// bus by default), plus the host driver and its own RDMA engine for kernel
+// argument traffic. The Table VII geometry of each GPU is constants Build
+// reads; Config holds only what callers vary.
 package platform
 
 import (
@@ -12,7 +14,6 @@ import (
 	"mgpucompress/internal/cache"
 	"mgpucompress/internal/comp"
 	"mgpucompress/internal/core"
-	"mgpucompress/internal/energy"
 	"mgpucompress/internal/fabric"
 	"mgpucompress/internal/fault"
 	"mgpucompress/internal/gpu"
@@ -24,19 +25,17 @@ import (
 	"mgpucompress/internal/trace"
 )
 
-// Config parameterizes the platform. Zero fields take Table VII defaults at
-// a reduced test scale (4 CUs per GPU); set CUsPerGPU to 64 for the paper's
-// full R9 Nano scale.
+// Config holds what callers vary about the platform: the GPU and CU counts,
+// the fabric, the compression policy, the L1.5 extension, the fault profile
+// and the observers. The per-GPU Table VII geometry (CU issue width, L1 and
+// L2 caches, mem.ChannelsPerPU L2 banks and DRAM channels, the argument
+// buffer) is not configurable. Start from DefaultConfig or FullConfig:
+// Build checks the config with Validate and fills nothing in.
 type Config struct {
 	NumGPUs   int
 	CUsPerGPU int
-	// L2Banks is the number of L2 banks and DRAM channels per GPU.
-	L2Banks int
-	CU      gpu.CUConfig
-	L1      cache.Config
-	L2      cache.Config
-	DRAM    mem.DRAMConfig
-	Fabric  fabric.Config
+	// Fabric is the inter-GPU fabric. Build sets Fabric.Nodes to NumGPUs.
+	Fabric fabric.Config
 	// NewPolicy builds the compression policy for each compressing
 	// endpoint: GPUs 0..NumGPUs-1 and the host (index NumGPUs). Nil means
 	// no compression anywhere.
@@ -46,8 +45,6 @@ type Config struct {
 	// engines keep the traffic ledger themselves (Platform.Traffic and
 	// Platform.CodecEnergyPJ), so a run needs no recorder to report it.
 	Recorder rdma.Recorder
-	// ArgBufferBytes sizes the per-GPU kernel-argument buffer.
-	ArgBufferBytes uint64
 	// RemoteCache, when non-nil, inserts a per-GPU cache for REMOTE data
 	// between the L1s and the RDMA engine — the "new cache level for
 	// remote data" of Arunkumar et al.'s MCM-GPU design, which the paper
@@ -87,19 +84,13 @@ func RemoteCacheConfig() cache.Config {
 	}
 }
 
-// DefaultConfig returns the test-scale configuration.
+// argBufferBytes sizes each GPU's kernel-argument buffer.
+const argBufferBytes = 4096
+
+// DefaultConfig returns the paper's four-GPU shared-bus system at a reduced
+// test scale (4 CUs per GPU).
 func DefaultConfig() Config {
-	return Config{
-		NumGPUs:        4,
-		CUsPerGPU:      4,
-		L2Banks:        mem.ChannelsPerPU,
-		CU:             gpu.DefaultCUConfig(),
-		L1:             cache.L1Config(),
-		L2:             cache.L2Config(),
-		DRAM:           mem.DefaultDRAMConfig(),
-		Fabric:         fabric.DefaultConfig(),
-		ArgBufferBytes: 4096,
-	}
+	return Config{NumGPUs: 4, CUsPerGPU: 4, Fabric: fabric.DefaultConfig()}
 }
 
 // FullConfig returns the paper-scale configuration (64 CUs per GPU).
@@ -242,67 +233,41 @@ func (p *Platform) instrumentPolicy(unit int, pol core.Policy) {
 	}
 }
 
+// Validate reports the first shape error: fewer than two GPUs, no CUs, a
+// fabric that cannot connect NumGPUs GPUs, or an invalid fault profile. It
+// is the platform's one shape check; user-facing layers call it to reject a
+// configuration before building.
+func (c Config) Validate() error {
+	if c.NumGPUs < 2 {
+		return fmt.Errorf("NumGPUs = %d: a multi-GPU system needs at least 2", c.NumGPUs)
+	}
+	if c.CUsPerGPU < 1 {
+		return fmt.Errorf("CUsPerGPU = %d: each GPU needs at least one CU", c.CUsPerGPU)
+	}
+	f := c.Fabric
+	f.Nodes = c.NumGPUs
+	if err := f.Validate(); err != nil {
+		return err
+	}
+	if err := c.Fault.Validate(); err != nil {
+		return fmt.Errorf("fault profile: %w", err)
+	}
+	return nil
+}
+
 // Build constructs and wires the platform, returning it together with its
 // typed partition map. Each GPU's components live on their own partition;
-// the fabric, driver and host RDMA share the hub partition.
+// the fabric, driver and host RDMA share the hub partition. The config must
+// pass Validate: reaching Build with a bad shape is a wiring bug, and it
+// panics.
 func Build(cfg Config) (*Platform, Partitions) {
-	base := DefaultConfig()
-	if cfg.NumGPUs == 0 {
-		cfg.NumGPUs = base.NumGPUs
-	}
-	if cfg.CUsPerGPU == 0 {
-		cfg.CUsPerGPU = base.CUsPerGPU
-	}
-	if cfg.L2Banks == 0 {
-		cfg.L2Banks = base.L2Banks
-	}
-	if cfg.CU.IssueWidth == 0 {
-		cfg.CU = base.CU
-	}
-	if cfg.L1.SizeBytes == 0 {
-		cfg.L1 = base.L1
-	}
-	if cfg.L2.SizeBytes == 0 {
-		cfg.L2 = base.L2
-	}
-	if cfg.DRAM.AccessLatency == 0 {
-		cfg.DRAM = base.DRAM
-	}
-	// Fabric defaults are per-field: the old wholesale fallback silently
-	// replaced a partially-set Config (losing, say, a Topology choice made
-	// without a BytesPerCycle override). Anything still invalid after
-	// defaulting is rejected by Validate below instead of being normalized
-	// away.
-	if cfg.Fabric.BytesPerCycle == 0 {
-		cfg.Fabric.BytesPerCycle = base.Fabric.BytesPerCycle
-	}
-	if cfg.Fabric.OutBufferBytes == 0 {
-		cfg.Fabric.OutBufferBytes = base.Fabric.OutBufferBytes
-	}
-	if cfg.Fabric.LinkLatency == 0 {
-		cfg.Fabric.LinkLatency = base.Fabric.LinkLatency
-	}
-	if cfg.Fabric.Topology == "" {
-		cfg.Fabric.Topology = base.Fabric.Topology
-	}
-	if cfg.Fabric.BaseClass == energy.OnChip {
-		// The zero value selects the paper's MCM fabric (Sec. VII-B).
-		cfg.Fabric.BaseClass = base.Fabric.BaseClass
-	}
-	if cfg.ArgBufferBytes == 0 {
-		cfg.ArgBufferBytes = base.ArgBufferBytes
+	if err := cfg.Validate(); err != nil {
+		panic(fmt.Sprintf("platform: %v", err))
 	}
 	// The switched topologies size their switch graph from the GPU count;
 	// the fabric maps owner-partition indices 0..NumGPUs-1 to GPU nodes and
 	// the hub partition to the host switch, so Nodes always mirrors NumGPUs.
 	cfg.Fabric.Nodes = cfg.NumGPUs
-	if err := cfg.Fabric.Validate(); err != nil {
-		// User-facing layers (runner.Options.Validate, the CLIs) reject bad
-		// shapes with an error first; reaching Build with one is a wiring
-		// bug.
-		panic(fmt.Sprintf("platform: %v", err))
-	}
-
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
@@ -391,7 +356,7 @@ func Build(cfg Config) (*Platform, Partitions) {
 	for _, dev := range p.GPUs {
 		p.Driver.CPPorts = append(p.Driver.CPPorts, dev.CP.ToFabric)
 		p.Driver.ArgBuffers = append(p.Driver.ArgBuffers,
-			p.Space.AllocOnGPU(dev.Index, cfg.ArgBufferBytes))
+			p.Space.AllocOnGPU(dev.Index, argBufferBytes))
 	}
 	p.Driver.InvalidateL1s = func() {
 		for _, dev := range p.GPUs {
@@ -421,11 +386,11 @@ func (p *Platform) buildGPU(g int, policy core.Policy) *Device {
 
 	// DRAM channels and L2 banks.
 	dramConn := sim.NewDirectConnection(name+".dram", part, 2)
-	for ch := 0; ch < cfg.L2Banks; ch++ {
-		d := mem.NewDRAM(fmt.Sprintf("%s.DRAM%d", name, ch), part, p.Space, cfg.DRAM)
+	for ch := 0; ch < mem.ChannelsPerPU; ch++ {
+		d := mem.NewDRAM(fmt.Sprintf("%s.DRAM%d", name, ch), part, p.Space, mem.DefaultDRAMConfig())
 		d.RegisterMetrics(p.Metrics, fmt.Sprintf("%s/dram_%d", mpfx, ch))
 		dev.DRAMs = append(dev.DRAMs, d)
-		l2 := cache.New(fmt.Sprintf("%s.L2_%d", name, ch), part, p.Space, cfg.L2)
+		l2 := cache.New(fmt.Sprintf("%s.L2_%d", name, ch), part, p.Space, cache.L2Config())
 		l2.RegisterMetrics(p.Metrics, fmt.Sprintf("%s/l2_%d", mpfx, ch))
 		dev.L2s = append(dev.L2s, l2)
 		dramConn.Plug(l2.Bottom)
@@ -466,7 +431,7 @@ func (p *Platform) buildGPU(g int, policy core.Policy) *Device {
 
 	// CUs and their private L1 vector caches.
 	cuConn := sim.NewDirectConnection(name+".cu", part, 1)
-	l1cfg := cfg.L1
+	l1cfg := cache.L1Config()
 	l1cfg.Cacheable = func(addr uint64) bool { return p.Space.GPUOf(addr) == g }
 	for i := 0; i < cfg.CUsPerGPU; i++ {
 		l1 := cache.New(fmt.Sprintf("%s.L1_%d", name, i), part, p.Space, l1cfg)
@@ -478,7 +443,7 @@ func (p *Platform) buildGPU(g int, policy core.Policy) *Device {
 			return remotePort
 		}
 		xbar.Plug(l1.Bottom)
-		cu := gpu.NewCU(fmt.Sprintf("%s.CU%d", name, i), part, cfg.CU)
+		cu := gpu.NewCU(fmt.Sprintf("%s.CU%d", name, i), part, gpu.DefaultCUConfig())
 		cu.RegisterMetrics(p.Metrics, fmt.Sprintf("%s/cu_%d", mpfx, i))
 		cuConn.Plug(cu.ToL1)
 		cuConn.Plug(l1.Top)

@@ -264,6 +264,54 @@ func TestPlatformWorkgroupsSpreadAcrossAllGPUs(t *testing.T) {
 	}
 }
 
+// gpu.Placement is the one statement of the driver's workgroup placement:
+// on every shape, each GPU retires as many workgroups as Placement.Of puts
+// there, including the last, partial round, and the ranks Of returns count
+// each GPU's workgroups in order and stay below Ranks.
+func TestWorkgroupPlacementMatchesLaunch(t *testing.T) {
+	for _, gpus := range []int{2, 4, 8} {
+		for cus := 1; cus <= 4; cus++ {
+			cfg := DefaultConfig()
+			cfg.NumGPUs, cfg.CUsPerGPU = gpus, cus
+			p, _ := Build(cfg)
+			pl := gpu.Placement{GPUs: gpus, CUsPerGPU: cus}
+			// Not a multiple of the total CU count: the last round fills
+			// GPU 0's CUs only, which a per-GPU round robin would spread.
+			n := 3*gpus*cus + cus
+			want := make([]uint64, gpus)
+			for wg := 0; wg < n; wg++ {
+				g, rank := pl.Of(wg)
+				if rank != int(want[g]) || rank >= pl.Ranks(n) {
+					t.Fatalf("%d GPUs × %d CUs: workgroup %d has rank %d on GPU %d, want %d below %d",
+						gpus, cus, wg, rank, g, want[g], pl.Ranks(n))
+				}
+				want[g]++
+			}
+			k := &gpu.Kernel{
+				Name:          "place",
+				NumWorkgroups: n,
+				Program:       &streams{waves: 1, start: func(w *gpu.Wave) { w.Compute(1) }},
+			}
+			if err := p.Driver.Launch(k); err != nil {
+				t.Fatal(err)
+			}
+			for g, dev := range p.GPUs {
+				var retired uint64
+				for _, cu := range dev.CUs {
+					retired += cu.WGsRetired
+				}
+				if retired != want[g] {
+					t.Errorf("%d GPUs × %d CUs: GPU %d retired %d workgroups, Placement counts %d",
+						gpus, cus, g, retired, want[g])
+				}
+			}
+			if err := p.CheckQuiescent(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 func TestPlatformL1CachingReducesSecondKernelTraffic(t *testing.T) {
 	// Two identical read-only kernels on local data: within a kernel,
 	// repeated reads of the same line hit L1.

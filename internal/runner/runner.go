@@ -83,33 +83,8 @@ func (o Options) Validate() error {
 	if err := core.ValidateLambda(o.Lambda); err != nil {
 		return err
 	}
-	if o.CUsPerGPU < 0 {
-		return fmt.Errorf("negative CUs per GPU %d", o.CUsPerGPU)
-	}
-	if o.NumGPUs != 0 && o.NumGPUs < 2 {
-		return fmt.Errorf("NumGPUs = %d: a multi-GPU system needs at least 2", o.NumGPUs)
-	}
 	if o.SeriesLimit < 0 {
 		return fmt.Errorf("negative series limit %d", o.SeriesLimit)
-	}
-	if o.FabricBytesPerCycle < 0 {
-		return fmt.Errorf("negative fabric bytes/cycle %d", o.FabricBytesPerCycle)
-	}
-	switch o.Topology {
-	case "", fabric.TopologyBus, fabric.TopologyCrossbar, fabric.TopologyRing, fabric.TopologyTree:
-	case fabric.TopologyMesh:
-		n := o.NumGPUs
-		if n == 0 {
-			n = platform.DefaultConfig().NumGPUs
-		}
-		if _, _, err := fabric.MeshDims(n); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown topology %q", o.Topology)
-	}
-	if o.Link < energy.OnChip || o.Link > energy.Node {
-		return fmt.Errorf("invalid link class %d", o.Link)
 	}
 	if o.Adaptive != nil && o.Policy != core.PolicyNone && o.Policy != core.PolicyAdaptive {
 		return fmt.Errorf("Adaptive config conflicts with policy %v", o.Policy)
@@ -119,10 +94,38 @@ func (o Options) Validate() error {
 			return fmt.Errorf("Adaptive config: %w", err)
 		}
 	}
-	if err := o.Fault.Validate(); err != nil {
-		return fmt.Errorf("fault profile: %w", err)
+	// The platform's shape (GPUs, CUs, fabric, fault profile) is checked by
+	// the platform itself, on the config Run builds.
+	return o.platformConfig().Validate()
+}
+
+// platformConfig is the platform shape of a run: the defaults, with each
+// nonzero option passed through unchecked (a negative CU count or link
+// width reaches platform.Config.Validate, not a fallback). Link class 0
+// keeps the default MCM class, as Key normalizes it.
+func (o Options) platformConfig() platform.Config {
+	cfg := platform.DefaultConfig()
+	if o.NumGPUs != 0 {
+		cfg.NumGPUs = o.NumGPUs
 	}
-	return nil
+	if o.CUsPerGPU != 0 {
+		cfg.CUsPerGPU = o.CUsPerGPU
+	}
+	if o.Topology != "" {
+		cfg.Fabric.Topology = o.Topology
+	}
+	if o.Link != energy.OnChip {
+		cfg.Fabric.BaseClass = o.Link
+	}
+	if o.FabricBytesPerCycle != 0 {
+		cfg.Fabric.BytesPerCycle = o.FabricBytesPerCycle
+	}
+	if o.RemoteCache {
+		rc := platform.RemoteCacheConfig()
+		cfg.RemoteCache = &rc
+	}
+	cfg.Fault = o.Fault
+	return cfg
 }
 
 // CodecStats aggregates one codec's behaviour over all transferred lines.
@@ -265,30 +268,9 @@ func Run(abbrev string, opts Options) (*Result, error) {
 	reg := metrics.NewRegistry()
 	spans := &trace.Recorder{}
 
-	cfg := platform.DefaultConfig()
+	cfg := opts.platformConfig()
 	cfg.Metrics = reg
 	cfg.Spans = spans
-	if opts.CUsPerGPU > 0 {
-		cfg.CUsPerGPU = opts.CUsPerGPU
-	}
-	if opts.Topology != "" {
-		cfg.Fabric.Topology = opts.Topology
-	}
-	// The fabric prices endpoint links (and, on the single-hop fabrics,
-	// every transfer) at the selected class; switched topologies layer
-	// board/node tiers on their long hops via Fabric.EnergyPJ. The zero
-	// value, OnChip, is platform.Build's MCM default.
-	cfg.Fabric.BaseClass = opts.Link
-	if opts.RemoteCache {
-		rc := platform.RemoteCacheConfig()
-		cfg.RemoteCache = &rc
-	}
-	if opts.NumGPUs > 0 {
-		cfg.NumGPUs = opts.NumGPUs
-	}
-	if opts.FabricBytesPerCycle > 0 {
-		cfg.Fabric.BytesPerCycle = opts.FabricBytesPerCycle
-	}
 	var traceLog *trace.Log
 	if opts.Trace {
 		traceLog = &trace.Log{Cap: 1 << 20}
@@ -300,7 +282,6 @@ func Run(abbrev string, opts Options) (*Result, error) {
 		cfg.Recorder = char
 	}
 	if opts.Fault.Enabled() {
-		cfg.Fault = opts.Fault
 		// Faults must be a pure function of the job fingerprint: reuse the
 		// workload seed, with a fixed fallback when the run keeps the
 		// default input streams.

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"mgpucompress/internal/platform"
+
 	"mgpucompress/internal/core"
 	"mgpucompress/internal/energy"
 	"mgpucompress/internal/fabric"
@@ -61,6 +63,37 @@ func TestOptionsValidate(t *testing.T) {
 				t.Errorf("Validate() = %v, wantErr %v", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestOptionsValidateMatchesBuild: the config Validate checks is the config
+// Run builds, and the platform's shape check is the only one. Over every
+// topology and a grid of GPU counts, CU counts and link widths (zero keeps
+// the default), Validate accepts and Build constructs exactly the shapes of
+// a multi-GPU system: at least two GPUs, a power of two of them on the
+// mesh, and no negative CU count or link width.
+func TestOptionsValidateMatchesBuild(t *testing.T) {
+	builds := func(o Options) (ok bool) {
+		defer func() { ok = recover() == nil }()
+		platform.Build(o.platformConfig())
+		return true
+	}
+	topologies := append([]fabric.Topology{""}, fabric.Topologies()...)
+	for _, topo := range topologies {
+		for _, gpus := range []int{0, 1, 2, 3, 4, 6, 8, 16} {
+			for _, cus := range []int{-1, 0, 1} {
+				for _, width := range []int{-1, 0, 20} {
+					o := Options{Topology: topo, NumGPUs: gpus, CUsPerGPU: cus, FabricBytesPerCycle: width}
+					want := gpus != 1 && cus >= 0 && width >= 0 &&
+						(topo != fabric.TopologyMesh || gpus&(gpus-1) == 0)
+					err := o.Validate()
+					if built := builds(o); (err == nil) != want || built != want {
+						t.Errorf("%q, %d GPUs, %d CUs, width %d: Validate() = %v, Build ok = %v, want ok = %v",
+							topo, gpus, cus, width, err, built, want)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -60,7 +60,7 @@ func (a *AES) Setup(p *platform.Platform) error {
 	r.Read(plaintext)
 	a.input.Write(0, plaintext)
 
-	perGPU := a.gpuPartitionLines(p) * mem.LineSize
+	perGPU := placement(p).Ranks(a.numWGs) * a.linesPerWG * mem.LineSize
 	a.outputs = a.outputs[:0]
 	for g := range p.GPUs {
 		a.outputs = append(a.outputs, p.Space.AllocOnGPU(g, uint64(perGPU)))
@@ -68,21 +68,9 @@ func (a *AES) Setup(p *platform.Platform) error {
 	return nil
 }
 
-// gpuPartitionLines returns the output partition size per GPU in lines.
-func (a *AES) gpuPartitionLines(p *platform.Platform) int {
-	totalCUs := p.TotalCUs()
-	cusPerGPU := len(p.GPUs[0].CUs)
-	maxRanks := (a.numWGs + totalCUs - 1) / totalCUs * cusPerGPU
-	return maxRanks * a.linesPerWG
-}
-
 // outputSlot returns (gpu, line offset) for workgroup wg's output.
 func (a *AES) outputSlot(p *platform.Platform, wg int) (int, int) {
-	totalCUs := p.TotalCUs()
-	cusPerGPU := len(p.GPUs[0].CUs)
-	cu := wg % totalCUs
-	g := cu / cusPerGPU
-	rank := wg/totalCUs*cusPerGPU + (cu - g*cusPerGPU)
+	g, rank := placement(p).Of(wg)
 	return g, rank * a.linesPerWG
 }
 

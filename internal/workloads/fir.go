@@ -103,7 +103,8 @@ func (f *FIR) Setup(p *platform.Platform) error {
 	}
 	f.indexTab.Write(0, tab)
 
-	perGPU := f.gpuPartitionLines(p) * mem.LineSize
+	// One rank of slack past the grid's last round.
+	perGPU := (placement(p).Ranks(f.numWGs) + 1) * f.linesPerWG * mem.LineSize
 	f.outputs = f.outputs[:0]
 	for g := range p.GPUs {
 		f.outputs = append(f.outputs, p.Space.AllocOnGPU(g, uint64(perGPU)))
@@ -111,18 +112,8 @@ func (f *FIR) Setup(p *platform.Platform) error {
 	return nil
 }
 
-func (f *FIR) gpuPartitionLines(p *platform.Platform) int {
-	totalCUs := p.TotalCUs()
-	cusPerGPU := len(p.GPUs[0].CUs)
-	return (f.numWGs+totalCUs-1)/totalCUs*cusPerGPU*f.linesPerWG + f.linesPerWG
-}
-
 func (f *FIR) outputSlot(p *platform.Platform, wg int) (int, int) {
-	totalCUs := p.TotalCUs()
-	cusPerGPU := len(p.GPUs[0].CUs)
-	cu := wg % totalCUs
-	g := cu / cusPerGPU
-	rank := wg/totalCUs*cusPerGPU + (cu - g*cusPerGPU)
+	g, rank := placement(p).Of(wg)
 	return g, rank * f.linesPerWG
 }
 

@@ -102,7 +102,8 @@ func (s *SC) Setup(p *platform.Platform) error {
 	}
 	s.stage.Write(0, tab)
 
-	perGPU := s.gpuPartitionBytes(p)
+	// One rank of slack past the grid's last round.
+	perGPU := uint64((placement(p).Ranks(s.numWGs) + 1) * s.rowsPerWG * s.rowBytes())
 	s.outputs = s.outputs[:0]
 	for g := range p.GPUs {
 		s.outputs = append(s.outputs, p.Space.AllocOnGPU(g, perGPU))
@@ -112,19 +113,8 @@ func (s *SC) Setup(p *platform.Platform) error {
 
 func (s *SC) rowBytes() int { return s.w * 4 }
 
-func (s *SC) gpuPartitionBytes(p *platform.Platform) uint64 {
-	totalCUs := p.TotalCUs()
-	cusPerGPU := len(p.GPUs[0].CUs)
-	maxRanks := (s.numWGs+totalCUs-1)/totalCUs*cusPerGPU + 1
-	return uint64(maxRanks * s.rowsPerWG * s.rowBytes())
-}
-
 func (s *SC) outputSlot(p *platform.Platform, wg int) (gpuIdx int, byteOff uint64) {
-	totalCUs := p.TotalCUs()
-	cusPerGPU := len(p.GPUs[0].CUs)
-	cu := wg % totalCUs
-	g := cu / cusPerGPU
-	rank := wg/totalCUs*cusPerGPU + (cu - g*cusPerGPU)
+	g, rank := placement(p).Of(wg)
 	return g, uint64(rank * s.rowsPerWG * s.rowBytes())
 }
 

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"mgpucompress/internal/gpu"
 	"mgpucompress/internal/mem"
 	"mgpucompress/internal/platform"
 )
@@ -73,13 +74,10 @@ func ByAbbrev(abbrev string, scale Scale) (Workload, error) {
 	return nil, fmt.Errorf("workloads: unknown benchmark %q", abbrev)
 }
 
-// gpuOfWG returns the GPU a workgroup lands on under the driver's
-// round-robin-over-all-CUs dispatch. Workloads use it to place per-GPU
-// output partitions locally.
-func gpuOfWG(p *platform.Platform, wg int) int {
-	totalCUs := p.TotalCUs()
-	cusPerGPU := len(p.GPUs[0].CUs)
-	return (wg % totalCUs) / cusPerGPU
+// placement returns the driver's workgroup placement on p. Workloads use it
+// to place per-GPU output partitions locally.
+func placement(p *platform.Platform) gpu.Placement {
+	return gpu.Placement{GPUs: len(p.GPUs), CUsPerGPU: len(p.GPUs[0].CUs)}
 }
 
 // argsBlock builds a kernel argument block the way an OpenCL runtime lays
