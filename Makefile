@@ -169,7 +169,7 @@ reproduce:
 	go run ./cmd/reproduce -out results -scale 4
 
 ablations:
-	go run ./cmd/ablations -scale 2
+	go run ./cmd/reproduce -scale 2 -out results/ablations -only 'ablation_*'
 
 examples:
 	go run ./examples/quickstart

@@ -18,6 +18,7 @@ import (
 	"mgpucompress/internal/cli"
 	"mgpucompress/internal/comp"
 	"mgpucompress/internal/core"
+	"mgpucompress/internal/platform"
 	"mgpucompress/internal/runner"
 	"mgpucompress/internal/sim"
 	"mgpucompress/internal/stats"
@@ -33,7 +34,6 @@ func main() {
 
 func run(fs *flag.FlagSet, args []string) error {
 	bench := fs.String("bench", "MT", "benchmark: AES|BS|FIR|GD|KM|MT|SC")
-	fs.StringVar(bench, "workload", "MT", "alias for -bench")
 	policy := fs.String("policy", "none", "compression policy: "+core.PolicyNames())
 	lambda := fs.Float64("lambda", 6, "adaptive penalty λ (Eq. 1)")
 	characterize := fs.Bool("characterize", false, "also run every codec on every transfer (Table V/VI columns)")
@@ -98,7 +98,7 @@ func run(fs *flag.FlagSet, args []string) error {
 	}
 	if *statsFlag {
 		fmt.Println("\nhardware counters:")
-		fmt.Print(m.Platform.String())
+		fmt.Print(platform.StatsFromSnapshot(m.Snapshot).String())
 	}
 	if *traceFlag && m.TraceLog != nil {
 		fmt.Println()

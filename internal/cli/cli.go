@@ -1,8 +1,8 @@
 // Package cli declares the flags the experiment commands share and
 // validates them at the flag boundary, before a command creates any file or
 // contacts a sweepd daemon. Each shared flag is declared here once, so every
-// command spells, documents and checks it the same way. Experiment is the
-// driver of the two artifact-writing commands, reproduce and ablations.
+// command spells, documents and checks it the same way: reproduce,
+// mgpucomp and sweepd.
 package cli
 
 import (
@@ -46,8 +46,7 @@ func Bind(fs *flag.FlagSet) *Flags {
 	return f
 }
 
-// BindSweep declares Bind's flags plus the sweep commands' -jobs and
-// -server.
+// BindSweep declares Bind's flags plus reproduce's -jobs and -server.
 func BindSweep(fs *flag.FlagSet) *Flags {
 	f := Bind(fs)
 	JobsVar(fs, &f.Jobs)
@@ -56,8 +55,7 @@ func BindSweep(fs *flag.FlagSet) *Flags {
 	return f
 }
 
-// JobsVar declares -jobs, which the sweepd daemon shares with the sweep
-// commands.
+// JobsVar declares -jobs, which the sweepd daemon shares with reproduce.
 func JobsVar(fs *flag.FlagSet, p *int) {
 	fs.IntVar(p, "jobs", 0, "max concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
 }

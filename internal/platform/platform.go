@@ -27,9 +27,10 @@ import (
 
 // Config holds what callers vary about the platform: the GPU and CU counts,
 // the fabric, the compression policy, the L1.5 extension, the fault profile
-// and the observers. The per-GPU Table VII geometry (CU issue width, L1 and
-// L2 caches, mem.ChannelsPerPU L2 banks and DRAM channels, the argument
-// buffer) is not configurable. Start from DefaultConfig or FullConfig:
+// and the payload observer. The per-GPU Table VII geometry (CU issue width,
+// L1 and L2 caches, mem.ChannelsPerPU L2 banks and DRAM channels, the
+// argument buffer) and the metrics registry and span recorder, which Build
+// creates, are not configurable. Start from DefaultConfig or FullConfig:
 // Build checks the config with Validate and fills nothing in.
 type Config struct {
 	NumGPUs   int
@@ -52,13 +53,6 @@ type Config struct {
 	// like the L1s. Nil (the default) reproduces the paper's system,
 	// which does not cache remote data.
 	RemoteCache *cache.Config
-	// Metrics is the registry every component registers into at
-	// construction. Nil means the platform creates a private one, so
-	// CollectStats always works.
-	Metrics *metrics.Registry
-	// Spans, when non-nil, receives kernel launches and adaptive
-	// controller phases as trace spans.
-	Spans *trace.Recorder
 	// Fault is the fault-injection profile. When enabled, the fabric
 	// injects faults into RDMA wire traffic, every RDMA engine runs the
 	// CRC/NACK/retry guard, adaptive controllers degrade on repeated
@@ -136,11 +130,11 @@ type Platform struct {
 	Driver   *gpu.Driver
 	HostRDMA *rdma.Engine
 	GPUs     []*Device
-	// Metrics is the registry holding every component's counters; it is
-	// never nil after New.
+	// Metrics is the registry every component registers into at
+	// construction, plus the run's traffic/* ledger and energy/* totals.
 	Metrics *metrics.Registry
-	// Spans is the trace recorder handed in via Config (nil when tracing
-	// is off).
+	// Spans receives kernel launches, guard events and adaptive controller
+	// phases as trace spans.
 	Spans  *trace.Recorder
 	phases []*phaseTracker
 	// seenPolicies dedupes instrumentation when Config.NewPolicy hands the
@@ -203,9 +197,8 @@ func (p *Platform) partitionOf(unit int) *sim.Partition {
 }
 
 // instrumentPolicy registers an adaptive controller's metrics under
-// ctrl<unit>, hands it the fault profile's degradation threshold and, when
-// tracing, tracks its phases as spans. Other policies have nothing to
-// instrument.
+// ctrl<unit>, hands it the fault profile's degradation threshold and tracks
+// its phases as spans. Other policies have nothing to instrument.
 func (p *Platform) instrumentPolicy(unit int, pol core.Policy) {
 	a, ok := pol.(*core.Adaptive)
 	if !ok || p.seenPolicies[a] {
@@ -221,16 +214,14 @@ func (p *Platform) instrumentPolicy(unit int, pol core.Policy) {
 		a.RegisterIntegrityMetrics(p.Metrics, prefix)
 		a.SetDegradeK(p.cfg.Fault.Degrade())
 	}
-	if p.Spans != nil {
-		t := &phaseTracker{
-			part:  p.partitionOf(unit),
-			spans: p.Spans,
-			track: prefix,
-			name:  "sampling", // adaptive controllers start sampling at t=0
-		}
-		p.phases = append(p.phases, t)
-		a.SetPhaseHook(t.transition)
+	t := &phaseTracker{
+		part:  p.partitionOf(unit),
+		spans: p.Spans,
+		track: prefix,
+		name:  "sampling", // adaptive controllers start sampling at t=0
 	}
+	p.phases = append(p.phases, t)
+	a.SetPhaseHook(t.transition)
 }
 
 // Validate reports the first shape error: fewer than two GPUs, no CUs, a
@@ -260,7 +251,11 @@ func (c Config) Validate() error {
 // the fabric, driver and host RDMA share the hub partition. The config must
 // pass Validate: reaching Build with a bad shape is a wiring bug, and it
 // panics.
-func Build(cfg Config) (*Platform, Partitions) {
+func Build(cfg Config) (*Platform, Partitions) { return build(cfg) }
+
+// build is Build with extra engine options; tests use it to pin the window
+// schedule.
+func build(cfg Config, opts ...sim.Option) (*Platform, Partitions) {
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("platform: %v", err))
 	}
@@ -268,9 +263,6 @@ func Build(cfg Config) (*Platform, Partitions) {
 	// the fabric maps owner-partition indices 0..NumGPUs-1 to GPU nodes and
 	// the hub partition to the host switch, so Nodes always mirrors NumGPUs.
 	cfg.Fabric.Nodes = cfg.NumGPUs
-	if cfg.Metrics == nil {
-		cfg.Metrics = metrics.NewRegistry()
-	}
 
 	// Fault layer: one injector shared by the fabric, guards on every RDMA
 	// engine, and the fault/* metric paths — all strictly gated on an
@@ -283,9 +275,9 @@ func Build(cfg Config) (*Platform, Partitions) {
 	}
 
 	p := &Platform{
-		Engine:  sim.NewEngine(sim.WithPartitions(cfg.NumGPUs + 1)),
-		Metrics: cfg.Metrics,
-		Spans:   cfg.Spans,
+		Engine:  sim.NewEngine(append([]sim.Option{sim.WithPartitions(cfg.NumGPUs + 1)}, opts...)...),
+		Metrics: metrics.NewRegistry(),
+		Spans:   &trace.Recorder{},
 		cfg:     cfg,
 	}
 	for g := 0; g < cfg.NumGPUs; g++ {
@@ -298,7 +290,7 @@ func Build(cfg Config) (*Platform, Partitions) {
 		injector.RegisterMetrics(p.Metrics, "fault")
 	}
 	p.Driver = gpu.NewDriver("Driver", p.Parts.Hub, p.Space)
-	p.Driver.Spans = cfg.Spans
+	p.Driver.Spans = p.Spans
 
 	p.Engine.RegisterMetrics(p.Metrics, "sim")
 	p.Bus.RegisterMetrics(p.Metrics, "fabric")
@@ -368,7 +360,26 @@ func Build(cfg Config) (*Platform, Partitions) {
 			}
 		}
 	}
+	p.registerTotals()
 	return p, p.Parts
+}
+
+// registerTotals publishes the engines' merged traffic ledger under
+// traffic/*, the paper's Table V quantities, and the fabric and codec energy
+// under energy/*. All are read at snapshot time, after the run has
+// accumulated. The fabric owns its energy accounting: single-hop fabrics
+// price TotalBytes at the base class, switched ones sum per-hop, per-class
+// bytes.
+func (p *Platform) registerTotals() {
+	reg := p.Metrics
+	reg.CounterFunc("traffic/remote_reads", func() uint64 { return p.Traffic().RemoteReads })
+	reg.CounterFunc("traffic/remote_writes", func() uint64 { return p.Traffic().RemoteWrites })
+	reg.CounterFunc("traffic/header_bytes", func() uint64 { return p.Traffic().HeaderBytes })
+	reg.CounterFunc("traffic/payload_bytes", func() uint64 { return p.Traffic().PayloadBytes })
+	reg.CounterFunc("traffic/uncompressed_payload_bytes", func() uint64 { return p.Traffic().UncompressedPayloadBytes })
+	reg.CounterFunc("traffic/messages", func() uint64 { return p.Traffic().Messages })
+	reg.GaugeFunc("energy/fabric_pj", p.Bus.EnergyPJ)
+	reg.GaugeFunc("energy/codec_pj", p.CodecEnergyPJ)
 }
 
 func (p *Platform) buildGPU(g int, policy core.Policy) *Device {
@@ -467,7 +478,7 @@ func (p *Platform) enableGuard(e *rdma.Engine, prefix string) {
 		TimeoutCycles: sim.Time(p.cfg.Fault.Timeout()),
 		MaxAttempts:   p.cfg.Fault.Attempts(),
 	}
-	e.Spans = p.cfg.Spans
+	e.Spans = p.Spans
 	e.RegisterGuardMetrics(p.Metrics, prefix)
 }
 

@@ -11,7 +11,6 @@ import (
 	"mgpucompress/internal/fault"
 	"mgpucompress/internal/mem"
 	"mgpucompress/internal/metrics"
-	"mgpucompress/internal/trace"
 )
 
 // runCopy builds a platform under cfg, runs one copy kernel, and returns it.
@@ -88,7 +87,6 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 
 func TestAdaptivePhaseSpansRecorded(t *testing.T) {
 	cfg := testConfig()
-	cfg.Spans = &trace.Recorder{}
 	cfg.NewPolicy = func(int) core.Policy {
 		return core.NewAdaptive(core.Config{SampleCount: 2, RunLength: 8})
 	}

@@ -134,9 +134,8 @@ type CodecStats struct {
 	Patterns        comp.PatternHistogram `json:"patterns"`
 }
 
-// Result is the outcome of one run: the paper-facing measurements, the
-// aggregated platform counters, and the full metrics snapshot they are
-// views over.
+// Result is the outcome of one run: the paper-facing measurements and the
+// full metrics snapshot they are views over.
 type Result struct {
 	Workload string `json:"workload"`
 	Policy   string `json:"policy"`
@@ -168,11 +167,9 @@ type Result struct {
 	TraceLog *trace.Log      `json:"-"`
 	Spans    *trace.Recorder `json:"-"`
 
-	// Platform holds the aggregated hardware counters of the run.
-	Platform platform.Stats `json:"platform"`
-
 	// Snapshot is the full metric registry at end of run, sorted by path.
-	// Platform (and every other aggregate) is derived from it.
+	// Every aggregate, platform.StatsFromSnapshot included, is derived
+	// from it.
 	Snapshot metrics.Snapshot `json:"snapshot,omitempty"`
 }
 
@@ -236,17 +233,6 @@ func (c *characterizer) Payload(line []byte, _ core.Decision) {
 	}
 }
 
-// registerTraffic publishes the engines' merged traffic ledger under
-// "traffic/*" so the snapshot carries the paper's Table V quantities.
-func registerTraffic(reg *metrics.Registry, p *platform.Platform) {
-	reg.CounterFunc("traffic/remote_reads", func() uint64 { return p.Traffic().RemoteReads })
-	reg.CounterFunc("traffic/remote_writes", func() uint64 { return p.Traffic().RemoteWrites })
-	reg.CounterFunc("traffic/header_bytes", func() uint64 { return p.Traffic().HeaderBytes })
-	reg.CounterFunc("traffic/payload_bytes", func() uint64 { return p.Traffic().PayloadBytes })
-	reg.CounterFunc("traffic/uncompressed_payload_bytes", func() uint64 { return p.Traffic().UncompressedPayloadBytes })
-	reg.CounterFunc("traffic/messages", func() uint64 { return p.Traffic().Messages })
-}
-
 // Run executes the named workload under the options and returns the result.
 func Run(abbrev string, opts Options) (*Result, error) {
 	if opts.Scale == 0 {
@@ -265,12 +251,7 @@ func Run(abbrev string, opts Options) (*Result, error) {
 		}
 	}
 
-	reg := metrics.NewRegistry()
-	spans := &trace.Recorder{}
-
 	cfg := opts.platformConfig()
-	cfg.Metrics = reg
-	cfg.Spans = spans
 	var traceLog *trace.Log
 	if opts.Trace {
 		traceLog = &trace.Log{Cap: 1 << 20}
@@ -304,18 +285,10 @@ func Run(abbrev string, opts Options) (*Result, error) {
 	}
 	p, _ := platform.Build(cfg)
 
-	// Lazily evaluated at snapshot time, after the run has accumulated. The
-	// fabric owns the accounting: single-hop fabrics price TotalBytes at the
-	// base class (bit-identical to the pre-topology arithmetic), switched
-	// ones sum per-hop, per-class bytes.
-	reg.GaugeFunc("energy/fabric_pj", p.Bus.EnergyPJ)
-	reg.GaugeFunc("energy/codec_pj", p.CodecEnergyPJ)
-	registerTraffic(reg, p)
-
 	stage := func(name string, fn func(*platform.Platform) error) error {
 		start := p.Engine.Now()
 		err := fn(p)
-		spans.Record(trace.Span{
+		p.Spans.Record(trace.Span{
 			Track: "workload", Name: name, Cat: "stage",
 			Start: start, End: p.Engine.Now(),
 		})
@@ -339,8 +312,6 @@ func Run(abbrev string, opts Options) (*Result, error) {
 		FabricBytes:   p.Bus.TotalBytes(),
 		Traffic:       p.Traffic(),
 		CodecEnergyPJ: p.CodecEnergyPJ(),
-		TraceLog:      traceLog,
-		Spans:         spans,
 	}
 	if char != nil {
 		m.PerCodec, m.Series = char.per, char.series
@@ -355,12 +326,11 @@ func Run(abbrev string, opts Options) (*Result, error) {
 	m.ReadLatency.Merge(&p.HostRDMA.ReadLatency)
 	// One snapshot feeds every aggregate view, so the journal, the stats
 	// report and a -metrics-out file can never disagree.
-	m.Snapshot = reg.Snapshot()
-	m.Platform = platform.StatsFromSnapshot(m.Snapshot)
+	m.Snapshot = p.Metrics.Snapshot()
 
 	// The run-end check drains stale traffic, which still feeds the live
 	// recorders; the result keeps what the run itself recorded.
-	m.TraceLog, m.Spans = traceLog.Clone(), spans.Clone()
+	m.TraceLog, m.Spans = traceLog.Clone(), p.Spans.Clone()
 	if err := p.CheckQuiescent(); err != nil {
 		return nil, fmt.Errorf("runner: %s: %w", abbrev, err)
 	}

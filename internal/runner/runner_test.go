@@ -7,6 +7,7 @@ import (
 
 	"mgpucompress/internal/comp"
 	"mgpucompress/internal/core"
+	"mgpucompress/internal/platform"
 	"mgpucompress/internal/workloads"
 )
 
@@ -403,7 +404,7 @@ func TestFabricMessageConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := m.Platform
+	s := platform.StatsFromSnapshot(m.Snapshot)
 	kernels := uint64(1) // MT launches exactly one kernel
 	numGPUs := uint64(4)
 	// reads and writes each produce a request and a response; every kernel

@@ -3,6 +3,7 @@ package runner
 import (
 	"fmt"
 	"io"
+	"path"
 	"strings"
 
 	"mgpucompress/internal/comp"
@@ -362,27 +363,34 @@ func ArtifactNames() []string {
 	return names
 }
 
-// SelectArtifacts resolves a comma-separated list of artifact names to
-// artifacts in writing order, rejecting unknown names. "" selects the
-// paper's Artifacts; ablations are written only when named.
+// SelectArtifacts resolves a comma-separated list of artifact names or
+// path.Match patterns to artifacts in writing order. An entry that is not a
+// valid pattern, or matches no artifact, is an error. "" selects the paper's
+// Artifacts; ablations are written only when selected.
 func SelectArtifacts(list string) ([]Artifact, error) {
 	if list == "" {
 		return Artifacts(), nil
 	}
-	want := map[string]bool{}
-	for _, n := range strings.Split(list, ",") {
-		want[n] = true
-	}
-	var out []Artifact
-	for _, a := range allArtifacts() {
-		if want[a.Name] {
-			out = append(out, a)
-			delete(want, a.Name)
+	all := allArtifacts()
+	picked := make([]bool, len(all))
+	for _, pat := range strings.Split(list, ",") {
+		matched := false
+		for i, a := range all {
+			ok, err := path.Match(pat, a.Name)
+			if err != nil {
+				return nil, fmt.Errorf("artifact pattern %q: %w", pat, err)
+			}
+			picked[i] = picked[i] || ok
+			matched = matched || ok
+		}
+		if !matched {
+			return nil, fmt.Errorf("unknown artifact %q (want %s)", pat, strings.Join(ArtifactNames(), ","))
 		}
 	}
-	for _, n := range strings.Split(list, ",") {
-		if want[n] {
-			return nil, fmt.Errorf("unknown artifact %q (want %s)", n, strings.Join(ArtifactNames(), ","))
+	var out []Artifact
+	for i, a := range all {
+		if picked[i] {
+			out = append(out, a)
 		}
 	}
 	return out, nil

@@ -177,6 +177,53 @@ func TestSweepResumeSkipsFinishedJobs(t *testing.T) {
 	}
 }
 
+// TestResumeReplaysPlatformKey replays a journal record that still carries
+// the "platform" counter view results used to store beside their snapshot:
+// the record must load and serve the job without re-simulating it.
+func TestResumeReplaysPlatformKey(t *testing.T) {
+	var journal bytes.Buffer
+	k := Key("MT", Options{Scale: workloads.ScaleTiny, CUsPerGPU: 2})
+	want, err := NewSweep(SweepConfig{Jobs: 1, Journal: &journal}).Result(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec map[string]json.RawMessage
+	if err := json.Unmarshal(journal.Bytes(), &rec); err != nil {
+		t.Fatal(err)
+	}
+	var res map[string]json.RawMessage
+	if err := json.Unmarshal(rec["result"], &res); err != nil {
+		t.Fatal(err)
+	}
+	res["platform"] = json.RawMessage(`{"exec_cycles":1,"l1_hits":2,"fabric_util":0.5}`)
+	rec["result"] = mustJSON(t, res)
+	line := mustJSON(t, rec)
+
+	s := tinySweep(1)
+	if loaded, err := s.Resume(bytes.NewReader(line)); err != nil || loaded != 1 {
+		t.Fatalf("Resume loaded %d records (%v), want 1", loaded, err)
+	}
+	got, err := s.Result(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Simulated != 0 {
+		t.Errorf("resumed sweep simulated %d jobs, want 0", st.Simulated)
+	}
+	if got.ExecCycles != want.ExecCycles || !bytes.Equal(mustJSON(t, got.Snapshot), mustJSON(t, want.Snapshot)) {
+		t.Error("replayed result differs from the simulated one")
+	}
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func TestResultJSONRoundTripStable(t *testing.T) {
 	// The journal stores Result as JSON; resume feeds them back through the
 	// same formatters. marshal(unmarshal(marshal(m))) must equal marshal(m)

@@ -12,8 +12,8 @@ import (
 	"mgpucompress/internal/sweep"
 )
 
-// Client talks to a running sweepd daemon. It is what the -server flag of
-// cmd/reproduce and cmd/ablations wrap: submit the whole plan as one batch, poll it to
+// Client talks to a running sweepd daemon. It is what cmd/reproduce's
+// -server flag wraps: submit the whole plan as one batch, poll it to
 // completion and download its results journal. RunJob also executes single
 // jobs remotely.
 type Client struct {

@@ -5,13 +5,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"mgpucompress/internal/sweep"
 )
 
 // newLineScanner builds a scanner sized for SSE frames carrying metric
 // deltas.
 func newLineScanner(r io.Reader) *bufio.Scanner {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), maxJournalLine)
+	sc.Buffer(make([]byte, 0, 64<<10), sweep.MaxRecordBytes)
 	return sc
 }
 

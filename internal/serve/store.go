@@ -11,6 +11,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"mgpucompress/internal/sweep"
 )
 
 // Store is the service's on-disk state: one directory per batch under
@@ -183,10 +185,6 @@ func atomicWrite(path string, b []byte) error {
 	return os.Rename(tmp, path)
 }
 
-// maxJournalLine bounds one journal record (matches the sweep engine's
-// resume limit).
-const maxJournalLine = 64 << 20
-
 // ReadJournal replays a batch journal, returning every intact record in
 // write (completion) order. Corrupt or truncated lines — the tail of a
 // killed daemon — are skipped, never fatal; a missing journal is an empty
@@ -213,7 +211,7 @@ func readRecords(path string) ([]JobRecord, error) {
 	}
 	defer f.Close()
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), maxJournalLine)
+	sc.Buffer(make([]byte, 0, 1<<20), sweep.MaxRecordBytes)
 	var out []JobRecord
 	seen := make(map[string]bool)
 	for sc.Scan() {

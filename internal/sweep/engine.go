@@ -302,9 +302,10 @@ func (e *Engine[R]) writeRecord(fp string, key JobKey, res R) error {
 // journal bytes to the OS after every record (see Config.Journal).
 type Flusher interface{ Flush() error }
 
-// maxRecordBytes bounds one journal line; a Fig. 1 series with 500 samples
-// marshals well under this.
-const maxRecordBytes = 64 << 20
+// MaxRecordBytes bounds one journal line, here and in every reader of a
+// sweepd journal or event stream; a Fig. 1 series with 500 samples marshals
+// well under this.
+const MaxRecordBytes = 64 << 20
 
 // Resume replays a JSONL journal into the cache: every intact record
 // becomes a completed entry, so a subsequent Get of the same fingerprint is
@@ -312,7 +313,7 @@ const maxRecordBytes = 64 << 20
 // killed sweep — are skipped, not fatal. Returns the number of jobs loaded.
 func (e *Engine[R]) Resume(r io.Reader) (int, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), maxRecordBytes)
+	sc.Buffer(make([]byte, 0, 1<<20), MaxRecordBytes)
 	loaded := 0
 	for sc.Scan() {
 		var rec Record
